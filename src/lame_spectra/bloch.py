@@ -17,8 +17,6 @@ curve formulas are checked; it never imports from ``curve``.
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +24,7 @@ import numpy as np
 
 from .errors import ClusterAmbiguityError, PoleProximityError
 from .theta import ThetaEvaluator, theta
+from .util import cluster_points
 
 __all__ = [
     "RationalEta",
@@ -40,6 +39,13 @@ __all__ = [
     "band_sweep",
     "band_intervals",
 ]
+
+# eigenvalues closer than CLUSTER_TOL * max|E| (per phase) are one cluster
+CLUSTER_TOL = 1e-9
+# band spans closer than MERGE_TOL * scale merge; |Im E| beyond its root is not noise
+MERGE_TOL = 1e-8
+# how often lame_coefficients moves x0 by 1/(2Q) off a theta1 zero
+MAX_RESHIFTS = 8
 
 
 @dataclass(frozen=True)
@@ -99,17 +105,16 @@ def coefficient_samples(func, re: RationalEta, x0: complex) -> np.ndarray:
     return np.array([func(x0 + n * re.eta) for n in range(re.Q)], dtype=complex)
 
 
-def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator,
-                      max_reshifts: int = 8):
+def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator):
     """Hop amplitudes of the symmetric gauge on the sampling orbit.
 
     a_n = theta1(x_n - l*eta)/theta1(x_n), c_n = theta1(x_n + l*eta)/theta1(x_n),
     no diagonal term.  If any denominator collides with a theta1 zero the
-    offset is re-shifted by 1/(2Q), up to ``max_reshifts`` times.
+    offset is re-shifted by 1/(2Q), up to MAX_RESHIFTS times.
     """
     eta = re.eta
     guard = max(ev.tol, 1e-8) * abs(ev.theta1_prime0)
-    for _ in range(max_reshifts + 1):
+    for _ in range(MAX_RESHIFTS + 1):
         xs = x0 + np.arange(re.Q) * eta
         den = theta(1, xs, ev)
         if np.min(np.abs(den)) > guard:
@@ -144,28 +149,15 @@ class EdgeCandidates:
         return self.values[self.confident]
 
 
-def _cluster_spectrum(eigs: np.ndarray, tol: float):
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    groups = [[eigs[0]]]
-    for e in eigs[1:]:
-        if abs(e - groups[-1][-1]) <= tol:
-            groups[-1].append(e)
-        else:
-            groups.append([e])
-    return groups
-
-
-def numeric_band_edges(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator,
-                       cluster_tol: float = 1e-9) -> EdgeCandidates:
+def numeric_band_edges(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator) -> EdgeCandidates:
     a, c, x0 = lame_coefficients(ell, re, x0, ev)
-    return numeric_band_edges_from_coefficients(a, c, cluster_tol=cluster_tol)
+    return numeric_band_edges_from_coefficients(a, c)
 
 
-def numeric_band_edges_from_coefficients(a_vals, c_vals, cluster_tol: float = 1e-9) -> EdgeCandidates:
+def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
     """Simple eigenvalues at wrap phase +1 and -1, degenerate pairs dropped.
 
-    Eigenvalues within cluster_tol * max|E| (per phase) are merged; clusters
+    Eigenvalues within CLUSTER_TOL * max|E| (per phase) are merged; clusters
     of size 1 are confident edge candidates, size 2 are closed-gap interior
     points, anything larger is flagged non-confident rather than guessed.
     """
@@ -174,17 +166,12 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals, cluster_tol: float = 1e
         M = periodic_matrix(np.asarray(a_vals, complex), np.asarray(c_vals, complex), phase)
         eigs = np.linalg.eigvals(M)
         scale = float(np.abs(eigs).max()) or 1.0
-        for grp in _cluster_spectrum(eigs, cluster_tol * scale):
-            if len(grp) == 1:
-                values.append(grp[0])
-                mult.append(1)
-                conf.append(True)
-            elif len(grp) == 2:
+        for center, size in cluster_points(eigs, CLUSTER_TOL * scale):
+            if size == 2:
                 continue  # closed gap / interior double
-            else:
-                values.append(sum(grp) / len(grp))
-                mult.append(len(grp))
-                conf.append(False)
+            values.append(center)
+            mult.append(size)
+            conf.append(size == 1)
     values = np.array(values, dtype=complex)
     order = np.lexsort((values.imag, values.real))
     return EdgeCandidates(
@@ -194,48 +181,30 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals, cluster_tol: float = 1e
     )
 
 
-def _max_workers() -> int:
-    env = os.environ.get("LAME_SPECTRA_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluator) -> np.ndarray:
     """Sorted eigenvalue trajectories over a momentum grid.
 
     Returns an array of shape (len(k_grid), Q) with each row the sorted
-    (by real part) spectrum at that momentum.  Parallelism across momenta is
-    capped by the LAME_SPECTRA_THREADS environment variable; results are
-    ordered by grid index regardless.
+    (by real part) spectrum at that momentum.
     """
     a, c, _ = lame_coefficients(ell, re, x0, ev)
-
-    def solve(k):
+    rows = []
+    for k in k_grid:
         phase = cmath.exp(1j * k * re.eta * re.Q)
         eigs = np.linalg.eigvals(periodic_matrix(a, c, phase))
-        return eigs[np.lexsort((eigs.imag, eigs.real))]
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve, k_grid))
-    else:
-        rows = [solve(k) for k in k_grid]
+        rows.append(eigs[np.lexsort((eigs.imag, eigs.real))])
     return np.array(rows)
 
 
-def band_intervals(sweep: np.ndarray, merge_tol: float = 1e-8):
+def band_intervals(sweep: np.ndarray):
     """Maximal stable intervals from a sweep (self-adjoint regime).
 
     Each sorted-index trajectory spans [min_k E_i, max_k E_i]; overlapping
     spans merge into bands.  The imaginary parts must be noise: a spread
-    beyond sqrt(merge_tol) raises ClusterAmbiguityError instead of silently
+    beyond sqrt(MERGE_TOL) raises ClusterAmbiguityError instead of silently
     projecting a genuinely complex spectrum.
     """
-    if np.abs(sweep.imag).max() > math.sqrt(merge_tol):
+    if np.abs(sweep.imag).max() > math.sqrt(MERGE_TOL):
         raise ClusterAmbiguityError(
             f"spectrum is not numerically real: max |Im E| = {np.abs(sweep.imag).max():.3e}"
         )
@@ -243,7 +212,7 @@ def band_intervals(sweep: np.ndarray, merge_tol: float = 1e-8):
              for i in range(sweep.shape[1])]
     spans.sort()
     scale = max(abs(sweep.real).max(), 1.0)
-    tol = merge_tol * scale
+    tol = MERGE_TOL * scale
     merged = [list(spans[0])]
     for lo, hi in spans[1:]:
         if lo <= merged[-1][1] + tol:

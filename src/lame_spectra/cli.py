@@ -3,8 +3,15 @@
 Subcommands: edges | spectrum | verify | flow | curve-point | coeffs.
 Default output is a single JSON document (schema 1) carrying the tolerance
 and series cutoff used; sweeps and trajectories can be dumped as CSV.
-Exit codes: 1 verify failure, 2 bad parameters / torsion eta, 3 ambiguous
-root clustering, 4 margin or locus rejection.
+
+Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
+torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
+count, a non-real spectrum or non-convergence (ClusterAmbiguityError,
+ConvergenceError); 4 margin violation or off-locus poles
+(MarginViolationError, LocusError).  ``main`` maps exceptions to codes 2-4
+through ``EXIT_CODES`` and prints each as one line on stderr,
+``error: <ExceptionName>: <message>``; any other exception is a bug and
+propagates.
 """
 
 import argparse
@@ -20,11 +27,11 @@ from . import curve as curve_mod
 from . import volterra as volterra_mod
 from .bloch import RationalEta, band_intervals, band_sweep, numeric_band_edges
 from .errors import (
+    ClusterAmbiguityError,
     ConvergenceError,
     EllipticError,
     LocusError,
     MarginViolationError,
-    TorsionEtaError,
 )
 from .lame import CurvePoint, LameContext, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator
@@ -32,10 +39,15 @@ from .util import format_complex, parse_complex, parse_eta
 
 SCHEMA = 1
 
-EXIT_VERIFY_FAIL = 1
-EXIT_BAD_PARAMS = 2
-EXIT_AMBIGUOUS = 3
-EXIT_MARGIN = 4
+# looked up along type(exc).__mro__, so the most specific class wins
+EXIT_CODES = {
+    ValueError: 2,
+    EllipticError: 2,
+    ClusterAmbiguityError: 3,
+    ConvergenceError: 3,
+    MarginViolationError: 4,
+    LocusError: 4,
+}
 
 
 @dataclass
@@ -119,14 +131,9 @@ def _c(z: complex) -> str:
 def cmd_edges(args) -> int:
     cfg = _build_config(args)
     if cfg.ell < 1:
-        print("error: --ell must be >= 1", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError(f"--ell must be >= 1, got {cfg.ell}")
     ev = cfg.evaluator()
-    try:
-        edges = curve_mod.band_edges(cfg.ell, ev)
-    except TorsionEtaError as exc:
-        print(f"error: torsion eta: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    edges = curve_mod.band_edges(cfg.ell, ev)
     counts = edges.counts()
     expected = curve_mod.BandEdgeSet.expected_counts(cfg.ell)
     doc = {
@@ -153,33 +160,24 @@ def cmd_edges(args) -> int:
             else:
                 dev[str(a)] = None
         doc["closed_form_deviation"] = dev
-    if any(m > 1 for a in (1, 2, 3, 4) for m in edges.multiplicities[a]):
+    degenerate = any(m > 1 for a in (1, 2, 3, 4) for m in edges.multiplicities[a])
+    if degenerate:
         doc["warning"] = "root clusters with multiplicity > 1; edge values may be degenerate"
-        _emit(doc)
-        return EXIT_AMBIGUOUS
     _emit(doc)
-    return 0
+    return 3 if degenerate or not doc["counts_ok"] else 0
 
 
 def cmd_spectrum(args) -> int:
     cfg = _build_config(args)
     if cfg.eta_fraction is None:
-        print("error: spectrum needs rational eta, pass --eta P/Q", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError("spectrum needs rational eta, pass --eta P/Q")
     P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
     ev = cfg.evaluator()
-    warn = None
-    if Q <= 2 * cfg.ell + 2:
-        warn = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     x0 = complex(args.x0) if args.x0 else 0.123456 + 0j
-    try:
-        cand = numeric_band_edges(cfg.ell, re, x0, ev)
-        ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
-        sweep = band_sweep(cfg.ell, re, x0, ks, ev)
-    except EllipticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    cand = numeric_band_edges(cfg.ell, re, x0, ev)
+    ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
+    sweep = band_sweep(cfg.ell, re, x0, ks, ev)
     analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
     num = cand.confident_values()
     max_dev = None
@@ -193,8 +191,8 @@ def cmd_spectrum(args) -> int:
         "max_deviation": max_dev,
         "bands": [[lo, hi] for lo, hi in band_intervals(sweep)],
     }
-    if warn:
-        doc["warning"] = warn
+    if Q <= 2 * cfg.ell + 2:
+        doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     if cfg.fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])])
@@ -304,34 +302,19 @@ def cmd_verify(args) -> int:
     cfg = _build_config(args)
     names = ALL_SUITES if args.suite == "all" else [args.suite]
     ev = cfg.evaluator()
-    try:
-        results = _verify_suites(cfg, ev, names)
-    except TorsionEtaError as exc:
-        print(f"error: torsion eta: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    results = _verify_suites(cfg, ev, names)
     doc = {"provenance": _provenance(cfg, ev), "suites": results}
     doc["all_passed"] = all(r["passed"] for r in results.values())
     _emit(doc)
-    return 0 if doc["all_passed"] else EXIT_VERIFY_FAIL
+    return 0 if doc["all_passed"] else 1
 
 
 def cmd_flow(args) -> int:
     cfg = _build_config(args)
     ev = cfg.evaluator()
-    try:
-        poles = [parse_complex(tok) for tok in args.poles.split(",")]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    poles = [parse_complex(tok) for tok in args.poles.split(",")]
     cfg0 = volterra_mod.PoleConfig(xs=tuple(poles))
-    try:
-        result = volterra_mod.integrate_flow(cfg0, args.t_end, args.dt, ev)
-    except MarginViolationError as exc:
-        print(f"error: boundary of locus: {exc}", file=sys.stderr)
-        return EXIT_MARGIN
-    except LocusError as exc:
-        print(f"error: off-locus configuration (gap={exc.gap:.3e}): {exc}", file=sys.stderr)
-        return EXIT_MARGIN
+    result = volterra_mod.integrate_flow(cfg0, args.t_end, args.dt, ev)
     if cfg.fmt == "csv":
         writer = csv.writer(sys.stdout)
         head = ["t"]
@@ -361,15 +344,10 @@ def cmd_flow(args) -> int:
 
 def cmd_curve_point(args) -> int:
     cfg = _build_config(args)
-    ev = cfg.evaluator()
-    try:
-        ctx = LameContext(ell=cfg.ell, ev=ev)
-    except TorsionEtaError as exc:
-        print(f"error: torsion eta: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
     if (args.fix_zeta is None) == (args.fix_E is None):
-        print("error: pass exactly one of --fix-zeta / --fix-E", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        raise ValueError("pass exactly one of --fix-zeta / --fix-E")
+    ev = cfg.evaluator()
+    ctx = LameContext(ell=cfg.ell, ev=ev)
     seed = CurvePoint(
         zeta=parse_complex(args.seed_zeta),
         K=parse_complex(args.seed_K),
@@ -380,11 +358,7 @@ def cmd_curve_point(args) -> int:
         if args.fix_zeta is not None
         else {"E": parse_complex(args.fix_E)}
     )
-    try:
-        pt = curve_mod.solve_curve_point(fix, seed, ctx)
-    except ConvergenceError as exc:
-        print(f"error: {exc} (reason: {exc.reason})", file=sys.stderr)
-        return EXIT_AMBIGUOUS
+    pt = curve_mod.solve_curve_point(fix, seed, ctx)
     r0, r1 = scaled_residual(pt, ctx)
     doc = {
         "provenance": _provenance(cfg, ev),
@@ -401,11 +375,7 @@ def cmd_coeffs(args) -> int:
     ev = cfg.evaluator()
     from math import comb
 
-    try:
-        cc = curve_mod.curve_coeffs(cfg.ell, ev)
-    except TorsionEtaError as exc:
-        print(f"error: torsion eta: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    cc = curve_mod.curve_coeffs(cfg.ell, ev)
     N = cc.N
     doc = {
         "provenance": _provenance(cfg, ev),
@@ -481,9 +451,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -54,6 +54,11 @@ __all__ = [
     "half_period",
 ]
 
+# a root of p1 is common when |p2(r)| <= MATCH_TOL * sum_i |c_i| |r|^i
+MATCH_TOL = 1e-6
+# common roots closer than CLUSTER_REL * max(max|r|, 1) are one edge with multiplicity
+CLUSTER_REL = 1e-7
+
 
 @dataclass(frozen=True)
 class EPoly:
@@ -265,15 +270,14 @@ def _polish_root(p: EPoly, r: complex, steps: int = 3) -> complex:
     return r
 
 
-def band_edges(ell: int, ev: ThetaEvaluator, match_tol: float = 1e-6,
-               cluster_rel: float = 1e-7) -> BandEdgeSet:
+def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     """Common roots of the two edge polynomials for each label a = 1..4.
 
     Roots come from the companion matrix of the first polynomial and are
-    kept when the second polynomial vanishes there relative to its
+    kept when the second polynomial vanishes there to within MATCH_TOL of its
     magnitude-sum at the root (numerically stabler than a polynomial GCD).
     A second polynomial that vanishes identically keeps every root.  Roots
-    closer than ``cluster_rel`` * scale are merged with multiplicity.
+    closer than CLUSTER_REL * scale are merged with multiplicity.
     """
     per_label = {}
     mults = {}
@@ -287,11 +291,11 @@ def band_edges(ell: int, ev: ThetaEvaluator, match_tol: float = 1e-6,
             common = []
             for r in roots:
                 mag = sum(abs(c) * abs(r) ** i for i, c in enumerate(p2.coeffs))
-                if abs(p2(r)) <= match_tol * max(mag, ev.tol):
+                if abs(p2(r)) <= MATCH_TOL * max(mag, ev.tol):
                     common.append(r)
         if common:
             sc = max(abs(r) for r in common)
-            clustered = cluster_points(common, cluster_rel * max(sc, 1.0))
+            clustered = cluster_points(common, CLUSTER_REL * max(sc, 1.0))
         else:
             clustered = []
         per_label[a] = [c for c, _ in clustered]

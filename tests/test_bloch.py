@@ -145,10 +145,3 @@ class TestBandSweep:
         ks = np.linspace(0, re5.brillouin_width(), 33)
         bands = band_intervals(band_sweep(1, re5, X0, ks, ev31))
         assert len(bands) <= 5
-
-    def test_thread_env_does_not_change_result(self, ev31, re31, monkeypatch):
-        ks = np.linspace(0, re31.brillouin_width(), 17)
-        base = band_sweep(1, re31, X0, ks, ev31)
-        monkeypatch.setenv("LAME_SPECTRA_THREADS", "4")
-        par = band_sweep(1, re31, X0, ks, ev31)
-        np.testing.assert_array_equal(base, par)

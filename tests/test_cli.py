@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from lame_spectra.cli import main
+from lame_spectra import cli
+from lame_spectra.cli import EXIT_CODES, main
+from lame_spectra.errors import (
+    ClusterAmbiguityError,
+    ConvergenceError,
+    EllipticError,
+    LocusError,
+    MarginViolationError,
+)
 from lame_spectra.util import format_complex, parse_complex, parse_eta
 
 
@@ -79,6 +87,14 @@ class TestEdgesCommand:
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
 
+    def test_wrong_count_exits_ambiguous(self, capsys):
+        # spurious common roots at this small eta give counts {4, 3, 4, 4}
+        code, out = run_cli(capsys, "edges", "--ell", "6", "--eta", "1/61", "--tau", "1.2i")
+        assert code == 3
+        doc = json.loads(out)
+        assert not doc["counts_ok"]
+        assert doc["counts"] != doc["expected_counts"]
+
 
 class TestSpectrumCommand:
     def test_l1_agreement(self, capsys):
@@ -93,6 +109,15 @@ class TestSpectrumCommand:
     def test_requires_rational_eta(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "0.17")
         assert code == 2
+
+    @pytest.mark.parametrize("ell,eta", [(2, "1/3"), (1, "1/2")])
+    def test_torsion_eta_is_one_error_line(self, capsys, ell, eta):
+        code = main(["spectrum", "--ell", str(ell), "--eta", eta, "--tau", "1.2i"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: TorsionEtaError: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_small_q_warns(self, capsys):
         code, out = run_cli(capsys, "spectrum", "--ell", "2", "--eta", "1/5", "--tau", "1.2i")
@@ -185,6 +210,42 @@ class TestCoeffsCommand:
         assert doc["N"] == 10
         assert doc["symmetry_error"] < 1e-10
         assert doc["C"][0] == "1.0"
+
+
+# the exit-code table as README.md and the cli docstring state it
+DOCUMENTED_EXIT_CODES = [
+    (ValueError, 2),
+    (EllipticError, 2),
+    (ClusterAmbiguityError, 3),
+    (ConvergenceError, 3),
+    (MarginViolationError, 4),
+    (LocusError, 4),
+]
+
+
+class TestExitCodes:
+    def test_table_matches_docs(self):
+        assert EXIT_CODES == dict(DOCUMENTED_EXIT_CODES)
+
+    @pytest.mark.parametrize("exc_type,code", DOCUMENTED_EXIT_CODES,
+                             ids=[t.__name__ for t, _ in DOCUMENTED_EXIT_CODES])
+    def test_each_entry(self, capsys, monkeypatch, exc_type, code):
+        def boom(*args, **kwargs):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli.curve_mod, "curve_coeffs", boom)
+        assert main(["coeffs", "--ell", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {exc_type.__name__}: boom\n"
+
+    def test_unmapped_exception_propagates(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli.curve_mod, "curve_coeffs", boom)
+        with pytest.raises(RuntimeError):
+            main(["coeffs", "--ell", "2"])
 
 
 class TestConfigFile:
