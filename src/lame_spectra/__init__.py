@@ -23,7 +23,6 @@ from .lame import (
 from .curve import (
     BandEdgeSet,
     CurveCoeffs,
-    EPoly,
     a_polys_determinant,
     a_polys_recurrence,
     band_edges,

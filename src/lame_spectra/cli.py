@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import curve as curve_mod
 from . import volterra as volterra_mod
@@ -248,7 +249,7 @@ def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):
             E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
             for s in range(cfg.ell + 1):
                 det = curve_mod.a_polys_determinant(cfg.ell, s, E, ev)
-                rec = A[cfg.ell - s](E)
+                rec = polyval(E, A[cfg.ell - s])
                 err = max(err, abs(det - rec) / max(abs(rec), 1.0))
         record("apoly", err, 1e-10)
     if "curve-symmetry" in names:

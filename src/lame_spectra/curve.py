@@ -17,6 +17,11 @@ Eliminating E leads to a single relation between the Bloch parameters,
     sum_{j=0}^{N} (-1)^j C_j theta1(zeta - 2j eta) K^(2(N-j)) = 0,
 
 with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
+
+A polynomial in E is a 1-D complex coefficient array in increasing degree,
+the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval``,
+differentiate with ``polyder``, and take roots of the trimmed array with
+``np.roots(c[::-1])``.  A stack of polynomials is a 2-D array, one per row.
 """
 
 import cmath
@@ -25,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polytrim, polyval
 
 from .enumbers import ebinom, ebracket, qnumber
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
@@ -33,7 +39,6 @@ from .theta import ThetaEvaluator, theta
 from .util import cluster_points
 
 __all__ = [
-    "EPoly",
     "BandEdgeSet",
     "CurveCoeffs",
     "a_polys_recurrence",
@@ -60,76 +65,27 @@ MATCH_TOL = 1e-6
 CLUSTER_REL = 1e-7
 
 
-@dataclass(frozen=True)
-class EPoly:
-    """Polynomial in E, coefficients in increasing degree."""
-
-    coeffs: np.ndarray
-
-    @staticmethod
-    def constant(c: complex) -> "EPoly":
-        return EPoly(np.array([c], dtype=complex))
-
-    def __call__(self, E: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * E + c
-        return out
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = np.zeros(n, dtype=complex)
-        out[: len(self.coeffs)] += self.coeffs
-        out[: len(other.coeffs)] += other.coeffs
-        return EPoly(out)
-
-    def scale(self, c: complex) -> "EPoly":
-        return EPoly(self.coeffs * c)
-
-    def shift_up(self) -> "EPoly":
-        """Multiply by E."""
-        return EPoly(np.concatenate([[0j], self.coeffs]))
-
-    def trimmed(self, rel_tol: float = 1e-13) -> "EPoly":
-        mags = np.abs(self.coeffs)
-        top = mags.max() if len(mags) else 0.0
-        if top == 0.0:
-            return EPoly(np.zeros(1, dtype=complex))
-        keep = len(mags)
-        while keep > 1 and mags[keep - 1] <= rel_tol * top:
-            keep -= 1
-        return EPoly(self.coeffs[:keep].copy())
-
-    @property
-    def degree(self) -> int:
-        return len(self.trimmed().coeffs) - 1
-
-    def is_zero(self, rel_scale: float, rel_tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.coeffs).max() <= rel_tol * rel_scale)
-
-    def roots(self) -> np.ndarray:
-        t = self.trimmed()
-        if len(t.coeffs) <= 1:
-            return np.array([], dtype=complex)
-        return np.roots(t.coeffs[::-1])
+def _trim(c: np.ndarray) -> np.ndarray:
+    """Drop trailing coefficients below 1e-13 of the largest (at least one stays)."""
+    return polytrim(c, 1e-13 * np.abs(c).max())
 
 
-def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> list:
-    """A_l .. A_0 by downward three-term recurrence; returns [A_0, ..., A_l].
+def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
+    """A_l .. A_0 by downward three-term recurrence; row j of the returned
+    (l+1, l+1) array holds A_j, zero-padded.
 
     A_l = 1, A_{l-1} = ([l]/[2l]) E, and
 
         A_{l-s-1} = ([l-s]/[2l-s]) E A_{l-s} + ([s]/[2l-s]) A_{l-s+1}.
     """
-    A = [None] * (ell + 1)
-    A[ell] = EPoly.constant(1.0)
+    A = np.zeros((ell + 1, ell + 1), dtype=complex)
+    A[ell, 0] = 1.0
     if ell >= 1:
-        A[ell - 1] = EPoly(np.array([0j, ebracket(ell, ev) / _nz(2 * ell, ev)]))
+        A[ell - 1, 1] = ebracket(ell, ev) / _nz(2 * ell, ev)
     for s in range(1, ell):
         den = _nz(2 * ell - s, ev)
-        term1 = A[ell - s].shift_up().scale(ebracket(ell - s, ev) / den)
-        term2 = A[ell - s + 1].scale(ebracket(s, ev) / den)
-        A[ell - s - 1] = term1 + term2
+        A[ell - s - 1, 1:] = A[ell - s, :-1] * (ebracket(ell - s, ev) / den)
+        A[ell - s - 1] += A[ell - s + 1] * (ebracket(s, ev) / den)
     return A
 
 
@@ -169,40 +125,45 @@ def _binom_nz(n: int, m: int, ev: ThetaEvaluator) -> complex:
     return val
 
 
-def _curve_sum_terms(pt: CurvePoint, ctx: LameContext, A: list):
-    ev = ctx.ev
-    l = ctx.ell
-    Kinv = 1.0 / pt.K
-    terms1 = [
-        (-1) ** j * Kinv**j * theta(1, pt.zeta - j * ev.eta, ev) * ebinom(l, j, ev) * A[j](pt.E)
-        for j in range(l + 1)
-    ]
-    terms2 = [
-        (-1) ** j
-        * Kinv**j
-        * theta(1, pt.zeta - j * ev.eta, ev)
-        * ebracket(j - 1, ev)
-        * ebinom(l + 1, j, ev)
-        * A[abs(j - 1)](pt.E)
-        for j in range(l + 2)
-    ]
-    return terms1, terms2
+def _curve_rows(A: np.ndarray, w: list, ev: ThetaEvaluator):
+    """The weighted rows of the two curve sums, for weights w_0..w_{l+1}:
+    w_j ebinom(l, j) A_j (j = 0..l) and w_j [j-1] ebinom(l+1, j) A_|j-1|
+    (j = 0..l+1).  Summing the rows of a stack gives its sum as a polynomial.
+
+    Weights are multiplied as Python scalars: numpy's vectorised complex
+    product rounds differently (fused multiply-add), and near-double edge
+    roots at small eta move visibly under a one-ulp change of a weight."""
+    ell = len(A) - 1
+    c1 = [w[j] * ebinom(ell, j, ev) for j in range(ell + 1)]
+    c2 = [w[j] * ebracket(j - 1, ev) * ebinom(ell + 1, j, ev) for j in range(ell + 2)]
+    below = np.abs(np.arange(ell + 2) - 1)
+    return np.array(c1)[:, None] * A, np.array(c2)[:, None] * A[below]
+
+
+def _point_weights(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> list:
+    """w_j = (-1)^j K^-j theta1(zeta - j eta), j = 0..l+1."""
+    th = theta(1, zeta - np.arange(ell + 2) * ev.eta, ev).tolist()
+    return [(-1) ** j * K ** (-j) * t for j, t in enumerate(th)]
+
+
+def _curve_sum_terms(pt: CurvePoint, ctx: LameContext):
+    A = a_polys_recurrence(ctx.ell, ctx.ev)
+    rows1, rows2 = _curve_rows(A, _point_weights(pt.zeta, pt.K, ctx.ell, ctx.ev), ctx.ev)
+    return polyval(pt.E, rows1.T), polyval(pt.E, rows2.T)
 
 
 def curve_equations(pt: CurvePoint, ctx: LameContext):
     """Values (S1, S2) of the two defining sums; both vanish on the curve."""
-    A = a_polys_recurrence(ctx.ell, ctx.ev)
-    t1, t2 = _curve_sum_terms(pt, ctx, A)
-    return sum(t1), sum(t2)
+    t1, t2 = _curve_sum_terms(pt, ctx)
+    return complex(t1.sum()), complex(t2.sum())
 
 
 def curve_equations_scaled(pt: CurvePoint, ctx: LameContext):
     """(|S1|, |S2|) divided by the sums of term magnitudes (conditioning-aware)."""
-    A = a_polys_recurrence(ctx.ell, ctx.ev)
-    t1, t2 = _curve_sum_terms(pt, ctx, A)
-    s1 = sum(abs(t) for t in t1) or 1.0
-    s2 = sum(abs(t) for t in t2) or 1.0
-    return abs(sum(t1)) / s1, abs(sum(t2)) / s2
+    t1, t2 = _curve_sum_terms(pt, ctx)
+    s1 = np.abs(t1).sum() or 1.0
+    s2 = np.abs(t2).sum() or 1.0
+    return float(abs(t1.sum()) / s1), float(abs(t2.sum()) / s2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +206,23 @@ class BandEdgeSet:
         return {1: e1, 2: rest, 3: rest, 4: rest}
 
 
-def _edge_polys(ell: int, a: int, ev: ThetaEvaluator):
-    """The two E-polynomials whose common roots form the label-a edge set."""
+def _edge_polys(A: np.ndarray, a: int, ev: ThetaEvaluator):
+    """The two E-polynomials whose common roots form the label-a edge set:
+    the curve sums with theta1(zeta - j eta) replaced by theta_a((N - j) eta)."""
+    ell = len(A) - 1
     N = ell * (ell + 1) // 2
-    A = a_polys_recurrence(ell, ev)
-    p1 = EPoly(np.zeros(ell + 1, dtype=complex))
-    for j in range(ell + 1):
-        w = (-1) ** j * theta(a, (N - j) * ev.eta, ev) * ebinom(ell, j, ev)
-        p1 = p1 + A[j].scale(w)
-    p2 = EPoly(np.zeros(ell + 1, dtype=complex))
-    for j in range(ell + 2):
-        w = (-1) ** j * theta(a, (N - j) * ev.eta, ev) * ebracket(j - 1, ev) * ebinom(ell + 1, j, ev)
-        p2 = p2 + A[abs(j - 1)].scale(w)
-    return p1.trimmed(), p2.trimmed()
+    th = theta(a, (N - np.arange(ell + 2)) * ev.eta, ev).tolist()
+    rows1, rows2 = _curve_rows(A, [(-1) ** j * t for j, t in enumerate(th)], ev)
+    return _trim(rows1.sum(axis=0)), _trim(rows2.sum(axis=0))
 
 
-def _polish_root(p: EPoly, r: complex, steps: int = 3) -> complex:
-    dp = EPoly(np.array([(i + 1) * c for i, c in enumerate(p.coeffs[1:])], dtype=complex))
+def _polish_root(p: np.ndarray, r: complex, steps: int = 3) -> complex:
+    dp = polyder(p)
     for _ in range(steps):
-        d = dp(r)
+        d = polyval(r, dp)
         if abs(d) == 0:
             break
-        r = r - p(r) / d
+        r = r - polyval(r, p) / d
     return r
 
 
@@ -279,20 +235,20 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     A second polynomial that vanishes identically keeps every root.  Roots
     closer than CLUSTER_REL * scale are merged with multiplicity.
     """
+    A = a_polys_recurrence(ell, ev)
     per_label = {}
     mults = {}
     for a in (1, 2, 3, 4):
-        p1, p2 = _edge_polys(ell, a, ev)
-        scale = max(np.abs(p1.coeffs).max(), np.abs(p2.coeffs).max())
-        roots = [_polish_root(p1, r) for r in p1.roots()]
-        if p2.is_zero(rel_scale=scale):
+        p1, p2 = _edge_polys(A, a, ev)
+        scale = max(np.abs(p1).max(), np.abs(p2).max())
+        roots = [_polish_root(p1, r) for r in np.roots(p1[::-1])]
+        if np.abs(p2).max() <= 1e-12 * scale:
             common = roots
         else:
-            common = []
-            for r in roots:
-                mag = sum(abs(c) * abs(r) ** i for i, c in enumerate(p2.coeffs))
-                if abs(p2(r)) <= MATCH_TOL * max(mag, ev.tol):
-                    common.append(r)
+            common = [
+                r for r in roots
+                if abs(polyval(r, p2)) <= MATCH_TOL * max(polyval(abs(r), np.abs(p2)), ev.tol)
+            ]
         if common:
             sc = max(abs(r) for r in common)
             clustered = cluster_points(common, CLUSTER_REL * max(sc, 1.0))
@@ -351,6 +307,24 @@ class CurveCoeffs:
         return self.ell * (self.ell + 1) // 2
 
 
+def _subset_sums(ell: int, ratio) -> np.ndarray:
+    """sum over subsets J of {1..l} of prod_{k in J, k' not in J} ratio(k, k'),
+    binned by sum(J).  Each of the l(l-1) ratios is evaluated once."""
+    items = range(1, ell + 1)
+    table = {k: {kp: ratio(k, kp) for kp in items if kp != k} for k in items}
+    C = np.zeros(ell * (ell + 1) // 2 + 1, dtype=complex)
+    for r in range(ell + 1):
+        for J in itertools.combinations(items, r):
+            outside = [kp for kp in items if kp not in J]
+            p = 1 + 0j
+            for k in J:
+                row = table[k]
+                for kp in outside:
+                    p *= row[kp]
+            C[sum(J)] += p
+    return C
+
+
 def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     """C_j = sum over subsets J of {1..l} with sum(J) = j of
     prod_{k in J, k' not in J} [k+k'] / [|k-k'|].
@@ -358,19 +332,15 @@ def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     C_0 = C_N = 1 (empty products) and C_j = C_{N-j}; as eta -> 0 the C_j
     tend to the binomial coefficients binom(N, j).
     """
-    N = ell * (ell + 1) // 2
-    C = np.zeros(N + 1, dtype=complex)
-    items = list(range(1, ell + 1))
-    for r in range(ell + 1):
-        for J in itertools.combinations(items, r):
-            inside = set(J)
-            p = 1 + 0j
-            for k in J:
-                for kp in items:
-                    if kp not in inside:
-                        p *= ebracket(k + kp, ev) / _nz(abs(k - kp), ev)
-            C[sum(J)] += p
+    C = _subset_sums(ell, lambda k, kp: ebracket(k + kp, ev) / _nz(abs(k - kp), ev))
     return CurveCoeffs(ell=ell, C=C)
+
+
+def _bloch_terms(zeta: complex, K: complex, cc: CurveCoeffs, ev: ThetaEvaluator) -> np.ndarray:
+    """(-1)^j C_j theta1(zeta - 2j eta) K^(2(N-j)), j = 0..N."""
+    N = cc.N
+    th = theta(1, zeta - 2 * np.arange(N + 1) * ev.eta, ev).tolist()
+    return np.array([(-1) ** j * cc.C[j] * t * K ** (2 * (N - j)) for j, t in enumerate(th)])
 
 
 def bloch_relation(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator,
@@ -378,21 +348,13 @@ def bloch_relation(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator,
     """sum_j (-1)^j C_j theta1(zeta - 2j eta) K^(2(N-j)); zero on the curve's
     (zeta, K) projection."""
     cc = coeffs if coeffs is not None else curve_coeffs(ell, ev)
-    N = cc.N
-    return sum(
-        (-1) ** j * cc.C[j] * theta(1, zeta - 2 * j * ev.eta, ev) * K ** (2 * (N - j))
-        for j in range(N + 1)
-    )
+    return complex(_bloch_terms(zeta, K, cc, ev).sum())
 
 
 def bloch_relation_scale(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator,
                          coeffs: CurveCoeffs = None) -> float:
     cc = coeffs if coeffs is not None else curve_coeffs(ell, ev)
-    N = cc.N
-    return sum(
-        abs(cc.C[j] * theta(1, zeta - 2 * j * ev.eta, ev) * K ** (2 * (N - j)))
-        for j in range(N + 1)
-    )
+    return float(np.abs(_bloch_terms(zeta, K, cc, ev)).sum())
 
 
 def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> complex:
@@ -453,20 +415,13 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
     Here (j)_q is the symmetric q-number; q should be on (or near) the unit
     circle away from low-order roots of unity.
     """
-    items = list(range(1, ell + 1))
-    lhs = 0j
-    for r in range(ell + 1):
-        for J in itertools.combinations(items, r):
-            inside = set(J)
-            p = 1 + 0j
-            for k in J:
-                for kp in items:
-                    if kp not in inside:
-                        den = qnumber(abs(k - kp), q)
-                        if abs(den) < 1e-12:
-                            raise ZeroDivisionError(f"({abs(k-kp)})_q ~ 0 for q={q}")
-                        p *= qnumber(k + kp, q) / den
-            lhs += z ** sum(J) * p
+    def ratio(k, kp):
+        den = qnumber(abs(k - kp), q)
+        if abs(den) < 1e-12:
+            raise ZeroDivisionError(f"({abs(k-kp)})_q ~ 0 for q={q}")
+        return qnumber(k + kp, q) / den
+
+    lhs = complex(polyval(z, _subset_sums(ell, ratio)))
     rhs = 1 + 0j
     for j in range(1, ell + 1):
         for k in range(j, ell + 1):
@@ -586,28 +541,21 @@ def random_curve_points(ctx: LameContext, n: int, rng, polish_tol: float = 1e-11
     """
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
-    N = cc.N
     A = a_polys_recurrence(ctx.ell, ev)
     out = []
     attempts = 0
     while len(out) < n and attempts < 40 * n:
         attempts += 1
         zeta = complex(0.1 + 0.8 * rng.random(), 0.05 + 0.3 * rng.random())
-        poly = np.array(
-            [(-1) ** j * cc.C[j] * theta(1, zeta - 2 * j * ev.eta, ev) for j in range(N + 1)]
-        )
-        # coefficients of u^(N-j), u = K^2 -> reverse to increasing degree
-        u_roots = np.roots(poly)
+        # coefficients of u^(N-j), u = K^2, in decreasing degree
+        u_roots = np.roots(_bloch_terms(zeta, 1, cc, ev))
         rng.shuffle(u_roots)
         for u in u_roots:
             if abs(u) < 1e-10:
                 continue
             K = cmath.sqrt(complex(u))
-            p1 = EPoly(np.zeros(1, dtype=complex))
-            for j in range(ctx.ell + 1):
-                w = (-1) ** j * K ** (-j) * theta(1, zeta - j * ev.eta, ev) * ebinom(ctx.ell, j, ev)
-                p1 = p1 + A[j].scale(w)
-            cands = p1.roots()
+            rows1, _ = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), ev)
+            cands = np.roots(_trim(rows1.sum(axis=0))[::-1])
             best = None
             for E in cands:
                 pt = CurvePoint(zeta=zeta, K=K, E=complex(E))

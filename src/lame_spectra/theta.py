@@ -58,6 +58,9 @@ class EllipticParams:
     tol: float = 1e-12
 
     def __post_init__(self):
+        for name in ("tau", "eta", "tol"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if not (self.tau.imag > 0):
             raise ValueError(f"Im(tau) must be positive, got tau={self.tau}")
         if self.eta == 0:

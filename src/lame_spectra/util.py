@@ -45,12 +45,6 @@ def cluster_points(values, tol: float):
     return sorted(out, key=lambda p: (p[0].real, p[0].imag))
 
 
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d*\.?\d+(?:[eE][+-]?\d+)?)?"
-    r"(?P<im>[+-](?:\d*\.?\d+(?:[eE][+-]?\d+)?)?)?[ij]?\s*$"
-)
-
-
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi', 'bi', or 'a' (also accepts 'j' as the imaginary unit)."""
     s = text.strip().replace(" ", "")
@@ -91,7 +85,10 @@ def parse_eta(text: str):
     s = text.strip()
     m = re.fullmatch(r"([+-]?\d+)\s*/\s*(\d+)", s)
     if m:
-        frac = Fraction(int(m.group(1)), int(m.group(2)))
+        num, den = int(m.group(1)), int(m.group(2))
+        if den == 0:
+            raise ValueError(f"eta {text!r} has a zero denominator")
+        frac = Fraction(num, den)
         return complex(frac), frac
     return parse_complex(s), None
 

@@ -49,6 +49,10 @@ class TestComplexParsing:
         with pytest.raises(ValueError):
             parse_complex("1.2+")
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            parse_eta("3/0")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -80,6 +84,19 @@ class TestEdgesCommand:
     def test_torsion_eta_rejected(self, capsys):
         code, _ = run_cli(capsys, "edges", "--ell", "1", "--eta", "0.5", "--tau", "1.2i")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eta", "3/0"], ["--eta", "nan"], ["--eta", "0.17", "--tau", "1e400i"]],
+        ids=["zero-denominator", "eta-nan", "tau-inf"],
+    )
+    def test_bad_parameter_is_one_error_line(self, capsys, flags):
+        code = main(["edges", "--ell", "1", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ValueError: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_determinism(self, capsys):
         argv = ["edges", "--ell", "2", "--eta", "0.17", "--tau", "1.2i", "--seed", "5"]

@@ -91,9 +91,24 @@ class TestSeries:
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(theta(1, 0.1, ev))
 
-    def test_im_tau_guard(self):
-        with pytest.raises(ValueError):
-            EllipticParams(tau=-1.0j, eta=0.1)
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            pytest.param({"tau": -1.0j, "eta": 0.1}, "tau", id="im-tau-negative"),
+            pytest.param({"tau": complex("1e400j"), "eta": 0.1}, "tau", id="tau-inf"),
+            pytest.param({"tau": complex("nan+1j"), "eta": 0.1}, "tau", id="tau-nan"),
+            pytest.param({"tau": 1.2j, "eta": float("nan")}, "eta", id="eta-nan"),
+            pytest.param({"tau": 1.2j, "eta": float("inf")}, "eta", id="eta-inf"),
+            pytest.param({"tau": 1.2j, "eta": float("1e400")}, "eta", id="eta-1e400"),
+            pytest.param({"tau": 1.2j, "eta": 0.0}, "eta", id="eta-zero"),
+            pytest.param({"tau": 1.2j, "eta": 0.1, "tol": float("inf")}, "tol", id="tol-inf"),
+            pytest.param({"tau": 1.2j, "eta": 0.1, "tol": float("nan")}, "tol", id="tol-nan"),
+            pytest.param({"tau": 1.2j, "eta": 0.1, "tol": 0.0}, "tol", id="tol-zero"),
+        ],
+    )
+    def test_params_guard(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            EllipticParams(**kwargs)
 
     def test_cutoff_stability(self, ev):
         from lame_spectra.theta import _series
