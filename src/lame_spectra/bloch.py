@@ -139,11 +139,14 @@ class EdgeCandidates:
 
     ``values[i]`` is a cluster center, ``multiplicity[i]`` its size, and
     ``confident[i]`` is True for clean simple eigenvalues (open-gap edges).
+    ``spectra`` is the (2, Q) array of the phase +1 and phase -1 eigenvalues,
+    each row sorted by (Re, Im); ``band_intervals(spectra)`` gives the bands.
     """
 
     values: np.ndarray
     multiplicity: np.ndarray
     confident: np.ndarray
+    spectra: np.ndarray
 
     def confident_values(self) -> np.ndarray:
         return self.values[self.confident]
@@ -161,10 +164,11 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
     of size 1 are confident edge candidates, size 2 are closed-gap interior
     points, anything larger is flagged non-confident rather than guessed.
     """
-    values, mult, conf = [], [], []
+    values, mult, conf, spectra = [], [], [], []
     for phase in (1.0, -1.0):
         M = periodic_matrix(np.asarray(a_vals, complex), np.asarray(c_vals, complex), phase)
         eigs = np.linalg.eigvals(M)
+        spectra.append(eigs[np.lexsort((eigs.imag, eigs.real))])
         scale = float(np.abs(eigs).max()) or 1.0
         for center, size in cluster_points(eigs, CLUSTER_TOL * scale):
             if size == 2:
@@ -178,6 +182,7 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
         values=values[order],
         multiplicity=np.array(mult)[order],
         confident=np.array(conf)[order],
+        spectra=np.array(spectra),
     )
 
 
@@ -185,7 +190,9 @@ def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluato
     """Sorted eigenvalue trajectories over a momentum grid.
 
     Returns an array of shape (len(k_grid), Q) with each row the sorted
-    (by real part) spectrum at that momentum.
+    (by real part) spectrum at that momentum.  This is the dispersion table
+    of ``spectrum --format csv`` and the reference route for the bands;
+    the bands themselves need only ``EdgeCandidates.spectra``.
     """
     a, c, _ = lame_coefficients(ell, re, x0, ev)
     rows = []
@@ -197,12 +204,24 @@ def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluato
 
 
 def band_intervals(sweep: np.ndarray):
-    """Maximal stable intervals from a sweep (self-adjoint regime).
+    """Maximal stable intervals from a (rows, Q) array of sorted spectra.
 
-    Each sorted-index trajectory spans [min_k E_i, max_k E_i]; overlapping
-    spans merge into bands.  The imaginary parts must be noise: a spread
-    beyond sqrt(MERGE_TOL) raises ClusterAmbiguityError instead of silently
+    Each sorted-index column spans [min E_i, max E_i]; overlapping spans
+    merge into bands.  The imaginary parts must be noise: a spread beyond
+    sqrt(MERGE_TOL) raises ClusterAmbiguityError instead of silently
     projecting a genuinely complex spectrum.
+
+    The two rows of ``EdgeCandidates.spectra`` (phase +1 and -1) are enough
+    (Floquet theory; Teschl, Jacobi Operators and Completely Integrable
+    Nonlinear Lattices, AMS 2000, ch. 7).  For the Lame coefficients
+    prod c_n = prod a_n over one period (the theta1 products telescope), so
+    the eigenvalues of the Q x Q matrix at phase phi are the roots of
+    p(E) = A (phi + 1/phi), where p does not depend on phi and A = +-prod a_n.
+    If p - 2A and p + 2A have only real roots, so does p - tA for every t in
+    [-2, 2], and the i-th band runs between the i-th sorted root at phase +1
+    and the i-th at phase -1.  So a sweep over momenta gives the same bands,
+    and a spectrum that is non-real at some momentum is already non-real at
+    phase +1 or -1, where the same guard rejects it.
     """
     if np.abs(sweep.imag).max() > math.sqrt(MERGE_TOL):
         raise ClusterAmbiguityError(

@@ -86,12 +86,15 @@ def _build_config(args) -> RunConfig:
     tol = args.tol if args.tol is not None else float(defaults["tol"])
     seed = args.seed if args.seed is not None else int(defaults["seed"])
     fmt = args.format if args.format is not None else defaults["format"]
+    ell = getattr(args, "ell", 1)
+    if ell < 1:
+        raise ValueError(f"--ell must be >= 1, got {ell}")
     eta, frac = parse_eta(eta_text)
     tau = parse_complex(tau_text)
     if tau.imag <= 0:
         raise ValueError(f"Im(tau) must be positive, got {tau_text!r}")
     return RunConfig(
-        ell=getattr(args, "ell", 1),
+        ell=ell,
         eta=eta,
         eta_fraction=frac,
         tau=tau,
@@ -131,8 +134,6 @@ def _c(z: complex) -> str:
 
 def cmd_edges(args) -> int:
     cfg = _build_config(args)
-    if cfg.ell < 1:
-        raise ValueError(f"--ell must be >= 1, got {cfg.ell}")
     ev = cfg.evaluator()
     edges = curve_mod.band_edges(cfg.ell, ev)
     counts = edges.counts()
@@ -172,13 +173,13 @@ def cmd_spectrum(args) -> int:
     cfg = _build_config(args)
     if cfg.eta_fraction is None:
         raise ValueError("spectrum needs rational eta, pass --eta P/Q")
+    if args.kpoints < 1:
+        raise ValueError("--kpoints must be >= 1")
     P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
     ev = cfg.evaluator()
     x0 = complex(args.x0) if args.x0 else 0.123456 + 0j
     cand = numeric_band_edges(cfg.ell, re, x0, ev)
-    ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
-    sweep = band_sweep(cfg.ell, re, x0, ks, ev)
     analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
     num = cand.confident_values()
     max_dev = None
@@ -190,11 +191,13 @@ def cmd_spectrum(args) -> int:
         "confident": [bool(b) for b in cand.confident],
         "analytic_edges": [_c(v) for v in sorted(analytic, key=lambda z: (z.real, z.imag))],
         "max_deviation": max_dev,
-        "bands": [[lo, hi] for lo, hi in band_intervals(sweep)],
+        "bands": [[lo, hi] for lo, hi in band_intervals(cand.spectra)],
     }
     if Q <= 2 * cfg.ell + 2:
         doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     if cfg.fmt == "csv":
+        ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
+        sweep = band_sweep(cfg.ell, re, x0, ks, ev)
         writer = csv.writer(sys.stdout)
         writer.writerow(["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])])
         for k, row in zip(ks, sweep):
@@ -411,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="numeric Bloch spectrum for rational eta")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--kpoints", type=int, default=129)
+    p.add_argument("--kpoints", type=int, default=129,
+                   help="rows of the CSV dispersion table; JSON bands come from the "
+                        "phase +1 and -1 spectra")
     p.add_argument("--x0", help="sampling offset (complex)")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)

@@ -235,6 +235,8 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     A second polynomial that vanishes identically keeps every root.  Roots
     closer than CLUSTER_REL * scale are merged with multiplicity.
     """
+    if ell < 1:
+        raise ValueError(f"band edges need ell >= 1, got {ell}")
     A = a_polys_recurrence(ell, ev)
     per_label = {}
     mults = {}

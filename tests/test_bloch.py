@@ -145,3 +145,25 @@ class TestBandSweep:
         ks = np.linspace(0, re5.brillouin_width(), 33)
         bands = band_intervals(band_sweep(1, re5, X0, ks, ev31))
         assert len(bands) <= 5
+
+
+class TestBandsFromEdgeSpectra:
+    """The JSON bands come from the phase +1 and -1 spectra alone; a sweep
+    over momenta is the reference route.  Any odd number of k-points puts
+    phase +1 and -1 on the grid, so the interior rows check that no momentum
+    reaches beyond the bands of the two edge spectra."""
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.8j, 2j])
+    @pytest.mark.parametrize("P,Q", [(1, 31), (2, 31), (1, 41), (3, 41), (1, 61), (3, 61), (1, 101)])
+    def test_matches_sweep(self, tau, P, Q):
+        re = RationalEta(P, Q)
+        ev = ThetaEvaluator(EllipticParams(tau=tau, eta=P / Q, tol=1e-12))
+        ks = np.linspace(0, re.brillouin_width(), 17)
+        for ell in (0, 1, 2):
+            swept = band_intervals(band_sweep(ell, re, X0, ks, ev))
+            cand = numeric_band_edges(ell, re, X0, ev)
+            assert cand.spectra.shape == (2, Q)
+            bands = band_intervals(cand.spectra)
+            assert len(bands) == len(swept) == 2 * ell + 1
+            scale = max(1.0, np.abs(cand.spectra).max())
+            np.testing.assert_allclose(bands, swept, rtol=0, atol=1e-8 * scale)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from lame_spectra import cli
+from lame_spectra import bloch, cli
+from lame_spectra.bloch import periodic_matrix
 from lame_spectra.cli import EXIT_CODES, main
 from lame_spectra.errors import (
     ClusterAmbiguityError,
@@ -141,6 +142,44 @@ class TestSpectrumCommand:
         assert code == 0
         assert "unresolved" in json.loads(out)["warning"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_real_spectrum_is_one_error_line(self, capsys, fmt):
+        code = main(["spectrum", "--ell", "1", "--eta", "1/31", "--tau", "0.3+1.4i",
+                     "--format", fmt])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ClusterAmbiguityError: spectrum is not numerically real")
+        assert len(err.splitlines()) == 1
+
+    def test_bands_do_not_depend_on_kpoints(self, capsys):
+        bands = []
+        for kpoints in ("1", "2", "129"):
+            code, out = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31",
+                                "--kpoints", kpoints)
+            assert code == 0
+            bands.append(json.loads(out)["bands"])
+        assert len(bands[0]) == 3
+        assert bands[0] == bands[1] == bands[2]
+
+    def test_kpoints_below_one_rejected(self, capsys):
+        code = main(["spectrum", "--ell", "1", "--eta", "1/31", "--kpoints", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ValueError: --kpoints must be >= 1\n"
+
+    @pytest.mark.parametrize("flags,solves", [([], 2), (["--format", "csv", "--kpoints", "9"], 2 + 9)],
+                             ids=["json", "csv"])
+    def test_eigen_solve_count(self, capsys, monkeypatch, flags, solves):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return periodic_matrix(*args)
+
+        monkeypatch.setattr(bloch, "periodic_matrix", counting)
+        code, _ = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31", *flags)
+        assert code == 0
+        assert len(built) == solves
+
     def test_csv_sweep(self, capsys):
         code, out = run_cli(
             capsys,
@@ -255,6 +294,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {exc_type.__name__}: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["edges", "--ell", "-1"],
+            ["spectrum", "--ell", "0", "--eta", "1/31"],
+            ["verify", "--ell", "-1"],
+            ["flow", "--ell", "0", "--poles", "0.21+0.05i"],
+            ["curve-point", "--ell", "0", "--fix-E", "1.0"],
+            ["coeffs", "--ell", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_ell_below_one_is_one_error_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: --ell must be >= 1, got {argv[2]}\n"
 
     def test_unmapped_exception_propagates(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -165,6 +165,11 @@ class TestBandEdges:
         assert edges.counts() == BandEdgeSet.expected_counts(ell)
         assert len(edges.union()) == 2 * ell + 1
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_ell_below_one_rejected(self, ev, ell):
+        with pytest.raises(ValueError, match="ell >= 1"):
+            band_edges(ell, ev)
+
     def test_reflection_closure(self, ev):
         edges = band_edges(2, ev)
         full = edges.with_reflection()
