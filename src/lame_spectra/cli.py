@@ -178,21 +178,24 @@ def cmd_spectrum(args) -> int:
     P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
     ev = cfg.evaluator()
-    x0 = complex(args.x0) if args.x0 else 0.123456 + 0j
+    x0 = parse_complex(args.x0) if args.x0 else 0.123456 + 0j
     cand = numeric_band_edges(cfg.ell, re, x0, ev)
     analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
     num = cand.confident_values()
     max_dev = None
     if len(num) and len(analytic):
         max_dev = max(min(abs(n - a) for a in analytic) for n in num)
+    bands = band_intervals(cand.spectra)
     doc = {
         "provenance": _provenance(cfg, ev),
         "numeric_edges": [_c(v) for v in cand.values],
         "confident": [bool(b) for b in cand.confident],
         "analytic_edges": [_c(v) for v in sorted(analytic, key=lambda z: (z.real, z.imag))],
         "max_deviation": max_dev,
-        "bands": [[lo, hi] for lo, hi in band_intervals(cand.spectra)],
+        "bands": [[lo, hi] for lo, hi in bands],
+        "counts_ok": len(num) == 2 * (2 * cfg.ell + 1) and len(bands) == 2 * cfg.ell + 1,
     }
+    code = 0 if doc["counts_ok"] else 3
     if Q <= 2 * cfg.ell + 2:
         doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     if cfg.fmt == "csv":
@@ -202,9 +205,9 @@ def cmd_spectrum(args) -> int:
         writer.writerow(["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])])
         for k, row in zip(ks, sweep):
             writer.writerow([repr(float(k))] + [repr(float(v)) for v in row.real])
-        return 0
+        return code
     _emit(doc)
-    return 0
+    return code
 
 
 def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):

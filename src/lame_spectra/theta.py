@@ -146,11 +146,13 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False):
     """
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")
-    if reduce:
-        if deriv:
-            raise ValueError("argument reduction is only supported for deriv=0")
-        return _theta_reduced(a, x, ev)
+    if reduce and deriv:
+        raise ValueError("argument reduction is only supported for deriv=0")
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
+    if not scalar and np.size(x) == 0:
+        return np.empty(np.shape(x), dtype=complex)
+    if reduce:
+        return _theta_reduced(a, x, ev)
     im = np.max(np.abs(np.imag(np.asarray(x, dtype=complex)))) if not scalar else abs(complex(x).imag)
     n = ev.cutoff_for(float(im) + 0.05 * deriv)
     out = _series(a, x, ev.tau, n, deriv)

@@ -26,11 +26,12 @@ operator; its pairwise differences sit exactly on the singular set, so it is
 a boundary point of the locus and is rejected by the margin guard.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LocusError, MarginViolationError, PoleProximityError
+# theta1_prime is not called here, but perfbench/tracing.py rebinds it on this module
 from .theta import ThetaEvaluator, theta, theta1_prime
 
 __all__ = [
@@ -88,20 +89,54 @@ def degenerate_poles(ell: int, ev: ThetaEvaluator) -> PoleConfig:
     return PoleConfig(xs=tuple(xs))
 
 
-def _rho(cfg: PoleConfig, x: complex, ev: ThetaEvaluator, guarded: bool = False) -> complex:
-    out = 1 + 0j
-    for xj in cfg.xs:
-        f = theta(1, x - xj, ev)
-        if guarded and abs(f) < ev.zero_threshold:
-            raise PoleProximityError(f"x={x} within tol of the pole lattice of x_j={xj}")
-        out *= f
-    return out
+_SHIFTS = np.array([0.0, 1.0, -1.0, 2.0, -2.0])  # table rows: x_j - x_k + s*eta
+
+
+def _pair_thetas(cfg: PoleConfig, ev: ThetaEvaluator, margin: float = MARGIN_TOL):
+    """All theta1 values the residue systems of a pole set read, from one call.
+
+    Returns the table T[i, j, k] = theta1(x_j - x_k + s_i eta), s = 0, 1, -1,
+    2, -2, with 1 on the diagonal; theta1(2 eta); and the margin of
+    ``check_margins``, raising as it does.
+    """
+    xs = np.array(cfg.xs, dtype=complex)
+    M = len(xs)
+    j, k = np.nonzero(~np.eye(M, dtype=bool))
+    args = (xs[j] - xs[k])[None, :] + _SHIFTS[:, None] * ev.eta
+    vals = theta(1, np.append(args.ravel(), 2 * ev.eta), ev)
+    pairs = vals[:-1].reshape(len(_SHIFTS), -1)
+    worst = float(np.abs(pairs).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
+    if worst < margin:
+        raise MarginViolationError(
+            f"pole differences within {margin:g} of the singular set "
+            f"(min |theta1| = {worst:.3e}); boundary of the locus"
+        )
+    table = np.ones((len(_SHIFTS), M, M), dtype=complex)
+    table[:, j, k] = pairs
+    return table, vals[-1], worst
+
+
+def _flow_state(cfg: PoleConfig, ev: ThetaEvaluator):
+    """Both residue-system velocities and the margin, from one theta call."""
+    (t0, tp1, tm1, tp2, tm2), theta1_2eta, margin = _pair_thetas(cfg, ev)
+    scale = theta1_2eta / ev.theta1_prime0
+    v1 = scale * np.prod(tp2 * tm1 / (tp1 * t0), axis=1)
+    v2 = scale * np.prod(tm2 * tp1 / (tm1 * t0), axis=1)
+    return v1, v2, margin
 
 
 def c_from_poles(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:
     """rho(x+eta) rho(x-2eta) / (rho(x) rho(x-eta)); elliptic in x."""
-    den = _rho(cfg, x, ev, guarded=True) * _rho(cfg, x - ev.eta, ev, guarded=True)
-    return _rho(cfg, x + ev.eta, ev) * _rho(cfg, x - 2 * ev.eta, ev) / den
+    eta = ev.eta
+    xs = np.array(cfg.xs, dtype=complex)
+    # rows: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta)
+    f = theta(1, (x + np.array([0, -eta, eta, -2 * eta]))[:, None] - xs[None, :], ev)
+    near = np.abs(f[:2]) < ev.zero_threshold
+    if near.any():
+        xj = xs[np.nonzero(near)[1][0]]
+        raise PoleProximityError(f"x={x} within tol of the pole lattice of x_j={xj}")
+    rho = np.prod(f, axis=1)
+    return complex(rho[2] * rho[3] / (rho[0] * rho[1]))
 
 
 def volterra_rhs_c(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:
@@ -117,22 +152,7 @@ def check_margins(cfg: PoleConfig, ev: ThetaEvaluator, margin: float = MARGIN_TO
     Raises MarginViolationError below ``margin``: some factor of the residue
     systems is (numerically) singular there.
     """
-    eta = ev.eta
-    shifts = (0.0, eta, -eta, 2 * eta, -2 * eta)
-    worst = float("inf")
-    for j in range(cfg.M):
-        for k in range(cfg.M):
-            if j == k:
-                continue
-            d = cfg.xs[j] - cfg.xs[k]
-            for s in shifts:
-                worst = min(worst, abs(theta(1, d - s, ev)) / abs(ev.theta1_prime0))
-    if cfg.M > 1 and worst < margin:
-        raise MarginViolationError(
-            f"pole differences within {margin:g} of the singular set "
-            f"(min |theta1| = {worst:.3e}); boundary of the locus"
-        )
-    return worst if cfg.M > 1 else float("inf")
+    return _pair_thetas(cfg, ev, margin)[2]
 
 
 def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
@@ -142,24 +162,7 @@ def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
     second is retained as the on-locus consistency monitor (their gap is the
     locus diagnostic).  Depends only on pairwise differences.
     """
-    check_margins(cfg, ev)
-    eta = ev.eta
-    scale = theta(1, 2 * eta, ev) / theta1_prime(0.0, ev)
-    v1 = np.empty(cfg.M, dtype=complex)
-    v2 = np.empty(cfg.M, dtype=complex)
-    for j in range(cfg.M):
-        p1 = 1 + 0j
-        p2 = 1 + 0j
-        for k in range(cfg.M):
-            if k == j:
-                continue
-            d = cfg.xs[j] - cfg.xs[k]
-            td = theta(1, d, ev)
-            p1 *= theta(1, d + 2 * eta, ev) * theta(1, d - eta, ev) / (theta(1, d + eta, ev) * td)
-            p2 *= theta(1, d - 2 * eta, ev) * theta(1, d + eta, ev) / (theta(1, d - eta, ev) * td)
-        v1[j] = scale * p1
-        v2[j] = scale * p2
-    return v1, v2
+    return _flow_state(cfg, ev)[:2]
 
 
 def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
@@ -168,21 +171,8 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
     An on-locus configuration has max norm below tolerance; the degenerate
     boundary configuration trips the margin guard instead of reporting.
     """
-    check_margins(cfg, ev)
-    eta = ev.eta
-    res = np.zeros(cfg.M, dtype=complex)
-    for j in range(cfg.M):
-        p = 1 + 0j
-        for k in range(cfg.M):
-            if k == j:
-                continue
-            d = cfg.xs[j] - cfg.xs[k]
-            p *= (
-                theta(1, d + 2 * eta, ev)
-                * theta(1, d - eta, ev) ** 2
-                / (theta(1, d - 2 * eta, ev) * theta(1, d + eta, ev) ** 2)
-            )
-        res[j] = p - 1
+    (t0, tp1, tm1, tp2, tm2), _, _ = _pair_thetas(cfg, ev)
+    res = np.prod(tp2 * tm1**2 / (tm2 * tp1**2), axis=1) - 1
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
 
 
@@ -196,7 +186,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     with a structured error if the gap exceeds ``gap_factor * tol_locus`` or
     a margin is violated.
     """
-    v1, v2 = pole_rhs(cfg0, ev)
+    v1, v2, margin = _flow_state(cfg0, ev)
     gap0 = float(np.abs(v1 - v2).max())
     if cfg0.M > 1 and gap0 > tol_locus * max(1.0, float(np.abs(v1).max())):
         raise LocusError(
@@ -214,17 +204,17 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     t = cfg0.t
     traj = [PoleConfig(xs=tuple(xs), t=t)]
     gaps = [gap0]
-    margins = [check_margins(cfg0, ev)]
+    margins = [margin]
     for _ in range(n_steps):
-        k1 = rhs(xs)
+        k1 = v1  # the velocity of the pole set the previous step ended on
         k2 = rhs(xs + 0.5 * h * k1)
         k3 = rhs(xs + 0.5 * h * k2)
         k4 = rhs(xs + h * k3)
         xs = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         cfg = PoleConfig(xs=tuple(xs), t=t)
-        margins.append(check_margins(cfg, ev))
-        v1, v2 = pole_rhs(cfg, ev)
+        v1, v2, margin = _flow_state(cfg, ev)
+        margins.append(margin)
         gap = float(np.abs(v1 - v2).max())
         gaps.append(gap)
         traj.append(cfg)

@@ -124,6 +124,28 @@ class TestSpectrumCommand:
         assert doc["max_deviation"] < 1e-5
         assert len(doc["bands"]) == 3
 
+    @pytest.mark.parametrize(
+        "ell,eta,code",
+        [(1, "1/31", 0), (2, "1/5", 0), (5, "3/31", 3)],
+        ids=["l1", "small-q", "l5-wrong-band-count"],
+    )
+    def test_counts_ok_sets_exit_code(self, capsys, ell, eta, code):
+        # at ell 5, eta 3/31 the 22 confident edges are right but 9 bands come
+        # out where 11 are expected; the report is still printed
+        got, out = run_cli(capsys, "spectrum", "--ell", str(ell), "--eta", eta, "--tau", "1.2i")
+        doc = json.loads(out)
+        assert got == code
+        assert doc["counts_ok"] is (code == 0)
+        assert (len(doc["bands"]) == 2 * ell + 1) is (code == 0)
+
+    def test_x0_accepts_i_suffix(self, capsys):
+        outs = []
+        for x0 in ("0.1+0.02i", "0.1+0.02j"):
+            code, out = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31", "--x0", x0)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_requires_rational_eta(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "0.17")
         assert code == 2

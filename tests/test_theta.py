@@ -91,6 +91,13 @@ class TestSeries:
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(theta(1, 0.1, ev))
 
+    @pytest.mark.parametrize("reduce", [False, True], ids=["direct", "reduced"])
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_array_input(self, ev, reduce, shape):
+        vals = theta(1, np.zeros(shape, dtype=complex), ev, reduce=reduce)
+        assert vals.shape == shape
+        assert vals.dtype == complex
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [

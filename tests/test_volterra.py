@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from _support import PARAMS_EV
-from lame_spectra.errors import LocusError, MarginViolationError
+from lame_spectra import volterra
+from lame_spectra.bloch import (
+    RationalEta,
+    coefficient_samples,
+    numeric_band_edges_from_coefficients,
+)
+from lame_spectra.errors import LocusError, MarginViolationError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta, theta1_prime, weierstrass_p
 from lame_spectra.volterra import (
+    MARGIN_TOL,
     PoleConfig,
     c_from_poles,
     check_margins,
@@ -24,11 +31,170 @@ from lame_spectra.volterra import (
 ETA = 0.17
 
 
+# -- reference route: the per-pair scalar loops the batched code replaced ----
+
+def _reference_check_margins(cfg, ev, margin=MARGIN_TOL):
+    eta = ev.eta
+    worst = float("inf")
+    for j in range(cfg.M):
+        for k in range(cfg.M):
+            if j == k:
+                continue
+            d = cfg.xs[j] - cfg.xs[k]
+            for s in (0.0, eta, -eta, 2 * eta, -2 * eta):
+                worst = min(worst, abs(theta(1, d - s, ev)) / abs(ev.theta1_prime0))
+    if cfg.M > 1 and worst < margin:
+        raise MarginViolationError(f"reference margin {worst:.3e}")
+    return worst if cfg.M > 1 else float("inf")
+
+
+def _reference_pole_rhs(cfg, ev):
+    _reference_check_margins(cfg, ev)
+    eta = ev.eta
+    scale = theta(1, 2 * eta, ev) / theta1_prime(0.0, ev)
+    v1 = np.empty(cfg.M, dtype=complex)
+    v2 = np.empty(cfg.M, dtype=complex)
+    for j in range(cfg.M):
+        p1 = p2 = 1 + 0j
+        for k in range(cfg.M):
+            if k == j:
+                continue
+            d = cfg.xs[j] - cfg.xs[k]
+            td = theta(1, d, ev)
+            p1 *= theta(1, d + 2 * eta, ev) * theta(1, d - eta, ev) / (theta(1, d + eta, ev) * td)
+            p2 *= theta(1, d - 2 * eta, ev) * theta(1, d + eta, ev) / (theta(1, d - eta, ev) * td)
+        v1[j] = scale * p1
+        v2[j] = scale * p2
+    return v1, v2
+
+
+def _reference_locus_residual(cfg, ev):
+    _reference_check_margins(cfg, ev)
+    eta = ev.eta
+    res = np.zeros(cfg.M, dtype=complex)
+    for j in range(cfg.M):
+        p = 1 + 0j
+        for k in range(cfg.M):
+            if k == j:
+                continue
+            d = cfg.xs[j] - cfg.xs[k]
+            p *= (
+                theta(1, d + 2 * eta, ev)
+                * theta(1, d - eta, ev) ** 2
+                / (theta(1, d - 2 * eta, ev) * theta(1, d + eta, ev) ** 2)
+            )
+        res[j] = p - 1
+    return res
+
+
+def _reference_c_from_poles(cfg, x, ev):
+    def rho(y, guarded=False):
+        out = 1 + 0j
+        for xj in cfg.xs:
+            f = theta(1, y - xj, ev)
+            if guarded and abs(f) < ev.zero_threshold:
+                raise PoleProximityError(f"reference: x={y} at the pole lattice of {xj}")
+            out *= f
+        return out
+
+    eta = ev.eta
+    den = rho(x, guarded=True) * rho(x - eta, guarded=True)
+    return rho(x + eta) * rho(x - 2 * eta) / den
+
+
+def _random_poles(M, ev, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-0.5, 0.5, M) + 1j * ev.tau.imag * rng.uniform(-0.5, 0.5, M)
+    return PoleConfig(xs=tuple(xs))
+
+
+GRID = [
+    pytest.param(M, tau, eta, id=f"M{M}-tau{tau}-eta{eta:.4g}")
+    for M in (1, 3, 6, 10)
+    for tau in (1.2j, 0.3 + 1.4j)
+    for eta in (1 / 31, 0.17)
+]
+
+
 @pytest.fixture(scope="module")
 def onlocus_cfg(ev):
     cfg = find_locus_config(2, ev, np.random.default_rng(7), n_attempts=30)
     assert cfg is not None, "locus search failed for ell=2 (seeded run)"
     return cfg
+
+
+class TestBatchedRouteMatchesReference:
+    """Each pole set's theta1 values come from one batched call; the scalar
+    loops above are the reference they must reproduce."""
+
+    @pytest.mark.parametrize("M,tau,eta", GRID)
+    def test_matches_scalar_loops(self, M, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        cfg = _random_poles(M, ev_g, seed=M)
+        assert check_margins(cfg, ev_g) == pytest.approx(
+            _reference_check_margins(cfg, ev_g), rel=1e-12
+        )
+        for got, want in zip(pole_rhs(cfg, ev_g), _reference_pole_rhs(cfg, ev_g)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # compare the consistency products (residual + 1): at eta = 1/31 the
+        # residuals are O(eta^3), so their own relative error is the
+        # products' magnified by the cancellation in p - 1
+        np.testing.assert_allclose(
+            locus_residual(cfg, ev_g).residuals + 1, _reference_locus_residual(cfg, ev_g) + 1,
+            rtol=1e-12, atol=0,
+        )
+        rng = np.random.default_rng(100 + M)
+        for _ in range(3):
+            x = complex(rng.uniform(-0.5, 0.5), tau.imag * rng.uniform(-0.5, 0.5))
+            assert c_from_poles(cfg, x, ev_g) == pytest.approx(
+                _reference_c_from_poles(cfg, x, ev_g), rel=1e-12
+            )
+
+    def test_margin_violation_raises_on_both_routes(self, ev):
+        cfg = PoleConfig(xs=(0.1 + 0.05j, 0.1 + 0.05j + ETA + 1e-9, -0.3 + 0.2j))
+        for fn in (check_margins, pole_rhs, locus_residual,
+                   _reference_check_margins, _reference_pole_rhs, _reference_locus_residual):
+            with pytest.raises(MarginViolationError):
+                fn(cfg, ev)
+
+    def test_pole_proximity_raises_on_both_routes(self, ev):
+        cfg = PoleConfig(xs=(0.1 + 0.05j, -0.3 + 0.2j))
+        for x in (cfg.xs[1], cfg.xs[0] + ETA):
+            for fn in (c_from_poles, _reference_c_from_poles):
+                with pytest.raises(PoleProximityError):
+                    fn(cfg, x, ev)
+
+
+class TestThetaCallCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return theta(*args, **kwargs)
+
+        monkeypatch.setattr(volterra, "theta", counting)
+        return seen
+
+    def test_one_call_per_pole_set(self, calls, ev):
+        cfg = _random_poles(6, ev, seed=6)
+        for run in (
+            lambda: check_margins(cfg, ev),
+            lambda: pole_rhs(cfg, ev),
+            lambda: locus_residual(cfg, ev),
+            lambda: c_from_poles(cfg, 0.41 + 0.13j, ev),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_steps", [1, 5])
+    def test_flow_makes_four_calls_per_step(self, calls, ev, onlocus_cfg, n_steps):
+        calls.clear()
+        res = integrate_flow(onlocus_cfg, t_end=0.01 * n_steps, dt=0.01, ev=ev)
+        assert len(res.trajectory) == n_steps + 1
+        assert len(calls) == 4 * n_steps + 1
 
 
 class TestCoefficient:
@@ -203,3 +369,31 @@ class TestLocusSearch:
     def test_recentered(self, ev, onlocus_cfg):
         centroid = sum(onlocus_cfg.xs) / len(onlocus_cfg.xs)
         assert abs(centroid) < 1e-9
+
+
+class TestNonRigidIsospectrality:
+    """At ell = 3 (M = 6) the located flows deform the pole set, not just
+    translate it, so the Bloch spectrum check below can fail."""
+
+    ev3 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=1 / 31, tol=1e-12))
+    re3 = RationalEta(1, 31)
+
+    def spectra(self, cfg):
+        cvals = coefficient_samples(lambda x: c_from_poles(cfg, x, self.ev3), self.re3, 0.123456)
+        avals = np.ones(self.re3.Q, dtype=complex)
+        return numeric_band_edges_from_coefficients(avals, cvals).spectra
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spectrum_preserved_along_nonrigid_flow(self, seed):
+        cfg = find_locus_config(3, self.ev3, np.random.default_rng(seed))
+        assert cfg is not None and cfg.M == 6
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=self.ev3)
+        start = np.array(res.trajectory[0].xs)
+        moved = np.array(res.trajectory[-1].xs) - start
+        assert np.abs(moved - moved.mean()).max() > 1e-4
+        s0 = self.spectra(res.trajectory[0])
+        assert np.abs(self.spectra(res.trajectory[-1]) - s0).max() <= 1e-10
+        rng = np.random.default_rng(seed)
+        kick = 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        perturbed = PoleConfig(xs=tuple(start + kick))
+        assert np.abs(self.spectra(perturbed) - s0).max() > 1e-5
