@@ -38,12 +38,10 @@ from .curve import (
     weyl_denominator_check,
 )
 from .bloch import (
-    BlochMatrix,
     EdgeCandidates,
     RationalEta,
     band_intervals,
     band_sweep,
-    build_bloch_matrix,
     numeric_band_edges,
 )
 from .volterra import (

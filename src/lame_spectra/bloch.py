@@ -11,6 +11,11 @@ accumulated over one coefficient period.  Eigenvalues at phase +1 and -1
 simple eigenvalues are edges, doubly degenerate ones are interior points
 where the two Bloch solutions with opposite momenta coincide in energy.
 
+The orbit is sampled as given.  On the real line it passes close to the
+zeros of theta1 (at m + n*tau), where the hops blow up and closed gaps split;
+on the line Im x0 = Im tau/2 it stays Im tau/2 away from all of them, and by
+Floquet theory the periodic and antiperiodic spectra do not depend on x0.
+
 This module is the independent numerical oracle against which the closed
 curve formulas are checked; it never imports from ``curve``.
 """
@@ -18,7 +23,6 @@ curve formulas are checked; it never imports from ``curve``.
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,9 +32,7 @@ from .util import cluster_points
 
 __all__ = [
     "RationalEta",
-    "BlochMatrix",
     "EdgeCandidates",
-    "build_bloch_matrix",
     "lame_coefficients",
     "coefficient_samples",
     "periodic_matrix",
@@ -40,12 +42,11 @@ __all__ = [
     "band_intervals",
 ]
 
-# eigenvalues closer than CLUSTER_TOL * max|E| (per phase) are one cluster
+# the one open-gap threshold: eigenvalues closer than CLUSTER_TOL * max|E|
+# (per phase) are one cluster, and band spans closer than CLUSTER_TOL * scale merge
 CLUSTER_TOL = 1e-9
-# band spans closer than MERGE_TOL * scale merge; |Im E| beyond its root is not noise
-MERGE_TOL = 1e-8
-# how often lame_coefficients moves x0 by 1/(2Q) off a theta1 zero
-MAX_RESHIFTS = 8
+# |Im E| beyond NONREAL_TOL is not noise: the spectrum is genuinely non-real
+NONREAL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,9 @@ class RationalEta:
     def eta(self) -> float:
         return self.P / self.Q
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.P, self.Q)
-
     def brillouin_width(self) -> float:
         """Width 2*pi/(eta*Q) = 2*pi/P of one Brillouin zone in k."""
         return 2 * math.pi / abs(self.P)
-
-
-@dataclass(frozen=True)
-class BlochMatrix:
-    """Q x Q reduction at a fixed Bloch momentum."""
-
-    matrix: np.ndarray
-    k: float
-    phase: complex
-    x0: complex
 
 
 def periodic_matrix(a_vals: np.ndarray, c_vals: np.ndarray, phase: complex) -> np.ndarray:
@@ -106,31 +93,20 @@ def coefficient_samples(func, re: RationalEta, x0: complex) -> np.ndarray:
 
 
 def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator):
-    """Hop amplitudes of the symmetric gauge on the sampling orbit.
+    """Hop amplitudes of the symmetric gauge on the orbit x_n = x0 + n*eta.
 
     a_n = theta1(x_n - l*eta)/theta1(x_n), c_n = theta1(x_n + l*eta)/theta1(x_n),
-    no diagonal term.  If any denominator collides with a theta1 zero the
-    offset is re-shifted by 1/(2Q), up to MAX_RESHIFTS times.
+    no diagonal term.  Returns (a, c, x0), with x0 as given: a denominator
+    within the guard of a theta1 zero raises PoleProximityError rather than
+    moving the orbit.
     """
-    eta = re.eta
-    guard = max(ev.tol, 1e-8) * abs(ev.theta1_prime0)
-    for _ in range(MAX_RESHIFTS + 1):
-        xs = x0 + np.arange(re.Q) * eta
-        den = theta(1, xs, ev)
-        if np.min(np.abs(den)) > guard:
-            a = theta(1, xs - ell * eta, ev) / den
-            c = theta(1, xs + ell * eta, ev) / den
-            return a, c, x0
-        x0 = x0 + 1.0 / (2 * re.Q)
-    raise PoleProximityError(f"no collision-free offset found near x0={x0}")
-
-
-def build_bloch_matrix(ell: int, re: RationalEta, k: float, x0: complex,
-                       ev: ThetaEvaluator) -> BlochMatrix:
-    """Q x Q Bloch matrix at momentum k (phase = exp(i*k*eta*Q))."""
-    a, c, x0_used = lame_coefficients(ell, re, x0, ev)
-    phase = cmath.exp(1j * k * re.eta * re.Q)
-    return BlochMatrix(matrix=periodic_matrix(a, c, phase), k=k, phase=phase, x0=x0_used)
+    xs = x0 + np.arange(re.Q) * re.eta
+    den = theta(1, xs, ev)
+    if not np.min(np.abs(den)) > max(ev.tol, 1e-8) * abs(ev.theta1_prime0):
+        raise PoleProximityError(f"theta1 ~ 0 on the orbit x0 + n*eta, x0={x0}")
+    a = theta(1, xs - ell * re.eta, ev) / den
+    c = theta(1, xs + ell * re.eta, ev) / den
+    return a, c, x0
 
 
 @dataclass(frozen=True)
@@ -153,7 +129,7 @@ class EdgeCandidates:
 
 
 def numeric_band_edges(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator) -> EdgeCandidates:
-    a, c, x0 = lame_coefficients(ell, re, x0, ev)
+    a, c, _ = lame_coefficients(ell, re, x0, ev)
     return numeric_band_edges_from_coefficients(a, c)
 
 
@@ -207,9 +183,11 @@ def band_intervals(sweep: np.ndarray):
     """Maximal stable intervals from a (rows, Q) array of sorted spectra.
 
     Each sorted-index column spans [min E_i, max E_i]; overlapping spans
-    merge into bands.  The imaginary parts must be noise: a spread beyond
-    sqrt(MERGE_TOL) raises ClusterAmbiguityError instead of silently
-    projecting a genuinely complex spectrum.
+    merge into bands unless a gap of more than CLUSTER_TOL * scale separates
+    them, the threshold the edge candidates are clustered with.  The
+    imaginary parts must be noise: a spread beyond NONREAL_TOL raises
+    ClusterAmbiguityError instead of silently projecting a genuinely complex
+    spectrum.
 
     The two rows of ``EdgeCandidates.spectra`` (phase +1 and -1) are enough
     (Floquet theory; Teschl, Jacobi Operators and Completely Integrable
@@ -223,7 +201,7 @@ def band_intervals(sweep: np.ndarray):
     and a spectrum that is non-real at some momentum is already non-real at
     phase +1 or -1, where the same guard rejects it.
     """
-    if np.abs(sweep.imag).max() > math.sqrt(MERGE_TOL):
+    if np.abs(sweep.imag).max() > NONREAL_TOL:
         raise ClusterAmbiguityError(
             f"spectrum is not numerically real: max |Im E| = {np.abs(sweep.imag).max():.3e}"
         )
@@ -231,7 +209,7 @@ def band_intervals(sweep: np.ndarray):
              for i in range(sweep.shape[1])]
     spans.sort()
     scale = max(abs(sweep.real).max(), 1.0)
-    tol = MERGE_TOL * scale
+    tol = CLUSTER_TOL * scale
     merged = [list(spans[0])]
     for lo, hi in spans[1:]:
         if lo <= merged[-1][1] + tol:

@@ -4,18 +4,19 @@ Subcommands: edges | spectrum | verify | flow | curve-point | coeffs.
 Default output is a single JSON document (schema 1) carrying the tolerance
 and series cutoff used; sweeps and trajectories can be dumped as CSV.
 
-Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
-torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
-count, a non-real spectrum or non-convergence (ClusterAmbiguityError,
-ConvergenceError); 4 margin violation or off-locus poles
-(MarginViolationError, LocusError).  ``main`` maps exceptions to codes 2-4
-through ``EXIT_CODES`` and prints each as one line on stderr,
-``error: <ExceptionName>: <message>``; any other exception is a bug and
-propagates.
+Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters, torsion
+eta or a sampling offset on a theta1 zero (ValueError, EllipticError); 3
+ambiguous clustering, a wrong edge count, a non-real spectrum or
+non-convergence (ClusterAmbiguityError, ConvergenceError); 4 margin violation
+or off-locus poles (MarginViolationError, LocusError).  ``main`` maps
+exceptions to codes 2-4 through ``EXIT_CODES`` and prints each as one line on
+stderr, ``error: <ExceptionName>: <message>``; any other exception is a bug
+and propagates.
 """
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -178,7 +179,9 @@ def cmd_spectrum(args) -> int:
     P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
     ev = cfg.evaluator()
-    x0 = parse_complex(args.x0) if args.x0 else 0.123456 + 0j
+    # theta1 vanishes only at m + n*tau, so the line Im x0 = Im tau/2 keeps the
+    # orbit Im tau/2 away from every zero
+    x0 = parse_complex(args.x0) if args.x0 else 0.123456 + cfg.tau / 2
     cand = numeric_band_edges(cfg.ell, re, x0, ev)
     analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
     num = cand.confident_values()
@@ -188,6 +191,7 @@ def cmd_spectrum(args) -> int:
     bands = band_intervals(cand.spectra)
     doc = {
         "provenance": _provenance(cfg, ev),
+        "x0": _c(x0),
         "numeric_edges": [_c(v) for v in cand.values],
         "confident": [bool(b) for b in cand.confident],
         "analytic_edges": [_c(v) for v in sorted(analytic, key=lambda z: (z.real, z.imag))],
@@ -406,6 +410,7 @@ def _add_common(p):
     p.add_argument("--config", help="key=value config file; flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lame-spectra", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -420,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kpoints", type=int, default=129,
                    help="rows of the CSV dispersion table; JSON bands come from the "
                         "phase +1 and -1 spectra")
-    p.add_argument("--x0", help="sampling offset (complex)")
+    p.add_argument("--x0", help="offset of the sampled orbit x0 + n*eta (complex); default "
+                                "0.123456 + tau/2, a line with no theta1 zeros")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 

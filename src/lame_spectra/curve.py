@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polytrim, polyval
 
-from .enumbers import ebinom, ebracket, qnumber
+from .enumbers import ebinom, ebracket, nonzero_bracket, qnumber
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from .lame import CurvePoint, LameContext, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
@@ -81,19 +81,12 @@ def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
     A = np.zeros((ell + 1, ell + 1), dtype=complex)
     A[ell, 0] = 1.0
     if ell >= 1:
-        A[ell - 1, 1] = ebracket(ell, ev) / _nz(2 * ell, ev)
+        A[ell - 1, 1] = ebracket(ell, ev) / nonzero_bracket(2 * ell, ev)
     for s in range(1, ell):
-        den = _nz(2 * ell - s, ev)
+        den = nonzero_bracket(2 * ell - s, ev)
         A[ell - s - 1, 1:] = A[ell - s, :-1] * (ebracket(ell - s, ev) / den)
         A[ell - s - 1] += A[ell - s + 1] * (ebracket(s, ev) / den)
     return A
-
-
-def _nz(n: int, ev: ThetaEvaluator) -> complex:
-    val = ebracket(n, ev)
-    if abs(val) < ev.tol:
-        raise TorsionEtaError(f"[{n}] ~ 0: eta={ev.eta} is a torsion point")
-    return val
 
 
 def a_polys_determinant(ell: int, s: int, E: complex, ev: ThetaEvaluator) -> complex:
@@ -110,8 +103,8 @@ def a_polys_determinant(ell: int, s: int, E: complex, ev: ThetaEvaluator) -> com
         if k == 1:
             d_new = E
         else:
-            sup = -ebracket(k - 1, ev) / _nz(ell + 2 - k, ev)
-            sub = ebracket(2 * ell + 2 - k, ev) / _nz(ell + 1 - k, ev)
+            sup = -ebracket(k - 1, ev) / nonzero_bracket(ell + 2 - k, ev)
+            sub = ebracket(2 * ell + 2 - k, ev) / nonzero_bracket(ell + 1 - k, ev)
             d_new = E * d_cur - sup * sub * d_prev
         d_prev, d_cur = d_cur, d_new
     pref = ebinom(ell, s, ev) / _binom_nz(2 * ell, s, ev)
@@ -334,7 +327,7 @@ def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     C_0 = C_N = 1 (empty products) and C_j = C_{N-j}; as eta -> 0 the C_j
     tend to the binomial coefficients binom(N, j).
     """
-    C = _subset_sums(ell, lambda k, kp: ebracket(k + kp, ev) / _nz(abs(k - kp), ev))
+    C = _subset_sums(ell, lambda k, kp: ebracket(k + kp, ev) / nonzero_bracket(abs(k - kp), ev))
     return CurveCoeffs(ell=ell, C=C)
 
 

@@ -12,7 +12,7 @@ formulas downstream become singular.
 from .errors import TorsionEtaError
 from .theta import ThetaEvaluator, theta
 
-__all__ = ["ebracket", "efactorial", "ebinom", "qnumber"]
+__all__ = ["ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
 
 
 def ebracket(n: int, ev: ThetaEvaluator) -> complex:
@@ -36,7 +36,8 @@ def ebracket(n: int, ev: ThetaEvaluator) -> complex:
     return val
 
 
-def _nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
+def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
+    """[n] for use as a divisor: TorsionEtaError if |[n]| < tol."""
     val = ebracket(n, ev)
     if abs(val) < ev.tol:
         raise TorsionEtaError(f"[{n}] ~ 0 for eta={ev.eta}: torsion point of order {n}")
@@ -49,7 +50,7 @@ def efactorial(n: int, ev: ThetaEvaluator) -> complex:
         raise ValueError(f"elliptic factorial needs n >= 0, got {n}")
     out = 1 + 0j
     for j in range(2, n + 1):
-        out *= _nonzero_bracket(j, ev)
+        out *= nonzero_bracket(j, ev)
     return out
 
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enumbers import ebracket, ebinom
-from .errors import ConsistencyError, PoleProximityError, TorsionEtaError
+# ebracket is not called here, but perfbench/tracing.py rebinds it on this module
+from .enumbers import ebracket, ebinom, nonzero_bracket
+from .errors import ConsistencyError, PoleProximityError
 from .theta import ThetaEvaluator, theta
 from .util import halton, is_close_to_lattice
 
@@ -67,9 +68,7 @@ class LameContext:
         if self.ell < 0:
             raise ValueError(f"ell must be a non-negative integer, got {self.ell}")
         for j in range(1, 2 * self.ell + 3):
-            val = ebracket(j, self.ev)
-            if abs(val) < self.ev.tol:
-                raise TorsionEtaError(f"[{j}] ~ 0: eta={self.ev.eta} is a torsion point")
+            nonzero_bracket(j, self.ev)
 
     @property
     def N(self) -> int:

@@ -187,7 +187,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     a margin is violated.
     """
     v1, v2, margin = _flow_state(cfg0, ev)
-    gap0 = float(np.abs(v1 - v2).max())
+    gap0 = float(np.abs(v1 - v2).max(initial=0.0))
     if cfg0.M > 1 and gap0 > tol_locus * max(1.0, float(np.abs(v1).max())):
         raise LocusError(
             f"configuration is off-locus: residue systems differ by {gap0:.3e}",
@@ -215,7 +215,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         cfg = PoleConfig(xs=tuple(xs), t=t)
         v1, v2, margin = _flow_state(cfg, ev)
         margins.append(margin)
-        gap = float(np.abs(v1 - v2).max())
+        gap = float(np.abs(v1 - v2).max(initial=0.0))
         gaps.append(gap)
         traj.append(cfg)
         if cfg.M > 1 and gap > gap_factor * tol_locus * max(1.0, float(np.abs(v1).max())):

@@ -10,12 +10,12 @@ from lame_spectra.bloch import (
     RationalEta,
     band_intervals,
     band_sweep,
-    build_bloch_matrix,
     lame_coefficients,
     numeric_band_edges,
     periodic_matrix,
 )
 from lame_spectra.curve import band_edges
+from lame_spectra.errors import PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 
 X0 = 0.123456 + 0j
@@ -46,15 +46,15 @@ class TestRationalEta:
 
 class TestMatrixBuild:
     def test_free_case_row_sums(self, ev31, re31):
-        # ell = 0 has a_n = c_n = 1; at k = 0 the constant vector is an
+        # ell = 0 has a_n = c_n = 1; at phase 1 the constant vector is an
         # eigenvector with eigenvalue 2
-        m = build_bloch_matrix(0, re31, 0.0, X0, ev31)
+        a, c, _ = lame_coefficients(0, re31, X0, ev31)
         ones = np.ones(31)
-        np.testing.assert_allclose(m.matrix @ ones, 2 * ones, atol=1e-12)
+        np.testing.assert_allclose(periodic_matrix(a, c, 1.0) @ ones, 2 * ones, atol=1e-12)
 
     def test_free_case_spectrum(self, ev31, re31):
-        m = build_bloch_matrix(0, re31, 0.0, X0, ev31).matrix
-        eigs = np.sort(np.linalg.eigvals(m).real)
+        a, c, _ = lame_coefficients(0, re31, X0, ev31)
+        eigs = np.sort(np.linalg.eigvals(periodic_matrix(a, c, 1.0)).real)
         want = np.sort([2 * math.cos(2 * math.pi * j / 31) for j in range(31)])
         np.testing.assert_allclose(eigs, want, atol=1e-10)
 
@@ -70,22 +70,26 @@ class TestMatrixBuild:
                 assert a1 == pytest.approx(a2, rel=1e-11)
 
     def test_wrap_entries_carry_phase(self, re31, ev31):
-        m = build_bloch_matrix(1, re31, 0.7, X0, ev31)
-        plain = build_bloch_matrix(1, re31, 0.0, X0, ev31)
+        a, c, _ = lame_coefficients(1, re31, X0, ev31)
+        phase = np.exp(0.7j * re31.eta * re31.Q)
+        m = periodic_matrix(a, c, phase)
+        plain = periodic_matrix(a, c, 1.0)
         Q = re31.Q
-        ratio = m.matrix[Q - 1, 0] / plain.matrix[Q - 1, 0]
-        assert ratio == pytest.approx(m.phase, rel=1e-12)
-        inv = m.matrix[0, Q - 1] / plain.matrix[0, Q - 1]
-        assert inv == pytest.approx(1 / m.phase, rel=1e-12)
+        assert m[Q - 1, 0] / plain[Q - 1, 0] == pytest.approx(phase, rel=1e-12)
+        assert m[0, Q - 1] / plain[0, Q - 1] == pytest.approx(1 / phase, rel=1e-12)
         mask = np.ones((Q, Q), dtype=bool)
         mask[Q - 1, 0] = mask[0, Q - 1] = False
-        assert (m.matrix[mask] == plain.matrix[mask]).all()
+        assert (m[mask] == plain[mask]).all()
 
-    def test_collision_reshift(self):
-        # x0 = 0 collides with the theta1 zero at the origin and must reshift
-        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=1 / 31, tol=1e-12))
-        a, c, x0 = lame_coefficients(1, RationalEta(1, 31), 0.0 + 0j, ev)
-        assert x0 != 0
+    def test_x0_on_theta1_zero_raises(self, re31, ev31):
+        # x0 = 0 puts the orbit on the theta1 zero at the origin; the offset
+        # is the caller's, so it is never moved
+        with pytest.raises(PoleProximityError):
+            lame_coefficients(1, re31, 0.0 + 0j, ev31)
+
+    def test_x0_returned_unchanged(self, re31, ev31):
+        for x0 in (X0, X0 + ev31.tau / 2):
+            assert lame_coefficients(1, re31, x0, ev31)[2] == x0
 
 
 class TestNumericEdges:

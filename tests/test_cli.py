@@ -126,17 +126,55 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize(
         "ell,eta,code",
-        [(1, "1/31", 0), (2, "1/5", 0), (5, "3/31", 3)],
-        ids=["l1", "small-q", "l5-wrong-band-count"],
+        [(1, "1/31", 0), (2, "1/5", 0), (5, "3/31", 0), (8, "1/61", 3)],
+        ids=["l1", "small-q", "l5", "l8-under-count"],
     )
     def test_counts_ok_sets_exit_code(self, capsys, ell, eta, code):
-        # at ell 5, eta 3/31 the 22 confident edges are right but 9 bands come
-        # out where 11 are expected; the report is still printed
+        # at ell 8, eta 1/61 gaps below double precision leave 30 of the 34
+        # confident edges; the report is still printed
         got, out = run_cli(capsys, "spectrum", "--ell", str(ell), "--eta", eta, "--tau", "1.2i")
         doc = json.loads(out)
         assert got == code
         assert doc["counts_ok"] is (code == 0)
         assert (len(doc["bands"]) == 2 * ell + 1) is (code == 0)
+
+    def test_default_x0_is_reported(self, capsys):
+        for tau, x0 in (("1.2i", 0.123456 + 0.6j), ("0.8i", 0.123456 + 0.4j)):
+            code, out = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31", "--tau", tau)
+            assert code == 0
+            assert parse_complex(json.loads(out)["x0"]) == pytest.approx(x0, abs=1e-15)
+
+    def test_x0_on_theta1_zero_is_one_error_line(self, capsys):
+        code = main(["spectrum", "--ell", "1", "--eta", "1/31", "--x0", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: PoleProximityError: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tau,Qs", [("1.2i", (13, 31, 41, 61, 101)), ("0.8i", (13, 31, 41, 61))],
+                             ids=["1.2i", "0.8i"])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+    def test_grid_counts_and_edges(self, capsys, tau, Qs, ell):
+        # every (P, Q) exits 0 with 2(2l+1) confident edges and 2l+1 bands, and
+        # the confident edges match band_edges within 1e-5 of the spectral
+        # radius in both directions
+        bad = []
+        for Q in Qs:
+            for P in (1, 2, 3):
+                code, out = run_cli(capsys, "spectrum", "--ell", str(ell), "--eta", f"{P}/{Q}",
+                                    "--tau", tau)
+                doc = json.loads(out)
+                num = [parse_complex(v) for v, c in zip(doc["numeric_edges"], doc["confident"]) if c]
+                ana = [parse_complex(v) for v in doc["analytic_edges"]]
+                if code != 0 or len(num) != 2 * (2 * ell + 1) or len(doc["bands"]) != 2 * ell + 1:
+                    bad.append((P, Q, code, len(num), len(doc["bands"])))
+                    continue
+                scale = max(abs(e) for e in ana)
+                h1 = max(min(abs(v - e) for e in ana) for v in num)
+                h2 = max(min(abs(v - e) for v in num) for e in ana)
+                if not max(h1, h2) < 1e-5 * scale:
+                    bad.append((P, Q, max(h1, h2) / scale))
+        assert not bad
 
     def test_x0_accepts_i_suffix(self, capsys):
         outs = []

@@ -337,6 +337,12 @@ class TestFlow:
         assert abs(got - (x0 + 0.5 * v)) < 1e-12
         assert res.locus_gaps.max() == 0
 
+    def test_empty_config_is_fixed_point(self, ev):
+        res = integrate_flow(PoleConfig(xs=()), t_end=0.1, dt=0.01, ev=ev)
+        assert len(res.trajectory) == 11
+        assert all(cfg.xs == () for cfg in res.trajectory)
+        assert (res.locus_gaps == 0).all()
+
     def test_time_reversal(self, ev, onlocus_cfg):
         fwd = integrate_flow(onlocus_cfg, t_end=0.04, dt=0.004, ev=ev)
         back = integrate_flow(fwd.trajectory[-1], t_end=-0.04, dt=0.004, ev=ev)
