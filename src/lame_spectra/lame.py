@@ -24,8 +24,10 @@ second row cut out the spectral curve in (zeta, K, E).
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
 from .enumbers import ebracket, ebinom, nonzero_bracket
@@ -73,6 +75,23 @@ class LameContext:
     @property
     def N(self) -> int:
         return self.ell * (self.ell + 1) // 2
+
+    @cached_property
+    def _eta_theta1(self) -> dict:
+        """theta1(n*eta) for n = -(l+1)..2l, the eta-only factors of the
+        residue matrix, read in one call; the divisors n = 1..l+1 are guarded."""
+        l = self.ell
+        n = np.arange(-(l + 1), 2 * l + 1)
+        vals = theta(1, n * self.ev.eta, self.ev)
+        if np.min(np.abs(vals[l + 2:2 * l + 3])) < self.ev.zero_threshold:
+            raise PoleProximityError(f"theta1(n*eta) within tol of zero for some n in 1..{l + 1}")
+        return dict(zip(n.tolist(), vals.tolist()))
+
+    @cached_property
+    def _w_coeffs(self) -> np.ndarray:
+        """(-1)^k ebinom(2l+1, k) for k = 0..2l+1, the weights of the shifts in W."""
+        n = 2 * self.ell + 1
+        return np.array([(-1) ** k * ebinom(n, k, self.ev) for k in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -159,11 +178,17 @@ def gauge_factor(x: complex, ctx: LameContext) -> complex:
 
 
 def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
-    ev = ctx.ev
     l = ctx.ell
-    eta = ev.eta
-    t1z = _guarded_t1(pt.zeta, ev)
-    t1e = _guarded_t1(eta, ev)
+    if l < 1:
+        raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
+    ev = ctx.ev
+    # theta1(zeta - m*eta) for m = 0..l+1 in one call; te[n] = theta1(n*eta)
+    tz = _t1(pt.zeta - np.arange(l + 2) * ev.eta, ev)
+    if abs(tz[0]) < ev.zero_threshold:
+        raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")
+    tz = tz.tolist()
+    te = ctx._eta_theta1
+    t1z, t1e = tz[0], te[1]
     Kinv = 1.0 / pt.K
     M = np.zeros((l + 1, l), dtype=complex)
     mag = np.zeros((l + 1, l))
@@ -173,14 +198,14 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
         M[j, j - 1] += -pt.E
         mag[j, j - 1] += abs(pt.E)
         if j + 1 <= l:
-            num = _t1((j + l + 1) * eta, ev) * _t1((j - l) * eta, ev)
-            den = _guarded_t1((j + 1) * eta, ev) * _guarded_t1(j * eta, ev)
+            num = te[j + l + 1] * te[j - l]
+            den = te[j + 1] * te[j]
             M[j + 1, j - 1] += Kinv * num / den
             mag[j + 1, j - 1] += abs(Kinv * num / den)
         for i in (0, 1):
             sgn = 1.0 if i == 0 else -1.0
-            num = _t1(pt.zeta - (j - i + 1) * eta, ev) * _t1((i + l) * eta, ev) * _t1((i - l - 1) * eta, ev)
-            den = t1z * t1e * _guarded_t1((j - i + 1) * eta, ev)
+            num = tz[j - i + 1] * te[i + l] * te[i - l - 1]
+            den = t1z * t1e * te[j - i + 1]
             M[i, j - 1] += sgn * Kinv * num / den
             mag[i, j - 1] += abs(Kinv * num / den)
     return M, mag
@@ -266,7 +291,7 @@ def build_psi(pt: CurvePoint, coeffs: BlochCoeffs, x: complex, ctx: LameContext)
     return cmath.exp(pt.log_K * x / ev.eta) * out
 
 
-def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x: complex, ctx: LameContext) -> complex:
+def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x, ctx: LameContext):
     """psi(x) * prod_{j=1..l} theta1(x - j*eta), evaluated in its entire form.
 
     The poles of psi cancel against the product zeros term by term, so each
@@ -274,20 +299,28 @@ def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x: complex, ctx: LameContext)
 
         Psi(x) = K^(x/eta) sum_m s_m theta1(zeta + x - m*eta)/theta1(zeta)
                  * prod_{k != m} theta1(x - k*eta)
+
+    ``x`` is a scalar (returns a complex) or an ndarray (returns one of its
+    shape); each of the two theta1 progressions is read in one call.
     """
     ev = ctx.ev
-    t1z = _guarded_t1(pt.zeta, ev)
-    out = 0j
-    for m in range(1, ctx.ell + 1):
-        prod = 1 + 0j
-        for k in range(1, ctx.ell + 1):
-            if k != m:
-                prod *= _t1(x - k * ev.eta, ev)
-        out += coeffs.s[m - 1] * (_t1(pt.zeta + x - m * ev.eta, ev) / t1z) * prod
-    return cmath.exp(pt.log_K * x / ev.eta) * out
+    xs = np.asarray(x, dtype=complex)
+    k_eta = np.arange(1, ctx.ell + 1) * ev.eta
+    t = _t1(xs[..., None] - k_eta, ev)
+    # theta1(zeta + x - m*eta) for m = 1..l, with theta1(zeta) appended last
+    tz = _t1(np.append(pt.zeta + xs[..., None] - k_eta, pt.zeta), ev)
+    t1z = tz[-1]
+    if abs(t1z) < ev.zero_threshold:
+        raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")
+    tz = tz[:-1].reshape(t.shape)
+    # the k = m factor is masked to 1, never divided out: theta1(x - m*eta)
+    # vanishes at x = m*eta, where Psi is finite
+    others = np.where(np.eye(ctx.ell, dtype=bool), 1, t[..., None, :]).prod(axis=-1)
+    out = np.exp(pt.log_K * xs / ev.eta) * (coeffs.s * (tz / t1z) * others).sum(axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
-def apply_W(Psi, x: complex, ctx: LameContext) -> complex:
+def apply_W(Psi, x, ctx: LameContext):
     """Act with the commuting operator of order 2l+1 on a callable Psi.
 
     W = phi_l(x) sum_{k=0}^{2l+1} (-1)^k ebinom(2l+1, k)
@@ -297,41 +330,39 @@ def apply_W(Psi, x: complex, ctx: LameContext) -> complex:
 
     with phi_l(x) = prod_{j=0}^{2l} theta1(x + (j-l) eta).  Its eigenvalue w
     on a joint eigenfunction closes w^2 = prod_i (E^2 - E_i^2).
+
+    ``x`` is a scalar or an ndarray.  Every theta1 factor comes from one
+    guarded table on x + j*eta, j = -(2l+1)..2l+1, and Psi is called once,
+    on the array of shape x.shape + (2l+2,) of shifted points.
     """
-    ev = ctx.ev
     l = ctx.ell
-    eta = ev.eta
-    pref = 1 + 0j
-    for j in range(0, 2 * l + 1):
-        pref *= _t1(x + (j - l) * eta, ev)
-    out = 0j
-    for k in range(0, 2 * l + 2):
-        den = 1 + 0j
-        for j in range(0, 2 * l - k + 2):
-            den *= _guarded_t1(x + j * eta, ev)
-        for jp in range(1, k + 1):
-            den *= _guarded_t1(x - jp * eta, ev)
-        shift = (2 * l - 2 * k + 1) * eta
-        term = (-1) ** k * ebinom(2 * l + 1, k, ev) * _t1(x + shift, ev) / den
-        out += term * Psi(x + shift)
-    return pref * out
+    xs = np.asarray(x, dtype=complex)
+    args = xs[..., None] + np.arange(-(2 * l + 1), 2 * l + 2) * ctx.ev.eta
+    t = _guarded_t1(args, ctx.ev)
+    pref = t[..., l + 1:3 * l + 2].prod(axis=-1)  # j = -l..l
+    # the k-th denominator is the window j = -k..2l-k+1 of the table
+    den = sliding_window_view(t, 2 * l + 2, axis=-1)[..., ::-1, :].prod(axis=-1)
+    # the k-th shift is j = 2l-2k+1: every other entry, from the top down
+    out = pref * (ctx._w_coeffs * t[..., ::-2] / den * Psi(args[..., ::-2])).sum(axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
-def _sample_points(ctx: LameContext, n: int, avoid_margin: float = 1e-3):
+@cache
+def _halton_window() -> np.ndarray:
+    """200 Halton points in the window the W ratio is sampled in, built once."""
+    window = (0.05 + 0.9 * halton(200, 2)) + 1j * (0.02 + 0.25 * halton(200, 3))
+    window.flags.writeable = False
+    return window
+
+
+def _sample_points(ctx: LameContext, n: int, avoid_margin: float = 1e-3) -> np.ndarray:
     """Halton points in a window, away from every theta1 zero the W formula hits."""
     ev = ctx.ev
     l = ctx.ell
-    shifts = [j * ev.eta for j in range(-(2 * l + 2), 2 * l + 3)]
-    pts = []
-    i = 0
-    re = halton(200, 2)
-    im = halton(200, 3)
-    while len(pts) < n and i < 200:
-        x = complex(0.05 + 0.9 * re[i], 0.02 + 0.25 * im[i])
-        i += 1
-        if any(is_close_to_lattice(x + s, ev.tau, avoid_margin) for s in shifts):
-            continue
-        pts.append(x)
+    window = _halton_window()
+    shifts = np.arange(-(2 * l + 2), 2 * l + 3) * ev.eta
+    near = is_close_to_lattice(window[:, None] + shifts, ev.tau, avoid_margin)
+    pts = window[~near.any(axis=1)][:n]
     if len(pts) < n:
         raise ConsistencyError("could not find enough pole-free sample points")
     return pts
@@ -348,15 +379,11 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
     ConsistencyError.
     """
     xs = _sample_points(ctx, n_samples)
-    ratios = []
-    for x in xs:
-        denom = build_Psi(pt, coeffs, x, ctx)
-        if abs(denom) < ctx.ev.tol:
-            continue
-        ratios.append(apply_W(lambda y: build_Psi(pt, coeffs, y, ctx), x, ctx) / denom)
-    if len(ratios) < 3:
+    denom = build_Psi(pt, coeffs, xs, ctx)
+    usable = np.abs(denom) >= ctx.ev.tol
+    if np.count_nonzero(usable) < 3:
         raise ConsistencyError("too few usable sample points for the W ratio")
-    arr = np.array(ratios)
+    arr = apply_W(lambda y: build_Psi(pt, coeffs, y, ctx), xs[usable], ctx) / denom[usable]
     med = complex(np.median(arr.real), np.median(arr.imag))
     dev = np.abs(arr - med)
     cut = 5 * max(float(np.median(dev)), ctx.ev.tol * max(abs(med), 1.0))

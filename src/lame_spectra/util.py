@@ -1,6 +1,5 @@
 """Small shared helpers: quasi-random sampling, clustering, complex parsing."""
 
-import math
 import re
 from fractions import Fraction
 
@@ -93,9 +92,11 @@ def parse_eta(text: str):
     return parse_complex(s), None
 
 
-def is_close_to_lattice(x: complex, tau: complex, margin: float) -> bool:
-    """True if x is within ``margin`` of the lattice Z + tau*Z (rough metric)."""
-    n = round(x.imag / tau.imag)
-    r = x - n * tau
-    m = round(r.real)
-    return math.hypot(r.real - m, r.imag) < margin
+def is_close_to_lattice(x, tau: complex, margin: float):
+    """True where x is within ``margin`` of the lattice Z + tau*Z (rough metric).
+
+    ``x`` is a complex scalar or an ndarray; the result has its shape.
+    """
+    x = np.asarray(x, dtype=complex)
+    r = x - np.round(x.imag / tau.imag) * tau
+    return np.hypot(r.real - np.round(r.real), r.imag) < margin

@@ -2,12 +2,14 @@
 and the commuting operator."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from _support import PARAMS_EV
+from lame_spectra import lame
 from lame_spectra import (
     CurvePoint,
     LameContext,
@@ -25,9 +27,123 @@ from lame_spectra import (
     w_eigenvalue,
     weierstrass_p,
 )
-from lame_spectra.curve import band_edges
-from lame_spectra.errors import ConsistencyError
+from lame_spectra.curve import band_edges, random_curve_points
+from lame_spectra.enumbers import ebinom
+from lame_spectra.errors import ConsistencyError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
+from lame_spectra.util import halton
+
+
+# -- reference route: the scalar loops the batched code replaced --------------
+
+def _t1(x, ev):
+    return theta(1, x, ev)
+
+
+def _guarded_t1(x, ev):
+    val = theta(1, x, ev)
+    if abs(val) < ev.zero_threshold:
+        raise PoleProximityError(f"theta1({x}) within tol of zero")
+    return val
+
+
+def _reference_build_M(pt, ctx):
+    ev = ctx.ev
+    l = ctx.ell
+    eta = ev.eta
+    t1z = _guarded_t1(pt.zeta, ev)
+    t1e = _guarded_t1(eta, ev)
+    Kinv = 1.0 / pt.K
+    M = np.zeros((l + 1, l), dtype=complex)
+    mag = np.zeros((l + 1, l))
+    for j in range(1, l + 1):
+        M[j - 1, j - 1] += pt.K
+        mag[j - 1, j - 1] += abs(pt.K)
+        M[j, j - 1] += -pt.E
+        mag[j, j - 1] += abs(pt.E)
+        if j + 1 <= l:
+            num = _t1((j + l + 1) * eta, ev) * _t1((j - l) * eta, ev)
+            den = _guarded_t1((j + 1) * eta, ev) * _guarded_t1(j * eta, ev)
+            M[j + 1, j - 1] += Kinv * num / den
+            mag[j + 1, j - 1] += abs(Kinv * num / den)
+        for i in (0, 1):
+            sgn = 1.0 if i == 0 else -1.0
+            num = _t1(pt.zeta - (j - i + 1) * eta, ev) * _t1((i + l) * eta, ev) * _t1((i - l - 1) * eta, ev)
+            den = t1z * t1e * _guarded_t1((j - i + 1) * eta, ev)
+            M[i, j - 1] += sgn * Kinv * num / den
+            mag[i, j - 1] += abs(Kinv * num / den)
+    return M, mag
+
+
+def _reference_build_Psi(pt, coeffs, x, ctx):
+    ev = ctx.ev
+    t1z = _guarded_t1(pt.zeta, ev)
+    out = 0j
+    for m in range(1, ctx.ell + 1):
+        prod = 1 + 0j
+        for k in range(1, ctx.ell + 1):
+            if k != m:
+                prod *= _t1(x - k * ev.eta, ev)
+        out += coeffs.s[m - 1] * (_t1(pt.zeta + x - m * ev.eta, ev) / t1z) * prod
+    return cmath.exp(pt.log_K * x / ev.eta) * out
+
+
+def _reference_apply_W(Psi, x, ctx):
+    ev = ctx.ev
+    l = ctx.ell
+    eta = ev.eta
+    pref = 1 + 0j
+    for j in range(0, 2 * l + 1):
+        pref *= _t1(x + (j - l) * eta, ev)
+    out = 0j
+    for k in range(0, 2 * l + 2):
+        den = 1 + 0j
+        for j in range(0, 2 * l - k + 2):
+            den *= _guarded_t1(x + j * eta, ev)
+        for jp in range(1, k + 1):
+            den *= _guarded_t1(x - jp * eta, ev)
+        shift = (2 * l - 2 * k + 1) * eta
+        term = (-1) ** k * ebinom(2 * l + 1, k, ev) * _t1(x + shift, ev) / den
+        out += term * Psi(x + shift)
+    return pref * out
+
+
+def _reference_sample_points(ctx, n, avoid_margin=1e-3):
+    ev = ctx.ev
+    l = ctx.ell
+    shifts = [j * ev.eta for j in range(-(2 * l + 2), 2 * l + 3)]
+
+    def close(x):
+        k = round(x.imag / ev.tau.imag)
+        r = x - k * ev.tau
+        return math.hypot(r.real - round(r.real), r.imag) < avoid_margin
+
+    pts = []
+    re, im = halton(200, 2), halton(200, 3)
+    for i in range(200):
+        x = complex(0.05 + 0.9 * re[i], 0.02 + 0.25 * im[i])
+        if not any(close(x + s) for s in shifts):
+            pts.append(x)
+        if len(pts) == n:
+            break
+    return pts
+
+
+GRID_ELLS = (1, 2, 3, 4)
+GRID_TAUS = (1.2j, 0.3 + 1.4j)
+GRID_ETAS = (1 / 31, 0.17, 0.23 + 0.04j)
+grid = pytest.mark.parametrize(
+    "ell,tau,eta",
+    [(l, t, e) for l in GRID_ELLS for t in GRID_TAUS for e in GRID_ETAS],
+)
+
+
+@functools.cache
+def _grid_point(ell, tau, eta):
+    """(ctx, on-curve point, its Bloch coefficients) for one grid case."""
+    ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+    (pt,) = random_curve_points(ctx, 1, np.random.default_rng(5))
+    return ctx, pt, solve_bloch_coeffs(pt, ctx)
 
 
 class TestPhi:
@@ -298,3 +414,116 @@ class TestCommutingOperator:
                 )
             w = np.mean(ratios)
             assert abs(w) < 1e-6 * math.sqrt(scale)
+
+
+class TestBatchedMatchesReference:
+    @grid
+    def test_build_Psi(self, ell, tau, eta):
+        ctx, pt, c = _grid_point(ell, tau, eta)
+        # x = eta and 2 eta hit zeros of the masked factors
+        xs = np.concatenate([lame._sample_points(ctx, 10), [eta, 2 * eta]])
+        got = build_Psi(pt, c, xs, ctx)
+        want = np.array([_reference_build_Psi(pt, c, x, ctx) for x in xs])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        assert build_Psi(pt, c, complex(xs[0]), ctx) == pytest.approx(want[0], rel=1e-10)
+
+    @grid
+    def test_apply_W_and_w(self, ell, tau, eta):
+        # on the scale w_eigenvalue certifies its spread on, max(|w|, 1):
+        # near a band edge |w| is tiny and W Psi cancels to that scale
+        ctx, pt, c = _grid_point(ell, tau, eta)
+        xs = lame._sample_points(ctx, 10)
+        got = apply_W(lambda y: build_Psi(pt, c, y, ctx), xs, ctx) / build_Psi(pt, c, xs, ctx)
+        want = np.array([
+            _reference_apply_W(lambda y: _reference_build_Psi(pt, c, y, ctx), x, ctx)
+            / _reference_build_Psi(pt, c, x, ctx)
+            for x in xs
+        ])
+        w = w_eigenvalue(pt, c, ctx)
+        scale = max(abs(w), 1.0)
+        assert np.max(np.abs(got - want)) < 1e-9 * scale
+        assert abs(w - want.mean()) < 1e-9 * scale
+
+    @grid
+    def test_build_M_and_magnitudes(self, ell, tau, eta):
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        rng = np.random.default_rng(ell)
+        for _ in range(3):
+            pt = CurvePoint(
+                zeta=complex(rng.uniform(0.1, 0.8), rng.uniform(0.0, 0.3)),
+                K=complex(rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)),
+                E=complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
+            )
+            M, mag = lame._build_M_with_magnitudes(pt, ctx)
+            M_ref, mag_ref = _reference_build_M(pt, ctx)
+            np.testing.assert_array_equal(M == 0, M_ref == 0)
+            np.testing.assert_allclose(M, M_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(mag, mag_ref, rtol=1e-12, atol=0)
+
+    def test_pole_proximity_raises_on_both_routes(self, curve_points, ctx2):
+        pt = curve_points[2][0]
+        c = solve_bloch_coeffs(pt, ctx2)
+        on_zero = CurvePoint(zeta=0.0, K=pt.K, E=pt.E)
+        Psi = lambda y: build_Psi(pt, c, y, ctx2)
+        x_hit = 1 + 2 * ctx2.ev.eta  # x - 2 eta is a theta1 zero
+        for run in (
+            lambda: build_M(on_zero, ctx2),
+            lambda: _reference_build_M(on_zero, ctx2),
+            lambda: build_Psi(on_zero, c, 0.3, ctx2),
+            lambda: _reference_build_Psi(on_zero, c, 0.3, ctx2),
+            lambda: apply_W(Psi, x_hit, ctx2),
+            lambda: _reference_apply_W(Psi, x_hit, ctx2),
+            lambda: apply_W(Psi, np.array([0.3, x_hit]), ctx2),
+        ):
+            with pytest.raises(PoleProximityError):
+                run()
+
+    @pytest.mark.parametrize("ell", GRID_ELLS)
+    @pytest.mark.parametrize("tau", GRID_TAUS)
+    def test_sample_points_unchanged(self, ell, tau):
+        for eta in GRID_ETAS:
+            ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+            got = [complex(x) for x in lame._sample_points(ctx, 20)]
+            assert got == _reference_sample_points(ctx, 20)
+
+
+class TestThetaCallCount:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return theta(*args, **kwargs)
+
+        monkeypatch.setattr(lame, "theta", counting)
+        return seen
+
+    @pytest.mark.parametrize("ell", [1, 4])
+    def test_w_eigenvalue_independent_of_samples(self, calls, ell):
+        ctx, pt, c = _grid_point(ell, 1.2j, 0.17)
+        counts = []
+        for n in (10, 20):
+            calls.clear()
+            w_eigenvalue(pt, c, ctx, n_samples=n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 5
+
+    def test_build_M_one_call_after_first(self, calls):
+        ctx = LameContext(ell=4, ev=PARAMS_EV)
+        pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
+        build_M(pt, ctx)
+        for _ in range(3):
+            calls.clear()
+            build_M(pt, ctx)
+            assert len(calls) == 1
+
+
+class TestEllZero:
+    @pytest.mark.parametrize("fn", [residual, scaled_residual, solve_bloch_coeffs])
+    def test_residue_system_needs_ell_one(self, ev, fn):
+        ctx0 = LameContext(ell=0, ev=ev)
+        pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
+        with pytest.raises(ValueError, match="ell >= 1"):
+            fn(pt, ctx0)
