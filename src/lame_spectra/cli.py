@@ -66,20 +66,35 @@ class RunConfig:
         return ThetaEvaluator(EllipticParams(tau=self.tau, eta=self.eta, tol=self.tol))
 
 
+# the keys a --config file may set, with their values when neither it nor a flag does
+_CONFIG_DEFAULTS = {"eta": "0.17", "tau": "1.2i", "tol": "1e-12", "seed": "0", "format": "json"}
+_FORMATS = ("json", "csv")
+
+
 def _read_config_file(path):
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_DEFAULTS:
+            raise ValueError(
+                f"unknown key {key!r} in config file {path!r}; "
+                f"accepted keys: {', '.join(_CONFIG_DEFAULTS)}"
+            )
+        out[key] = val.strip()
     return out
 
 
 def _build_config(args) -> RunConfig:
-    defaults = {"eta": "0.17", "tau": "1.2i", "tol": "1e-12", "seed": "0", "format": "json"}
+    defaults = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         defaults.update(_read_config_file(args.config))
     eta_text = args.eta if args.eta is not None else defaults["eta"]
@@ -87,6 +102,8 @@ def _build_config(args) -> RunConfig:
     tol = args.tol if args.tol is not None else float(defaults["tol"])
     seed = args.seed if args.seed is not None else int(defaults["seed"])
     fmt = args.format if args.format is not None else defaults["format"]
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
     ell = getattr(args, "ell", 1)
     if ell < 1:
         raise ValueError(f"--ell must be >= 1, got {ell}")
@@ -406,8 +423,9 @@ def _add_common(p):
     p.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
     p.add_argument("--tol", type=float, help="evaluation tolerance")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--format", choices=["json", "csv"], help="output format")
-    p.add_argument("--config", help="key=value config file; flags win")
+    p.add_argument("--format", choices=_FORMATS, help="output format")
+    p.add_argument("--config", help="key=value config file setting eta, tau, tol, seed or "
+                                    "format; flags win")
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polytrim, polyval
 
-from .enumbers import ebinom, ebracket, nonzero_bracket, qnumber
+from .enumbers import ebinom, ebracket, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from .lame import CurvePoint, LameContext, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
@@ -63,6 +63,10 @@ __all__ = [
 MATCH_TOL = 1e-6
 # common roots closer than CLUSTER_REL * max(max|r|, 1) are one edge with multiplicity
 CLUSTER_REL = 1e-7
+# a curve point is accepted once its largest scaled residual is below NEWTON_TOL
+NEWTON_TOL = 1e-11
+# an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
+EDGE_ACCEPT_TOL = 1e-8
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -78,6 +82,7 @@ def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
 
         A_{l-s-1} = ([l-s]/[2l-s]) E A_{l-s} + ([s]/[2l-s]) A_{l-s+1}.
     """
+    theta1_multiples(2 * ell, ev)
     A = np.zeros((ell + 1, ell + 1), dtype=complex)
     A[ell, 0] = 1.0
     if ell >= 1:
@@ -327,6 +332,7 @@ def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     C_0 = C_N = 1 (empty products) and C_j = C_{N-j}; as eta -> 0 the C_j
     tend to the binomial coefficients binom(N, j).
     """
+    theta1_multiples(2 * ell, ev)
     C = _subset_sums(ell, lambda k, kp: ebracket(k + kp, ev) / nonzero_bracket(abs(k - kp), ev))
     return CurveCoeffs(ell=ell, C=C)
 
@@ -428,9 +434,10 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
 # numerical curve points
 
 def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
-                      tol: float = 1e-11, max_iter: int = 100) -> CurvePoint:
+                      max_iter: int = 100) -> CurvePoint:
     """Newton-solve both residual determinants to zero in the two free
-    coordinates, one of (zeta, E) being held fixed.
+    coordinates, one of (zeta, E) being held fixed, until the largest scaled
+    residual is below NEWTON_TOL.
 
     ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
     Steps are damped by halving (up to 8 times) whenever the residual norm
@@ -460,7 +467,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
 
     f = func(v)
     for _ in range(max_iter):
-        if norm_scaled(v) < tol:
+        if norm_scaled(v) < NEWTON_TOL:
             return point(v)
         J = np.zeros((2, 2), dtype=complex)
         for c in range(2):
@@ -491,7 +498,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
             lam /= 2
         else:
             v, f = v + step, func(v + step)
-    if norm_scaled(v) < tol:
+    if norm_scaled(v) < NEWTON_TOL:
         return point(v)
     raise ConvergenceError(f"no convergence after {max_iter} Newton steps", reason="max-iter")
 
@@ -504,13 +511,13 @@ def edge_bloch_factors(a: int, ev: ThetaEvaluator):
     return [k, -k]
 
 
-def edge_curve_points(ctx: LameContext, accept_tol: float = 1e-8) -> list:
+def edge_curve_points(ctx: LameContext) -> list:
     """On-curve points sitting over the band edges.
 
     For each label a the fixed-point fibre has zeta = N eta + omega_a and
     K in {+-1} (a = 1, 2) or {+-exp(i pi eta)} (a = 3, 4); each computed
     edge E is paired with every candidate (K, +-E) combination that passes
-    the scaled-residual test.
+    the scaled-residual test (EDGE_ACCEPT_TOL).
     """
     ev = ctx.ev
     edges = band_edges(ctx.ell, ev)
@@ -521,12 +528,12 @@ def edge_curve_points(ctx: LameContext, accept_tol: float = 1e-8) -> list:
             for K in edge_bloch_factors(a, ev):
                 for Es in (E, -E):
                     pt = CurvePoint(zeta=zeta, K=K, E=Es)
-                    if max(scaled_residual(pt, ctx)) < accept_tol:
+                    if max(scaled_residual(pt, ctx)) < EDGE_ACCEPT_TOL:
                         out.append(pt)
     return out
 
 
-def random_curve_points(ctx: LameContext, n: int, rng, polish_tol: float = 1e-11) -> list:
+def random_curve_points(ctx: LameContext, n: int, rng) -> list:
     """Generic on-curve points via the Bloch relation.
 
     Draw zeta, solve the relation as a polynomial in K^2, recover E as a
@@ -560,7 +567,7 @@ def random_curve_points(ctx: LameContext, n: int, rng, polish_tol: float = 1e-11
             if best is None or best[0] > 1e-4:
                 continue
             try:
-                pt = solve_curve_point({"zeta": zeta}, best[1], ctx, tol=polish_tol)
+                pt = solve_curve_point({"zeta": zeta}, best[1], ctx)
             except ConvergenceError:
                 continue
             out.append(pt)

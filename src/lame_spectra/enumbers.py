@@ -4,36 +4,48 @@
 In the trigonometric limit Im tau -> +inf, [j] -> sin(pi*eta*j)/sin(pi*eta),
 the symmetric q-number with q = exp(2i*pi*eta).
 
-Brackets are memoized per evaluator; every division by a bracket is guarded,
-since a vanishing bracket means eta is a torsion point and all the curve
-formulas downstream become singular.
+Every bracket is read from one table per evaluator, theta1(k*eta) for
+k = 0..n, which grows by one batched theta call over the missing k when a
+read needs more entries; callers that know their range ask for it first.
+Every division by a bracket is guarded, since a vanishing bracket means eta
+is a torsion point and all the curve formulas downstream become singular.
 """
+
+import numpy as np
 
 from .errors import TorsionEtaError
 from .theta import ThetaEvaluator, theta
 
-__all__ = ["ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
+__all__ = ["theta1_multiples", "ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
+
+
+def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
+    """theta1(k*eta) for k = 0..n (the table may hold more entries).
+
+    The table only grows, and by replacement: a stored tuple is never
+    changed, so a reader always sees a consistent table.
+    """
+    table = ev._theta1_multiples
+    if len(table) <= n:
+        k = np.arange(len(table), n + 1)
+        table = table + tuple(theta(1, k * ev.eta, ev).tolist())
+        object.__setattr__(ev, "_theta1_multiples", table)
+    return table
 
 
 def ebracket(n: int, ev: ThetaEvaluator) -> complex:
     """Elliptic integer [n].  [0] = 0 exactly; [1] = 1 exactly."""
-    cache = ev._brackets
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
-    if n == 0:
-        val = 0j
-    elif n == 1:
+    m = abs(n)
+    if m == 0:
+        return 0j
+    if m == 1:
         val = 1 + 0j
-    elif n < 0:
-        val = -ebracket(-n, ev)
     else:
-        den = theta(1, ev.eta, ev)
-        if abs(den) < ev.zero_threshold:
+        table = theta1_multiples(m, ev)
+        if abs(table[1]) < ev.zero_threshold:
             raise TorsionEtaError(f"theta1(eta) ~ 0 for eta={ev.eta}: eta on the lattice")
-        val = theta(1, n * ev.eta, ev) / den
-    cache[n] = val
-    return val
+        val = table[m] / table[1]
+    return -val if n < 0 else val
 
 
 def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:

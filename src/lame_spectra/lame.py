@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
-from .enumbers import ebracket, ebinom, nonzero_bracket
+from .enumbers import ebracket, ebinom, nonzero_bracket, theta1_multiples
 from .errors import ConsistencyError, PoleProximityError
 from .theta import ThetaEvaluator, theta
 from .util import halton, is_close_to_lattice
@@ -54,9 +54,13 @@ __all__ = [
 ]
 
 
+# M is rank deficient when its smallest singular value is below this times its term scale
+RANK_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class LameContext:
-    """Degree l plus a theta evaluator; prefills the bracket cache.
+    """Degree l plus a theta evaluator; reads theta1(k*eta), k = 0..2l+2, in one call.
 
     N = l(l+1)/2 is the genus-fixing count that recurs in every curve
     formula.  Construction fails with TorsionEtaError if any bracket
@@ -69,6 +73,7 @@ class LameContext:
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError(f"ell must be a non-negative integer, got {self.ell}")
+        theta1_multiples(2 * self.ell + 2, self.ev)
         for j in range(1, 2 * self.ell + 3):
             nonzero_bracket(j, self.ev)
 
@@ -79,13 +84,13 @@ class LameContext:
     @cached_property
     def _eta_theta1(self) -> dict:
         """theta1(n*eta) for n = -(l+1)..2l, the eta-only factors of the
-        residue matrix, read in one call; the divisors n = 1..l+1 are guarded."""
+        residue matrix, from the evaluator's table and theta1(-x) = -theta1(x);
+        the divisors n = 1..l+1 are guarded."""
         l = self.ell
-        n = np.arange(-(l + 1), 2 * l + 1)
-        vals = theta(1, n * self.ev.eta, self.ev)
-        if np.min(np.abs(vals[l + 2:2 * l + 3])) < self.ev.zero_threshold:
+        t = theta1_multiples(2 * l, self.ev)
+        if min(abs(v) for v in t[1:l + 2]) < self.ev.zero_threshold:
             raise PoleProximityError(f"theta1(n*eta) within tol of zero for some n in 1..{l + 1}")
-        return dict(zip(n.tolist(), vals.tolist()))
+        return {n: (t[n] if n >= 0 else -t[-n]) for n in range(-(l + 1), 2 * l + 1)}
 
     @cached_property
     def _w_coeffs(self) -> np.ndarray:
@@ -258,11 +263,11 @@ def scaled_residual(pt: CurvePoint, ctx: LameContext):
     return r0, r1
 
 
-def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext, rank_tol: float = 1e-6) -> BlochCoeffs:
+def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext) -> BlochCoeffs:
     """Null vector of M via the smallest singular direction.
 
     Raises ConsistencyError if M has full numerical rank l (the point is not
-    on the curve); rank deficiency is judged against the term-magnitude
+    on the curve); rank deficiency (RANK_TOL) is judged against the term-magnitude
     scale of the matrix, which survives the on-curve cancellations.  The
     returned vector is normalized so its largest entry is exactly 1; the gap
     to the second singular value certifies uniqueness.
@@ -270,7 +275,7 @@ def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext, rank_tol: float = 1e-6)
     M, mag = _build_M_with_magnitudes(pt, ctx)
     _, sv, vh = np.linalg.svd(M)
     scale = float(np.linalg.norm(mag, axis=1).max())
-    if sv[-1] > rank_tol * scale:
+    if sv[-1] > RANK_TOL * scale:
         raise ConsistencyError(
             f"no null space: smallest singular value {sv[-1]:.3e} vs scale {scale:.3e}"
         )

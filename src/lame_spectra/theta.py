@@ -17,8 +17,9 @@ Quasi-periodicity used throughout:
     theta_a(x +- tau) = (-1)^(d_a1 + d_a4) exp(-i*pi*tau -+ 2i*pi*x) theta_a(x)
 
 All evaluations are truncated sums with tail below ``tol``; derivatives are
-term-wise. Evaluators are immutable after construction and safe to share
-across threads.
+term-wise. An evaluator's parameters are fixed at construction; its one
+cache, the theta1(k*eta) table of ``enumbers``, only grows, by replacing the
+stored tuple, so evaluators are safe to share across threads.
 """
 
 import cmath
@@ -73,6 +74,9 @@ class EllipticParams:
 class ThetaEvaluator:
     """Caches the nome and a series cutoff guaranteeing tails below tol.
 
+    Its one mutable cache is the theta1(k*eta) table read by ``enumbers``;
+    the table only grows, by replacement, never by changing a stored entry.
+
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so
     increasing it by hand never changes a returned value by more than tol.
@@ -82,7 +86,7 @@ class ThetaEvaluator:
     nome: complex = field(init=False)
     series_cutoff: int = field(init=False)
     theta1_prime0: complex = field(init=False)
-    _brackets: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _theta1_multiples: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         q = cmath.exp(1j * math.pi * self.params.tau)

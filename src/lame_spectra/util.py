@@ -14,11 +14,12 @@ __all__ = [
 ]
 
 
-def halton(n: int, base: int, start: int = 1) -> np.ndarray:
-    """First n values of the base-``base`` Halton sequence (radical inverse)."""
+def halton(n: int, base: int) -> np.ndarray:
+    """First n values of the base-``base`` Halton sequence (radical inverse),
+    from index 1."""
     out = np.empty(n)
     for i in range(n):
-        k = start + i
+        k = i + 1
         f, r = 1.0, 0.0
         while k > 0:
             f /= base

@@ -26,6 +26,7 @@ operator; its pairwise differences sit exactly on the singular set, so it is
 a boundary point of the locus and is rejected by the margin guard.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,13 @@ __all__ = [
 ]
 
 MARGIN_TOL = 1e-6
+# the two residue systems must agree within LOCUS_TOL at the start of a flow,
+# and within GAP_FACTOR * LOCUS_TOL at every step
+LOCUS_TOL = 1e-8
+GAP_FACTOR = 100.0
+# find_locus_config: Gauss-Newton steps per attempt, and the residual it accepts
+LOCUS_NEWTON_STEPS = 60
+LOCUS_TARGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ def degenerate_poles(ell: int, ev: ThetaEvaluator) -> PoleConfig:
 _SHIFTS = np.array([0.0, 1.0, -1.0, 2.0, -2.0])  # table rows: x_j - x_k + s*eta
 
 
-def _pair_thetas(cfg: PoleConfig, ev: ThetaEvaluator, margin: float = MARGIN_TOL):
+def _pair_thetas(cfg: PoleConfig, ev: ThetaEvaluator):
     """All theta1 values the residue systems of a pole set read, from one call.
 
     Returns the table T[i, j, k] = theta1(x_j - x_k + s_i eta), s = 0, 1, -1,
@@ -106,9 +114,9 @@ def _pair_thetas(cfg: PoleConfig, ev: ThetaEvaluator, margin: float = MARGIN_TOL
     vals = theta(1, np.append(args.ravel(), 2 * ev.eta), ev)
     pairs = vals[:-1].reshape(len(_SHIFTS), -1)
     worst = float(np.abs(pairs).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
-    if worst < margin:
+    if worst < MARGIN_TOL:
         raise MarginViolationError(
-            f"pole differences within {margin:g} of the singular set "
+            f"pole differences within {MARGIN_TOL:g} of the singular set "
             f"(min |theta1| = {worst:.3e}); boundary of the locus"
         )
     table = np.ones((len(_SHIFTS), M, M), dtype=complex)
@@ -145,14 +153,14 @@ def volterra_rhs_c(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:
     return -c0 * (c_from_poles(cfg, x + ev.eta, ev) - c_from_poles(cfg, x - ev.eta, ev))
 
 
-def check_margins(cfg: PoleConfig, ev: ThetaEvaluator, margin: float = MARGIN_TOL) -> float:
+def check_margins(cfg: PoleConfig, ev: ThetaEvaluator) -> float:
     """Smallest |theta1(x_j - x_k - s)| over pairs and shifts s in {0,+-eta,+-2eta},
     in units of theta1'(0) (so roughly the distance to the singular set).
 
-    Raises MarginViolationError below ``margin``: some factor of the residue
+    Raises MarginViolationError below MARGIN_TOL: some factor of the residue
     systems is (numerically) singular there.
     """
-    return _pair_thetas(cfg, ev, margin)[2]
+    return _pair_thetas(cfg, ev)[2]
 
 
 def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
@@ -176,19 +184,26 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
 
 
-def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator,
-                   tol_locus: float = 1e-8, gap_factor: float = 100.0) -> FlowResult:
+def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator) -> FlowResult:
     """Classical fixed-step 4th-order integration of the first residue system.
 
-    Preconditions: margins hold and the two systems agree within
-    ``tol_locus`` at cfg0 (otherwise LocusError with the measured gap).
-    At every step the locus gap and the margin are recorded; the flow halts
-    with a structured error if the gap exceeds ``gap_factor * tol_locus`` or
-    a margin is violated.
+    ``t_end``, ``dt`` and their ratio must be finite and ``dt`` nonzero
+    (ValueError).
+    Preconditions: margins hold and the two systems agree within LOCUS_TOL
+    at cfg0 (otherwise LocusError with the measured gap).  At every step the
+    locus gap and the margin are recorded; the flow halts with a structured
+    error if the gap exceeds GAP_FACTOR * LOCUS_TOL or a margin is violated.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got t_end={t_end}")
+    if dt == 0 or not math.isfinite(dt):
+        raise ValueError(f"dt must be finite and nonzero, got dt={dt}")
+    span = abs(t_end) / abs(dt)
+    if not math.isfinite(span):
+        raise ValueError(f"t_end/dt must be finite, got t_end={t_end}, dt={dt}")
     v1, v2, margin = _flow_state(cfg0, ev)
     gap0 = float(np.abs(v1 - v2).max(initial=0.0))
-    if cfg0.M > 1 and gap0 > tol_locus * max(1.0, float(np.abs(v1).max())):
+    if cfg0.M > 1 and gap0 > LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
         raise LocusError(
             f"configuration is off-locus: residue systems differ by {gap0:.3e}",
             gap=gap0,
@@ -198,7 +213,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         v, _ = pole_rhs(PoleConfig(xs=tuple(xs)), ev)
         return v
 
-    n_steps = max(1, round(abs(t_end) / abs(dt))) if t_end != 0 else 0
+    n_steps = max(1, round(span)) if t_end != 0 else 0
     h = t_end / n_steps if n_steps else 0.0
     xs = np.array(cfg0.xs, dtype=complex)
     t = cfg0.t
@@ -218,21 +233,21 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         gap = float(np.abs(v1 - v2).max(initial=0.0))
         gaps.append(gap)
         traj.append(cfg)
-        if cfg.M > 1 and gap > gap_factor * tol_locus * max(1.0, float(np.abs(v1).max())):
+        if cfg.M > 1 and gap > GAP_FACTOR * LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
             raise LocusError(
                 f"locus consistency degraded to {gap:.3e} at t={t:.6g}", gap=gap
             )
     return FlowResult(trajectory=traj, locus_gaps=np.array(gaps), margins=np.array(margins))
 
 
-def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40,
-                      newton_steps: int = 60, target: float = 1e-10):
+def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40):
     """Damped Gauss-Newton search for a non-trivial on-locus configuration.
 
     Seeds are random perturbations of the degenerate boundary configuration,
     pushed just outside the singular margins.  There is no guarantee of
-    success; returns the first configuration with locus residual below
-    ``target``, or None if every attempt fails (failures are the caller's to
+    success; each attempt takes up to LOCUS_NEWTON_STEPS damped steps, and
+    the first configuration with locus residual below LOCUS_TARGET is
+    returned, or None if every attempt fails (failures are the caller's to
     report, not to hide).
     """
     base = np.array(degenerate_poles(ell, ev).xs, dtype=complex)
@@ -253,8 +268,8 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40,
         except (MarginViolationError, PoleProximityError):
             continue
         ok = True
-        for _ in range(newton_steps):
-            if np.abs(f).max() < target:
+        for _ in range(LOCUS_NEWTON_STEPS):
+            if np.abs(f).max() < LOCUS_TARGET:
                 break
             J = np.zeros((len(f), len(xs)), dtype=complex)
             h = 1e-7
@@ -283,6 +298,6 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40,
             else:
                 ok = False
                 break
-        if ok and np.abs(f).max() < target:
+        if ok and np.abs(f).max() < LOCUS_TARGET:
             return PoleConfig(xs=tuple(recenter(xs)))
     return None

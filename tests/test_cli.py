@@ -291,6 +291,21 @@ class TestFlowCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flags,name",
+        [(["--dt", "0"], "dt"), (["--t-end", "inf"], "t_end"), (["--dt", "nan"], "dt"),
+         (["--dt", "1e-320"], "t_end/dt")],
+        ids=["dt-zero", "t-end-inf", "dt-nan", "step-count-inf"],
+    )
+    def test_bad_step_is_one_error_line(self, capsys, flags, name):
+        code = main(["flow", "--poles", "0.1+0.05i", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ValueError: {name} must be finite")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_csv_trajectory(self, capsys):
         code, out = run_cli(
             capsys,
@@ -399,3 +414,34 @@ class TestConfigFile:
         code, out = run_cli(capsys, "edges", "--ell", "1", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["provenance"]["eta"] == "0.23"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_is_one_error_line(self, capsys, tmp_path, kind):
+        path = tmp_path / "missing.cfg" if kind == "missing" else tmp_path
+        code = main(["edges", "--ell", "1", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ValueError: cannot read config file {str(path)!r}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unknown_format_is_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code = main(["coeffs", "--ell", "1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: format must be one of json, csv, got 'xml'\n"
+
+    def test_unknown_key_is_one_error_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a typo of eta\netta = 0.5\n")
+        code = main(["edges", "--ell", "1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: unknown key 'etta' in config file {str(cfg)!r}; "
+            "accepted keys: eta, tau, tol, seed, format\n"
+        )

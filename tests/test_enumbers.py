@@ -6,7 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from lame_spectra import EllipticParams, ThetaEvaluator, ebinom, ebracket, efactorial, qnumber
+from lame_spectra import (
+    EllipticParams,
+    LameContext,
+    ThetaEvaluator,
+    band_edges,
+    curve_coeffs,
+    ebinom,
+    ebracket,
+    efactorial,
+    enumbers,
+    qnumber,
+    theta,
+)
+from lame_spectra.enumbers import theta1_multiples
+from lame_spectra.errors import TorsionEtaError
 
 
 @pytest.fixture
@@ -48,6 +62,81 @@ class TestBracket:
             devs.append(max(abs(ebracket(n, ev_s) - n) for n in range(2, 6)))
         assert devs[0] < 0.05
         assert devs[0] / devs[1] == pytest.approx(100, rel=0.3)
+
+
+def _reference_ebracket(n, ev):
+    """[n] from two scalar theta calls, theta1(n*eta)/theta1(eta)."""
+    if n == 0:
+        return 0j
+    if n == 1:
+        return 1 + 0j
+    if n < 0:
+        return -_reference_ebracket(-n, ev)
+    return theta(1, n * ev.eta, ev) / theta(1, ev.eta, ev)
+
+
+def _fresh(tau, eta):
+    return ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+
+
+def _count_theta(monkeypatch):
+    """Record the argument of every theta call made in enumbers."""
+    calls = []
+
+    def counting(a, x, ev, *args, **kwargs):
+        calls.append(x)
+        return theta(a, x, ev, *args, **kwargs)
+
+    monkeypatch.setattr(enumbers, "theta", counting)
+    return calls
+
+
+class TestTable:
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [1 / 31, 3 / 61, 0.17, 0.23 + 0.04j])
+    def test_matches_scalar_route(self, tau, eta):
+        ev = _fresh(tau, eta)
+        for n in range(-12, 25):
+            got, want = ebracket(n, ev), _reference_ebracket(n, ev)
+            if complex(eta).imag == 0:
+                assert got == want, n
+            else:
+                assert abs(got - want) <= 1e-14 * abs(want), n
+
+    def test_zero_and_one_exact(self):
+        ev = _fresh(0.3 + 1.4j, 0.23 + 0.04j)
+        assert ebracket(0, ev) == 0
+        assert ebracket(1, ev) == 1
+        assert ebracket(-1, ev) == -1
+
+    def test_grows_by_replacement(self, monkeypatch):
+        calls = _count_theta(monkeypatch)
+        ev = _fresh(1.2j, 0.17)
+        short = theta1_multiples(4, ev)
+        assert len(short) == 5
+        assert theta1_multiples(3, ev) is short
+        longer = theta1_multiples(9, ev)
+        assert len(short) == 5 and longer[:5] == short
+        assert len(calls) == 2 and len(calls[1]) == 5  # the missing k = 5..9 only
+
+    @pytest.mark.parametrize("ell", [1, 10])
+    @pytest.mark.parametrize("entry,top", [
+        (LameContext, lambda ell: 2 * ell + 2),
+        (band_edges, lambda ell: 2 * ell),
+        (curve_coeffs, lambda ell: 2 * ell),
+    ], ids=["LameContext", "band_edges", "curve_coeffs"])
+    def test_one_theta_call_per_entry_point(self, monkeypatch, ell, entry, top):
+        calls = _count_theta(monkeypatch)
+        ev = _fresh(1.2j, 0.17)
+        entry(ell, ev)
+        assert len(calls) == 1
+        for n in range(-top(ell), top(ell) + 1):
+            ebracket(n, ev)
+        assert len(calls) == 1
+
+    def test_torsion_names_bracket(self):
+        with pytest.raises(TorsionEtaError, match=r"\[3\]"):
+            LameContext(ell=2, ev=_fresh(1.2j, 1 / 3))
 
 
 class TestFactorial:
