@@ -16,6 +16,21 @@ zeros of theta1 (at m + n*tau), where the hops blow up and closed gaps split;
 on the line Im x0 = Im tau/2 it stays Im tau/2 away from all of them, and by
 Floquet theory the periodic and antiperiodic spectra do not depend on x0.
 
+Two exact identities cut the edge spectra to one eigen-solve at odd Q, real
+symmetric where the gauge applies.
+Symmetric gauge: when every a_n c_{n+1} is real and positive (the Lame hops
+on that line when Re tau = 0), the diagonal similarity with d_{n+1}/d_n =
+b_n/a_n, b_n = sqrt(a_n c_{n+1}), maps the matrix at phase phi to the real
+symmetric ``periodic_matrix(b, roll(b, 1), sigma*phi)``, where sigma =
+prod a_n/b_n = +-1 (for the Lame hops sigma = (-1)^(l*P), which swaps phase
++1 and -1); its spectrum comes from ``eigvalsh``.  Odd-Q reflection: the
+matrix has no diagonal, so conjugating by diag((-1)^n) maps it at phase phi
+to minus itself at phase -phi when Q is odd, and the phase -1 spectrum is
+minus the phase +1 spectrum on either route.  Inputs the gauge rejects (Re
+tau != 0, or the c_from_poles samples of the Volterra flow, whose products
+are mostly negative or complex) take the general route, one dense complex
+``eigvals`` per phase solved.
+
 This module is the independent numerical oracle against which the closed
 curve formulas are checked; it never imports from ``curve``.
 """
@@ -47,6 +62,10 @@ __all__ = [
 CLUSTER_TOL = 1e-9
 # |Im E| beyond NONREAL_TOL is not noise: the spectrum is genuinely non-real
 NONREAL_TOL = 1e-4
+# the symmetric gauge needs |Im(a_n c_{n+1})| <= GAUGE_IMAG_TOL * |a_n c_{n+1}|,
+# Re(a_n c_{n+1}) > 0, and prod a_n/b_n within GAUGE_SIGN_TOL of +1 or -1
+GAUGE_IMAG_TOL = 1e-12
+GAUGE_SIGN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,10 +100,52 @@ def periodic_matrix(a_vals: np.ndarray, c_vals: np.ndarray, phase: complex) -> n
     """
     Q = len(a_vals)
     M = np.zeros((Q, Q), dtype=complex)
-    for n in range(Q):
-        M[n, (n + 1) % Q] += a_vals[n] * (phase if n == Q - 1 else 1.0)
-        M[n, (n - 1) % Q] += c_vals[n] * (1.0 / phase if n == 0 else 1.0)
+    n = np.arange(Q - 1)
+    M[n, n + 1] = a_vals[:-1]
+    M[n + 1, n] = c_vals[1:]
+    # += so that at Q = 1 and 2 a corner adds to the entry it shares
+    M[Q - 1, 0] += a_vals[Q - 1] * phase
+    M[0, Q - 1] += c_vals[0] * (1.0 / phase)
     return M
+
+
+def _symmetric_gauge(a_vals: np.ndarray, c_vals: np.ndarray):
+    """(b, sigma) of the real symmetric gauge, or None when it does not apply.
+
+    b_n = sqrt(a_n c_{n+1}) > 0 and sigma = prod a_n/b_n = +-1; the matrix at
+    phase phi is then similar to ``periodic_matrix(b, roll(b, 1), sigma*phi)``.
+    """
+    ac = a_vals * np.roll(c_vals, -1)
+    if not (np.all(np.abs(ac.imag) <= GAUGE_IMAG_TOL * np.abs(ac)) and np.all(ac.real > 0)):
+        return None
+    b = np.sqrt(ac.real)
+    prod = complex(np.prod(a_vals / b))
+    sigma = 1.0 if prod.real > 0 else -1.0
+    if abs(prod - sigma) > GAUGE_SIGN_TOL:
+        return None
+    return b, sigma
+
+
+def _spectrum_solver(a_vals: np.ndarray, c_vals: np.ndarray):
+    """phase -> spectrum sorted by (Re, Im), for phases on the unit circle.
+
+    One ``periodic_matrix`` and one eigen-solve per call: ``eigvalsh`` on the
+    gauged matrix, which is Hermitian for |phase| = 1 (its corners
+    b*sigma*phase and b/(sigma*phase) are conjugate) and real at phase +-1,
+    or ``eigvals`` when the gauge does not apply.
+    """
+    gauge = _symmetric_gauge(a_vals, c_vals)
+
+    def solve(phase):
+        if gauge is None:
+            eigs = np.linalg.eigvals(periodic_matrix(a_vals, c_vals, phase))
+        else:
+            b, sigma = gauge
+            M = periodic_matrix(b, np.roll(b, 1), sigma * phase)
+            eigs = np.linalg.eigvalsh(M if M.imag.any() else M.real).astype(complex)
+        return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+    return solve
 
 
 def coefficient_samples(func, re: RationalEta, x0: complex) -> np.ndarray:
@@ -140,11 +201,13 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
     of size 1 are confident edge candidates, size 2 are closed-gap interior
     points, anything larger is flagged non-confident rather than guessed.
     """
-    values, mult, conf, spectra = [], [], [], []
-    for phase in (1.0, -1.0):
-        M = periodic_matrix(np.asarray(a_vals, complex), np.asarray(c_vals, complex), phase)
-        eigs = np.linalg.eigvals(M)
-        spectra.append(eigs[np.lexsort((eigs.imag, eigs.real))])
+    solve = _spectrum_solver(np.asarray(a_vals, complex), np.asarray(c_vals, complex))
+    plus = solve(1.0)
+    # odd Q: diag((-1)^n) maps the matrix at phase phi to minus it at -phi;
+    # negation reverses the (Re, Im) order
+    spectra = np.array([plus, -plus[::-1] if len(plus) % 2 else solve(-1.0)])
+    values, mult, conf = [], [], []
+    for eigs in spectra:
         scale = float(np.abs(eigs).max()) or 1.0
         for center, size in cluster_points(eigs, CLUSTER_TOL * scale):
             if size == 2:
@@ -158,7 +221,7 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
         values=values[order],
         multiplicity=np.array(mult)[order],
         confident=np.array(conf)[order],
-        spectra=np.array(spectra),
+        spectra=spectra,
     )
 
 
@@ -171,12 +234,8 @@ def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluato
     the bands themselves need only ``EdgeCandidates.spectra``.
     """
     a, c, _ = lame_coefficients(ell, re, x0, ev)
-    rows = []
-    for k in k_grid:
-        phase = cmath.exp(1j * k * re.eta * re.Q)
-        eigs = np.linalg.eigvals(periodic_matrix(a, c, phase))
-        rows.append(eigs[np.lexsort((eigs.imag, eigs.real))])
-    return np.array(rows)
+    solve = _spectrum_solver(a, c)
+    return np.array([solve(cmath.exp(1j * k * re.eta * re.Q)) for k in k_grid])
 
 
 def band_intervals(sweep: np.ndarray):

@@ -94,23 +94,33 @@ def _read_config_file(path):
 
 
 def _build_config(args) -> RunConfig:
-    defaults = dict(_CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
-        defaults.update(_read_config_file(args.config))
-    eta_text = args.eta if args.eta is not None else defaults["eta"]
-    tau_text = args.tau if args.tau is not None else defaults["tau"]
-    tol = args.tol if args.tol is not None else float(defaults["tol"])
-    seed = args.seed if args.seed is not None else int(defaults["seed"])
-    fmt = args.format if args.format is not None else defaults["format"]
+    path = getattr(args, "config", None)
+    from_file = _read_config_file(path) if path else {}
+
+    def setting(key, convert):
+        """The flag's value, else the config file's, else the default, converted."""
+        flag = getattr(args, key)
+        if flag is not None or key not in from_file:
+            return convert(flag if flag is not None else _CONFIG_DEFAULTS[key])
+        try:
+            return convert(from_file[key])
+        except ValueError as exc:
+            raise ValueError(
+                f"bad value {from_file[key]!r} for key {key!r} in config file {path!r}: {exc}"
+            ) from None
+
+    tol = setting("tol", float)
+    seed = setting("seed", int)
+    fmt = setting("format", str)
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
     ell = getattr(args, "ell", 1)
     if ell < 1:
         raise ValueError(f"--ell must be >= 1, got {ell}")
-    eta, frac = parse_eta(eta_text)
-    tau = parse_complex(tau_text)
+    eta, frac = setting("eta", parse_eta)
+    tau = setting("tau", parse_complex)
     if tau.imag <= 0:
-        raise ValueError(f"Im(tau) must be positive, got {tau_text!r}")
+        raise ValueError(f"Im(tau) must be positive, got {format_complex(tau)!r}")
     return RunConfig(
         ell=ell,
         eta=eta,

@@ -6,19 +6,49 @@ import math
 import numpy as np
 import pytest
 
+from lame_spectra import bloch
 from lame_spectra.bloch import (
     RationalEta,
     band_intervals,
     band_sweep,
+    coefficient_samples,
     lame_coefficients,
     numeric_band_edges,
+    numeric_band_edges_from_coefficients,
     periodic_matrix,
 )
 from lame_spectra.curve import band_edges
-from lame_spectra.errors import PoleProximityError
+from lame_spectra.errors import ClusterAmbiguityError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
+from lame_spectra.volterra import PoleConfig, c_from_poles, find_locus_config
 
 X0 = 0.123456 + 0j
+
+
+def _reference_periodic_matrix(a_vals, c_vals, phase):
+    """The per-row loop ``periodic_matrix`` replaced; the reference it must equal."""
+    Q = len(a_vals)
+    M = np.zeros((Q, Q), dtype=complex)
+    for n in range(Q):
+        M[n, (n + 1) % Q] += a_vals[n] * (phase if n == Q - 1 else 1.0)
+        M[n, (n - 1) % Q] += c_vals[n] * (1.0 / phase if n == 0 else 1.0)
+    return M
+
+
+def _reference_spectra(a_vals, c_vals):
+    """Two dense complex eigen-solves, phase +1 then -1, each sorted by (Re, Im):
+    the route the symmetric gauge and the odd-Q reflection replaced."""
+    spectra = []
+    for phase in (1.0, -1.0):
+        eigs = np.linalg.eigvals(_reference_periodic_matrix(a_vals, c_vals, phase))
+        spectra.append(eigs[np.lexsort((eigs.imag, eigs.real))])
+    return np.array(spectra)
+
+
+def _assert_spectra_match(got, want):
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +98,14 @@ class TestMatrixBuild:
                 a1 = theta(1, xn + off, ev) / theta(1, xn, ev)
                 a2 = theta(1, xnq + off, ev) / theta(1, xnq, ev)
                 assert a1 == pytest.approx(a2, rel=1e-11)
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 4, 31])
+    def test_matches_reference_loop(self, Q):
+        rng = np.random.default_rng(Q)
+        a = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+        c = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+        for phase in (1.0, -1.0, np.exp(0.7j)):
+            assert np.array_equal(periodic_matrix(a, c, phase), _reference_periodic_matrix(a, c, phase))
 
     def test_wrap_entries_carry_phase(self, re31, ev31):
         a, c, _ = lame_coefficients(1, re31, X0, ev31)
@@ -171,3 +209,86 @@ class TestBandsFromEdgeSpectra:
             assert len(bands) == len(swept) == 2 * ell + 1
             scale = max(1.0, np.abs(cand.spectra).max())
             np.testing.assert_allclose(bands, swept, rtol=0, atol=1e-8 * scale)
+
+
+GAUGE_ETAS = [(1, 31), (2, 31), (1, 41), (1, 60), (7, 60), (1, 61), (3, 61), (1, 101), (2, 101)]
+
+
+class TestSymmetricGauge:
+    """On the line Im x0 = Im tau/2 with Re tau = 0 every a_n c_{n+1} is real
+    and positive, so the edge spectra come from one real-symmetric solve
+    (two at even Q); everything else takes the general complex route."""
+
+    @pytest.mark.parametrize("tau", [0.8j, 1.2j, 2j])
+    @pytest.mark.parametrize("P,Q", GAUGE_ETAS)
+    def test_matches_reference_and_sign(self, tau, P, Q):
+        re = RationalEta(P, Q)
+        ev = ThetaEvaluator(EllipticParams(tau=tau, eta=P / Q, tol=1e-12))
+        for ell in range(1, 9):
+            a, c, _ = lame_coefficients(ell, re, X0 + tau / 2, ev)
+            gauge = bloch._symmetric_gauge(a, c)
+            assert gauge is not None
+            assert gauge[1] == (-1) ** (ell * P)
+            _assert_spectra_match(numeric_band_edges_from_coefficients(a, c).spectra,
+                                  _reference_spectra(a, c))
+
+    def test_gauge_route_makes_no_general_solve(self, monkeypatch, ev31, re31):
+        def refuse(_):
+            raise AssertionError("general eigen-solve on the symmetric route")
+
+        x0 = X0 + ev31.tau / 2
+        ks = np.linspace(0, re31.brillouin_width(), 5)
+        a, c, _ = lame_coefficients(2, re31, x0, ev31)
+        want = _reference_spectra(a, c)
+        want_sweep = []
+        for k in ks:
+            eigs = np.linalg.eigvals(periodic_matrix(a, c, np.exp(1j * k * re31.eta * re31.Q)))
+            want_sweep.append(eigs[np.lexsort((eigs.imag, eigs.real))])
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        _assert_spectra_match(numeric_band_edges(2, re31, x0, ev31).spectra, want)
+        _assert_spectra_match(band_sweep(2, re31, x0, ks, ev31), np.array(want_sweep))
+
+    # "positive": every a_n c_{n+1} > 0, but |prod a_n| != |prod c_n|, so sigma^2 != 1
+    @pytest.mark.parametrize("kind", ["complex", "positive"])
+    @pytest.mark.parametrize("Q", [5, 31, 61])
+    def test_odd_q_reflection_on_general_route(self, Q, kind):
+        rng = np.random.default_rng(Q)
+        if kind == "complex":
+            a = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+            c = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+        else:  # complex hops, so that no eigenvalues come in conjugate pairs
+            theta_n = rng.uniform(0, 2 * np.pi, Q)
+            a = rng.uniform(0.5, 2.0, Q) * np.exp(1j * theta_n)
+            c = np.roll(rng.uniform(0.5, 2.0, Q) * np.exp(-1j * theta_n), 1)
+        assert bloch._symmetric_gauge(a, c) is None
+        spectra = numeric_band_edges_from_coefficients(a, c).spectra
+        _assert_spectra_match(spectra, _reference_spectra(a, c))
+        np.testing.assert_array_equal(np.sort_complex(-spectra[0]), spectra[1])
+
+    def test_rejected_for_flow_samples(self, ev31, re31):
+        configs = [PoleConfig(xs=(0.21 + 0.05j,))]
+        configs += [find_locus_config(ell, ev31, np.random.default_rng(0)) for ell in (1, 2, 3)]
+        for cfg in configs:
+            c = coefficient_samples(lambda x: c_from_poles(cfg, x, ev31), re31, X0)
+            a = np.ones(re31.Q, dtype=complex)
+            assert bloch._symmetric_gauge(a, c) is None
+            _assert_spectra_match(numeric_band_edges_from_coefficients(a, c).spectra,
+                                  _reference_spectra(a, c))
+
+    def test_rejected_off_the_imaginary_tau_axis(self, re31):
+        tau = 0.3 + 1.4j
+        ev = ThetaEvaluator(EllipticParams(tau=tau, eta=1 / 31, tol=1e-12))
+        a, c, _ = lame_coefficients(1, re31, X0 + tau / 2, ev)
+        assert bloch._symmetric_gauge(a, c) is None
+        spectra = numeric_band_edges_from_coefficients(a, c).spectra
+        _assert_spectra_match(spectra, _reference_spectra(a, c))
+        with pytest.raises(ClusterAmbiguityError, match="not numerically real"):
+            band_intervals(spectra)
+
+    def test_rejected_for_slightly_complex_products(self, ev31, re31):
+        # c, not a: a common phase on every a_n would also move sigma off +-1
+        a, c, _ = lame_coefficients(1, re31, X0 + ev31.tau / 2, ev31)
+        c = c * (1 + 1e-6j)
+        assert bloch._symmetric_gauge(a, c) is None
+        _assert_spectra_match(numeric_band_edges_from_coefficients(a, c).spectra,
+                              _reference_spectra(a, c))

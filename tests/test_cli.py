@@ -226,7 +226,8 @@ class TestSpectrumCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: ValueError: --kpoints must be >= 1\n"
 
-    @pytest.mark.parametrize("flags,solves", [([], 2), (["--format", "csv", "--kpoints", "9"], 2 + 9)],
+    # Q = 31 is odd, so the phase -1 spectrum is the reflected phase +1 one
+    @pytest.mark.parametrize("flags,solves", [([], 1), (["--format", "csv", "--kpoints", "9"], 1 + 9)],
                              ids=["json", "csv"])
     def test_eigen_solve_count(self, capsys, monkeypatch, flags, solves):
         built = []
@@ -433,6 +434,20 @@ class TestConfigFile:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: ValueError: format must be one of json, csv, got 'xml'\n"
+
+    @pytest.mark.parametrize("line,key", [("seed = 1.5", "seed"), ("tol = abc", "tol")])
+    def test_bad_value_names_key_and_file(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"eta = 0.23\n{line}\n")
+        code = main(["coeffs", "--ell", "1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        value = line.partition("=")[2].strip()
+        assert captured.err.startswith(
+            f"error: ValueError: bad value {value!r} for key {key!r} in config file {str(cfg)!r}: "
+        )
+        assert len(captured.err.splitlines()) == 1
 
     def test_unknown_key_is_one_error_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
