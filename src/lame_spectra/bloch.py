@@ -149,8 +149,9 @@ def _spectrum_solver(a_vals: np.ndarray, c_vals: np.ndarray):
 
 
 def coefficient_samples(func, re: RationalEta, x0: complex) -> np.ndarray:
-    """func evaluated on the orbit x0 + n*eta, n = 0..Q-1."""
-    return np.array([func(x0 + n * re.eta) for n in range(re.Q)], dtype=complex)
+    """func evaluated on the orbit x0 + n*eta, n = 0..Q-1, in one call: func
+    must accept the ndarray of the Q orbit points and return one value each."""
+    return np.asarray(func(x0 + np.arange(re.Q) * re.eta), dtype=complex)
 
 
 def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator):

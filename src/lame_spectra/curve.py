@@ -25,7 +25,6 @@ differentiate with ``polyder``, and take roots of the trimmed array with
 """
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,6 +66,8 @@ CLUSTER_REL = 1e-7
 NEWTON_TOL = 1e-11
 # an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
 EDGE_ACCEPT_TOL = 1e-8
+# the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
+CJ_MAX_ELL = 20
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -309,19 +310,37 @@ class CurveCoeffs:
 
 def _subset_sums(ell: int, ratio) -> np.ndarray:
     """sum over subsets J of {1..l} of prod_{k in J, k' not in J} ratio(k, k'),
-    binned by sum(J).  Each of the l(l-1) ratios is evaluated once."""
-    items = range(1, ell + 1)
-    table = {k: {kp: ratio(k, kp) for kp in items if kp != k} for k in items}
+    binned by sum(J).  Each of the l(l-1) ratios is evaluated once.
+
+    Subsets are bit masks (bit k-1 for item k), and the products P[mask] over
+    the subsets of {1..t} are extended to {1..t+1} by one doubling: a mask
+    without item t+1 gains prod_{k in J} R[k, t+1], a mask with it gains
+    prod_{k' <= t, k' not in J} R[t+1, k'], both factor vectors being built
+    by doubling over the earlier items.  Time and memory are O(2^l), so ell
+    above CJ_MAX_ELL raises ValueError before anything is allocated.
+    """
+    if ell > CJ_MAX_ELL:
+        raise ValueError(
+            f"C_j subset sums need ell <= {CJ_MAX_ELL}, got ell={ell} "
+            f"(2^{ell} = {2 ** ell} subsets, about {60 * 2 ** ell / 1e6:.0f} MB)"
+        )
+    R = np.ones((ell, ell), dtype=complex)
+    for k in range(ell):
+        for kp in range(ell):
+            if kp != k:
+                R[k, kp] = ratio(k + 1, kp + 1)
+    P = np.ones(1, dtype=complex)
+    S = np.zeros(1, dtype=np.intp)
+    for t in range(ell):
+        inside = np.ones(1, dtype=complex)
+        outside = np.ones(1, dtype=complex)
+        for k in range(t):
+            inside = np.concatenate([inside, inside * R[k, t]])
+            outside = np.concatenate([outside * R[t, k], outside])
+        P = np.concatenate([P * inside, P * outside])
+        S = np.concatenate([S, S + t + 1])
     C = np.zeros(ell * (ell + 1) // 2 + 1, dtype=complex)
-    for r in range(ell + 1):
-        for J in itertools.combinations(items, r):
-            outside = [kp for kp in items if kp not in J]
-            p = 1 + 0j
-            for k in J:
-                row = table[k]
-                for kp in outside:
-                    p *= row[kp]
-            C[sum(J)] += p
+    np.add.at(C, S, P)
     return C
 
 

@@ -133,18 +133,26 @@ def _flow_state(cfg: PoleConfig, ev: ThetaEvaluator):
     return v1, v2, margin
 
 
-def c_from_poles(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:
-    """rho(x+eta) rho(x-2eta) / (rho(x) rho(x-eta)); elliptic in x."""
+def c_from_poles(cfg: PoleConfig, x, ev: ThetaEvaluator):
+    """rho(x+eta) rho(x-2eta) / (rho(x) rho(x-eta)); elliptic in x.
+
+    ``x`` is a complex scalar (``complex`` out) or an ndarray (array of the
+    same shape out), evaluated with one theta call.
+    """
     eta = ev.eta
     xs = np.array(cfg.xs, dtype=complex)
-    # rows: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta)
-    f = theta(1, (x + np.array([0, -eta, eta, -2 * eta]))[:, None] - xs[None, :], ev)
-    near = np.abs(f[:2]) < ev.zero_threshold
+    xa = np.asarray(x, dtype=complex)
+    # axis -2: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta); axis -1: poles
+    f = theta(1, (xa[..., None] + np.array([0, -eta, eta, -2 * eta]))[..., None] - xs, ev)
+    near = np.abs(f[..., :2, :]) < ev.zero_threshold
     if near.any():
-        xj = xs[np.nonzero(near)[1][0]]
-        raise PoleProximityError(f"x={x} within tol of the pole lattice of x_j={xj}")
-    rho = np.prod(f, axis=1)
-    return complex(rho[2] * rho[3] / (rho[0] * rho[1]))
+        *at, _, j = np.argwhere(near)[0]
+        raise PoleProximityError(
+            f"x={complex(xa[tuple(at)])} within tol of the pole lattice of x_j={xs[j]}"
+        )
+    rho = np.prod(f, axis=-1)
+    c = rho[..., 2] * rho[..., 3] / (rho[..., 0] * rho[..., 1])
+    return complex(c) if xa.ndim == 0 else c
 
 
 def volterra_rhs_c(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:

@@ -343,6 +343,18 @@ class TestCoeffsCommand:
         assert doc["symmetry_error"] < 1e-10
         assert doc["C"][0] == "1.0"
 
+    @pytest.mark.parametrize(
+        "argv", [["coeffs", "--ell", "21"], ["verify", "--suite", "cj-symmetry", "--ell", "21"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_ell_above_subset_sum_limit_is_one_error_line(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: C_j subset sums need ell <= 20, got ell=21")
+        assert captured.err.count("\n") == 1
+
 
 # the exit-code table as README.md and the cli docstring state it
 DOCUMENTED_EXIT_CODES = [

@@ -2,7 +2,9 @@
 Bloch-multiplier relation and the identity suites behind it."""
 
 import cmath
+import itertools
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,8 +13,11 @@ from numpy.polynomial.polynomial import polymul, polytrim, polyval
 
 from _support import PARAMS_EV
 from lame_spectra import CurvePoint, LameContext, scaled_residual
+from lame_spectra import curve
 from lame_spectra.curve import (
+    CJ_MAX_ELL,
     BandEdgeSet,
+    _subset_sums,
     a_polys_determinant,
     a_polys_recurrence,
     band_edges,
@@ -28,7 +33,7 @@ from lame_spectra.curve import (
     solve_curve_point,
     weyl_denominator_check,
 )
-from lame_spectra.enumbers import ebracket
+from lame_spectra.enumbers import ebracket, nonzero_bracket, theta1_multiples
 from lame_spectra.errors import ConvergenceError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 
@@ -222,6 +227,82 @@ class TestCurveCoeffs:
             assert np.abs(C - weyl).max() <= 1e-10 * np.abs(weyl).max()
 
 
+def _reference_subset_sums(ell, ratio):
+    """The per-subset loop the doubling kernel replaced: for every subset J,
+    prod_{k in J, k' not in J} ratio(k, k'), added into C[sum(J)]."""
+    items = range(1, ell + 1)
+    table = {k: {kp: ratio(k, kp) for kp in items if kp != k} for k in items}
+    C = np.zeros(ell * (ell + 1) // 2 + 1, dtype=complex)
+    for r in range(ell + 1):
+        for J in itertools.combinations(items, r):
+            outside = [kp for kp in items if kp not in J]
+            p = 1 + 0j
+            for k in J:
+                row = table[k]
+                for kp in outside:
+                    p *= row[kp]
+            C[sum(J)] += p
+    return C
+
+
+class CountingRatio:
+    """[k+k'] / [|k-k'|] at one evaluator, counting its calls."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        self.calls = 0
+
+    def __call__(self, k, kp):
+        self.calls += 1
+        return ebracket(k + kp, self.ev) / nonzero_bracket(abs(k - kp), self.ev)
+
+
+KERNEL_GRID = [
+    pytest.param(tau, eta, id=f"tau{tau}-eta{eta:.4g}")
+    for tau in (1.2j, 0.3 + 1.4j)
+    for eta in (1 / 31, 2 / 31, 1 / 61, 3 / 61, 5 / 37, 0.11, 0.17, 0.23 + 0.04j)
+]
+
+
+def _never_called(k, kp):
+    raise AssertionError(f"ratio({k}, {kp}) called")
+
+
+class TestSubsetSumKernel:
+    @pytest.mark.parametrize("tau,eta", KERNEL_GRID)
+    def test_matches_reference_loop(self, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
+        theta1_multiples(24, ev_g)
+        for ell in range(1, 13):
+            ratio = CountingRatio(ev_g)
+            C = _subset_sums(ell, ratio)
+            assert ratio.calls == ell * (ell - 1)
+            assert C[0] == 1 and C[-1] == 1
+            want = _reference_subset_sums(ell, ratio)
+            assert np.abs(C - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_small_ell(self):
+        assert _subset_sums(0, _never_called).tolist() == [1 + 0j]
+        assert _subset_sums(1, _never_called).tolist() == [1 + 0j, 1 + 0j]
+
+    def test_ell_above_limit_raises_before_allocating(self):
+        ell = CJ_MAX_ELL + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"ell={ell}\b.*2\^{ell} = {2 ** ell}"):
+                _subset_sums(ell, _never_called)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(curve, "CJ_MAX_ELL", 5)
+        assert len(_subset_sums(5, lambda k, kp: 1.0)) == 16
+        with pytest.raises(ValueError):
+            _subset_sums(6, _never_called)
+
+
 class TestBlochRelation:
     def test_l1_coefficients(self, ev):
         cc = curve_coeffs(1, ev)
@@ -290,7 +371,7 @@ class TestWeylDenominator:
         assert lhs == pytest.approx(1 + z, rel=1e-13)
         assert rhs == pytest.approx(1 + z, rel=1e-13)
 
-    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("ell", range(1, 11))
     def test_subset_sum_equals_product(self, ell):
         lhs, rhs = weyl_denominator_check(ell, 0.7 + 0.2j, cmath.exp(0.46j))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)

@@ -2,6 +2,7 @@
 locus diagnostics and the flow integrator."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,24 @@ class TestBatchedRouteMatchesReference:
                 _reference_c_from_poles(cfg, x, ev_g), rel=1e-12
             )
 
+    @pytest.mark.parametrize("M,tau,eta", GRID)
+    def test_array_x_matches_scalar_reference(self, M, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        cfg = _random_poles(M, ev_g, seed=M)
+        rng = np.random.default_rng(200 + M)
+        x = rng.uniform(-0.5, 0.5, (3, 4)) + 1j * tau.imag * rng.uniform(-0.5, 0.5, (3, 4))
+        got = c_from_poles(cfg, x, ev_g)
+        assert got.shape == x.shape
+        want = np.vectorize(lambda y: _reference_c_from_poles(cfg, y, ev_g))(x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert type(c_from_poles(cfg, complex(x[1, 2]), ev_g)) is complex
+
+    def test_array_pole_proximity_names_the_x(self, ev):
+        cfg = PoleConfig(xs=(0.1 + 0.05j, -0.3 + 0.2j))
+        bad = cfg.xs[0] + ETA
+        with pytest.raises(PoleProximityError, match=re.escape(f"x={bad} ")):
+            c_from_poles(cfg, np.array([0.41 + 0.13j, bad, 0.2 - 0.1j]), ev)
+
     def test_margin_violation_raises_on_both_routes(self, ev):
         cfg = PoleConfig(xs=(0.1 + 0.05j, 0.1 + 0.05j + ETA + 1e-9, -0.3 + 0.2j))
         for fn in (check_margins, pole_rhs, locus_residual,
@@ -188,6 +207,14 @@ class TestThetaCallCount:
             calls.clear()
             run()
             assert len(calls) == 1
+
+    def test_orbit_sampling_makes_one_call(self, calls, ev):
+        cfg = _random_poles(6, ev, seed=6)
+        re31 = RationalEta(1, 31)
+        calls.clear()
+        cvals = coefficient_samples(lambda x: c_from_poles(cfg, x, ev), re31, 0.123456 + 0.6j)
+        assert len(calls) == 1
+        assert cvals.shape == (31,)
 
     @pytest.mark.parametrize("n_steps", [1, 5])
     def test_flow_makes_four_calls_per_step(self, calls, ev, onlocus_cfg, n_steps):
