@@ -124,17 +124,32 @@ def _binom_nz(n: int, m: int, ev: ThetaEvaluator) -> complex:
     return val
 
 
-def _curve_rows(A: np.ndarray, w: list, ev: ThetaEvaluator):
-    """The weighted rows of the two curve sums, for weights w_0..w_{l+1}:
-    w_j ebinom(l, j) A_j (j = 0..l) and w_j [j-1] ebinom(l+1, j) A_|j-1|
-    (j = 0..l+1).  Summing the rows of a stack gives its sum as a polynomial.
+def _curve_factors(ell: int, ev: ThetaEvaluator) -> tuple:
+    """The eta-only factors of the curve sums: ebinom(l, j) for j = 0..l, and
+    [j-1] and ebinom(l+1, j) for j = 0..l+1.  They depend on ell and the
+    evaluator only, so a caller weighting several labels or points reads
+    them once."""
+    b1 = [ebinom(ell, j, ev) for j in range(ell + 1)]
+    br = [ebracket(j - 1, ev) for j in range(ell + 2)]
+    b2 = [ebinom(ell + 1, j, ev) for j in range(ell + 2)]
+    return b1, br, b2
 
-    Weights are multiplied as Python scalars: numpy's vectorised complex
-    product rounds differently (fused multiply-add), and near-double edge
-    roots at small eta move visibly under a one-ulp change of a weight."""
+
+def _curve_rows(A: np.ndarray, w: list, factors: tuple):
+    """The weighted rows of the two curve sums, for weights w_0..w_{l+1} and
+    the factors of ``_curve_factors``: w_j ebinom(l, j) A_j (j = 0..l) and
+    (w_j [j-1]) ebinom(l+1, j) A_|j-1| (j = 0..l+1).  Summing the rows of a
+    stack gives its sum as a polynomial.
+
+    The factors are the evaluator's table values, bit for bit the sequential
+    products, and they are applied to a weight in that fixed order as Python
+    scalars: numpy's vectorised complex product rounds differently (fused
+    multiply-add), and near-double edge roots at small eta move visibly
+    under a one-ulp change of a weight."""
     ell = len(A) - 1
-    c1 = [w[j] * ebinom(ell, j, ev) for j in range(ell + 1)]
-    c2 = [w[j] * ebracket(j - 1, ev) * ebinom(ell + 1, j, ev) for j in range(ell + 2)]
+    b1, br, b2 = factors
+    c1 = [w[j] * b1[j] for j in range(ell + 1)]
+    c2 = [w[j] * br[j] * b2[j] for j in range(ell + 2)]
     below = np.abs(np.arange(ell + 2) - 1)
     return np.array(c1)[:, None] * A, np.array(c2)[:, None] * A[below]
 
@@ -147,7 +162,8 @@ def _point_weights(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> l
 
 def _curve_sum_terms(pt: CurvePoint, ctx: LameContext):
     A = a_polys_recurrence(ctx.ell, ctx.ev)
-    rows1, rows2 = _curve_rows(A, _point_weights(pt.zeta, pt.K, ctx.ell, ctx.ev), ctx.ev)
+    w = _point_weights(pt.zeta, pt.K, ctx.ell, ctx.ev)
+    rows1, rows2 = _curve_rows(A, w, _curve_factors(ctx.ell, ctx.ev))
     return polyval(pt.E, rows1.T), polyval(pt.E, rows2.T)
 
 
@@ -205,18 +221,18 @@ class BandEdgeSet:
         return {1: e1, 2: rest, 3: rest, 4: rest}
 
 
-def _edge_polys(A: np.ndarray, a: int, ev: ThetaEvaluator):
+def _edge_polys(A: np.ndarray, a: int, factors: tuple, ev: ThetaEvaluator):
     """The two E-polynomials whose common roots form the label-a edge set:
     the curve sums with theta1(zeta - j eta) replaced by theta_a((N - j) eta)."""
     ell = len(A) - 1
     N = ell * (ell + 1) // 2
     th = theta(a, (N - np.arange(ell + 2)) * ev.eta, ev).tolist()
-    rows1, rows2 = _curve_rows(A, [(-1) ** j * t for j, t in enumerate(th)], ev)
+    rows1, rows2 = _curve_rows(A, [(-1) ** j * t for j, t in enumerate(th)], factors)
     return _trim(rows1.sum(axis=0)), _trim(rows2.sum(axis=0))
 
 
-def _polish_root(p: np.ndarray, r: complex, steps: int = 3) -> complex:
-    dp = polyder(p)
+def _polish_root(p: np.ndarray, dp: np.ndarray, r: complex, steps: int = 3) -> complex:
+    """A few Newton steps on p, whose derivative is dp, from r."""
     for _ in range(steps):
         d = polyval(r, dp)
         if abs(d) == 0:
@@ -237,18 +253,21 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
     A = a_polys_recurrence(ell, ev)
+    factors = _curve_factors(ell, ev)
     per_label = {}
     mults = {}
     for a in (1, 2, 3, 4):
-        p1, p2 = _edge_polys(A, a, ev)
-        scale = max(np.abs(p1).max(), np.abs(p2).max())
-        roots = [_polish_root(p1, r) for r in np.roots(p1[::-1])]
-        if np.abs(p2).max() <= 1e-12 * scale:
+        p1, p2 = _edge_polys(A, a, factors, ev)
+        abs_p2 = np.abs(p2)
+        scale = max(np.abs(p1).max(), abs_p2.max())
+        dp1 = polyder(p1)
+        roots = [_polish_root(p1, dp1, r) for r in np.roots(p1[::-1])]
+        if abs_p2.max() <= 1e-12 * scale:
             common = roots
         else:
             common = [
                 r for r in roots
-                if abs(polyval(r, p2)) <= MATCH_TOL * max(polyval(abs(r), np.abs(p2)), ev.tol)
+                if abs(polyval(r, p2)) <= MATCH_TOL * max(polyval(abs(r), abs_p2), ev.tol)
             ]
         if common:
             sc = max(abs(r) for r in common)
@@ -563,6 +582,7 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
     A = a_polys_recurrence(ctx.ell, ev)
+    factors = _curve_factors(ctx.ell, ev)
     out = []
     attempts = 0
     while len(out) < n and attempts < 40 * n:
@@ -575,7 +595,7 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
             if abs(u) < 1e-10:
                 continue
             K = cmath.sqrt(complex(u))
-            rows1, _ = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), ev)
+            rows1, _ = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), factors)
             cands = np.roots(_trim(rows1.sum(axis=0))[::-1])
             best = None
             for E in cands:

@@ -4,11 +4,22 @@
 In the trigonometric limit Im tau -> +inf, [j] -> sin(pi*eta*j)/sin(pi*eta),
 the symmetric q-number with q = exp(2i*pi*eta).
 
-Every bracket is read from one table per evaluator, theta1(k*eta) for
-k = 0..n, which grows by one batched theta call over the missing k when a
-read needs more entries; callers that know their range ask for it first.
+Each evaluator holds three eta-only tables, each a tuple indexed by k that
+grows only when a read needs a larger k, by replacing the stored tuple:
+
+    theta1(k*eta)  one batched theta call over the missing k;
+    [k]            the Python division theta1(k*eta)/theta1(eta);
+    [k]!           the left-to-right Python product [1][2]...[k].
+
+So ``ebracket`` and ``efactorial`` are lookups, ``ebinom`` is three lookups
+and one division, and each returns bit for bit what its direct sequential
+computation gives.  Callers that know their range ask for it first.
+
 Every division by a bracket is guarded, since a vanishing bracket means eta
 is a torsion point and all the curve formulas downstream become singular.
+The factorial table applies the guard of ``nonzero_bracket`` to each entry
+as it is added; a growth that meets a vanishing bracket raises and stores
+nothing, so every read that needs that entry raises again.
 """
 
 import numpy as np
@@ -33,18 +44,22 @@ def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
     return table
 
 
+def _brackets(n: int, ev: ThetaEvaluator) -> tuple:
+    """[k] for k = 0..n (the table may hold more entries); starts as ([0], [1])."""
+    table = ev._brackets
+    if len(table) <= n:
+        t = theta1_multiples(n, ev)
+        if abs(t[1]) < ev.zero_threshold:
+            raise TorsionEtaError(f"theta1(eta) ~ 0 for eta={ev.eta}: eta on the lattice")
+        table = table + tuple(t[k] / t[1] for k in range(len(table), n + 1))
+        object.__setattr__(ev, "_brackets", table)
+    return table
+
+
 def ebracket(n: int, ev: ThetaEvaluator) -> complex:
     """Elliptic integer [n].  [0] = 0 exactly; [1] = 1 exactly."""
     m = abs(n)
-    if m == 0:
-        return 0j
-    if m == 1:
-        val = 1 + 0j
-    else:
-        table = theta1_multiples(m, ev)
-        if abs(table[1]) < ev.zero_threshold:
-            raise TorsionEtaError(f"theta1(eta) ~ 0 for eta={ev.eta}: eta on the lattice")
-        val = table[m] / table[1]
+    val = _brackets(m, ev)[m]
     return -val if n < 0 else val
 
 
@@ -56,21 +71,31 @@ def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
     return val
 
 
+def _factorials(n: int, ev: ThetaEvaluator) -> tuple:
+    """[k]! for k = 0..n (the table may hold more entries); starts as ([0]!, [1]!)."""
+    table = ev._factorials
+    if len(table) <= n:
+        out = list(table)
+        for j in range(len(out), n + 1):
+            out.append(out[-1] * nonzero_bracket(j, ev))
+        table = tuple(out)
+        object.__setattr__(ev, "_factorials", table)
+    return table
+
+
 def efactorial(n: int, ev: ThetaEvaluator) -> complex:
     """[n]! = [1][2]...[n]; empty product for n = 0."""
     if n < 0:
         raise ValueError(f"elliptic factorial needs n >= 0, got {n}")
-    out = 1 + 0j
-    for j in range(2, n + 1):
-        out *= nonzero_bracket(j, ev)
-    return out
+    return _factorials(n, ev)[n]
 
 
 def ebinom(n: int, m: int, ev: ThetaEvaluator) -> complex:
     """Elliptic binomial [n]! / ([m]! [n-m]!), for 0 <= m <= n."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return efactorial(n, ev) / (efactorial(m, ev) * efactorial(n - m, ev))
+    f = _factorials(n, ev)
+    return f[n] / (f[m] * f[n - m])
 
 
 def qnumber(j: int, q: complex) -> complex:

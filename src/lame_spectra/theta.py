@@ -17,9 +17,10 @@ Quasi-periodicity used throughout:
     theta_a(x +- tau) = (-1)^(d_a1 + d_a4) exp(-i*pi*tau -+ 2i*pi*x) theta_a(x)
 
 All evaluations are truncated sums with tail below ``tol``; derivatives are
-term-wise. An evaluator's parameters are fixed at construction; its one
-cache, the theta1(k*eta) table of ``enumbers``, only grows, by replacing the
-stored tuple, so evaluators are safe to share across threads.
+term-wise. An evaluator's parameters are fixed at construction; its caches,
+the eta-only tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k]
+and the factorials [k]!), only grow, by replacing the stored tuple, so
+evaluators are safe to share across threads.
 """
 
 import cmath
@@ -74,8 +75,10 @@ class EllipticParams:
 class ThetaEvaluator:
     """Caches the nome and a series cutoff guaranteeing tails below tol.
 
-    Its one mutable cache is the theta1(k*eta) table read by ``enumbers``;
-    the table only grows, by replacement, never by changing a stored entry.
+    Its mutable caches are the eta-only tables read by ``enumbers``:
+    theta1(k*eta), [k] and [k]!, each indexed by k.  A table only grows, by
+    replacement, never by changing a stored entry, and each entry is bit for
+    bit what the direct sequential computation gives (see ``enumbers``).
 
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so
@@ -87,6 +90,8 @@ class ThetaEvaluator:
     series_cutoff: int = field(init=False)
     theta1_prime0: complex = field(init=False)
     _theta1_multiples: tuple = field(init=False, default=(), repr=False, compare=False)
+    _brackets: tuple = field(init=False, default=(0j, 1 + 0j), repr=False, compare=False)
+    _factorials: tuple = field(init=False, default=(1 + 0j, 1 + 0j), repr=False, compare=False)
 
     def __post_init__(self):
         q = cmath.exp(1j * math.pi * self.params.tau)

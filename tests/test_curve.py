@@ -13,7 +13,7 @@ from numpy.polynomial.polynomial import polymul, polytrim, polyval
 
 from _support import PARAMS_EV
 from lame_spectra import CurvePoint, LameContext, scaled_residual
-from lame_spectra import curve
+from lame_spectra import curve, lame
 from lame_spectra.curve import (
     CJ_MAX_ELL,
     BandEdgeSet,
@@ -187,6 +187,73 @@ class TestBandEdges:
         closed = closed_form_edges(1, ev2)
         for a in (2, 3, 4):
             assert abs(edges.per_label[a][0] - closed[a][0]) < 1e-9 * abs(closed[a][0])
+
+
+def _sequential_bracket(n, ev):
+    """[n] as one division of two theta1(k*eta) table entries, per call."""
+    m = abs(n)
+    if m == 0:
+        return 0j
+    t = theta1_multiples(m, ev)
+    val = 1 + 0j if m == 1 else t[m] / t[1]
+    return -val if n < 0 else val
+
+
+def _sequential_factorial(n, ev):
+    out = 1 + 0j
+    for j in range(2, n + 1):
+        out *= _sequential_bracket(j, ev)
+    return out
+
+
+def _sequential_binom(n, m, ev):
+    return _sequential_factorial(n, ev) / (
+        _sequential_factorial(m, ev) * _sequential_factorial(n - m, ev))
+
+
+PIN_ETAS = (0.17, 1 / 31, 2 / 31, 1 / 61, 3 / 61, 0.23 + 0.04j)
+
+
+class TestTableRouteIsBitExact:
+    """The factorial and bracket tables give, bit for bit, the outputs of the
+    sequential per-call route; the grid holds the eta where band_edges
+    reports wrong counts at ell 7-10, so those stay exactly as they are."""
+
+    @staticmethod
+    def _outputs(ell, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
+        edges = band_edges(ell, ev_g)
+        return (edges.per_label, edges.multiplicities, curve_coeffs(ell, ev_g).C,
+                LameContext(ell=ell, ev=ev_g)._w_coeffs)
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", PIN_ETAS)
+    def test_matches_sequential_route(self, monkeypatch, tau, eta):
+        got = [self._outputs(ell, tau, eta) for ell in range(1, 11)]
+        monkeypatch.setattr(curve, "ebinom", _sequential_binom)
+        monkeypatch.setattr(curve, "ebracket", _sequential_bracket)
+        monkeypatch.setattr(lame, "ebinom", _sequential_binom)
+        for ell, (per_label, mults, C, W) in enumerate(got, start=1):
+            want = self._outputs(ell, tau, eta)
+            assert per_label == want[0], ell
+            assert mults == want[1], ell
+            assert np.array_equal(C, want[2]), ell
+            assert np.array_equal(W, want[3]), ell
+
+    @pytest.mark.parametrize("eta", PIN_ETAS)
+    def test_curve_rows_keep_weight_order(self, eta):
+        # (w_j [j-1]) ebinom(l+1, j), multiplied left to right as Python scalars
+        ev_g = ThetaEvaluator(EllipticParams(tau=0.3 + 1.4j, eta=eta))
+        for ell in range(1, 11):
+            A = a_polys_recurrence(ell, ev_g)
+            w = curve._point_weights(0.31 + 0.07j, 0.8 - 0.3j, ell, ev_g)
+            rows1, rows2 = curve._curve_rows(A, w, curve._curve_factors(ell, ev_g))
+            c1 = [w[j] * _sequential_binom(ell, j, ev_g) for j in range(ell + 1)]
+            c2 = [w[j] * _sequential_bracket(j - 1, ev_g) * _sequential_binom(ell + 1, j, ev_g)
+                  for j in range(ell + 2)]
+            below = [1] + list(range(ell + 1))  # |j - 1| for j = 0..l+1
+            assert np.array_equal(rows1, np.array(c1)[:, None] * A), ell
+            assert np.array_equal(rows2, np.array(c2)[:, None] * A[below]), ell
 
 
 class TestCurveCoeffs:

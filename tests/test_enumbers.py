@@ -138,6 +138,33 @@ class TestTable:
         with pytest.raises(TorsionEtaError, match=r"\[3\]"):
             LameContext(ell=2, ev=_fresh(1.2j, 1 / 3))
 
+    def test_torsion_guard_through_factorial_table(self):
+        ev = _fresh(1.2j, 1 / 3)
+        f2 = efactorial(2, ev)
+        for _ in range(2):
+            for n in (3, 5):
+                with pytest.raises(TorsionEtaError, match=r"\[3\]"):
+                    efactorial(n, ev)
+        assert efactorial(2, ev) == f2
+        with pytest.raises(TorsionEtaError, match=r"\[3\]"):
+            ebinom(4, 2, ev)
+
+    @pytest.mark.parametrize("ell", [3, 10])
+    def test_band_edges_factorial_work_is_linear(self, monkeypatch, ell):
+        # efactorial reaches nonzero_bracket through the module global, once
+        # per new table entry; a per-call product loop makes O(ell^2) calls
+        # per ebinom and O(ell^3) per band_edges
+        calls = []
+        guard = enumbers.nonzero_bracket
+
+        def counting(n, ev):
+            calls.append(n)
+            return guard(n, ev)
+
+        monkeypatch.setattr(enumbers, "nonzero_bracket", counting)
+        band_edges(ell, _fresh(1.2j, 0.17))
+        assert len(calls) <= 2 * ell
+
 
 class TestFactorial:
     def test_empty_product(self, ev):
@@ -148,7 +175,7 @@ class TestFactorial:
 
     def test_three(self, ev):
         want = ebracket(2, ev) * ebracket(3, ev)
-        assert efactorial(3, ev) == pytest.approx(want, rel=1e-13)
+        assert efactorial(3, ev) == want
 
     def test_negative_rejected(self, ev):
         with pytest.raises(ValueError):
