@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polytrim, polyval
 
-from .enumbers import ebinom, ebracket, nonzero_bracket, qnumber, theta1_multiples
+from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from .lame import CurvePoint, LameContext, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
@@ -82,8 +82,12 @@ def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
     A_l = 1, A_{l-1} = ([l]/[2l]) E, and
 
         A_{l-s-1} = ([l-s]/[2l-s]) E A_{l-s} + ([s]/[2l-s]) A_{l-s+1}.
+
+    The factorial table guards [2] .. [2l] in increasing order first, so a
+    torsion eta is reported with its true order, the smallest vanishing one.
     """
     theta1_multiples(2 * ell, ev)
+    efactorial(2 * ell, ev)
     A = np.zeros((ell + 1, ell + 1), dtype=complex)
     A[ell, 0] = 1.0
     if ell >= 1:

@@ -17,10 +17,14 @@ Quasi-periodicity used throughout:
     theta_a(x +- tau) = (-1)^(d_a1 + d_a4) exp(-i*pi*tau -+ 2i*pi*x) theta_a(x)
 
 All evaluations are truncated sums with tail below ``tol``; derivatives are
-term-wise. An evaluator's parameters are fixed at construction; its caches,
-the eta-only tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k]
-and the factorials [k]!), only grow, by replacing the stored tuple, so
-evaluators are safe to share across threads.
+term-wise.  A table theta_a(x + s) over points x and shifts s splits each
+term as exp(2i*pi*x*m) * exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m): one exp row
+per point, one per shift, joined by one matrix product.
+
+An evaluator's parameters are fixed at construction; its caches, the eta-only
+tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
+factorials [k]!), only grow, by replacing the stored tuple, so evaluators are
+safe to share across threads.
 """
 
 import cmath
@@ -145,18 +149,26 @@ def _series(a: int, x, tau: complex, n_terms: int, deriv: int):
     return -s if a == 1 else s
 
 
-def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False):
+def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False, shifts=None):
     """theta_a(x | tau), or its ``deriv``-th derivative in x.
 
     Accepts a complex scalar or an ndarray.  With ``reduce=True`` the
     argument is first shifted to the fundamental cell by the
     quasi-periodicity relations (useful for sweeps with large |Im x|, where
     raw series terms overflow; only implemented for deriv=0).
+
+    With ``shifts`` (a sequence of complex numbers, small next to Im tau) the
+    result is the table theta_a(x + s) of shape ``shape(x) + shape(shifts)``,
+    from one exp table over the points, one over the shifts and one matrix
+    product (deriv=0 only; points with large |Im x| are reduced to the
+    fundamental cell first).
     """
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")
-    if reduce and deriv:
-        raise ValueError("argument reduction is only supported for deriv=0")
+    if (reduce or shifts is not None) and deriv:
+        raise ValueError("argument reduction and shift tables are only supported for deriv=0")
+    if shifts is not None:
+        return _theta_shifted(a, x, shifts, ev)
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     if not scalar and np.size(x) == 0:
         return np.empty(np.shape(x), dtype=complex)
@@ -168,9 +180,9 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False):
     return complex(out) if scalar else out
 
 
-def _theta_reduced(a: int, x, ev: ThetaEvaluator):
-    xs = np.asarray(x, dtype=complex)
-    tau = ev.tau
+def _to_cell(a: int, xs: np.ndarray, tau: complex):
+    """x = x_red + m + n*tau with x_red in the fundamental cell; returns
+    x_red, n and the factor with theta_a(x) = factor * theta_a(x_red)."""
     n = np.round(xs.imag / tau.imag)
     m = np.round((xs - n * tau).real)
     x_red = xs - m - n * tau
@@ -180,10 +192,56 @@ def _theta_reduced(a: int, x, ev: ThetaEvaluator):
         * _SIGN_TAU[a] ** np.abs(n)
         * np.exp(-1j * math.pi * tau * n**2 - 2j * math.pi * n * x_red)
     )
-    base = _series(a, x_red, tau, ev.cutoff_for(float(np.max(np.abs(x_red.imag)))), 0)
+    return x_red, n, factor
+
+
+def _theta_reduced(a: int, x, ev: ThetaEvaluator):
+    x_red, _, factor = _to_cell(a, np.asarray(x, dtype=complex), ev.tau)
+    base = _series(a, x_red, ev.tau, ev.cutoff_for(float(np.max(np.abs(x_red.imag)))), 0)
     out = factor * base
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     return complex(out) if scalar else out
+
+
+# A shift table splits each series term in two exp factors.  While
+# 2*pi*max|Im x|*(n+1) stays below this, the point factors stay below
+# exp(600) (no overflow, the double limit is ~exp(709)), and a shift factor
+# that underflows to zero drops a term below exp(600 - 745) in absolute value.
+_SPLIT_LOG_MAX = 600.0
+
+
+def _theta_shifted(a: int, x, shifts, ev: ThetaEvaluator):
+    xs = np.asarray(x, dtype=complex)
+    s = np.asarray(shifts, dtype=complex)
+    shape = xs.shape + s.shape
+    if xs.size == 0 or s.size == 0:
+        return np.empty(shape, dtype=complex)
+    xs, s = xs.ravel(), s.ravel()
+    tau = ev.tau
+    im_s = float(np.abs(s.imag).max())
+    im_x = float(np.abs(xs.imag).max())
+    n = ev.cutoff_for(im_x + im_s)
+    factor = None
+    if 2 * math.pi * im_x * (n + 1) > _SPLIT_LOG_MAX:
+        # theta_a(x_red + s + j + k*tau) = factor(x_red) exp(-2i*pi*k*s) theta_a(x_red + s)
+        xs, k, factor = _to_cell(a, xs, tau)
+        factor = factor[:, None] * np.exp(-2j * math.pi * np.outer(k, s))
+        im_x = float(np.abs(xs.imag).max())
+        n = ev.cutoff_for(im_x + im_s)
+    alpha, beta = _CHAR[a]
+    if 2 * math.pi * im_x * (n + 1) <= _SPLIT_LOG_MAX:
+        m = np.arange(-(n + 1) if alpha == 0.5 else -n, n + 1) + alpha
+        point_exp = np.exp((2j * math.pi * xs)[:, None] * m)
+        shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
+        out = point_exp @ shift_exp
+        if a == 1:
+            out = -out
+    else:
+        # Im tau so large that even the cell is out of range: one exp per term
+        out = _series(a, xs[:, None] + s, tau, n, 0)
+    if factor is not None:
+        out = out * factor
+    return out.reshape(shape)
 
 
 def theta1_prime(x, ev: ThetaEvaluator):

@@ -20,12 +20,24 @@ D = x_j - x_k.  Consistency of the two systems is the locus condition
 whose eta -> 0 expansion reproduces the equilibrium condition
 sum_{k != j} P'(x_j - x_k) = 0 of the continuum pole dynamics.
 
+theta1 is odd, so the factor pole k contributes to the first system of
+pole j is the factor pole j contributes to the second system of pole k:
+with r1(D) the first product's factor and r2(D) the second's, r1(-D) =
+r2(D).  Each pole set is therefore read from one theta table over the
+M(M-1)/2 differences x_j - x_k, j < k, at the shifts 0, +-eta, +-2eta.
+
+A configuration whose velocities are all equal (such as a 3-torsion
+sublattice) is on the locus, but its flow only translates the poles and
+leaves every spectrum unchanged for a trivial reason; the locus search
+rejects it (RIGID_TOL).
+
 The special configuration with rho zeros at -(j+k-l-1)*eta, 1<=j<=k<=l,
 collapses c(x) to the elliptic-coefficient gauge of the difference Lame
 operator; its pairwise differences sit exactly on the singular set, so it is
 a boundary point of the locus and is rejected by the margin guard.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +68,9 @@ GAP_FACTOR = 100.0
 # find_locus_config: Gauss-Newton steps per attempt, and the residual it accepts
 LOCUS_NEWTON_STEPS = 60
 LOCUS_TARGET = 1e-10
+# it rejects a configuration as rigid (its flow only translates) when the
+# velocity spread max|v - mean v| / max|v| is at most RIGID_TOL
+RIGID_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -97,40 +112,57 @@ def degenerate_poles(ell: int, ev: ThetaEvaluator) -> PoleConfig:
     return PoleConfig(xs=tuple(xs))
 
 
-_SHIFTS = np.array([0.0, 1.0, -1.0, 2.0, -2.0])  # table rows: x_j - x_k + s*eta
+# table columns x_j - x_k + s*eta, ordered so that r1 and r2 (see _pair_thetas)
+# are (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
+_SHIFTS = np.array([2.0, -2.0, -1.0, 1.0, 0.0])
 
 
-def _pair_thetas(cfg: PoleConfig, ev: ThetaEvaluator):
-    """All theta1 values the residue systems of a pole set read, from one call.
+@functools.lru_cache(maxsize=None)
+def _pair_index(M: int):
+    """Row and column indices of the pairs j < k of M poles (read-only)."""
+    j, k = np.triu_indices(M, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
-    Returns the table T[i, j, k] = theta1(x_j - x_k + s_i eta), s = 0, 1, -1,
-    2, -2, with 1 on the diagonal; theta1(2 eta); and the margin of
-    ``check_margins``, raising as it does.
+
+def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
+    """The residue-system factors of a pole set, from one theta call over the
+    pairs j < k.
+
+    Returns the (M, M) matrix R with R[j, k] = r1(x_j - x_k) above the
+    diagonal, R[k, j] = r2(x_j - x_k) below it and 1 on it, where
+
+        r1(D) = theta1(D+2eta) theta1(D-eta) / (theta1(D+eta) theta1(D)),
+
+    and r2 is r1 with eta -> -eta.  theta1 is odd, so r1(-D) = r2(D): row j of
+    R holds the first system's factors of pole j, column j the second's.
+    Also returns theta1(2 eta), read from the table at D = 0, and the margin
+    of ``check_margins``, raising as it does.  The table over j < k covers
+    j > k too: |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are
+    symmetric.
     """
-    xs = np.array(cfg.xs, dtype=complex)
     M = len(xs)
-    j, k = np.nonzero(~np.eye(M, dtype=bool))
-    args = (xs[j] - xs[k])[None, :] + _SHIFTS[:, None] * ev.eta
-    vals = theta(1, np.append(args.ravel(), 2 * ev.eta), ev)
-    pairs = vals[:-1].reshape(len(_SHIFTS), -1)
-    worst = float(np.abs(pairs).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
+    j, k = _pair_index(M)
+    vals = theta(1, np.append(xs[j] - xs[k], 0.0), ev, shifts=_SHIFTS * ev.eta)
+    T = vals[:-1]
+    worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
     if worst < MARGIN_TOL:
         raise MarginViolationError(
             f"pole differences within {MARGIN_TOL:g} of the singular set "
             f"(min |theta1| = {worst:.3e}); boundary of the locus"
         )
-    table = np.ones((len(_SHIFTS), M, M), dtype=complex)
-    table[:, j, k] = pairs
-    return table, vals[-1], worst
+    r = (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
+    R = np.ones((M, M), dtype=complex)
+    R[j, k] = r[:, 0]
+    R[k, j] = r[:, 1]
+    return R, vals[-1, 0], worst
 
 
-def _flow_state(cfg: PoleConfig, ev: ThetaEvaluator):
+def _flow_state(xs: np.ndarray, ev: ThetaEvaluator):
     """Both residue-system velocities and the margin, from one theta call."""
-    (t0, tp1, tm1, tp2, tm2), theta1_2eta, margin = _pair_thetas(cfg, ev)
+    R, theta1_2eta, margin = _pair_thetas(xs, ev)
     scale = theta1_2eta / ev.theta1_prime0
-    v1 = scale * np.prod(tp2 * tm1 / (tp1 * t0), axis=1)
-    v2 = scale * np.prod(tm2 * tp1 / (tm1 * t0), axis=1)
-    return v1, v2, margin
+    return scale * R.prod(axis=1), scale * R.prod(axis=0), margin
 
 
 def c_from_poles(cfg: PoleConfig, x, ev: ThetaEvaluator):
@@ -142,15 +174,15 @@ def c_from_poles(cfg: PoleConfig, x, ev: ThetaEvaluator):
     eta = ev.eta
     xs = np.array(cfg.xs, dtype=complex)
     xa = np.asarray(x, dtype=complex)
-    # axis -2: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta); axis -1: poles
-    f = theta(1, (xa[..., None] + np.array([0, -eta, eta, -2 * eta]))[..., None] - xs, ev)
-    near = np.abs(f[..., :2, :]) < ev.zero_threshold
+    # axis -2: poles; axis -1: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta)
+    f = theta(1, xa[..., None] - xs, ev, shifts=[0, -eta, eta, -2 * eta])
+    near = np.abs(f[..., :2]) < ev.zero_threshold
     if near.any():
-        *at, _, j = np.argwhere(near)[0]
+        *at, j, _ = np.argwhere(near)[0]
         raise PoleProximityError(
             f"x={complex(xa[tuple(at)])} within tol of the pole lattice of x_j={xs[j]}"
         )
-    rho = np.prod(f, axis=-1)
+    rho = np.prod(f, axis=-2)
     c = rho[..., 2] * rho[..., 3] / (rho[..., 0] * rho[..., 1])
     return complex(c) if xa.ndim == 0 else c
 
@@ -168,7 +200,7 @@ def check_margins(cfg: PoleConfig, ev: ThetaEvaluator) -> float:
     Raises MarginViolationError below MARGIN_TOL: some factor of the residue
     systems is (numerically) singular there.
     """
-    return _pair_thetas(cfg, ev)[2]
+    return _pair_thetas(np.array(cfg.xs, dtype=complex), ev)[2]
 
 
 def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
@@ -178,17 +210,18 @@ def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
     second is retained as the on-locus consistency monitor (their gap is the
     locus diagnostic).  Depends only on pairwise differences.
     """
-    return _flow_state(cfg, ev)[:2]
+    return _flow_state(np.array(cfg.xs, dtype=complex), ev)[:2]
 
 
 def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
-    """Consistency products minus 1, one entry per pole.
+    """Consistency products minus 1, one entry per pole: the first residue
+    system's product over the second's, minus 1.
 
     An on-locus configuration has max norm below tolerance; the degenerate
     boundary configuration trips the margin guard instead of reporting.
     """
-    (t0, tp1, tm1, tp2, tm2), _, _ = _pair_thetas(cfg, ev)
-    res = np.prod(tp2 * tm1**2 / (tm2 * tp1**2), axis=1) - 1
+    R, _, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
+    res = R.prod(axis=1) / R.prod(axis=0) - 1
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
 
 
@@ -209,7 +242,8 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     span = abs(t_end) / abs(dt)
     if not math.isfinite(span):
         raise ValueError(f"t_end/dt must be finite, got t_end={t_end}, dt={dt}")
-    v1, v2, margin = _flow_state(cfg0, ev)
+    xs = np.array(cfg0.xs, dtype=complex)
+    v1, v2, margin = _flow_state(xs, ev)
     gap0 = float(np.abs(v1 - v2).max(initial=0.0))
     if cfg0.M > 1 and gap0 > LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
         raise LocusError(
@@ -218,12 +252,10 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         )
 
     def rhs(xs):
-        v, _ = pole_rhs(PoleConfig(xs=tuple(xs)), ev)
-        return v
+        return _flow_state(xs, ev)[0]
 
     n_steps = max(1, round(span)) if t_end != 0 else 0
     h = t_end / n_steps if n_steps else 0.0
-    xs = np.array(cfg0.xs, dtype=complex)
     t = cfg0.t
     traj = [PoleConfig(xs=tuple(xs), t=t)]
     gaps = [gap0]
@@ -235,13 +267,12 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         k4 = rhs(xs + h * k3)
         xs = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-        cfg = PoleConfig(xs=tuple(xs), t=t)
-        v1, v2, margin = _flow_state(cfg, ev)
+        v1, v2, margin = _flow_state(xs, ev)
         margins.append(margin)
         gap = float(np.abs(v1 - v2).max(initial=0.0))
         gaps.append(gap)
-        traj.append(cfg)
-        if cfg.M > 1 and gap > GAP_FACTOR * LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
+        traj.append(PoleConfig(xs=tuple(xs), t=t))
+        if cfg0.M > 1 and gap > GAP_FACTOR * LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
             raise LocusError(
                 f"locus consistency degraded to {gap:.3e} at t={t:.6g}", gap=gap
             )
@@ -256,7 +287,9 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40):
     success; each attempt takes up to LOCUS_NEWTON_STEPS damped steps, and
     the first configuration with locus residual below LOCUS_TARGET is
     returned, or None if every attempt fails (failures are the caller's to
-    report, not to hide).
+    report, not to hide).  For M > 1 a configuration whose velocities are
+    all equal (spread at most RIGID_TOL, such as a 3-torsion sublattice
+    {0, tau/3, 2 tau/3}) only translates, so its attempt counts as failed.
     """
     base = np.array(degenerate_poles(ell, ev).xs, dtype=complex)
 
@@ -307,5 +340,8 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40):
                 ok = False
                 break
         if ok and np.abs(f).max() < LOCUS_TARGET:
-            return PoleConfig(xs=tuple(recenter(xs)))
+            cfg = PoleConfig(xs=tuple(recenter(xs)))
+            v, _ = pole_rhs(cfg, ev)
+            if cfg.M == 1 or np.abs(v - v.mean()).max() > RIGID_TOL * np.abs(v).max():
+                return cfg
     return None

@@ -86,6 +86,14 @@ class TestEdgesCommand:
         code, _ = run_cli(capsys, "edges", "--ell", "1", "--eta", "0.5", "--tau", "1.2i")
         assert code == 2
 
+    def test_torsion_error_names_the_smallest_order(self, capsys):
+        # eta = 1/5: [5] and [10] both vanish; the error names the order, 5
+        code = main(["edges", "--ell", "5", "--eta", "1/5", "--tau", "1.2i"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: TorsionEtaError: [5] ~ 0")
+        assert err.rstrip().endswith("torsion point of order 5")
+
     @pytest.mark.parametrize(
         "flags",
         [["--eta", "3/0"], ["--eta", "nan"], ["--eta", "0.17", "--tau", "1e400i"]],

@@ -16,6 +16,7 @@ import pytest
 
 from lame_spectra import EllipticParams, ThetaEvaluator, theta, theta1_prime, theta_halfshift, weierstrass_p
 from lame_spectra.errors import PoleProximityError
+from lame_spectra.theta import _CHAR
 
 
 def product_theta(a, x, tau, tol=1e-14):
@@ -218,3 +219,94 @@ class TestWeierstrass:
     def test_pole_guard(self, ev):
         with pytest.raises(PoleProximityError):
             weierstrass_p(0.0, ev)
+
+
+def _plain_series(a, x, tau, n_terms, deriv):
+    """The plain series route as written before shift tables existed; plain
+    ``theta`` calls must keep returning exactly this."""
+    alpha, beta = _CHAR[a]
+    if alpha == 0.5:
+        k = np.arange(-(n_terms + 1), n_terms + 1)
+    else:
+        k = np.arange(-n_terms, n_terms + 1)
+    m = k + alpha
+    xs = np.asarray(x, dtype=complex)
+    expo = 1j * math.pi * tau * m**2 + 2j * math.pi * (xs[..., None] + beta) * m
+    terms = np.exp(expo)
+    if deriv:
+        terms = terms * (2j * math.pi * m) ** deriv
+    s = terms.sum(axis=-1)
+    return -s if a == 1 else s
+
+
+class TestShiftTable:
+    """theta(a, x, ev, shifts=s)[..., i] is theta_a(x + s[i])."""
+
+    @staticmethod
+    def _points(shape, tau, seed, im_max=0.6):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, shape) + 1j * tau.imag * rng.uniform(-im_max, im_max, shape)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [0.17, 2 / 31, 0.11 + 0.05j])
+    def test_matches_plain_calls(self, a, tau, eta):
+        ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        shifts = np.array([0, 1, -1, 2, -2]) * eta
+        x = self._points((3, 4), tau, seed=a)
+        got = theta(a, x, ev_t, shifts=shifts)
+        assert got.shape == (3, 4, 5)
+        want = theta(a, x[..., None] + shifts, ev_t)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        x0 = complex(x[1, 2])
+        got0 = theta(a, x0, ev_t, shifts=shifts)
+        assert got0.shape == (5,)
+        np.testing.assert_allclose(got0, [theta(a, x0 + s, ev_t) for s in shifts], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_points(self, ev, shape):
+        vals = theta(1, np.zeros(shape, dtype=complex), ev, shifts=[0, 0.17])
+        assert vals.shape == shape + (2,)
+        assert vals.dtype == complex
+
+    def test_empty_shifts(self, ev):
+        assert theta(1, np.ones(3), ev, shifts=[]).shape == (3, 0)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_large_imaginary_parts_are_reduced(self, a):
+        # the split factor exp(2i*pi*x*m) alone would overflow here; the
+        # plain unreduced series is itself only good to ~1e-12 at |Im x| = 12
+        # (the phase 2*pi*x*m carries |x*m| ulps), so the reference is the
+        # plain route through the same cell reduction
+        ev8 = ThetaEvaluator(EllipticParams(tau=0.8j, eta=0.17, tol=1e-12))
+        rng = np.random.default_rng(a)
+        x = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-12, 12, 40)
+        x[:2] = [0.3 + 12j, -0.2 - 12j]
+        shifts = np.array([0, 1, -1, 2, -2]) * ev8.eta
+        got = theta(a, x, ev8, shifts=shifts)  # warnings are errors (pyproject.toml)
+        assert np.isfinite(got).all()
+        want = theta(a, x[:, None] + shifts, ev8, reduce=True)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, theta(a, x[:, None] + shifts, ev8), rtol=1e-11, atol=0)
+
+    def test_large_im_tau(self):
+        # a cell so tall that even reduced points leave the split range
+        ev40 = ThetaEvaluator(EllipticParams(tau=40j, eta=0.2, tol=1e-12))
+        x = np.array([0.3 + 19j, -0.1 - 15j, 0.2])
+        shifts = np.array([0, 0.2, -0.4])
+        got = theta(1, x, ev40, shifts=shifts)
+        np.testing.assert_allclose(got, theta(1, x[:, None] + shifts, ev40), rtol=1e-13, atol=0)
+
+    def test_derivatives_rejected(self, ev):
+        with pytest.raises(ValueError, match="deriv=0"):
+            theta(1, 0.1, ev, deriv=1, shifts=[0.0])
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_plain_calls_are_bit_identical(self, ev, a, deriv):
+        x = self._points((7,), ev.tau, seed=10 + a, im_max=1.5)
+        n = ev.cutoff_for(float(np.abs(x.imag).max()) + 0.05 * deriv)
+        assert (theta(a, x, ev, deriv=deriv) == _plain_series(a, x, ev.tau, n, deriv)).all()
+        x0 = complex(x[3])
+        n0 = ev.cutoff_for(abs(x0.imag) + 0.05 * deriv)
+        assert theta(a, x0, ev, deriv=deriv) == complex(_plain_series(a, x0, ev.tau, n0, deriv))

@@ -18,6 +18,7 @@ from lame_spectra.errors import LocusError, MarginViolationError, PoleProximityE
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta, theta1_prime, weierstrass_p
 from lame_spectra.volterra import (
     MARGIN_TOL,
+    RIGID_TOL,
     PoleConfig,
     c_from_poles,
     check_margins,
@@ -216,6 +217,14 @@ class TestThetaCallCount:
         assert len(calls) == 1
         assert cvals.shape == (31,)
 
+    @pytest.mark.parametrize("M", [1, 3, 6])
+    def test_pair_table_reads_each_unordered_pair_once(self, calls, ev, M):
+        # theta1 is odd, so x_k - x_j adds nothing to x_j - x_k: M(M-1)/2
+        # differences and D = 0 (for theta1(2 eta)), each at the five shifts
+        pole_rhs(_random_poles(M, ev, seed=M), ev)
+        (args,) = calls
+        assert np.size(args[1]) == M * (M - 1) // 2 + 1
+
     @pytest.mark.parametrize("n_steps", [1, 5])
     def test_flow_makes_four_calls_per_step(self, calls, ev, onlocus_cfg, n_steps):
         calls.clear()
@@ -403,6 +412,15 @@ class TestLocusSearch:
         centroid = sum(onlocus_cfg.xs) / len(onlocus_cfg.xs)
         assert abs(centroid) < 1e-9
 
+    def test_rigid_configuration_rejected(self):
+        # without the rigid rule this seed's search ends next to a 3-torsion
+        # set such as {0, tau/3, 2 tau/3}, whose flow only translates
+        ev2 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=2 / 31, tol=1e-12))
+        cfg = find_locus_config(2, ev2, np.random.default_rng(1089441782))
+        assert cfg is not None and cfg.M == 3
+        v, _ = pole_rhs(cfg, ev2)
+        assert np.abs(v - v.mean()).max() > RIGID_TOL * np.abs(v).max()
+
 
 class TestNonRigidIsospectrality:
     """At ell = 3 (M = 6) the located flows deform the pole set, not just
@@ -416,6 +434,15 @@ class TestNonRigidIsospectrality:
         avals = np.ones(self.re3.Q, dtype=complex)
         return numeric_band_edges_from_coefficients(avals, cvals).spectra
 
+    @staticmethod
+    def distance(s1, s0):
+        """Largest distance from an eigenvalue of one spectrum to the nearest of
+        the other, over both phases and both directions.  Rows are sorted by
+        (Re, Im), so an elementwise difference would also count a conjugate
+        pair whose real parts tie to rounding and swap places."""
+        d = np.abs(s1[:, :, None] - s0[:, None, :])
+        return max(d.min(axis=2).max(), d.min(axis=1).max())
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_spectrum_preserved_along_nonrigid_flow(self, seed):
         cfg = find_locus_config(3, self.ev3, np.random.default_rng(seed))
@@ -425,8 +452,8 @@ class TestNonRigidIsospectrality:
         moved = np.array(res.trajectory[-1].xs) - start
         assert np.abs(moved - moved.mean()).max() > 1e-4
         s0 = self.spectra(res.trajectory[0])
-        assert np.abs(self.spectra(res.trajectory[-1]) - s0).max() <= 1e-10
+        assert self.distance(self.spectra(res.trajectory[-1]), s0) <= 1e-10
         rng = np.random.default_rng(seed)
         kick = 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
         perturbed = PoleConfig(xs=tuple(start + kick))
-        assert np.abs(self.spectra(perturbed) - s0).max() > 1e-5
+        assert self.distance(self.spectra(perturbed), s0) > 1e-5
