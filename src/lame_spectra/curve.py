@@ -19,9 +19,9 @@ Eliminating E leads to a single relation between the Bloch parameters,
 with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
-the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval``,
-differentiate with ``polyder``, and take roots of the trimmed array with
-``np.roots(c[::-1])``.  A stack of polynomials is a 2-D array, one per row.
+the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval`` and
+take roots of the trimmed array with ``np.roots(c[::-1])``.  A stack of
+polynomials is a 2-D array, one per row.
 """
 
 import cmath
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polytrim, polyval
+from numpy.polynomial.polynomial import polytrim, polyval
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
@@ -171,6 +171,16 @@ def _curve_sum_terms(pt: CurvePoint, ctx: LameContext):
     return polyval(pt.E, rows1.T), polyval(pt.E, rows2.T)
 
 
+def _scaled_sum(terms: np.ndarray):
+    """|sum of the terms| over the sum of their magnitudes, along the last
+    axis; a sum whose terms all vanish scores 0.  The modulus of the sum is
+    ``hypot``, as ``abs`` of a scalar: ``np.abs`` of a complex array rounds
+    differently in about a third of its values."""
+    mag = np.abs(terms).sum(axis=-1)
+    s = terms.sum(axis=-1)
+    return np.hypot(s.real, s.imag) / np.where(mag == 0, 1.0, mag)
+
+
 def curve_equations(pt: CurvePoint, ctx: LameContext):
     """Values (S1, S2) of the two defining sums; both vanish on the curve."""
     t1, t2 = _curve_sum_terms(pt, ctx)
@@ -180,9 +190,7 @@ def curve_equations(pt: CurvePoint, ctx: LameContext):
 def curve_equations_scaled(pt: CurvePoint, ctx: LameContext):
     """(|S1|, |S2|) divided by the sums of term magnitudes (conditioning-aware)."""
     t1, t2 = _curve_sum_terms(pt, ctx)
-    s1 = np.abs(t1).sum() or 1.0
-    s2 = np.abs(t2).sum() or 1.0
-    return float(abs(t1.sum()) / s1), float(abs(t2.sum()) / s2)
+    return float(_scaled_sum(t1)), float(_scaled_sum(t2))
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +243,15 @@ def _edge_polys(A: np.ndarray, a: int, factors: tuple, ev: ThetaEvaluator):
     return _trim(rows1.sum(axis=0)), _trim(rows2.sum(axis=0))
 
 
-def _polish_root(p: np.ndarray, dp: np.ndarray, r: complex, steps: int = 3) -> complex:
-    """A few Newton steps on p, whose derivative is dp, from r."""
-    for _ in range(steps):
-        d = polyval(r, dp)
-        if abs(d) == 0:
-            break
-        r = r - polyval(r, p) / d
-    return r
-
-
 def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     """Common roots of the two edge polynomials for each label a = 1..4.
 
-    Roots come from the companion matrix of the first polynomial and are
-    kept when the second polynomial vanishes there to within MATCH_TOL of its
-    magnitude-sum at the root (numerically stabler than a polynomial GCD).
-    A second polynomial that vanishes identically keeps every root.  Roots
-    closer than CLUSTER_REL * scale are merged with multiplicity.
+    Roots come from the companion matrix of the first polynomial, unpolished,
+    and are kept when the second polynomial vanishes there to within
+    MATCH_TOL of its magnitude-sum at the root (numerically stabler than a
+    polynomial GCD).  A second polynomial that vanishes identically keeps
+    every root.  Roots closer than CLUSTER_REL * scale are merged with
+    multiplicity.
     """
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
@@ -263,21 +262,12 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     for a in (1, 2, 3, 4):
         p1, p2 = _edge_polys(A, a, factors, ev)
         abs_p2 = np.abs(p2)
-        scale = max(np.abs(p1).max(), abs_p2.max())
-        dp1 = polyder(p1)
-        roots = [_polish_root(p1, dp1, r) for r in np.roots(p1[::-1])]
-        if abs_p2.max() <= 1e-12 * scale:
-            common = roots
-        else:
-            common = [
-                r for r in roots
-                if abs(polyval(r, p2)) <= MATCH_TOL * max(polyval(abs(r), abs_p2), ev.tol)
-            ]
-        if common:
-            sc = max(abs(r) for r in common)
-            clustered = cluster_points(common, CLUSTER_REL * max(sc, 1.0))
-        else:
-            clustered = []
+        roots = np.roots(p1[::-1])
+        if abs_p2.max() > 1e-12 * max(np.abs(p1).max(), abs_p2.max()):
+            bound = MATCH_TOL * np.maximum(polyval(np.abs(roots), abs_p2), ev.tol)
+            roots = roots[np.abs(polyval(roots, p2)) <= bound]
+        scale = max(np.abs(roots).max(initial=0.0), 1.0)
+        clustered = cluster_points(roots, CLUSTER_REL * scale)
         per_label[a] = [c for c, _ in clustered]
         mults[a] = [m for _, m in clustered]
     return BandEdgeSet(ell=ell, per_label=per_label, multiplicities=mults)
@@ -580,8 +570,12 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
 
     Draw zeta, solve the relation as a polynomial in K^2, recover E as a
     common root of the two curve sums at (zeta, K), then Newton-polish the
-    residual determinants at fixed zeta.  Points failing any stage are
-    discarded, so the returned list always holds certified points.
+    residual determinants at fixed zeta.  The E candidates are the roots of
+    S1 as a polynomial in E; each scores the larger of its two scaled sums
+    (as in ``curve_equations_scaled``), all candidates at once from the rows
+    of that (zeta, K).  The first candidate with the smallest score seeds
+    the polish, unless that score exceeds 1e-4.  Points failing any stage
+    are discarded, so the returned list always holds certified points.
     """
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
@@ -599,18 +593,19 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
             if abs(u) < 1e-10:
                 continue
             K = cmath.sqrt(complex(u))
-            rows1, _ = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), factors)
+            rows1, rows2 = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), factors)
             cands = np.roots(_trim(rows1.sum(axis=0))[::-1])
-            best = None
-            for E in cands:
-                pt = CurvePoint(zeta=zeta, K=K, E=complex(E))
-                s1, s2 = curve_equations_scaled(pt, ctx)
-                if best is None or max(s1, s2) < best[0]:
-                    best = (max(s1, s2), pt)
-            if best is None or best[0] > 1e-4:
+            if not cands.size:
+                continue
+            # the scaled sums at every candidate E, one row of terms per E
+            E = cands[:, None]
+            score = np.maximum(_scaled_sum(polyval(E, rows1.T, tensor=False)),
+                               _scaled_sum(polyval(E, rows2.T, tensor=False)))
+            best = int(np.argmin(score))
+            if score[best] > 1e-4:
                 continue
             try:
-                pt = solve_curve_point({"zeta": zeta}, best[1], ctx)
+                pt = solve_curve_point({"zeta": zeta}, CurvePoint(zeta, K, complex(cands[best])), ctx)
             except ConvergenceError:
                 continue
             out.append(pt)

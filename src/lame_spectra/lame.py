@@ -135,10 +135,6 @@ class BlochCoeffs:
     second_sv: float = field(default=float("inf"))
 
 
-def _t1(x, ev):
-    return theta(1, x, ev)
-
-
 def _guarded_t1(x, ev):
     val = theta(1, x, ev)
     if np.min(np.abs(val)) < ev.zero_threshold:
@@ -152,15 +148,15 @@ def phi(x: complex, zeta: complex, ev: ThetaEvaluator) -> complex:
     Periodic in x -> x+1, picks up exp(-2i*pi*zeta) under x -> x+tau, and
     has a single simple pole (residue 1/theta1'(0)) per lattice cell.
     """
-    return _t1(zeta + x, ev) / (_guarded_t1(x, ev) * _guarded_t1(zeta, ev))
+    return theta(1, zeta + x, ev) / (_guarded_t1(x, ev) * _guarded_t1(zeta, ev))
 
 
 def apply_L(psi, x: complex, ctx: LameContext) -> complex:
     """Act with the symmetric-gauge operator on a callable psi at x."""
     ev = ctx.ev
     den = _guarded_t1(x, ev)
-    a = _t1(x - ctx.ell * ev.eta, ev) / den
-    c = _t1(x + ctx.ell * ev.eta, ev) / den
+    a = theta(1, x - ctx.ell * ev.eta, ev) / den
+    c = theta(1, x + ctx.ell * ev.eta, ev) / den
     return a * psi(x + ev.eta) + c * psi(x - ev.eta)
 
 
@@ -169,7 +165,7 @@ def apply_Ltilde(psi, x: complex, ctx: LameContext) -> complex:
     ev = ctx.ev
     l = ctx.ell
     den = _guarded_t1(x, ev) * _guarded_t1(x - ev.eta, ev)
-    coeff = _t1(x + l * ev.eta, ev) * _t1(x - (l + 1) * ev.eta, ev) / den
+    coeff = theta(1, x + l * ev.eta, ev) * theta(1, x - (l + 1) * ev.eta, ev) / den
     return psi(x + ev.eta) + coeff * psi(x - ev.eta)
 
 
@@ -178,7 +174,7 @@ def gauge_factor(x: complex, ctx: LameContext) -> complex:
     ev = ctx.ev
     out = 1 + 0j
     for j in range(1, ctx.ell + 1):
-        out *= _t1(x - j * ev.eta, ev)
+        out *= theta(1, x - j * ev.eta, ev)
     return out
 
 
@@ -188,7 +184,7 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
     # theta1(zeta - m*eta) for m = 0..l+1 in one call; te[n] = theta1(n*eta)
-    tz = _t1(pt.zeta - np.arange(l + 2) * ev.eta, ev)
+    tz = theta(1, pt.zeta - np.arange(l + 2) * ev.eta, ev)
     if abs(tz[0]) < ev.zero_threshold:
         raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")
     tz = tz.tolist()
@@ -311,9 +307,9 @@ def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x, ctx: LameContext):
     ev = ctx.ev
     xs = np.asarray(x, dtype=complex)
     k_eta = np.arange(1, ctx.ell + 1) * ev.eta
-    t = _t1(xs[..., None] - k_eta, ev)
+    t = theta(1, xs[..., None] - k_eta, ev)
     # theta1(zeta + x - m*eta) for m = 1..l, with theta1(zeta) appended last
-    tz = _t1(np.append(pt.zeta + xs[..., None] - k_eta, pt.zeta), ev)
+    tz = theta(1, np.append(pt.zeta + xs[..., None] - k_eta, pt.zeta), ev)
     t1z = tz[-1]
     if abs(t1z) < ev.zero_threshold:
         raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")

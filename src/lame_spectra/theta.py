@@ -149,13 +149,21 @@ def _series(a: int, x, tau: complex, n_terms: int, deriv: int):
     return -s if a == 1 else s
 
 
-def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False, shifts=None):
+# A shift table splits each series term in two exp factors.  While
+# 2*pi*max|Im x|*(n+1) stays below this, the point factors stay below
+# exp(600) (no overflow, the double limit is ~exp(709)), and a shift factor
+# that underflows to zero drops a term below exp(600 - 745) in absolute value.
+_SPLIT_LOG_MAX = 600.0
+
+
+def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
     """theta_a(x | tau), or its ``deriv``-th derivative in x.
 
-    Accepts a complex scalar or an ndarray.  With ``reduce=True`` the
-    argument is first shifted to the fundamental cell by the
-    quasi-periodicity relations (useful for sweeps with large |Im x|, where
-    raw series terms overflow; only implemented for deriv=0).
+    Accepts a complex scalar or an ndarray.  A deriv=0 call whose points lie
+    so far off the real axis that a split series term would overflow (the
+    ``_SPLIT_LOG_MAX`` rule of the shift tables) first shifts them to the
+    fundamental cell by the quasi-periodicity relations; nearer points, and
+    every derivative, are summed directly.
 
     With ``shifts`` (a sequence of complex numbers, small next to Im tau) the
     result is the table theta_a(x + s) of shape ``shape(x) + shape(shifts)``,
@@ -165,18 +173,21 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, reduce: bool = False, s
     """
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")
-    if (reduce or shifts is not None) and deriv:
-        raise ValueError("argument reduction and shift tables are only supported for deriv=0")
     if shifts is not None:
+        if deriv:
+            raise ValueError("shift tables are only supported for deriv=0")
         return _theta_shifted(a, x, shifts, ev)
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     if not scalar and np.size(x) == 0:
         return np.empty(np.shape(x), dtype=complex)
-    if reduce:
-        return _theta_reduced(a, x, ev)
     im = np.max(np.abs(np.imag(np.asarray(x, dtype=complex)))) if not scalar else abs(complex(x).imag)
     n = ev.cutoff_for(float(im) + 0.05 * deriv)
-    out = _series(a, x, ev.tau, n, deriv)
+    if not deriv and 2 * math.pi * im * (n + 1) > _SPLIT_LOG_MAX:
+        x_red, _, factor = _to_cell(a, np.asarray(x, dtype=complex), ev.tau)
+        n = ev.cutoff_for(float(np.max(np.abs(x_red.imag))))
+        out = factor * _series(a, x_red, ev.tau, n, 0)
+    else:
+        out = _series(a, x, ev.tau, n, deriv)
     return complex(out) if scalar else out
 
 
@@ -193,21 +204,6 @@ def _to_cell(a: int, xs: np.ndarray, tau: complex):
         * np.exp(-1j * math.pi * tau * n**2 - 2j * math.pi * n * x_red)
     )
     return x_red, n, factor
-
-
-def _theta_reduced(a: int, x, ev: ThetaEvaluator):
-    x_red, _, factor = _to_cell(a, np.asarray(x, dtype=complex), ev.tau)
-    base = _series(a, x_red, ev.tau, ev.cutoff_for(float(np.max(np.abs(x_red.imag)))), 0)
-    out = factor * base
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    return complex(out) if scalar else out
-
-
-# A shift table splits each series term in two exp factors.  While
-# 2*pi*max|Im x|*(n+1) stays below this, the point factors stay below
-# exp(600) (no overflow, the double limit is ~exp(709)), and a shift factor
-# that underflows to zero drops a term below exp(600 - 745) in absolute value.
-_SPLIT_LOG_MAX = 600.0
 
 
 def _theta_shifted(a: int, x, shifts, ev: ThetaEvaluator):

@@ -16,6 +16,7 @@ from lame_spectra import CurvePoint, LameContext, scaled_residual
 from lame_spectra import curve, lame
 from lame_spectra.curve import (
     CJ_MAX_ELL,
+    EDGE_ACCEPT_TOL,
     BandEdgeSet,
     _subset_sums,
     a_polys_determinant,
@@ -29,7 +30,10 @@ from lame_spectra.curve import (
     curve_coeffs,
     curve_equations,
     curve_equations_scaled,
+    edge_bloch_factors,
     edge_curve_points,
+    half_period,
+    random_curve_points,
     solve_curve_point,
     weyl_denominator_check,
 )
@@ -187,6 +191,105 @@ class TestBandEdges:
         closed = closed_form_edges(1, ev2)
         for a in (2, 3, 4):
             assert abs(edges.per_label[a][0] - closed[a][0]) < 1e-9 * abs(closed[a][0])
+
+
+LIFT_ETAS = (0.17, 0.23, 0.11 + 0.05j, 1 / 31, 2 / 31, 1 / 41, 1 / 61)
+LIFT_TAUS = (0.8j, 1.2j, 2j, 0.3 + 1.4j)
+# band_edges gets the per-label counts wrong here (ROADMAP item 2)
+WRONG_COUNTS = {(6, eta, tau) for eta in (1 / 31, 1 / 41, 1 / 61) for tau in LIFT_TAUS} | {
+    (4, 2 / 31, 2j)}
+EDGE_LIFT_GRID = [
+    pytest.param(
+        ell, eta, tau, id=f"ell{ell}-eta{eta:.4g}-tau{tau}",
+        marks=[pytest.mark.xfail(strict=True, reason="wrong per-label counts, ROADMAP item 2")]
+        if (ell, eta, tau) in WRONG_COUNTS else [],
+    )
+    for ell in range(1, 7)
+    for eta in LIFT_ETAS
+    for tau in LIFT_TAUS
+]
+
+
+class TestEdgeLift:
+    """Every analytic edge E of label a is the E of an on-curve point above
+    zeta = N eta + omega_a, with K one of the label's Bloch factors and E or
+    -E, across a grid of (ell, eta, tau)."""
+
+    @pytest.mark.parametrize("ell,eta,tau", EDGE_LIFT_GRID)
+    def test_edges_lift_to_curve_points(self, ell, eta, tau):
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        edges = band_edges(ell, ctx.ev)
+        assert edges.counts() == BandEdgeSet.expected_counts(ell)
+        for a in (1, 2, 3, 4):
+            zeta = ctx.N * eta + half_period(a, tau)
+            for E in edges.per_label[a]:
+                lifts = [CurvePoint(zeta, K, s * E)
+                         for K in edge_bloch_factors(a, ctx.ev) for s in (1, -1)]
+                assert min(max(scaled_residual(pt, ctx)) for pt in lifts) < EDGE_ACCEPT_TOL, (a, E)
+
+
+def _per_candidate_curve_points(ctx, n, rng):
+    """random_curve_points as it was with one curve_equations_scaled call per
+    E candidate, each rebuilding A, the weights and the factors."""
+    ev = ctx.ev
+    cc = curve_coeffs(ctx.ell, ev)
+    A = a_polys_recurrence(ctx.ell, ev)
+    factors = curve._curve_factors(ctx.ell, ev)
+    out = []
+    attempts = 0
+    while len(out) < n and attempts < 40 * n:
+        attempts += 1
+        zeta = complex(0.1 + 0.8 * rng.random(), 0.05 + 0.3 * rng.random())
+        u_roots = np.roots(curve._bloch_terms(zeta, 1, cc, ev))
+        rng.shuffle(u_roots)
+        for u in u_roots:
+            if abs(u) < 1e-10:
+                continue
+            K = cmath.sqrt(complex(u))
+            rows1, _ = curve._curve_rows(A, curve._point_weights(zeta, K, ctx.ell, ev), factors)
+            best = None
+            for E in np.roots(curve._trim(rows1.sum(axis=0))[::-1]):
+                pt = CurvePoint(zeta=zeta, K=K, E=complex(E))
+                s1, s2 = curve_equations_scaled(pt, ctx)
+                if best is None or max(s1, s2) < best[0]:
+                    best = (max(s1, s2), pt)
+            if best is None or best[0] > 1e-4:
+                continue
+            try:
+                pt = solve_curve_point({"zeta": zeta}, best[1], ctx)
+            except ConvergenceError:
+                continue
+            out.append(pt)
+            break
+    return out
+
+
+class TestCurvePointScoring:
+    """Scoring all E candidates at once picks, bit for bit, the candidate the
+    per-candidate loop picked, so the returned points are unchanged."""
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", LIFT_ETAS)
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4])
+    def test_matches_per_candidate_loop(self, ell, eta, tau):
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        for seed in range(6):
+            got = random_curve_points(ctx, 2, np.random.default_rng(seed))
+            assert got == _per_candidate_curve_points(ctx, 2, np.random.default_rng(seed)), seed
+
+    @pytest.mark.parametrize("eta", [0.17, 1 / 31, 0.11 + 0.05j])
+    def test_scaled_sums_match_scalar_measure(self, eta):
+        # |S| / sum|terms| with the modulus of the sum taken as a scalar abs
+        rng = np.random.default_rng(11)
+        for ell in range(1, 11):
+            ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=eta)))
+            for _ in range(10):
+                pt = CurvePoint(zeta=complex(*rng.uniform(0.1, 0.8, 2)),
+                                K=complex(*rng.uniform(0.5, 1.5, 2)),
+                                E=complex(*rng.uniform(-3, 3, 2)))
+                terms = curve._curve_sum_terms(pt, ctx)
+                want = tuple(float(abs(t.sum()) / (np.abs(t).sum() or 1.0)) for t in terms)
+                assert curve_equations_scaled(pt, ctx) == want, (ell, pt)
 
 
 def _sequential_bracket(n, ev):

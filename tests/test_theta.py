@@ -92,10 +92,9 @@ class TestSeries:
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(theta(1, 0.1, ev))
 
-    @pytest.mark.parametrize("reduce", [False, True], ids=["direct", "reduced"])
     @pytest.mark.parametrize("shape", [(0,), (3, 0)])
-    def test_empty_array_input(self, ev, reduce, shape):
-        vals = theta(1, np.zeros(shape, dtype=complex), ev, reduce=reduce)
+    def test_empty_array_input(self, ev, shape):
+        vals = theta(1, np.zeros(shape, dtype=complex), ev)
         assert vals.shape == shape
         assert vals.dtype == complex
 
@@ -147,10 +146,12 @@ class TestMonodromy:
                 assert abs(got - fac * v) < 1e-11 * max(abs(fac * v), 1)
 
     def test_reduce_option_matches_direct(self, ev):
-        x = 0.3 + 3.7 * ev.tau + 2.0
-        direct = theta(1, x, ev)
-        red = theta(1, x, ev, reduce=True)
-        assert abs(direct - red) < 1e-9 * abs(direct)
+        # far off the real axis, where the plain call sums directly (3.7) and
+        # where it first reduces to the fundamental cell (7.7)
+        for c in (3.7, 7.7):
+            x = 0.3 + c * ev.tau + 2.0
+            want = product_theta(1, x, ev.tau)
+            assert abs(theta(1, x, ev) - want) < 1e-9 * abs(want)
 
 
 class TestDerivative:
@@ -275,9 +276,9 @@ class TestShiftTable:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_large_imaginary_parts_are_reduced(self, a):
         # the split factor exp(2i*pi*x*m) alone would overflow here; the
-        # plain unreduced series is itself only good to ~1e-12 at |Im x| = 12
-        # (the phase 2*pi*x*m carries |x*m| ulps), so the reference is the
-        # plain route through the same cell reduction
+        # unreduced series is itself only good to ~1e-12 at |Im x| = 12 (the
+        # phase 2*pi*x*m carries |x*m| ulps), so the reference is the plain
+        # call, which reduces such points to the fundamental cell
         ev8 = ThetaEvaluator(EllipticParams(tau=0.8j, eta=0.17, tol=1e-12))
         rng = np.random.default_rng(a)
         x = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-12, 12, 40)
@@ -285,9 +286,10 @@ class TestShiftTable:
         shifts = np.array([0, 1, -1, 2, -2]) * ev8.eta
         got = theta(a, x, ev8, shifts=shifts)  # warnings are errors (pyproject.toml)
         assert np.isfinite(got).all()
-        want = theta(a, x[:, None] + shifts, ev8, reduce=True)
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got, theta(a, x[:, None] + shifts, ev8), rtol=1e-11, atol=0)
+        y = x[:, None] + shifts
+        np.testing.assert_allclose(got, theta(a, y, ev8), rtol=1e-13, atol=0)
+        unreduced = _plain_series(a, y, ev8.tau, ev8.cutoff_for(float(np.abs(y.imag).max())), 0)
+        np.testing.assert_allclose(got, unreduced, rtol=1e-11, atol=0)
 
     def test_large_im_tau(self):
         # a cell so tall that even reduced points leave the split range
