@@ -19,15 +19,24 @@ Quasi-periodicity used throughout:
 All evaluations are truncated sums with tail below ``tol``; derivatives are
 term-wise.  A table theta_a(x + s) over points x and shifts s splits each
 term as exp(2i*pi*x*m) * exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m): one exp row
-per point, one per shift, joined by one matrix product.
+per point, one per shift, joined by one matrix product.  The shift factor
+depends only on (a, cutoff, tau, shifts), so it is built once per such key
+and kept in a module-level least-recently-used cache of _SHIFT_TABLES_MAX
+(256) read-only matrices (``_shift_table``): a Volterra flow, whose shifts
+are always the same multiples of eta, builds one per cutoff it meets (one
+on every flow of the benchmark).  The point factor is computed per call.
 
 An evaluator's parameters are fixed at construction; its caches, the eta-only
 tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
 factorials [k]!), only grow, by replacing the stored tuple, so evaluators are
-safe to share across threads.
+safe to share across threads.  The shift-table cache is thread-safe too:
+``functools.lru_cache`` keeps its structure coherent under concurrent calls,
+two threads that miss on one key at once each build the same values, and no
+caller can write a cached matrix.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,12 +96,18 @@ class ThetaEvaluator:
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so
     increasing it by hand never changes a returned value by more than tol.
+    The constant -log(tol/100)/pi of that extension is computed once, here.
+
+    The shift factors of ``theta(..., shifts=)`` are cached in the module,
+    not here (see the module docstring: 256 read-only matrices, thread-safe),
+    keyed by tau, so evaluators built anew per request share them.
     """
 
     params: EllipticParams
     nome: complex = field(init=False)
     series_cutoff: int = field(init=False)
     theta1_prime0: complex = field(init=False)
+    _cutoff_c: float = field(init=False, repr=False, compare=False)
     _theta1_multiples: tuple = field(init=False, default=(), repr=False, compare=False)
     _brackets: tuple = field(init=False, default=(0j, 1 + 0j), repr=False, compare=False)
     _factorials: tuple = field(init=False, default=(1 + 0j, 1 + 0j), repr=False, compare=False)
@@ -104,6 +119,7 @@ class ThetaEvaluator:
         target = math.log(self.params.tol) + math.log(1e-2)
         n = max(4, math.ceil(math.sqrt(target / lq)))
         object.__setattr__(self, "series_cutoff", n + 1)
+        object.__setattr__(self, "_cutoff_c", -target / math.pi)
         d = _series(1, 0.0, self.params.tau, self.series_cutoff, 1)
         object.__setattr__(self, "theta1_prime0", complex(d))
 
@@ -128,8 +144,7 @@ class ThetaEvaluator:
     def cutoff_for(self, im_x: float) -> int:
         """Cutoff so that |q|^(m^2) * exp(2*pi*|Im x|*m) tails stay < tol/100."""
         im_tau = self.params.tau.imag
-        c = -(math.log(self.params.tol) + math.log(1e-2)) / math.pi
-        m_star = (abs(im_x) + math.sqrt(im_x * im_x + im_tau * c)) / im_tau
+        m_star = (abs(im_x) + math.sqrt(im_x * im_x + im_tau * self._cutoff_c)) / im_tau
         return max(self.series_cutoff, math.ceil(m_star) + 2)
 
 
@@ -154,6 +169,9 @@ def _series(a: int, x, tau: complex, n_terms: int, deriv: int):
 # exp(600) (no overflow, the double limit is ~exp(709)), and a shift factor
 # that underflows to zero drops a term below exp(600 - 745) in absolute value.
 _SPLIT_LOG_MAX = 600.0
+
+# shift-exp matrices kept by _shift_table, least recently used dropped first
+_SHIFT_TABLES_MAX = 256
 
 
 def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
@@ -206,6 +224,18 @@ def _to_cell(a: int, xs: np.ndarray, tau: complex):
     return x_red, n, factor
 
 
+@functools.lru_cache(maxsize=_SHIFT_TABLES_MAX)
+def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes):
+    """The term indices m and the matrix exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m)
+    of a shift table, rows m and columns s (read-only, shared by every caller)."""
+    alpha, beta = _CHAR[a]
+    s = np.frombuffer(shift_bytes, dtype=complex)
+    m = np.arange(-(n + 1) if alpha == 0.5 else -n, n + 1) + alpha
+    shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
+    m.flags.writeable = shift_exp.flags.writeable = False
+    return m, shift_exp
+
+
 def _theta_shifted(a: int, x, shifts, ev: ThetaEvaluator):
     xs = np.asarray(x, dtype=complex)
     s = np.asarray(shifts, dtype=complex)
@@ -224,11 +254,9 @@ def _theta_shifted(a: int, x, shifts, ev: ThetaEvaluator):
         factor = factor[:, None] * np.exp(-2j * math.pi * np.outer(k, s))
         im_x = float(np.abs(xs.imag).max())
         n = ev.cutoff_for(im_x + im_s)
-    alpha, beta = _CHAR[a]
     if 2 * math.pi * im_x * (n + 1) <= _SPLIT_LOG_MAX:
-        m = np.arange(-(n + 1) if alpha == 0.5 else -n, n + 1) + alpha
+        m, shift_exp = _shift_table(a, n, tau, s.tobytes())
         point_exp = np.exp((2j * math.pi * xs)[:, None] * m)
-        shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
         out = point_exp @ shift_exp
         if a == 1:
             out = -out

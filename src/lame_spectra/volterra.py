@@ -24,7 +24,8 @@ theta1 is odd, so the factor pole k contributes to the first system of
 pole j is the factor pole j contributes to the second system of pole k:
 with r1(D) the first product's factor and r2(D) the second's, r1(-D) =
 r2(D).  Each pole set is therefore read from one theta table over the
-M(M-1)/2 differences x_j - x_k, j < k, at the shifts 0, +-eta, +-2eta.
+M(M-1)/2 differences x_j - x_k, j < k, and D = 0 (for theta1(2 eta)), at the
+shifts 0, +-eta, +-2eta.
 
 A configuration whose velocities are all equal (such as a 3-torsion
 sublattice) is on the locus, but its flow only translates the poles and
@@ -119,31 +120,54 @@ _SHIFTS = np.array([2.0, -2.0, -1.0, 1.0, 0.0])
 
 @functools.lru_cache(maxsize=None)
 def _pair_index(M: int):
-    """Row and column indices of the pairs j < k of M poles (read-only)."""
+    """Index tables of M poles (read-only).
+
+    ``j, k``: the pairs j < k followed by one extra pair (0, 0), so that
+    xs[j] - xs[k] is the M(M-1)/2 differences and then an exact 0, the D = 0
+    row that carries theta1(2 eta).  ``rows`` (M, M-1) and ``cols`` (M-1, M)
+    pick the off-diagonal entries of R (see ``_pair_thetas``) from the
+    flattened (pair, system) factor array: row j of ``rows`` holds R[j, k]
+    and column j of ``cols`` holds R[k, j], each over k != j in order of k.
+    """
     j, k = np.triu_indices(M, 1)
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
+    flat = np.empty((M, M), dtype=np.intp)
+    flat[j, k] = 2 * np.arange(len(j))
+    flat[k, j] = flat[j, k] + 1
+    off = ~np.eye(M, dtype=bool)
+    rows = flat[off].reshape(M, max(M - 1, 0))
+    # C order, so that prod(axis=0) multiplies row by row as R.prod(axis=0)
+    # does; a transposed view is reduced by another loop, off in the last bit
+    cols = np.ascontiguousarray(flat.T[off].reshape(M, max(M - 1, 0)).T)
+    j, k = np.append(j, 0), np.append(k, 0)
+    for a in (j, k, rows, cols):
+        a.flags.writeable = False
+    return j, k, rows, cols
 
 
 def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
-    """The residue-system factors of a pole set, from one theta call over the
-    pairs j < k.
+    """The residue-system products of a pole set, from one theta call over
+    the pairs j < k and the D = 0 row.
 
-    Returns the (M, M) matrix R with R[j, k] = r1(x_j - x_k) above the
-    diagonal, R[k, j] = r2(x_j - x_k) below it and 1 on it, where
+    With R the (M, M) matrix R[j, k] = r1(x_j - x_k) above the diagonal,
+    R[k, j] = r2(x_j - x_k) below it and 1 on it, where
 
         r1(D) = theta1(D+2eta) theta1(D-eta) / (theta1(D+eta) theta1(D)),
 
-    and r2 is r1 with eta -> -eta.  theta1 is odd, so r1(-D) = r2(D): row j of
-    R holds the first system's factors of pole j, column j the second's.
-    Also returns theta1(2 eta), read from the table at D = 0, and the margin
-    of ``check_margins``, raising as it does.  The table over j < k covers
-    j > k too: |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are
-    symmetric.
+    and r2 is r1 with eta -> -eta, returns the products of the rows of R (the
+    first system's factors of each pole) and of its columns (the second's):
+    theta1 is odd, so r1(-D) = r2(D).  The products are gathered through the
+    index tables of ``_pair_index`` and multiply in order of k, giving the
+    values of R.prod(axis=1) and R.prod(axis=0) without building R.  Also
+    returns theta1(2 eta), read from the table's last row, D = 0 (the extra
+    pair (0, 0) of ``_pair_index``), and the margin of ``check_margins``,
+    raising as it does.  The table over j < k covers j > k too:
+    |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are symmetric.
     """
     M = len(xs)
-    j, k = _pair_index(M)
-    vals = theta(1, np.append(xs[j] - xs[k], 0.0), ev, shifts=_SHIFTS * ev.eta)
+    j, k, rows, cols = _pair_index(M)
+    # with no pole to index, the D = 0 row alone
+    d = xs[j] - xs[k] if M else np.zeros(1, dtype=complex)
+    vals = theta(1, d, ev, shifts=_SHIFTS * ev.eta)
     T = vals[:-1]
     worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
     if worst < MARGIN_TOL:
@@ -151,18 +175,15 @@ def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
             f"pole differences within {MARGIN_TOL:g} of the singular set "
             f"(min |theta1| = {worst:.3e}); boundary of the locus"
         )
-    r = (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
-    R = np.ones((M, M), dtype=complex)
-    R[j, k] = r[:, 0]
-    R[k, j] = r[:, 1]
-    return R, vals[-1, 0], worst
+    r = ((T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])).ravel()
+    return r[rows].prod(axis=1), r[cols].prod(axis=0), vals[-1, 0], worst
 
 
 def _flow_state(xs: np.ndarray, ev: ThetaEvaluator):
     """Both residue-system velocities and the margin, from one theta call."""
-    R, theta1_2eta, margin = _pair_thetas(xs, ev)
+    p1, p2, theta1_2eta, margin = _pair_thetas(xs, ev)
     scale = theta1_2eta / ev.theta1_prime0
-    return scale * R.prod(axis=1), scale * R.prod(axis=0), margin
+    return scale * p1, scale * p2, margin
 
 
 def c_from_poles(cfg: PoleConfig, x, ev: ThetaEvaluator):
@@ -200,7 +221,7 @@ def check_margins(cfg: PoleConfig, ev: ThetaEvaluator) -> float:
     Raises MarginViolationError below MARGIN_TOL: some factor of the residue
     systems is (numerically) singular there.
     """
-    return _pair_thetas(np.array(cfg.xs, dtype=complex), ev)[2]
+    return _pair_thetas(np.array(cfg.xs, dtype=complex), ev)[3]
 
 
 def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
@@ -220,8 +241,8 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
     An on-locus configuration has max norm below tolerance; the degenerate
     boundary configuration trips the margin guard instead of reporting.
     """
-    R, _, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
-    res = R.prod(axis=1) / R.prod(axis=0) - 1
+    p1, p2, _, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
+    res = p1 / p2 - 1
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
 
 

@@ -9,6 +9,7 @@ the series code under test.
 """
 
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ import pytest
 
 from lame_spectra import EllipticParams, ThetaEvaluator, theta, theta1_prime, theta_halfshift, weierstrass_p
 from lame_spectra.errors import PoleProximityError
-from lame_spectra.theta import _CHAR
+from lame_spectra.theta import _CHAR, _SPLIT_LOG_MAX, _to_cell
+
+# the package binds the function ``theta`` over its submodule's name
+theta_module = importlib.import_module("lame_spectra.theta")
 
 
 def product_theta(a, x, tau, tol=1e-14):
@@ -129,6 +133,21 @@ class TestSeries:
                 v2 = _series(a, x, ev.tau, 2 * n, 0)
                 assert abs(v1 - v2) < ev.tol
 
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j, 0.8j, 40j])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-8])
+    def test_cutoffs_unchanged(self, tau, tol):
+        # the constant of cutoff_for is computed once per evaluator; the
+        # cutoffs must be those of the per-call formula
+        ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=0.17, tol=tol))
+
+        def per_call(im_x):
+            c = -(math.log(tol) + math.log(1e-2)) / math.pi
+            m_star = (abs(im_x) + math.sqrt(im_x * im_x + tau.imag * c)) / tau.imag
+            return max(ev_t.series_cutoff, math.ceil(m_star) + 2)
+
+        for im_x in np.concatenate([np.linspace(0, 2, 41), np.linspace(2, 60, 59), -np.linspace(0, 13, 27)]):
+            assert ev_t.cutoff_for(float(im_x)) == per_call(float(im_x))
+
 
 class TestMonodromy:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
@@ -240,6 +259,40 @@ def _plain_series(a, x, tau, n_terms, deriv):
     return -s if a == 1 else s
 
 
+def _uncached_theta_shifted(a, x, shifts, ev):
+    """The shifted-table route as written before its shift-exp matrices were
+    cached; cached calls must keep returning exactly this."""
+    xs = np.asarray(x, dtype=complex)
+    s = np.asarray(shifts, dtype=complex)
+    shape = xs.shape + s.shape
+    if xs.size == 0 or s.size == 0:
+        return np.empty(shape, dtype=complex)
+    xs, s = xs.ravel(), s.ravel()
+    tau = ev.tau
+    im_s = float(np.abs(s.imag).max())
+    im_x = float(np.abs(xs.imag).max())
+    n = ev.cutoff_for(im_x + im_s)
+    factor = None
+    if 2 * math.pi * im_x * (n + 1) > _SPLIT_LOG_MAX:
+        xs, k, factor = _to_cell(a, xs, tau)
+        factor = factor[:, None] * np.exp(-2j * math.pi * np.outer(k, s))
+        im_x = float(np.abs(xs.imag).max())
+        n = ev.cutoff_for(im_x + im_s)
+    alpha, beta = _CHAR[a]
+    if 2 * math.pi * im_x * (n + 1) <= _SPLIT_LOG_MAX:
+        m = np.arange(-(n + 1) if alpha == 0.5 else -n, n + 1) + alpha
+        point_exp = np.exp((2j * math.pi * xs)[:, None] * m)
+        shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
+        out = point_exp @ shift_exp
+        if a == 1:
+            out = -out
+    else:
+        out = _plain_series(a, xs[:, None] + s, tau, n, 0)
+    if factor is not None:
+        out = out * factor
+    return out.reshape(shape)
+
+
 class TestShiftTable:
     """theta(a, x, ev, shifts=s)[..., i] is theta_a(x + s[i])."""
 
@@ -312,3 +365,57 @@ class TestShiftTable:
         x0 = complex(x[3])
         n0 = ev.cutoff_for(abs(x0.imag) + 0.05 * deriv)
         assert theta(a, x0, ev, deriv=deriv) == complex(_plain_series(a, x0, ev.tau, n0, deriv))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [0.17, 2 / 31, 0.11 + 0.05j])
+    def test_cached_route_matches_uncached_copy(self, a, tau, eta):
+        ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        shifts = np.array([2, -2, -1, 1, 0]) * eta
+        x = self._points((3, 4), tau, seed=a)
+        want = _uncached_theta_shifted(a, x, shifts, ev_t)
+        theta_module._shift_table.cache_clear()
+        for _ in range(2):  # builds the shift table, then reads it back
+            assert (theta(a, x, ev_t, shifts=shifts) == want).all()
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_cached_route_matches_uncached_copy_when_reduced(self, a):
+        ev8 = ThetaEvaluator(EllipticParams(tau=0.8j, eta=0.17, tol=1e-12))
+        rng = np.random.default_rng(a)
+        x = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-12, 12, 40)
+        shifts = np.array([0, 1, -1, 2, -2]) * ev8.eta
+        want = _uncached_theta_shifted(a, x, shifts, ev8)
+        theta_module._shift_table.cache_clear()
+        for _ in range(2):
+            assert (theta(a, x, ev8, shifts=shifts) == want).all()
+        ev40 = ThetaEvaluator(EllipticParams(tau=40j, eta=0.2, tol=1e-12))
+        x = np.array([0.3 + 19j, -0.1 - 15j, 0.2])
+        shifts = np.array([0, 0.2, -0.4])
+        want = _uncached_theta_shifted(a, x, shifts, ev40)
+        for _ in range(2):
+            assert (theta(a, x, ev40, shifts=shifts) == want).all()
+
+    def test_returned_tables_are_the_callers(self, ev):
+        x = self._points((6,), ev.tau, seed=5)
+        shifts = np.array([0, 1, -1]) * ev.eta
+        first = theta(2, x, ev, shifts=shifts)
+        want = first.copy()
+        first[...] = 0
+        assert (theta(2, x, ev, shifts=shifts) == want).all()
+        n = ev.cutoff_for(float(np.abs(x.imag).max() + np.abs(shifts.imag).max()))
+        for table in theta_module._shift_table(2, n, ev.tau, shifts.astype(complex).tobytes()):
+            assert not table.flags.writeable
+
+    def test_flow_builds_each_table_once(self):
+        from lame_spectra.volterra import find_locus_config, integrate_flow
+
+        ev31 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=1 / 31, tol=1e-12))
+        cfg = find_locus_config(2, ev31, np.random.default_rng(0))
+        assert cfg is not None
+        theta_module._shift_table.cache_clear()
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev31)
+        assert len(res.trajectory) == 21
+        info = theta_module._shift_table.cache_info()
+        # 81 pole sets; a table is built only for a key not seen before
+        assert info.hits + info.misses == 81
+        assert 1 <= info.misses == info.currsize

@@ -104,6 +104,30 @@ def _reference_c_from_poles(cfg, x, ev):
     return rho(x + eta) * rho(x - 2 * eta) / den
 
 
+def _reference_pair_thetas(xs, ev):
+    """The pair table as built before its index tables carried the D = 0 row
+    and the products were gathered: np.append of D = 0, and R scattered into
+    a ones matrix."""
+    M = len(xs)
+    j, k = np.triu_indices(M, 1)
+    vals = theta(1, np.append(xs[j] - xs[k], 0.0), ev, shifts=volterra._SHIFTS * ev.eta)
+    T = vals[:-1]
+    worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
+    if worst < MARGIN_TOL:
+        raise MarginViolationError(f"reference margin {worst:.3e}")
+    r = (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
+    R = np.ones((M, M), dtype=complex)
+    R[j, k] = r[:, 0]
+    R[k, j] = r[:, 1]
+    return R, vals[-1, 0], worst
+
+
+def _reference_flow_state(xs, ev):
+    R, theta1_2eta, margin = _reference_pair_thetas(xs, ev)
+    scale = theta1_2eta / ev.theta1_prime0
+    return scale * R.prod(axis=1), scale * R.prod(axis=0), margin
+
+
 def _random_poles(M, ev, seed):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-0.5, 0.5, M) + 1j * ev.tau.imag * rng.uniform(-0.5, 0.5, M)
@@ -448,3 +472,71 @@ class TestNonRigidIsospectrality:
         kick = 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
         perturbed = PoleConfig(xs=tuple(start + kick))
         assert np.abs(self.spectra(perturbed) - s0).max() > 1e-5
+
+
+FLOW_GRID = [
+    pytest.param(M, tau, eta, id=f"M{M}-tau{tau}-eta{eta:.4g}")
+    for M in (0, 1, 3, 6, 10)
+    for tau in (1.2j, 0.3 + 1.4j)
+    for eta in (1 / 31, 0.17)
+]
+
+
+def _flow_start(M, ev):
+    """An on-locus start with M poles: a located, non-rigid set at M = 3 and
+    6; otherwise (M = 10, whose search can overflow at eta = 0.17) a coset of
+    the subgroup generated by (1 + tau)/M, where every pole sees the same
+    differences, so the systems agree and the flow translates."""
+    if M in (3, 6):
+        cfg = find_locus_config({3: 2, 6: 3}[M], ev, np.random.default_rng(0))
+        assert cfg is not None and cfg.M == M
+        return cfg
+    return PoleConfig(xs=tuple(0.21 + 0.05j + k * (1 + ev.tau) / M for k in range(M)))
+
+
+class TestFlowMatchesReference:
+    """The gathered pair products against the ones-matrix route they replaced."""
+
+    @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
+    def test_flow_state_matches_reference(self, M, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        xs = np.array(_random_poles(M, ev_g, seed=M).xs, dtype=complex)
+        got, want = volterra._flow_state(xs, ev_g), _reference_flow_state(xs, ev_g)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape == (M,)
+            assert (g == w).all()
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
+    def test_integrate_flow_matches_reference(self, monkeypatch, M, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        cfg = _flow_start(M, ev_g)
+
+        def run():
+            # a flow whose locus gap grows past its bound halts, on both routes
+            try:
+                return integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_g)
+            except LocusError as exc:
+                return exc
+
+        got = run()
+        monkeypatch.setattr(volterra, "_flow_state", _reference_flow_state)
+        want = run()
+        v1 = _reference_flow_state(np.array(cfg.xs, dtype=complex), ev_g)[0]
+        bound = 1e-15 * max(1.0, float(np.abs(v1).max(initial=0.0)))
+        assert type(got) is type(want)
+        if isinstance(want, LocusError):
+            assert abs(got.gap - want.gap) <= bound
+            return
+        assert [c.xs for c in got.trajectory] == [c.xs for c in want.trajectory]
+        assert [c.t for c in got.trajectory] == [c.t for c in want.trajectory]
+        assert (got.margins == want.margins).all()
+        assert np.abs(got.locus_gaps - want.locus_gaps).max() <= bound
+
+    def test_margin_violation_raises_on_both_routes(self, monkeypatch, ev):
+        cfg = PoleConfig(xs=(0.1 + 0.05j, 0.1 + 0.05j + ETA + 1e-9, -0.3 + 0.2j))
+        with pytest.raises(MarginViolationError):
+            integrate_flow(cfg, t_end=0.1, dt=0.01, ev=ev)
+        monkeypatch.setattr(volterra, "_flow_state", _reference_flow_state)
+        with pytest.raises(MarginViolationError):
+            integrate_flow(cfg, t_end=0.1, dt=0.01, ev=ev)
