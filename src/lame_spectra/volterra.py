@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LocusError, MarginViolationError, PoleProximityError
+from .errors import ConvergenceError, LocusError, MarginViolationError, PoleProximityError
 # theta1_prime is not called here, but perfbench/tracing.py rebinds it on this module
 from .theta import ThetaEvaluator, theta, theta1_prime
 
@@ -72,6 +72,26 @@ LOCUS_TARGET = 1e-10
 # it rejects a configuration as rigid (its flow only translates) when the
 # velocity spread max|v - mean v| / max|v| is at most RIGID_TOL
 RIGID_TOL = 1e-6
+# integrate_flow accepts a step whose embedded error estimate is at most
+# FLOW_TOL * (1 + |x_j|) at every pole
+FLOW_TOL = 1e-12
+
+# the Dormand-Prince 5(4) pair: stage rows (the last one is the fifth-order
+# weights, FSAL), the error weights b5 - b4 and the dense-output weights of
+# Hairer, Norsett and Wanner's DOPRI5 (the zeros are k2's)
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 
 @dataclass(frozen=True)
@@ -162,27 +182,35 @@ def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
     pair (0, 0) of ``_pair_index``), and the margin of ``check_margins``,
     raising as it does.  The table over j < k covers j > k too:
     |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are symmetric.
+
+    ``xs`` of shape (..., M) is a batch of pole sets, still read by one theta
+    call: the products have shape (..., M), theta1(2 eta) and the margins
+    shape (...), and the guard raises if any set violates it.  A 1-D ``xs``
+    returns a float margin.
     """
-    M = len(xs)
+    M = xs.shape[-1]
     j, k, rows, cols = _pair_index(M)
     # with no pole to index, the D = 0 row alone
-    d = xs[j] - xs[k] if M else np.zeros(1, dtype=complex)
+    d = xs[..., j] - xs[..., k] if M else np.zeros(xs.shape[:-1] + (1,), dtype=complex)
     vals = theta(1, d, ev, shifts=_SHIFTS * ev.eta)
-    T = vals[:-1]
-    worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
-    if worst < MARGIN_TOL:
+    T = vals[..., :-1, :]
+    # no pair (M < 2): nothing near the singular set, margin inf
+    worst = np.abs(T).min(axis=(-2, -1), initial=np.inf) / abs(ev.theta1_prime0)
+    if (worst < MARGIN_TOL).any():
         raise MarginViolationError(
             f"pole differences within {MARGIN_TOL:g} of the singular set "
-            f"(min |theta1| = {worst:.3e}); boundary of the locus"
+            f"(min |theta1| = {worst.min():.3e}); boundary of the locus"
         )
-    r = ((T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])).ravel()
-    return r[rows].prod(axis=1), r[cols].prod(axis=0), vals[-1, 0], worst
+    r = ((T[..., 0:2] * T[..., 2:4]) / (T[..., 3:1:-1] * T[..., 4:])).reshape(*xs.shape[:-1], -1)
+    worst = float(worst) if xs.ndim == 1 else worst
+    return r[..., rows].prod(axis=-1), r[..., cols].prod(axis=-2), vals[..., -1, 0], worst
 
 
 def _flow_state(xs: np.ndarray, ev: ThetaEvaluator):
-    """Both residue-system velocities and the margin, from one theta call."""
+    """Both residue-system velocities and the margin, from one theta call;
+    ``xs`` of shape (..., M) as for ``_pair_thetas``."""
     p1, p2, theta1_2eta, margin = _pair_thetas(xs, ev)
-    scale = theta1_2eta / ev.theta1_prime0
+    scale = np.asarray(theta1_2eta / ev.theta1_prime0)[..., None]
     return scale * p1, scale * p2, margin
 
 
@@ -247,14 +275,33 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
 
 
 def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator) -> FlowResult:
-    """Classical fixed-step 4th-order integration of the first residue system.
+    """Error-controlled integration of the first residue system by the
+    Dormand-Prince 5(4) pair, reported on the output grid of spacing ``dt``.
+
+    The pair (Dormand and Prince 1980; Hairer, Norsett and Wanner, Solving
+    ODEs I, II.4-II.6) advances the fifth-order solution and reuses its last
+    stage as the next step's first (FSAL).  A step is accepted when the
+    embedded error estimate is at most FLOW_TOL * (1 + |x_j|) for every
+    pole.  The next step size is h * min(5, 0.9 * err^(-1/5)) after an
+    accepted step and h * max(0.2, 0.9 * err^(-1/5)) after a rejected one,
+    shortened so that equal steps end on t_end; the first step tries the
+    whole span.  The trajectory holds one PoleConfig per grid time
+    t = cfg0.t + t_end*i/n, n = round(|t_end/dt|) (at least 1 unless t_end
+    is 0), read from the pair's fourth-order dense output; a grid time that
+    ends a step takes the step's end point itself.
 
     ``t_end``, ``dt`` and their ratio must be finite and ``dt`` nonzero
     (ValueError).
     Preconditions: margins hold and the two systems agree within LOCUS_TOL
-    at cfg0 (otherwise LocusError with the measured gap).  At every step the
-    locus gap and the margin are recorded; the flow halts with a structured
-    error if the gap exceeds GAP_FACTOR * LOCUS_TOL or a margin is violated.
+    at cfg0 (otherwise LocusError with the measured gap).  Checks: every
+    stage evaluation raises MarginViolationError under the margin guard;
+    every accepted step end and every grid point (the interior ones of a
+    step in one batched evaluation) is checked for its margin and for a
+    locus gap above GAP_FACTOR * LOCUS_TOL * max(1, max|v1|), which halts
+    the flow with LocusError.  ``locus_gaps`` and ``margins`` hold the
+    values at the grid points.  A trial step whose stages overflow is
+    rejected like any other; a step size below 1e-14 of the span raises
+    ConvergenceError.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got t_end={t_end}")
@@ -272,31 +319,74 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
             gap=gap0,
         )
 
-    def rhs(xs):
-        return _flow_state(xs, ev)[0]
+    def checked_gaps(v1, v2, ts):
+        gaps = np.abs(v1 - v2).max(axis=-1, initial=0.0)
+        bound = GAP_FACTOR * LOCUS_TOL * np.maximum(1.0, np.abs(v1).max(axis=-1, initial=0.0))
+        bad = np.flatnonzero(gaps > bound) if cfg0.M > 1 else ()
+        if len(bad):
+            gap = float(gaps.flat[bad[0]])
+            t = float(np.ravel(ts)[bad[0]])
+            raise LocusError(f"locus consistency degraded to {gap:.3e} at t={t:.6g}", gap=gap)
+        return gaps
 
-    n_steps = max(1, round(span)) if t_end != 0 else 0
-    h = t_end / n_steps if n_steps else 0.0
-    t = cfg0.t
-    traj = [PoleConfig(xs=tuple(xs), t=t)]
+    n_out = max(1, round(span)) if t_end != 0 else 0
+    # grid times relative to cfg0.t; linspace ends exactly on t_end
+    grid = np.linspace(0.0, t_end, n_out + 1).tolist()
+    traj = [PoleConfig(xs=tuple(xs), t=cfg0.t)]
     gaps = [gap0]
     margins = [margin]
-    for _ in range(n_steps):
-        k1 = v1  # the velocity of the pole set the previous step ended on
-        k2 = rhs(xs + 0.5 * h * k1)
-        k3 = rhs(xs + 0.5 * h * k2)
-        k4 = rhs(xs + h * k3)
-        xs = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        v1, v2, margin = _flow_state(xs, ev)
-        margins.append(margin)
-        gap = float(np.abs(v1 - v2).max(initial=0.0))
-        gaps.append(gap)
-        traj.append(PoleConfig(xs=tuple(xs), t=t))
-        if cfg0.M > 1 and gap > GAP_FACTOR * LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
-            raise LocusError(
-                f"locus consistency degraded to {gap:.3e} at t={t:.6g}", gap=gap
-            )
+    K = np.empty((7, cfg0.M), dtype=complex)
+    K[0] = v1
+    s, h, i = 0.0, t_end, 1
+    while i <= n_out:
+        # the rest of the span in steps of equal length, none longer than h
+        left = t_end - s
+        h = left / math.ceil(left / h) if abs(h) < abs(left) else left
+        if abs(h) <= 1e-14 * abs(t_end):
+            raise ConvergenceError(f"flow step size underflow at t={cfg0.t + s:.6g}")
+        # a step too long for the flow can overflow; it is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for st, row in enumerate(_DP_A):
+                y = xs + h * (row @ K[: st + 1])
+                if not np.isfinite(y).all():
+                    err = math.inf
+                    break
+                # the last row is the fifth-order end point; its velocity is K[6]
+                K[st + 1], w2, w_margin = _flow_state(y, ev)
+            else:
+                scale = FLOW_TOL * (1.0 + np.maximum(np.abs(xs), np.abs(y)))
+                err = float((np.abs(h * (_DP_E @ K)) / scale).max(initial=0.0))
+        if not err <= 1.0:
+            # rejected (a non-finite estimate too): shrink, keep the first stage
+            h *= 0.2 if not math.isfinite(err) else max(0.2, 0.9 * err**-0.2)
+            continue
+        s_new = t_end if h == left else s + h
+        w_gap = checked_gaps(K[6], w2, cfg0.t + s_new)
+        j = i
+        while j <= n_out and (grid[j] - s_new) * t_end < 0:
+            j += 1
+        if j > i:
+            # interior grid points from the dense output, checked in one batch
+            th = ((np.array(grid[i:j]) - s) / h)[:, None]
+            d = y - xs
+            bspl = h * K[0] - d
+            r5 = h * (_DP_D @ K)
+            y_mid = xs + th * (d + (1 - th) * (bspl + th * (d - h * K[6] - bspl + (1 - th) * r5)))
+            m1, m2, m_margin = _flow_state(y_mid, ev)
+            m_gaps = checked_gaps(m1, m2, [cfg0.t + g for g in grid[i:j]])
+            for row, t_i, g, mg in zip(y_mid, grid[i:j], m_gaps, m_margin):
+                traj.append(PoleConfig(xs=tuple(row), t=cfg0.t + t_i))
+                gaps.append(float(g))
+                margins.append(float(mg))
+            i = j
+        if i <= n_out and grid[i] == s_new:
+            traj.append(PoleConfig(xs=tuple(y), t=cfg0.t + grid[i]))
+            gaps.append(float(w_gap))
+            margins.append(w_margin)
+            i += 1
+        xs, s = y, s_new
+        K[0] = K[6]
+        h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
     return FlowResult(trajectory=traj, locus_gaps=np.array(gaps), margins=np.array(margins))
 
 

@@ -292,3 +292,28 @@ class TestSymmetricGauge:
         assert bloch._symmetric_gauge(a, c) is None
         _assert_spectra_match(numeric_band_edges_from_coefficients(a, c).spectra,
                               _reference_spectra(a, c))
+
+
+class TestConjugatePairOrder:
+    """On the general (``eigvals``) route the two members of a complex-conjugate
+    pair have real parts equal only to rounding; they sort by Im whichever
+    of the two comes out a few ulps larger."""
+
+    def test_relabelled_sites_sort_alike(self):
+        # real hops with some c_n < 0: the gauge does not apply and the
+        # spectrum holds conjugate pairs.  A cyclic relabelling of the sites
+        # is a similar matrix, whose solve splits the pairs' real parts in
+        # other last bits; by (Re, Im) alone the sorted spectra would differ
+        # elementwise by twice a pair's imaginary part
+        rng = np.random.default_rng(1)
+        a = rng.uniform(0.5, 1.5, 7).astype(complex)
+        c = (rng.uniform(0.5, 1.5, 7) * np.where(rng.random(7) < 0.5, -1, 1)).astype(complex)
+        assert bloch._symmetric_gauge(a, c) is None
+        want = numeric_band_edges_from_coefficients(a, c).spectra
+        assert np.abs(want.imag).max() > 0.1
+        for shift in range(1, 7):
+            got = numeric_band_edges_from_coefficients(np.roll(a, shift), np.roll(c, shift)).spectra
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # each tied pair in order of Im
+            tied = np.abs(np.diff(got.real, axis=1)) <= 1e-12
+            assert (np.diff(got.imag, axis=1)[tied] > 0).all()

@@ -249,12 +249,32 @@ class TestThetaCallCount:
         (args,) = calls
         assert np.size(args[1]) == M * (M - 1) // 2 + 1
 
-    @pytest.mark.parametrize("n_steps", [1, 5])
-    def test_flow_makes_four_calls_per_step(self, calls, ev, onlocus_cfg, n_steps):
+    @pytest.fixture
+    def flow_states(self, monkeypatch):
+        shapes = []
+        real = volterra._flow_state
+
+        def counting(xs, ev):
+            shapes.append(np.shape(xs))
+            return real(xs, ev)
+
+        monkeypatch.setattr(volterra, "_flow_state", counting)
+        return shapes
+
+    @pytest.mark.parametrize("ell,eta,seed", [(2, 1 / 31, 0), (2, 3 / 41, 1), (3, 1 / 31, 0), (3, 3 / 41, 0)])
+    def test_flow_makes_one_call_per_evaluation(self, calls, flow_states, ell, eta, seed):
+        # flows like the benchmark's (tau = 1.2i, t_end = 0.2, dt = 0.01): one
+        # theta call per pole-set evaluation, stages and snapshot batches
+        # alike, and at most 21 evaluations where fixed-step RK4 made 81
+        ev_w = ThetaEvaluator(EllipticParams(tau=1.2j, eta=eta, tol=1e-12))
+        cfg = find_locus_config(ell, ev_w, np.random.default_rng(seed))
         calls.clear()
-        res = integrate_flow(onlocus_cfg, t_end=0.01 * n_steps, dt=0.01, ev=ev)
-        assert len(res.trajectory) == n_steps + 1
-        assert len(calls) == 4 * n_steps + 1
+        flow_states.clear()
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_w)
+        assert len(res.trajectory) == 21
+        assert len(calls) == len(flow_states) <= 21
+        # the interior grid points of a step are read as one (points, M) batch
+        assert any(len(shape) == 2 for shape in flow_states)
 
 
 class TestCoefficient:
@@ -425,6 +445,20 @@ class TestFlow:
         with pytest.raises(MarginViolationError):
             integrate_flow(degenerate_poles(2, ev), t_end=0.1, dt=0.01, ev=ev)
 
+    def test_dense_output_points_are_checked(self, monkeypatch, ev, onlocus_cfg):
+        # the interior grid points come from the dense output in batches;
+        # a gap that shows only there must still halt the flow
+        real = volterra._flow_state
+
+        def off_locus_batches(xs, ev):
+            v1, v2, margin = real(xs, ev)
+            return v1, (v2 + 1e-3 if xs.ndim == 2 else v2), margin
+
+        monkeypatch.setattr(volterra, "_flow_state", off_locus_batches)
+        with pytest.raises(LocusError, match=r"at t=0\.01$") as exc:
+            integrate_flow(onlocus_cfg, t_end=0.2, dt=0.01, ev=ev)
+        assert exc.value.gap == pytest.approx(1e-3, rel=1e-3)
+
 
 class TestLocusSearch:
     def test_found_config_certified(self, ev, onlocus_cfg):
@@ -495,7 +529,8 @@ def _flow_start(M, ev):
 
 
 class TestFlowMatchesReference:
-    """The gathered pair products against the ones-matrix route they replaced."""
+    """The gathered pair products against the ones-matrix route they
+    replaced, and batches of pole sets against single sets."""
 
     @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
     def test_flow_state_matches_reference(self, M, tau, eta):
@@ -508,30 +543,28 @@ class TestFlowMatchesReference:
         assert got[2] == want[2]
 
     @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
-    def test_integrate_flow_matches_reference(self, monkeypatch, M, tau, eta):
+    def test_batched_sets_match_single_sets(self, M, tau, eta):
+        # a (sets, M) batch is one theta call, so its series cutoff follows
+        # the largest |Im| over every set (a set may sum extra terms, each
+        # under tol/100 of the scale, in each of its 4(M-1) factors) and its
+        # taller point table may take another BLAS kernel, which sums in
+        # another order; hence a bound, 1e-12 relative, and not ==
         ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
-        cfg = _flow_start(M, ev_g)
+        xs = np.array([_random_poles(M, ev_g, seed=M + 10 * b).xs for b in range(5)], dtype=complex)
+        xs = xs.reshape(5, M)
+        v1, v2, margins = volterra._flow_state(xs, ev_g)
+        assert v1.shape == v2.shape == (5, M) and margins.shape == (5,)
+        for b in range(5):
+            w1, w2, margin = volterra._flow_state(xs[b], ev_g)
+            np.testing.assert_allclose(v1[b], w1, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(v2[b], w2, rtol=1e-12, atol=0)
+            assert margins[b] == pytest.approx(margin, rel=1e-12)
 
-        def run():
-            # a flow whose locus gap grows past its bound halts, on both routes
-            try:
-                return integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_g)
-            except LocusError as exc:
-                return exc
-
-        got = run()
-        monkeypatch.setattr(volterra, "_flow_state", _reference_flow_state)
-        want = run()
-        v1 = _reference_flow_state(np.array(cfg.xs, dtype=complex), ev_g)[0]
-        bound = 1e-15 * max(1.0, float(np.abs(v1).max(initial=0.0)))
-        assert type(got) is type(want)
-        if isinstance(want, LocusError):
-            assert abs(got.gap - want.gap) <= bound
-            return
-        assert [c.xs for c in got.trajectory] == [c.xs for c in want.trajectory]
-        assert [c.t for c in got.trajectory] == [c.t for c in want.trajectory]
-        assert (got.margins == want.margins).all()
-        assert np.abs(got.locus_gaps - want.locus_gaps).max() <= bound
+    def test_batch_margin_violation_raises(self, ev):
+        good = np.array(_random_poles(3, ev, seed=3).xs)
+        bad = np.array([0.1 + 0.05j, 0.1 + 0.05j + ETA + 1e-9, -0.3 + 0.2j])
+        with pytest.raises(MarginViolationError):
+            volterra._flow_state(np.array([good, bad]), ev)
 
     def test_margin_violation_raises_on_both_routes(self, monkeypatch, ev):
         cfg = PoleConfig(xs=(0.1 + 0.05j, 0.1 + 0.05j + ETA + 1e-9, -0.3 + 0.2j))
@@ -540,3 +573,99 @@ class TestFlowMatchesReference:
         monkeypatch.setattr(volterra, "_flow_state", _reference_flow_state)
         with pytest.raises(MarginViolationError):
             integrate_flow(cfg, t_end=0.1, dt=0.01, ev=ev)
+
+
+def _rk4_reference(cfg0, t_end, dt, ev):
+    """The fixed-step classical RK4 integrator the Dormand-Prince pair
+    replaced, as it was: four evaluations per step, the locus gap checked at
+    every step.  Returns the (steps + 1, M) array of pole sets."""
+    xs = np.array(cfg0.xs, dtype=complex)
+    v1, v2, _ = volterra._flow_state(xs, ev)
+
+    def rhs(xs):
+        return volterra._flow_state(xs, ev)[0]
+
+    n_steps = max(1, round(abs(t_end) / abs(dt)))
+    h = t_end / n_steps
+    out = [xs]
+    for _ in range(n_steps):
+        k1 = v1
+        k2 = rhs(xs + 0.5 * h * k1)
+        k3 = rhs(xs + 0.5 * h * k2)
+        k4 = rhs(xs + h * k3)
+        xs = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v1, v2, _ = volterra._flow_state(xs, ev)
+        gap = float(np.abs(v1 - v2).max(initial=0.0))
+        if cfg0.M > 1 and gap > volterra.GAP_FACTOR * volterra.LOCUS_TOL * max(1.0, float(np.abs(v1).max())):
+            raise LocusError(f"reference: locus consistency degraded to {gap:.3e}", gap=gap)
+        out.append(xs)
+    return np.array(out).reshape(n_steps + 1, cfg0.M)
+
+
+def _edge_drift(cfg0, cfg1, ev, re):
+    """Largest move of the confident Bloch edges (inf when their count changes)."""
+    def edges(cfg):
+        cvals = coefficient_samples(lambda x: c_from_poles(cfg, x, ev), re, 0.123456)
+        cand = numeric_band_edges_from_coefficients(np.ones(re.Q, dtype=complex), cvals)
+        return np.sort(cand.confident_values().real)
+
+    e0, e1 = edges(cfg0), edges(cfg1)
+    return float(np.abs(e0 - e1).max()) if len(e0) == len(e1) else float("inf")
+
+
+class TestFlowAccuracy:
+    """The error-controlled flow against fixed-step RK4 at dt = 5e-4, whose
+    error over t = 0.2 is about 1e-11 at the hardest start below."""
+
+    @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
+    def test_matches_fine_rk4_at_every_grid_point(self, M, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        cfg = _flow_start(M, ev_g)
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_g)
+        assert [c.t for c in res.trajectory] == np.linspace(0.0, 0.2, 21).tolist()
+        got = np.array([c.xs for c in res.trajectory], dtype=complex).reshape(21, M)
+        want = _rk4_reference(cfg, 0.2, 5e-4, ev_g)[::20]
+        scale = 1.0 + np.abs(want).max(axis=1, initial=0.0)
+        assert (np.abs(got - want).max(axis=1, initial=0.0) <= 1e-10 * scale).all()
+        assert np.abs(got[-1] - want[-1]).max(initial=0.0) <= 1e-12 * scale[-1]
+        # the gap follows the pole set, and at eta = 0.17, tau = 1.2i (M = 3
+        # and 6) it magnifies the poles' rounding: it swings between 1e-12 and
+        # 6e-11 along the flow on both routes, and by 1e-10 with another valid
+        # step sequence.  So no gap may exceed the reference's largest by more
+        # than the poles' own bound, 1e-10 max(1, max|v1|)
+        w1, w2, _ = volterra._flow_state(want, ev_g)
+        want_gap = np.abs(w1 - w2).max(initial=0.0)
+        bound = 1e-10 * max(1.0, float(np.abs(w1[0]).max(initial=0.0)))
+        assert res.locus_gaps.max() <= want_gap + bound
+        assert res.margins.shape == (21,) and (res.margins > MARGIN_TOL).all()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_flows_halted_by_rk4_error_finish(self, seed):
+        # at eta = 0.17 these M = 6 flows left the RK4 gap guard at t = 0.01
+        ev17 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.17, tol=1e-12))
+        cfg = find_locus_config(3, ev17, np.random.default_rng(seed))
+        assert cfg is not None and cfg.M == 6
+        with pytest.raises(LocusError):
+            _rk4_reference(cfg, 0.2, 0.01, ev17)
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev17)
+        assert len(res.trajectory) == 21
+        assert _edge_drift(res.trajectory[0], res.trajectory[-1], ev17, RationalEta(17, 100)) <= 1e-6
+
+    def test_edge_drift_check_can_fail(self, monkeypatch):
+        # negating every velocity only reverses time, which is isospectral
+        # too; negating one pole's velocity is not.  Both systems return the
+        # same velocity, so the locus guard cannot stop the flow and the edge
+        # drift alone must catch it
+        ev17 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.17, tol=1e-12))
+        cfg = find_locus_config(3, ev17, np.random.default_rng(0))
+        real = volterra._flow_state
+
+        def flipped(xs, ev):
+            v1, _, margin = real(xs, ev)
+            v1 = v1.copy()
+            v1[..., 0] *= -1
+            return v1, v1, margin
+
+        monkeypatch.setattr(volterra, "_flow_state", flipped)
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev17)
+        assert _edge_drift(res.trajectory[0], res.trajectory[-1], ev17, RationalEta(17, 100)) > 1e-6
