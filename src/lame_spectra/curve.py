@@ -8,9 +8,9 @@ polynomials A_j(E) (deg A_j = l - j):
     S2 = sum_{j=0}^{l+1} (-1)^j K^-j theta1(zeta - j eta) [j-1]
                          ebinom(l+1, j) A_|j-1|(E)
 
-Replacing theta1(zeta - j eta) by theta_a((N - j) eta), a = 1..4, produces
-four pairs of E-polynomials whose common roots are the band edges; the full
-edge set is their union together with its reflection E -> -E.
+The band edges of label a = 1..4 are the eigenvalues of L on a space of even
+theta functions of order l (``band_edges``); the full edge set is their
+union together with its reflection E -> -E.
 
 Eliminating E leads to a single relation between the Bloch parameters,
 
@@ -26,7 +26,7 @@ polynomials is a 2-D array, one per row.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polytrim, polyval
@@ -35,7 +35,6 @@ from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, th
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from .lame import CurvePoint, LameContext, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
-from .util import cluster_points
 
 __all__ = [
     "BandEdgeSet",
@@ -58,10 +57,6 @@ __all__ = [
     "half_period",
 ]
 
-# a root of p1 is common when |p2(r)| <= MATCH_TOL * sum_i |c_i| |r|^i
-MATCH_TOL = 1e-6
-# common roots closer than CLUSTER_REL * max(max|r|, 1) are one edge with multiplicity
-CLUSTER_REL = 1e-7
 # a curve point is accepted once its largest scaled residual is below NEWTON_TOL
 NEWTON_TOL = 1e-11
 # an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
@@ -131,8 +126,7 @@ def _binom_nz(n: int, m: int, ev: ThetaEvaluator) -> complex:
 def _curve_factors(ell: int, ev: ThetaEvaluator) -> tuple:
     """The eta-only factors of the curve sums: ebinom(l, j) for j = 0..l, and
     [j-1] and ebinom(l+1, j) for j = 0..l+1.  They depend on ell and the
-    evaluator only, so a caller weighting several labels or points reads
-    them once."""
+    evaluator only, so a caller weighting several points reads them once."""
     b1 = [ebinom(ell, j, ev) for j in range(ell + 1)]
     br = [ebracket(j - 1, ev) for j in range(ell + 2)]
     b2 = [ebinom(ell + 1, j, ev) for j in range(ell + 2)]
@@ -148,8 +142,8 @@ def _curve_rows(A: np.ndarray, w: list, factors: tuple):
     The factors are the evaluator's table values, bit for bit the sequential
     products, and they are applied to a weight in that fixed order as Python
     scalars: numpy's vectorised complex product rounds differently (fused
-    multiply-add), and near-double edge roots at small eta move visibly
-    under a one-ulp change of a weight."""
+    multiply-add), and the points ``random_curve_points`` picks from these
+    rows are pinned bit for bit."""
     ell = len(A) - 1
     b1, br, b2 = factors
     c1 = [w[j] * b1[j] for j in range(ell + 1)]
@@ -203,11 +197,10 @@ def half_period(a: int, tau: complex) -> complex:
 
 @dataclass(frozen=True)
 class BandEdgeSet:
-    """Band edges per half-period label, with root-cluster multiplicities."""
+    """Band edges per half-period label."""
 
     ell: int
     per_label: dict
-    multiplicities: dict = field(default_factory=dict)
 
     def union(self) -> list:
         out = []
@@ -233,44 +226,60 @@ class BandEdgeSet:
         return {1: e1, 2: rest, 3: rest, 4: rest}
 
 
-def _edge_polys(A: np.ndarray, a: int, factors: tuple, ev: ThetaEvaluator):
-    """The two E-polynomials whose common roots form the label-a edge set:
-    the curve sums with theta1(zeta - j eta) replaced by theta_a((N - j) eta)."""
-    ell = len(A) - 1
-    N = ell * (ell + 1) // 2
-    th = theta(a, (N - np.arange(ell + 2)) * ev.eta, ev).tolist()
-    rows1, rows2 = _curve_rows(A, [(-1) ** j * t for j, t in enumerate(th)], factors)
-    return _trim(rows1.sum(axis=0)), _trim(rows2.sum(axis=0))
+# the characteristic (eps, s) of the even space V_a, for ell even and ell odd:
+# f(x + 1) = exp(2 pi i eps) f(x) and f(x + tau) = s exp(-i pi l tau - 2 pi i l x) f(x)
+_EDGE_CHARS = {1: ((0.0, 1), (0.5, -1)), 2: ((0.0, -1), (0.5, 1)),
+               3: ((0.5, -1), (0.0, 1)), 4: ((0.5, 1), (0.0, -1))}
 
 
 def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
-    """Common roots of the two edge polynomials for each label a = 1..4.
+    """The label-a edges: the eigenvalues of L on V_a, the even theta
+    functions of order l with the characteristic ``_EDGE_CHARS[a]``.
 
-    Roots come from the companion matrix of the first polynomial, unpolished,
-    and are kept when the second polynomial vanishes there to within
-    MATCH_TOL of its magnitude-sum at the root (numerically stabler than a
-    polynomial GCD).  A second polynomial that vanishes identically keeps
-    every root.  Roots closer than CLUSTER_REL * scale are merged with
-    multiplicity.
+    V_a has the basis b_j(x) = sum_k s^k exp(i pi tau nu^2/l + 2 pi i nu x),
+    nu = j + eps + l k (j = 0..l-1), and b_j(-x) = s^m b_j'(x) with
+    j' = (-j - 2 eps) mod l, m = (-j - 2 eps - j')/l.  The even functions
+    b_j + s^m b_j', one per pair {j, j'} except a self-paired j with s^m = -1,
+    number dim V_a = ``BandEdgeSet.expected_counts(l)[a]``, with no rank test.
+    Their Fourier supports are disjoint mod l, so their samples at P
+    equispaced points of Im x = -Im tau/2 (no theta1 zeros), l | P, are
+    orthogonal columns; normalised to Q, the edges are the eigenvalues of
+    A = Q^H (L Q), sorted by (Re, Im).
     """
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
-    A = a_polys_recurrence(ell, ev)
-    factors = _curve_factors(ell, ev)
+    # [2]..[2l] in increasing order: a torsion eta is named by its smallest order
+    theta1_multiples(2 * ell, ev)
+    efactorial(2 * ell, ev)
+    tau, eta = ev.tau, ev.eta
+    P = 2 * ell * max(2, -(-8 // ell))
+    x = (np.arange(P) + 0.37) / P - 0.5j * tau.imag
+    th = theta(1, x, ev, shifts=[0.0, -ell * eta, ell * eta])
+    # a term of b_j at |k| > K is below |q|^(l K (K+1)) <= |q|^(n^2) < tol/100 of its column's
+    # largest (n: the evaluator's cutoff less its guard term); the least K keeps terms normal
+    n = ev.series_cutoff - 1
+    K = max(1, math.ceil((math.sqrt(1 + 4 * n * n / ell) - 1) / 2))
+    k = np.arange(-K, K + 1)
+    j = np.arange(ell)
     per_label = {}
-    mults = {}
     for a in (1, 2, 3, 4):
-        p1, p2 = _edge_polys(A, a, factors, ev)
-        abs_p2 = np.abs(p2)
-        roots = np.roots(p1[::-1])
-        if abs_p2.max() > 1e-12 * max(np.abs(p1).max(), abs_p2.max()):
-            bound = MATCH_TOL * np.maximum(polyval(np.abs(roots), abs_p2), ev.tol)
-            roots = roots[np.abs(polyval(roots, p2)) <= bound]
-        scale = max(np.abs(roots).max(initial=0.0), 1.0)
-        clustered = cluster_points(roots, CLUSTER_REL * scale)
-        per_label[a] = [c for c, _ in clustered]
-        mults[a] = [m for _, m in clustered]
-    return BandEdgeSet(ell=ell, per_label=per_label, multiplicities=mults)
+        eps, s = _EDGE_CHARS[a][ell % 2]
+        nu = j[:, None] + eps + ell * k
+        # one exponent per term; the largest, at nu = l/2, is about 1
+        terms = np.where(k % 2, s, 1) * np.exp((1j * math.pi * tau / ell) * nu**2 - math.pi * tau.imag * ell / 4
+                                               + (2j * math.pi) * x[:, None, None] * nu)
+        # b_j at x, x + eta and x - eta: a shift by +-eta scales a term by exp(+-2 pi i nu eta)
+        shift = np.exp((2j * math.pi * eta) * nu)
+        b = (terms * np.array([shift**0, shift, 1 / shift])[:, None]).sum(axis=-1)
+        m, jp = np.divmod(-j - round(2 * eps), ell)
+        sign = np.where(m % 2, s, 1)
+        keep = (j < jp) | ((j == jp) & (sign == 1))
+        f = b[..., j[keep]] + sign[keep] * b[..., jp[keep]]
+        LF = (th[:, 1, None] * f[1] + th[:, 2, None] * f[2]) / th[:, 0, None]
+        norm = np.linalg.norm(f[0], axis=0)
+        A = (f[0].conj().T @ LF) / np.outer(norm, norm)
+        per_label[a] = sorted(np.linalg.eigvals(A).tolist(), key=lambda z: (z.real, z.imag))
+    return BandEdgeSet(ell=ell, per_label=per_label)
 
 
 def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
