@@ -17,14 +17,16 @@ Quasi-periodicity used throughout:
     theta_a(x +- tau) = (-1)^(d_a1 + d_a4) exp(-i*pi*tau -+ 2i*pi*x) theta_a(x)
 
 All evaluations are truncated sums with tail below ``tol``; derivatives are
-term-wise.  A table theta_a(x + s) over points x and shifts s splits each
-term as exp(2i*pi*x*m) * exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m): one exp row
-per point, one per shift, joined by one matrix product.  The shift factor
-depends only on (a, cutoff, tau, shifts), so it is built once per such key
-and kept in a module-level least-recently-used cache of _SHIFT_TABLES_MAX
-(256) read-only matrices (``_shift_table``): a Volterra flow, whose shifts
-are always the same multiples of eta, builds one per cutoff it meets (one
-on every flow of the benchmark).  The point factor is computed per call.
+term-wise.  Every call is a table theta_a(x + s) over points x and shifts s
+(a plain call has the one shift 0), each term split as exp(2i*pi*x*m) *
+(2i*pi*m)^d exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m): one exp row per point, one
+per shift.  The shift factor depends only on (a, cutoff, tau, shifts, d), so
+it is built once per such key and kept in a module-level least-recently-used
+cache of _SHIFT_TABLES_MAX (256) read-only matrices (``_shift_table``): a
+Volterra flow, whose shifts are always the same multiples of eta, builds one
+per cutoff it meets (one on every flow of the benchmark).  ``_series``, one
+exp per point and term, is left for points the split cannot hold and for
+theta1'(0).
 
 An evaluator's parameters are fixed at construction; its caches, the eta-only
 tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
@@ -98,9 +100,12 @@ class ThetaEvaluator:
     increasing it by hand never changes a returned value by more than tol.
     The constant -log(tol/100)/pi of that extension is computed once, here.
 
-    The shift factors of ``theta(..., shifts=)`` are cached in the module,
-    not here (see the module docstring: 256 read-only matrices, thread-safe),
-    keyed by tau, so evaluators built anew per request share them.
+    The shift factors of ``theta`` are cached in the module, not here (see
+    the module docstring: 256 read-only matrices, thread-safe), keyed by tau,
+    so evaluators built anew per request share them.  ``theta1_prime0`` is
+    summed by ``_series``, not through a table: that sum comes out real on
+    the imaginary tau axis, where the table's leaves an imaginary part of
+    ~1e-33, and every Volterra velocity scales by it.
     """
 
     params: EllipticParams
@@ -177,36 +182,51 @@ _SHIFT_TABLES_MAX = 256
 def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
     """theta_a(x | tau), or its ``deriv``-th derivative in x.
 
-    Accepts a complex scalar or an ndarray.  A deriv=0 call whose points lie
-    so far off the real axis that a split series term would overflow (the
-    ``_SPLIT_LOG_MAX`` rule of the shift tables) first shifts them to the
-    fundamental cell by the quasi-periodicity relations; nearer points, and
-    every derivative, are summed directly.
-
-    With ``shifts`` (a sequence of complex numbers, small next to Im tau) the
-    result is the table theta_a(x + s) of shape ``shape(x) + shape(shifts)``,
-    from one exp table over the points, one over the shifts and one matrix
-    product (deriv=0 only; points with large |Im x| are reduced to the
-    fundamental cell first).
+    Accepts a complex scalar (returns a ``complex``) or an ndarray.  With
+    ``shifts`` (a sequence of complex numbers, small next to Im tau) the
+    result is the table theta_a(x + s), of shape ``shape(x) + shape(shifts)``;
+    a plain call is the table at the one shift 0, of shape ``shape(x)``.
+    Several shifts are joined by one matrix product; one column is summed per
+    point, so that a point's value does not depend on the other points of the
+    call.  A deriv=0 call whose split terms would overflow (the
+    ``_SPLIT_LOG_MAX`` rule) first reduces its points to the fundamental
+    cell; points still out of range, in a cell too tall or for a derivative,
+    are summed by ``_series``.
     """
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")
-    if shifts is not None:
-        if deriv:
-            raise ValueError("shift tables are only supported for deriv=0")
-        return _theta_shifted(a, x, shifts, ev)
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
-    if not scalar and np.size(x) == 0:
-        return np.empty(np.shape(x), dtype=complex)
-    im = np.max(np.abs(np.imag(np.asarray(x, dtype=complex)))) if not scalar else abs(complex(x).imag)
-    n = ev.cutoff_for(float(im) + 0.05 * deriv)
-    if not deriv and 2 * math.pi * im * (n + 1) > _SPLIT_LOG_MAX:
-        x_red, _, factor = _to_cell(a, np.asarray(x, dtype=complex), ev.tau)
-        n = ev.cutoff_for(float(np.max(np.abs(x_red.imag))))
-        out = factor * _series(a, x_red, ev.tau, n, 0)
+    xs = np.asarray(x, dtype=complex)
+    s = np.zeros(1, dtype=complex) if shifts is None else np.asarray(shifts, dtype=complex)
+    shape = xs.shape if shifts is None else xs.shape + s.shape
+    if xs.size == 0 or s.size == 0:
+        return np.empty(shape, dtype=complex)
+    xs, s = xs.ravel(), s.ravel()
+    tau = ev.tau
+    im_s = float(np.abs(s.imag).max())
+    im_x = float(np.abs(xs.imag).max())
+    n = ev.cutoff_for(im_x + im_s + 0.05 * deriv)
+    factor = None
+    if not deriv and 2 * math.pi * im_x * (n + 1) > _SPLIT_LOG_MAX:
+        # theta_a(x_red + s + j + k*tau) = factor(x_red) exp(-2i*pi*k*s) theta_a(x_red + s)
+        xs, k, factor = _to_cell(a, xs, tau)
+        factor = factor[:, None] * np.exp(-2j * math.pi * np.outer(k, s))
+        im_x = float(np.abs(xs.imag).max())
+        n = ev.cutoff_for(im_x + im_s)
+    if 2 * math.pi * im_x * (n + 1) <= _SPLIT_LOG_MAX:
+        m, shift_exp = _shift_table(a, n, tau, s.tobytes(), deriv)
+        point_exp = np.exp((2j * math.pi * xs)[:, None] * m)
+        if shifts is None:
+            out = np.einsum("pt,t->p", point_exp, shift_exp[:, 0])[:, None]
+        else:
+            out = point_exp @ shift_exp
+        if a == 1:
+            out = -out
     else:
-        out = _series(a, x, ev.tau, n, deriv)
-    return complex(out) if scalar else out
+        out = _series(a, xs[:, None] + s, tau, n, deriv)
+    if factor is not None:
+        out = out * factor
+    out = out.reshape(shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def _to_cell(a: int, xs: np.ndarray, tau: complex):
@@ -225,47 +245,18 @@ def _to_cell(a: int, xs: np.ndarray, tau: complex):
 
 
 @functools.lru_cache(maxsize=_SHIFT_TABLES_MAX)
-def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes):
-    """The term indices m and the matrix exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m)
-    of a shift table, rows m and columns s (read-only, shared by every caller)."""
+def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
+    """The term indices m and the matrix (2i*pi*m)^deriv *
+    exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m) of a shift table, rows m and
+    columns s (read-only, shared by every caller)."""
     alpha, beta = _CHAR[a]
     s = np.frombuffer(shift_bytes, dtype=complex)
     m = np.arange(-(n + 1) if alpha == 0.5 else -n, n + 1) + alpha
     shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
+    if deriv:
+        shift_exp = shift_exp * ((2j * math.pi * m) ** deriv)[:, None]
     m.flags.writeable = shift_exp.flags.writeable = False
     return m, shift_exp
-
-
-def _theta_shifted(a: int, x, shifts, ev: ThetaEvaluator):
-    xs = np.asarray(x, dtype=complex)
-    s = np.asarray(shifts, dtype=complex)
-    shape = xs.shape + s.shape
-    if xs.size == 0 or s.size == 0:
-        return np.empty(shape, dtype=complex)
-    xs, s = xs.ravel(), s.ravel()
-    tau = ev.tau
-    im_s = float(np.abs(s.imag).max())
-    im_x = float(np.abs(xs.imag).max())
-    n = ev.cutoff_for(im_x + im_s)
-    factor = None
-    if 2 * math.pi * im_x * (n + 1) > _SPLIT_LOG_MAX:
-        # theta_a(x_red + s + j + k*tau) = factor(x_red) exp(-2i*pi*k*s) theta_a(x_red + s)
-        xs, k, factor = _to_cell(a, xs, tau)
-        factor = factor[:, None] * np.exp(-2j * math.pi * np.outer(k, s))
-        im_x = float(np.abs(xs.imag).max())
-        n = ev.cutoff_for(im_x + im_s)
-    if 2 * math.pi * im_x * (n + 1) <= _SPLIT_LOG_MAX:
-        m, shift_exp = _shift_table(a, n, tau, s.tobytes())
-        point_exp = np.exp((2j * math.pi * xs)[:, None] * m)
-        out = point_exp @ shift_exp
-        if a == 1:
-            out = -out
-    else:
-        # Im tau so large that even the cell is out of range: one exp per term
-        out = _series(a, xs[:, None] + s, tau, n, 0)
-    if factor is not None:
-        out = out * factor
-    return out.reshape(shape)
 
 
 def theta1_prime(x, ev: ThetaEvaluator):
@@ -307,7 +298,7 @@ def theta_halfshift(x, shift: str, ev: ThetaEvaluator, sign: int = 1):
             f"half-period identity violated at x={x}, shift={shift}: "
             f"direct={direct}, identity={rhs}"
         )
-    return complex(direct) if np.isscalar(x) or getattr(x, "ndim", 0) == 0 else direct
+    return direct
 
 
 def weierstrass_p(x, ev: ThetaEvaluator):
@@ -322,5 +313,4 @@ def weierstrass_p(x, ev: ThetaEvaluator):
         raise PoleProximityError(f"theta1({x}) is within tol of zero (lattice point)")
     t1 = theta(1, x, ev, deriv=1)
     t2 = theta(1, x, ev, deriv=2)
-    out = (t1 * t1 - t2 * t0) / (t0 * t0)
-    return complex(out) if np.isscalar(x) or getattr(x, "ndim", 0) == 0 else out
+    return (t1 * t1 - t2 * t0) / (t0 * t0)

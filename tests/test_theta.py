@@ -164,9 +164,9 @@ class TestMonodromy:
                 got = theta(a, x + sgn * ev.tau, ev)
                 assert abs(got - fac * v) < 1e-11 * max(abs(fac * v), 1)
 
-    def test_reduce_option_matches_direct(self, ev):
-        # far off the real axis, where the plain call sums directly (3.7) and
-        # where it first reduces to the fundamental cell (7.7)
+    def test_far_points_match_product(self, ev):
+        # far off the real axis, where the split terms stay in range (3.7) and
+        # where the points are first reduced to the fundamental cell (7.7)
         for c in (3.7, 7.7):
             x = 0.3 + c * ev.tau + 2.0
             want = product_theta(1, x, ev.tau)
@@ -242,8 +242,8 @@ class TestWeierstrass:
 
 
 def _plain_series(a, x, tau, n_terms, deriv):
-    """The plain series route as written before shift tables existed; plain
-    ``theta`` calls must keep returning exactly this."""
+    """The plain series route as written before shift tables existed, one exp
+    per point and term; plain ``theta`` calls must agree with it to rounding."""
     alpha, beta = _CHAR[a]
     if alpha == 0.5:
         k = np.arange(-(n_terms + 1), n_terms + 1)
@@ -301,21 +301,23 @@ class TestShiftTable:
         rng = np.random.default_rng(seed)
         return rng.uniform(-1, 1, shape) + 1j * tau.imag * rng.uniform(-im_max, im_max, shape)
 
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", [0.17, 2 / 31, 0.11 + 0.05j])
-    def test_matches_plain_calls(self, a, tau, eta):
+    def test_matches_plain_calls(self, a, tau, eta, deriv):
         ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
         shifts = np.array([0, 1, -1, 2, -2]) * eta
         x = self._points((3, 4), tau, seed=a)
-        got = theta(a, x, ev_t, shifts=shifts)
+        got = theta(a, x, ev_t, deriv=deriv, shifts=shifts)
         assert got.shape == (3, 4, 5)
-        want = theta(a, x[..., None] + shifts, ev_t)
+        want = theta(a, x[..., None] + shifts, ev_t, deriv=deriv)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         x0 = complex(x[1, 2])
-        got0 = theta(a, x0, ev_t, shifts=shifts)
+        got0 = theta(a, x0, ev_t, deriv=deriv, shifts=shifts)
         assert got0.shape == (5,)
-        np.testing.assert_allclose(got0, [theta(a, x0 + s, ev_t) for s in shifts], rtol=1e-13, atol=0)
+        want0 = [theta(a, x0 + s, ev_t, deriv=deriv) for s in shifts]
+        np.testing.assert_allclose(got0, want0, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0)])
     def test_empty_points(self, ev, shape):
@@ -352,19 +354,33 @@ class TestShiftTable:
         got = theta(1, x, ev40, shifts=shifts)
         np.testing.assert_allclose(got, theta(1, x[:, None] + shifts, ev40), rtol=1e-13, atol=0)
 
-    def test_derivatives_rejected(self, ev):
-        with pytest.raises(ValueError, match="deriv=0"):
-            theta(1, 0.1, ev, deriv=1, shifts=[0.0])
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_plain_calls_match_series(self, ev, a, deriv):
+        x = self._points((7,), ev.tau, seed=10 + a, im_max=1.5)
+        n = ev.cutoff_for(float(np.abs(x.imag).max()) + 0.05 * deriv)
+        np.testing.assert_allclose(theta(a, x, ev, deriv=deriv), _plain_series(a, x, ev.tau, n, deriv),
+                                   rtol=1e-13, atol=0)
+        x0 = complex(x[3])
+        n0 = ev.cutoff_for(abs(x0.imag) + 0.05 * deriv)
+        got0 = theta(a, x0, ev, deriv=deriv)
+        assert isinstance(got0, complex)
+        assert got0 == pytest.approx(complex(_plain_series(a, x0, ev.tau, n0, deriv)), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
-    def test_plain_calls_are_bit_identical(self, ev, a, deriv):
-        x = self._points((7,), ev.tau, seed=10 + a, im_max=1.5)
+    @pytest.mark.parametrize("eta", [1 / 101, 0.11 + 0.05j])
+    def test_plain_calls_are_batch_invariant(self, ev, a, eta, deriv):
+        # the elliptic-integer tables promise bit for bit the sequential
+        # scalar route, so a point's plain value must not depend on the other
+        # points of its call (a BLAS product's order depends on their count)
+        x = np.arange(3, 20) * eta
         n = ev.cutoff_for(float(np.abs(x.imag).max()) + 0.05 * deriv)
-        assert (theta(a, x, ev, deriv=deriv) == _plain_series(a, x, ev.tau, n, deriv)).all()
-        x0 = complex(x[3])
-        n0 = ev.cutoff_for(abs(x0.imag) + 0.05 * deriv)
-        assert theta(a, x0, ev, deriv=deriv) == complex(_plain_series(a, x0, ev.tau, n0, deriv))
+        assert all(ev.cutoff_for(abs(xi.imag) + 0.05 * deriv) == n for xi in x)
+        batch = theta(a, x, ev, deriv=deriv)
+        for i, xi in enumerate(x):
+            assert batch[i] == theta(a, complex(xi), ev, deriv=deriv)
+            assert batch[i] == theta(a, x[i:], ev, deriv=deriv)[0]
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
@@ -403,7 +419,7 @@ class TestShiftTable:
         first[...] = 0
         assert (theta(2, x, ev, shifts=shifts) == want).all()
         n = ev.cutoff_for(float(np.abs(x.imag).max() + np.abs(shifts.imag).max()))
-        for table in theta_module._shift_table(2, n, ev.tau, shifts.astype(complex).tobytes()):
+        for table in theta_module._shift_table(2, n, ev.tau, shifts.astype(complex).tobytes(), 0):
             assert not table.flags.writeable
 
     def test_flow_builds_each_table_once(self):
