@@ -31,6 +31,11 @@ tau != 0, or the c_from_poles samples of the Volterra flow, whose products
 are mostly negative or complex) take the general route, one dense complex
 ``eigvals`` per phase solved.
 
+Each spectrum keeps the solver's order: by (Re, Im), with real parts that
+tie to rounding (as a conjugate pair's do) counted equal, so a complex double
+is never interleaved with its conjugate.  Edge clusters are runs along a
+spectrum and bands are merged column spans, each read in one array pass.
+
 This module is the independent numerical oracle against which the closed
 curve formulas are checked; it never imports from ``curve``.
 """
@@ -43,7 +48,6 @@ import numpy as np
 
 from .errors import ClusterAmbiguityError, PoleProximityError
 from .theta import ThetaEvaluator, theta
-from .util import cluster_points
 
 __all__ = [
     "RationalEta",
@@ -149,8 +153,8 @@ def _spectrum_solver(a_vals: np.ndarray, c_vals: np.ndarray):
             return eigs[np.lexsort((eigs.imag, group))]
         b, sigma = gauge
         M = periodic_matrix(b, np.roll(b, 1), sigma * phase)
-        eigs = np.linalg.eigvalsh(M if M.imag.any() else M.real).astype(complex)
-        return eigs[np.lexsort((eigs.imag, eigs.real))]
+        # eigvalsh returns the real eigenvalues in ascending order
+        return np.linalg.eigvalsh(M if M.imag.any() else M.real).astype(complex)
 
     return solve
 
@@ -182,14 +186,15 @@ def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator
 class EdgeCandidates:
     """Candidate edges from the periodic/antiperiodic spectra.
 
-    ``values[i]`` is a cluster center, ``multiplicity[i]`` its size, and
-    ``confident[i]`` is True for clean simple eigenvalues (open-gap edges).
-    ``spectra`` is the (2, Q) array of the phase +1 and phase -1 eigenvalues,
-    each row sorted by (Re, Im); ``band_intervals(spectra)`` gives the bands.
+    ``values[i]`` is a cluster center and ``confident[i]`` is True for clean
+    simple eigenvalues (open-gap edges).  ``spectra`` is the (2, Q) array of
+    the phase +1 and phase -1 eigenvalues, each row in the solver's order:
+    by (Re, Im), with real parts that tie to rounding counted equal.
+    Clusters are runs along these rows, and ``band_intervals(spectra)``
+    gives the bands.
     """
 
     values: np.ndarray
-    multiplicity: np.ndarray
     confident: np.ndarray
     spectra: np.ndarray
 
@@ -205,32 +210,28 @@ def numeric_band_edges(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluato
 def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
     """Simple eigenvalues at wrap phase +1 and -1, degenerate pairs dropped.
 
-    Eigenvalues within CLUSTER_TOL * max|E| (per phase) are merged; clusters
-    of size 1 are confident edge candidates, size 2 are closed-gap interior
-    points, anything larger is flagged non-confident rather than guessed.
+    Each spectrum keeps the solver's order, and a cluster is a run along it
+    whose consecutive steps are within CLUSTER_TOL * max|E| (per phase).
+    Clusters of size 1 are confident edge candidates, size 2 are closed-gap
+    interior points, anything larger is flagged non-confident rather than
+    guessed.  The centers of both phases are then sorted by (Re, Im).
     """
     solve = _spectrum_solver(np.asarray(a_vals, complex), np.asarray(c_vals, complex))
     plus = solve(1.0)
     # odd Q: diag((-1)^n) maps the matrix at phase phi to minus it at -phi;
-    # negation reverses the (Re, Im) order
+    # negation reverses the solver's order
     spectra = np.array([plus, -plus[::-1] if len(plus) % 2 else solve(-1.0)])
-    values, mult, conf = [], [], []
-    for eigs in spectra:
-        scale = float(np.abs(eigs).max()) or 1.0
-        for center, size in cluster_points(eigs, CLUSTER_TOL * scale):
-            if size == 2:
-                continue  # closed gap / interior double
-            values.append(center)
-            mult.append(size)
-            conf.append(size == 1)
-    values = np.array(values, dtype=complex)
+    d = np.diff(spectra, axis=1)
+    # hypot, as abs of a scalar: np.abs of a complex array rounds differently
+    split = np.hypot(d.real, d.imag) > CLUSTER_TOL * np.abs(spectra).max(axis=1, keepdims=True)
+    run = np.cumsum(np.concatenate((np.ones((2, 1), bool), split), axis=1)) - 1
+    size = np.bincount(run)
+    values = (np.bincount(run, spectra.real.ravel())
+              + 1j * np.bincount(run, spectra.imag.ravel())) / size
+    keep = size != 2  # closed gap / interior double
+    values, confident = values[keep], size[keep] == 1
     order = np.lexsort((values.imag, values.real))
-    return EdgeCandidates(
-        values=values[order],
-        multiplicity=np.array(mult)[order],
-        confident=np.array(conf)[order],
-        spectra=spectra,
-    )
+    return EdgeCandidates(values=values[order], confident=confident[order], spectra=spectra)
 
 
 def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluator) -> np.ndarray:
@@ -249,12 +250,13 @@ def band_sweep(ell: int, re: RationalEta, x0: complex, k_grid, ev: ThetaEvaluato
 def band_intervals(sweep: np.ndarray):
     """Maximal stable intervals from a (rows, Q) array of sorted spectra.
 
-    Each sorted-index column spans [min E_i, max E_i]; overlapping spans
-    merge into bands unless a gap of more than CLUSTER_TOL * scale separates
-    them, the threshold the edge candidates are clustered with.  The
-    imaginary parts must be noise: a spread beyond NONREAL_TOL raises
-    ClusterAmbiguityError instead of silently projecting a genuinely complex
-    spectrum.
+    Each sorted-index column spans [min E_i, max E_i]; taken in order of
+    their lower ends, the spans merge into one band until a lower end lies
+    more than CLUSTER_TOL * scale above the highest upper end so far (the
+    threshold the edge candidates are clustered with), where the next band
+    starts.  The imaginary parts must be noise: a spread beyond NONREAL_TOL
+    raises ClusterAmbiguityError instead of silently projecting a genuinely
+    complex spectrum.
 
     The two rows of ``EdgeCandidates.spectra`` (phase +1 and -1) are enough
     (Floquet theory; Teschl, Jacobi Operators and Completely Integrable
@@ -272,15 +274,10 @@ def band_intervals(sweep: np.ndarray):
         raise ClusterAmbiguityError(
             f"spectrum is not numerically real: max |Im E| = {np.abs(sweep.imag).max():.3e}"
         )
-    spans = [(float(sweep.real[:, i].min()), float(sweep.real[:, i].max()))
-             for i in range(sweep.shape[1])]
-    spans.sort()
-    scale = max(abs(sweep.real).max(), 1.0)
-    tol = CLUSTER_TOL * scale
-    merged = [list(spans[0])]
-    for lo, hi in spans[1:]:
-        if lo <= merged[-1][1] + tol:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+    lo, hi = sweep.real.min(axis=0), sweep.real.max(axis=0)
+    order = np.argsort(lo, kind="stable")
+    lo, top = lo[order], np.maximum.accumulate(hi[order])
+    tol = CLUSTER_TOL * max(abs(sweep.real).max(), 1.0)
+    start = np.concatenate(([True], lo[1:] > top[:-1] + tol))
+    end = np.concatenate((start[1:], [True]))
+    return list(zip(lo[start].tolist(), top[end].tolist()))

@@ -1,4 +1,4 @@
-"""Small shared helpers: quasi-random sampling, clustering, complex parsing."""
+"""Small shared helpers: quasi-random sampling, complex and eta parsing, lattice proximity."""
 
 import re
 from fractions import Fraction
@@ -7,7 +7,6 @@ import numpy as np
 
 __all__ = [
     "halton",
-    "cluster_points",
     "parse_complex",
     "format_complex",
     "parse_eta",
@@ -27,22 +26,6 @@ def halton(n: int, base: int) -> np.ndarray:
             k //= base
         out[i] = r
     return out
-
-
-def cluster_points(values, tol: float):
-    """Group complex values within ``tol`` of each other (single-linkage).
-
-    Returns a list of (center, count) with centers sorted by real part.
-    """
-    vals = sorted(values, key=lambda z: (z.real, z.imag))
-    clusters = []
-    for v in vals:
-        if clusters and abs(v - clusters[-1][-1]) <= tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    out = [(sum(c) / len(c), len(c)) for c in clusters]
-    return sorted(out, key=lambda p: (p[0].real, p[0].imag))
 
 
 def parse_complex(text: str) -> complex:

@@ -20,7 +20,7 @@ from lame_spectra.bloch import (
 from lame_spectra.curve import band_edges
 from lame_spectra.errors import ClusterAmbiguityError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
-from lame_spectra.volterra import PoleConfig, c_from_poles, find_locus_config
+from lame_spectra.volterra import PoleConfig, c_from_poles, find_locus_config, integrate_flow
 
 X0 = 0.123456 + 0j
 
@@ -340,3 +340,59 @@ class TestConjugatePairOrder:
             # each tied pair in order of Im
             tied = np.abs(np.diff(got.real, axis=1)) <= 1e-12
             assert (np.diff(got.imag, axis=1)[tied] > 0).all()
+
+    def test_flow_count_holds_across_conjugate_ties(self):
+        # ROADMAP item 3: find_locus_config(3, ev, default_rng(2)) at eta =
+        # 5/29, tau = 1.2i (poles to 17 digits).  At the start the spectrum
+        # holds two conjugate doubles near 1.5533 +- 0.4916i; a clustering
+        # that re-sorts by exact (Re, Im) interleaves their members and
+        # counts four confident edges there (18 at the start, 10 at the end)
+        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=5 / 29, tol=1e-12))
+        re = RationalEta(5, 29)
+        cfg = PoleConfig(xs=(0.75215097731079095 + 0.43712095281184005j,
+                             -0.17399257757275891 - 0.27657665363543027j,
+                             0.25215097731079167 - 0.16287904718816032j,
+                             -0.3281583997380319 + 0.13945570082359002j,
+                             0.17184160026196912 - 0.46054429917640866j,
+                             -0.67399257757276099 + 0.32342334636456915j))
+        traj = integrate_flow(cfg, 0.2, 0.01, ev).trajectory
+        ones = np.ones(re.Q, dtype=complex)
+        counts = []
+        for pc in (traj[0], traj[-1]):
+            c = coefficient_samples(lambda x: c_from_poles(pc, x, ev), re, X0)
+            counts.append(len(numeric_band_edges_from_coefficients(ones, c).confident_values()))
+        assert counts[0] == counts[1]
+
+
+def _dimers(Q):
+    """Decoupled dimers: a_n = 1 on even n and 0 on odd n, c = roll(a, 1)."""
+    a = (np.arange(Q) % 2 == 0).astype(complex)
+    return a, np.roll(a, 1)
+
+
+class TestClusterAndMergeRules:
+    """A cluster is a run of steps within CLUSTER_TOL * max|E| along a sorted
+    spectrum: size 1 is a confident edge, size 2 a closed gap (dropped),
+    larger ones are kept but not confident.  Bands merge overlapping spans."""
+
+    def test_doubles_dropped(self):
+        # two dimers, each at +-1 at either phase
+        assert len(numeric_band_edges_from_coefficients(*_dimers(4)).values) == 0
+
+    def test_triples_kept_not_confident(self):
+        cand = numeric_band_edges_from_coefficients(*_dimers(6))
+        assert len(cand.values) == 4
+        assert not cand.confident.any()
+        np.testing.assert_allclose(cand.values, [-1, -1, 1, 1], atol=1e-12)
+
+    def test_simple_eigenvalues_confident(self):
+        # at odd Q the wrap joins the chain, and every eigenvalue is simple
+        cand = numeric_band_edges_from_coefficients(*_dimers(5))
+        assert len(cand.values) == 10
+        assert cand.confident.all()
+
+    def test_nested_span_merges_with_running_max(self):
+        # the span [1, 1.5] lies inside [0, 2]; the band that holds both ends
+        # at 2, so [3, 4] starts a new one instead of joining at 1.5
+        sweep = np.array([[0, 3, 1], [2, 4, 1.5]], complex)
+        assert band_intervals(sweep) == [(0, 2), (3, 4)]
