@@ -149,8 +149,7 @@ def _provenance(cfg: RunConfig, ev: ThetaEvaluator) -> dict:
 
 def _emit(doc, stream=None):
     stream = stream or sys.stdout
-    json.dump(doc, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _c(z: complex) -> str:

@@ -10,7 +10,10 @@ polynomials A_j(E) (deg A_j = l - j):
 
 The band edges of label a = 1..4 are the eigenvalues of L on a space of even
 theta functions of order l (``band_edges``); the full edge set is their
-union together with its reflection E -> -E.
+union together with its reflection E -> -E.  All four labels come from one
+projection onto one Fourier table (a read-only table per (l, truncation,
+label characteristics) in a bounded module cache, ``_edge_table``) and two
+``eigvals`` calls, one for label 1 and one stacked for labels 2-4.
 
 Eliminating E leads to a single relation between the Bloch parameters,
 
@@ -25,6 +28,7 @@ polynomials is a 2-D array, one per row.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,6 +235,50 @@ class BandEdgeSet:
 _EDGE_CHARS = {1: ((0.0, 1), (0.5, -1)), 2: ((0.0, -1), (0.5, 1)),
                3: ((0.5, -1), (0.0, 1)), 4: ((0.5, 1), (0.0, -1))}
 
+# edge tables kept by _edge_table, least recently used dropped first
+_EDGE_TABLES_MAX = 64
+
+
+@functools.lru_cache(maxsize=_EDGE_TABLES_MAX)
+def _edge_table(ell: int, K: int, chars: tuple):
+    """The label-independent part of ``band_edges`` for truncation K and the
+    characteristics ``chars`` = ((eps, s) of labels 1..4): the grid
+    nu = g/2, -2Kl <= g < 2(K+1)l, holding every Fourier index of every label;
+    the (G, 2l+1) pattern of the even basis functions, labels 1..4 in
+    consecutive column blocks, each entry 0 or s^k (times s^m for the partner
+    j'); the nonempty blocks grouped by size, as (labels, column indices of
+    one block per row); and the DFT table exp(2 pi i nu (p + 0.37)/P) over
+    P = 2l max(2, ceil(8/l)) points.  All arrays are read-only."""
+    nu = np.arange(-2 * K * ell, 2 * (K + 1) * ell) / 2
+    j = np.arange(ell)
+    k = np.arange(-K, K + 1)
+    blocks = []
+    for eps, s in chars:
+        m, jp = np.divmod(-j - round(2 * eps), ell)
+        sign = np.where(m % 2, s, 1)
+        keep = (j < jp) | ((j == jp) & (sign == 1))
+        sk = np.where(k % 2, s, 1)
+        # nu = j + eps + l k sits in grid row 2 nu + 2Kl = 2j + row
+        row = 2 * ell * (k + K) + round(2 * eps)
+        col = np.arange(keep.sum())[:, None]
+        block = np.zeros((nu.size, len(col)))
+        # b_j + s^m b_j'; a self-paired j is written once, as b_j
+        block[2 * jp[keep, None] + row, col] = sign[keep, None] * sk
+        block[2 * j[keep, None] + row, col] = sk
+        blocks.append(block)
+    pattern = np.hstack(blocks)
+    sizes = [b.shape[1] for b in blocks]
+    starts = np.cumsum([0] + sizes)
+    groups = []
+    for size in sorted(set(sizes) - {0}):
+        labels = tuple(a + 1 for a in range(4) if sizes[a] == size)
+        groups.append((labels, starts[[a - 1 for a in labels], None] + np.arange(size)))
+    P = 2 * ell * max(2, -(-8 // ell))
+    dft = np.exp((2j * math.pi / P) * np.outer(np.arange(P) + 0.37, nu))
+    for arr in (nu, pattern, dft, *(idx for _, idx in groups)):
+        arr.flags.writeable = False
+    return nu, pattern, tuple(groups), dft
+
 
 def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     """The label-a edges: the eigenvalues of L on V_a, the even theta
@@ -245,6 +293,15 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     equispaced points of Im x = -Im tau/2 (no theta1 zeros), l | P, are
     orthogonal columns; normalised to Q, the edges are the eigenvalues of
     A = Q^H (L Q), sorted by (Re, Im).
+
+    All four labels are one pass.  Every nu lies on one half-integer grid,
+    and each basis function is a signed 0/+-1 pattern on it (``_edge_table``,
+    cached by (l, K, the characteristics read at call time)); tau and eta
+    enter only as per-nu weights w = exp(i pi Re tau nu^2/l - pi Im tau
+    (nu - l/2)^2/l), at most 1, and exp(+-2 pi i eta nu).  One product with
+    the DFT table gives every column at x and x +- eta, each label's A is a
+    diagonal block of one matrix, and the blocks of one size (labels 2-4)
+    share one stacked ``eigvals`` call, label 1 a second.
     """
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
@@ -252,33 +309,26 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     theta1_multiples(2 * ell, ev)
     efactorial(2 * ell, ev)
     tau, eta = ev.tau, ev.eta
-    P = 2 * ell * max(2, -(-8 // ell))
-    x = (np.arange(P) + 0.37) / P - 0.5j * tau.imag
-    th = theta(1, x, ev, shifts=[0.0, -ell * eta, ell * eta])
     # a term of b_j at |k| > K is below |q|^(l K (K+1)) <= |q|^(n^2) < tol/100 of its column's
     # largest (n: the evaluator's cutoff less its guard term); the least K keeps terms normal
     n = ev.series_cutoff - 1
     K = max(1, math.ceil((math.sqrt(1 + 4 * n * n / ell) - 1) / 2))
-    k = np.arange(-K, K + 1)
-    j = np.arange(ell)
-    per_label = {}
-    for a in (1, 2, 3, 4):
-        eps, s = _EDGE_CHARS[a][ell % 2]
-        nu = j[:, None] + eps + ell * k
-        # one exponent per term; the largest, at nu = l/2, is about 1
-        terms = np.where(k % 2, s, 1) * np.exp((1j * math.pi * tau / ell) * nu**2 - math.pi * tau.imag * ell / 4
-                                               + (2j * math.pi) * x[:, None, None] * nu)
-        # b_j at x, x + eta and x - eta: a shift by +-eta scales a term by exp(+-2 pi i nu eta)
-        shift = np.exp((2j * math.pi * eta) * nu)
-        b = (terms * np.array([shift**0, shift, 1 / shift])[:, None]).sum(axis=-1)
-        m, jp = np.divmod(-j - round(2 * eps), ell)
-        sign = np.where(m % 2, s, 1)
-        keep = (j < jp) | ((j == jp) & (sign == 1))
-        f = b[..., j[keep]] + sign[keep] * b[..., jp[keep]]
-        LF = (th[:, 1, None] * f[1] + th[:, 2, None] * f[2]) / th[:, 0, None]
-        norm = np.linalg.norm(f[0], axis=0)
-        A = (f[0].conj().T @ LF) / np.outer(norm, norm)
-        per_label[a] = sorted(np.linalg.eigvals(A).tolist(), key=lambda z: (z.real, z.imag))
+    nu, pattern, groups, dft = _edge_table(ell, K, tuple(_EDGE_CHARS[a][ell % 2] for a in (1, 2, 3, 4)))
+    P = len(dft)
+    x = (np.arange(P) + 0.37) / P - 0.5j * tau.imag
+    th = theta(1, x, ev, shifts=[0.0, -ell * eta, ell * eta])
+    w = np.exp((1j * math.pi * tau.real / ell) * nu**2 - (math.pi * tau.imag / ell) * (nu - ell / 2) ** 2)
+    shift = np.exp((2j * math.pi * eta) * nu)
+    # the weights of each nu, then every column, at x, x + eta and x - eta
+    weights = np.array([w, w * shift, w / shift]).T
+    f = (dft @ (pattern[:, None, :] * weights[:, :, None]).reshape(len(nu), -1)).reshape(P, 3, -1)
+    LF = (th[:, 1, None] * f[:, 1] + th[:, 2, None] * f[:, 2]) / th[:, 0, None]
+    norm = np.linalg.norm(f[:, 0], axis=0)
+    A = (f[:, 0].conj().T @ LF) / np.outer(norm, norm)
+    per_label = {a: [] for a in (1, 2, 3, 4)}
+    for labels, idx in groups:
+        vals = np.sort(np.linalg.eigvals(A[idx[:, :, None], idx[:, None, :]]), axis=-1)
+        per_label.update(zip(labels, vals.tolist()))
     return BandEdgeSet(ell=ell, per_label=per_label)
 
 
@@ -374,7 +424,10 @@ def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     tend to the binomial coefficients binom(N, j).
     """
     theta1_multiples(2 * ell, ev)
-    C = _subset_sums(ell, lambda k, kp: ebracket(k + kp, ev) / nonzero_bracket(abs(k - kp), ev))
+    # each bracket is read once: [k + k'] for k + k' = 0..2l, [|k - k'|] for 1..l-1
+    num = [ebracket(j, ev) for j in range(2 * ell + 1)]
+    den = {d: nonzero_bracket(d, ev) for d in range(1, ell)}
+    C = _subset_sums(ell, lambda k, kp: num[k + kp] / den[abs(k - kp)])
     return CurveCoeffs(ell=ell, C=C)
 
 

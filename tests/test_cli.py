@@ -1,5 +1,6 @@
 """CLI behaviour: parsing, JSON reports, exit codes, determinism."""
 
+import io
 import json
 
 import pytest
@@ -364,6 +365,39 @@ class TestCoeffsCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ValueError: C_j subset sums need ell <= 20, got ell=21")
         assert captured.err.count("\n") == 1
+
+
+class _CountingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestEmit:
+    """A report is one write of the bytes the chunked ``json.dump`` writer
+    gave (indent 2, sorted keys, one trailing newline)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["edges", "--ell", "3", "--eta", "0.11+0.05i", "--tau", "0.3+1.4i"],
+        ["coeffs", "--ell", "5", "--eta", "1/31"],
+    ], ids=lambda argv: argv[0])
+    def test_bytes_match_chunked_writer(self, monkeypatch, argv):
+        docs = []
+        monkeypatch.setattr(cli, "_emit", lambda doc, stream=None: docs.append(doc))
+        assert main(argv) == 0
+        (doc,) = docs
+        want = io.StringIO()
+        json.dump(doc, want, indent=2, sort_keys=True)
+        want.write("\n")
+        got = _CountingStream()
+        monkeypatch.undo()
+        cli._emit(doc, got)
+        assert got.writes == 1
+        assert got.getvalue() == want.getvalue()
 
 
 # the exit-code table as README.md and the cli docstring state it

@@ -242,12 +242,85 @@ class TestEdgeLabelMap:
             edges = band_edges(1, ev)
             return max(abs(edges.per_label[a][0] - closed[a][0]) / abs(closed[a][0]) for a in (2, 3, 4))
 
+        # the first call caches the ell 1 edge table; the swapped map must not reuse it
         assert worst() < 1e-9
         chars = dict(curve._EDGE_CHARS)
         monkeypatch.setitem(curve._EDGE_CHARS, 3, chars[4])
         monkeypatch.setitem(curve._EDGE_CHARS, 4, chars[3])
         assert band_edges(1, ev).counts() == BandEdgeSet.expected_counts(1)
         assert worst() > 1e-3
+
+    @pytest.mark.parametrize("a,b", [(2, 3), (2, 4), (3, 4)])
+    def test_swapped_labels_break_edge_fibre(self, ev, monkeypatch, a, b):
+        # at ell 4 the closed forms do not apply: the swapped edges stop lifting
+        # to curve points above their half period
+        ctx = LameContext(ell=4, ev=ev)
+        assert len(edge_curve_points(ctx)) == 2 * (2 * 4 + 1)
+        chars = dict(curve._EDGE_CHARS)
+        monkeypatch.setitem(curve._EDGE_CHARS, a, chars[b])
+        monkeypatch.setitem(curve._EDGE_CHARS, b, chars[a])
+        assert band_edges(4, ev).counts() == BandEdgeSet.expected_counts(4)
+        assert len(edge_curve_points(ctx)) < 2 * (2 * 4 + 1)
+
+
+def _per_label_band_edges(ell, ev):
+    """Reference route, kept as a test oracle: ``band_edges`` as it was, one
+    pass per label that sums the P x l x (2K+1) basis terms at x and x +- eta
+    and solves one ``eigvals`` per label."""
+    theta1_multiples(2 * ell, ev)
+    tau, eta = ev.tau, ev.eta
+    P = 2 * ell * max(2, -(-8 // ell))
+    x = (np.arange(P) + 0.37) / P - 0.5j * tau.imag
+    th = theta(1, x, ev, shifts=[0.0, -ell * eta, ell * eta])
+    n = ev.series_cutoff - 1
+    K = max(1, math.ceil((math.sqrt(1 + 4 * n * n / ell) - 1) / 2))
+    k = np.arange(-K, K + 1)
+    j = np.arange(ell)
+    per_label = {}
+    for a in (1, 2, 3, 4):
+        eps, s = curve._EDGE_CHARS[a][ell % 2]
+        nu = j[:, None] + eps + ell * k
+        terms = np.where(k % 2, s, 1) * np.exp((1j * math.pi * tau / ell) * nu**2 - math.pi * tau.imag * ell / 4
+                                               + (2j * math.pi) * x[:, None, None] * nu)
+        shift = np.exp((2j * math.pi * eta) * nu)
+        b = (terms * np.array([shift**0, shift, 1 / shift])[:, None]).sum(axis=-1)
+        m, jp = np.divmod(-j - round(2 * eps), ell)
+        sign = np.where(m % 2, s, 1)
+        keep = (j < jp) | ((j == jp) & (sign == 1))
+        f = b[..., j[keep]] + sign[keep] * b[..., jp[keep]]
+        LF = (th[:, 1, None] * f[1] + th[:, 2, None] * f[2]) / th[:, 0, None]
+        norm = np.linalg.norm(f[0], axis=0)
+        A = (f[0].conj().T @ LF) / np.outer(norm, norm)
+        per_label[a] = sorted(np.linalg.eigvals(A).tolist(), key=lambda z: (z.real, z.imag))
+    return BandEdgeSet(ell=ell, per_label=per_label)
+
+
+class TestEdgeReferenceRoute:
+    """The one-pass ``band_edges`` (one cached table, one projection, two
+    ``eigvals`` calls) gives the per-label route's edges."""
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j, 0.8j, 2j])
+    @pytest.mark.parametrize("eta", [0.17, 1 / 31, 2 / 31, 1 / 101, 0.21 + 0.03j])
+    def test_matches_per_label_route(self, tau, eta):
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
+        for ell in range(1, 13):
+            got, want = band_edges(ell, ev_g), _per_label_band_edges(ell, ev_g)
+            assert got.counts() == want.counts() == BandEdgeSet.expected_counts(ell), ell
+            scale = max(abs(e) for e in want.union())
+            for a in (1, 2, 3, 4):
+                err = np.abs(np.subtract(got.per_label[a], want.per_label[a]))
+                assert np.all(err <= 1e-12 * scale), (ell, a, err.max() / scale)
+
+    def test_cached_table_is_read_only(self):
+        chars = tuple(curve._EDGE_CHARS[a][1] for a in (1, 2, 3, 4))
+        table = curve._edge_table(5, 1, chars)
+        assert curve._edge_table(5, 1, chars) is table
+        nu, pattern, groups, dft = table
+        assert [labels for labels, _ in groups] == [(1,), (2, 3, 4)]
+        for arr in (nu, pattern, dft, *(idx for _, idx in groups)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 def _per_candidate_curve_points(ctx, n, rng):
@@ -610,7 +683,7 @@ class TestSolveCurvePoint:
         for pt in edge_points:
             assert max(scaled_residual(pt, ctx1)) < 1e-8
 
-    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6])
     def test_edge_point_fibre_is_complete(self, ev, ell):
         # every band edge +-E_i appears exactly once over the half periods
         ctx = LameContext(ell=ell, ev=ev)
