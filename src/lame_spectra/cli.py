@@ -12,21 +12,23 @@ or off-locus poles (MarginViolationError, LocusError).  ``main`` maps
 exceptions to codes 2-4 through ``EXIT_CODES`` and prints each as one line on
 stderr, ``error: <ExceptionName>: <message>``; any other exception is a bug
 and propagates.
+
+Each call is a cold process, so this module imports at module level only what
+every subcommand needs.  The Volterra module (``flow``), ``csv`` (``--format
+csv``) and ``fractions`` (a ``P/Q`` eta, in ``util.parse_eta``) are imported
+where they are used.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from . import curve as curve_mod
-from . import volterra as volterra_mod
 from .bloch import RationalEta, band_intervals, band_sweep, numeric_band_edges
 from .errors import (
     ClusterAmbiguityError,
@@ -38,6 +40,9 @@ from .errors import (
 from .lame import CurvePoint, LameContext, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator
 from .util import format_complex, parse_complex, parse_eta
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA = 1
 
@@ -56,7 +61,7 @@ EXIT_CODES = {
 class RunConfig:
     ell: int
     eta: complex
-    eta_fraction: Fraction | None
+    eta_fraction: "Fraction | None"
     tau: complex
     tol: float
     seed: int
@@ -218,6 +223,8 @@ def cmd_spectrum(args) -> int:
     if Q <= 2 * cfg.ell + 2:
         doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     if cfg.fmt == "csv":
+        import csv
+
         ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
         sweep = band_sweep(cfg.ell, re, x0, ks, ev)
         writer = csv.writer(sys.stdout)
@@ -274,7 +281,7 @@ def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):
             E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
             for s in range(cfg.ell + 1):
                 det = curve_mod.a_polys_determinant(cfg.ell, s, E, ev)
-                rec = polyval(E, A[cfg.ell - s])
+                rec = curve_mod.polyval(E, A[cfg.ell - s])
                 err = max(err, abs(det - rec) / max(abs(rec), 1.0))
         record("apoly", err, 1e-10)
     if "curve-symmetry" in names:
@@ -336,12 +343,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import volterra
+
     cfg = _build_config(args)
     ev = cfg.evaluator()
     poles = [parse_complex(tok) for tok in args.poles.split(",")]
-    cfg0 = volterra_mod.PoleConfig(xs=tuple(poles))
-    result = volterra_mod.integrate_flow(cfg0, args.t_end, args.dt, ev)
+    cfg0 = volterra.PoleConfig(xs=tuple(poles))
+    result = volterra.integrate_flow(cfg0, args.t_end, args.dt, ev)
     if cfg.fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         head = ["t"]
         for j in range(cfg0.M):

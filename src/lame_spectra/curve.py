@@ -24,7 +24,9 @@ with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
 the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval`` and
 take roots of the trimmed array with ``np.roots(c[::-1])``.  A stack of
-polynomials is a 2-D array, one per row.
+polynomials is a 2-D array, one per row.  ``polyval`` and ``polytrim`` are
+local copies of numpy's, value for value, so that importing this module does
+not load the ``numpy.polynomial`` package.
 """
 
 import cmath
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polytrim, polyval
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
@@ -67,6 +68,38 @@ NEWTON_TOL = 1e-11
 EDGE_ACCEPT_TOL = 1e-8
 # the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
 CJ_MAX_ELL = 20
+
+
+def polyval(x, c, tensor=True):
+    """numpy.polynomial.polynomial.polyval: Horner's rule in numpy's order of
+    operations, so that every value is bit for bit numpy's.  With ``tensor``
+    and an ndarray x, each column of a multi-dimensional c is evaluated at
+    every x; otherwise x broadcasts over the columns."""
+    c = np.array(c, ndmin=1, copy=None)
+    if c.dtype.char in "?bBhHiIlLqQpP":
+        c = c + 0.0
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    if isinstance(x, np.ndarray) and tensor:
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def polytrim(c, tol=0):
+    """numpy.polynomial.polynomial.polytrim: a copy of the 1-D coefficients c,
+    as float or complex, without the trailing ones of modulus <= tol; all
+    trimmed leaves the one coefficient 0."""
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    c = np.array(c, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficient array must be 1-d and non-empty")
+    c = c.astype(np.common_type(c))
+    keep = np.flatnonzero(np.abs(c) > tol)
+    return c[:keep[-1] + 1].copy() if keep.size else c[:1] * 0
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
@@ -345,22 +378,20 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
     if ell == 1:
         out = {1: []}
         others = {2: (3, 4), 3: (4, 2), 4: (2, 3)}
+        # theta_b at (eta, 0), one call per characteristic
+        t = {b: theta(b, np.array([ev.eta, 0.0]), ev).tolist() for b in (2, 3, 4)}
         for a, (b, c) in others.items():
-            val = 2 * theta(b, ev.eta, ev) * theta(c, ev.eta, ev) / (
-                theta(b, 0.0, ev) * theta(c, 0.0, ev)
-            )
-            out[a] = [val]
+            out[a] = [2 * t[b][0] * t[c][0] / (t[b][1] * t[c][1])]
         return out
     if ell == 2:
         b2 = ebracket(2, ev)
         b4 = ebracket(4, ev)
         disc = cmath.sqrt(b2**4 - 8 * b4 / b2)
         out = {1: [(b2**2 + disc) / 2, (b2**2 - disc) / 2]}
+        # theta_a at (2 eta, eta), one call per characteristic
+        t = {a: theta(a, np.array([2 * ev.eta, ev.eta]), ev).tolist() for a in (1, 2, 3, 4)}
         for a in (2, 3, 4):
-            out[a] = [
-                theta(1, 2 * ev.eta, ev) * theta(a, 2 * ev.eta, ev)
-                / (theta(1, ev.eta, ev) * theta(a, ev.eta, ev))
-            ]
+            out[a] = [t[1][0] * t[a][0] / (t[1][1] * t[a][1])]
         return out
     raise ValueError(f"closed forms are only known for ell = 1, 2, got {ell}")
 

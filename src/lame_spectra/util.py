@@ -1,7 +1,6 @@
 """Small shared helpers: quasi-random sampling, complex and eta parsing, lattice proximity."""
 
 import re
-from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +67,8 @@ def parse_eta(text: str):
     s = text.strip()
     m = re.fullmatch(r"([+-]?\d+)\s*/\s*(\d+)", s)
     if m:
+        from fractions import Fraction
+
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             raise ValueError(f"eta {text!r} has a zero denominator")

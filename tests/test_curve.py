@@ -193,6 +193,116 @@ class TestBandEdges:
             assert abs(edges.per_label[a][0] - closed[a][0]) < 1e-9 * abs(closed[a][0])
 
 
+
+def _scalar_closed_form_edges(ell, ev):
+    """Reference route, kept as a test oracle: ``closed_form_edges`` as it
+    was, one scalar theta call per factor."""
+    if ell == 1:
+        out = {1: []}
+        for a, (b, c) in {2: (3, 4), 3: (4, 2), 4: (2, 3)}.items():
+            out[a] = [2 * theta(b, ev.eta, ev) * theta(c, ev.eta, ev)
+                      / (theta(b, 0.0, ev) * theta(c, 0.0, ev))]
+        return out
+    b2, b4 = ebracket(2, ev), ebracket(4, ev)
+    disc = cmath.sqrt(b2**4 - 8 * b4 / b2)
+    out = {1: [(b2**2 + disc) / 2, (b2**2 - disc) / 2]}
+    for a in (2, 3, 4):
+        out[a] = [theta(1, 2 * ev.eta, ev) * theta(a, 2 * ev.eta, ev)
+                  / (theta(1, ev.eta, ev) * theta(a, ev.eta, ev))]
+    return out
+
+
+class TestClosedFormBatch:
+    """``closed_form_edges`` reads its theta values in one call per
+    characteristic and gives the scalar formula's values: bit for bit at a
+    real eta (one cutoff for the whole batch), to rounding at a complex one."""
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [1 / 31, 0.17, 0.213, 0.11 + 0.05j])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_matches_scalar_formula(self, ell, eta, tau):
+        got = closed_form_edges(ell, ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        want = _scalar_closed_form_edges(ell, ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        assert got.keys() == want.keys()
+        for a in want:
+            assert len(got[a]) == len(want[a])
+            for g, w in zip(got[a], want[a]):
+                if isinstance(eta, float):
+                    assert g == w, (a, g, w)
+                else:
+                    assert abs(g - w) <= 1e-15 * abs(w), (a, g, w)
+
+    @pytest.mark.parametrize("ell,calls", [(1, 3), (2, 4)])
+    def test_one_theta_call_per_characteristic(self, ell, calls, monkeypatch):
+        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.17))
+        seen = []
+
+        def counting(a, x, ev, *args, **kwargs):
+            seen.append(a)
+            return theta(a, x, ev, *args, **kwargs)
+
+        monkeypatch.setattr(curve, "theta", counting)
+        closed_form_edges(ell, ev)
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
+
+
+class TestPolyHelpers:
+    """``curve.polyval`` and ``curve.polytrim`` are numpy's, bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _cplx(rng, *shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polyval_1d(self, seed):
+        rng = np.random.default_rng(seed)
+        c = self._cplx(rng, 1 + seed)
+        for x in (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 4), self._cplx(rng, 3, 2),
+                  [0.5, 1.5 - 2j], 2.0):
+            for tensor in (True, False):
+                self._same(curve.polyval(x, c, tensor=tensor), polyval(x, c, tensor=tensor))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polyval_2d(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        c = self._cplx(rng, 1 + seed, 3)
+        xs = (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 5), self._cplx(rng, 2, 4))
+        for x in xs:
+            self._same(curve.polyval(x, c), polyval(x, c))
+        # tensor=False broadcasts x over the columns of c
+        for x in (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 3), self._cplx(rng, 6, 1)):
+            self._same(curve.polyval(x, c, tensor=False), polyval(x, c, tensor=False))
+
+    def test_polyval_integer_coefficients(self):
+        self._same(curve.polyval(3, [1, 2, 3]), polyval(3, [1, 2, 3]))
+        self._same(curve.polyval(np.arange(4), [[1, 2], [3, 4]]), polyval(np.arange(4), [[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_polytrim(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        c = self._cplx(rng, 6)
+        c[4:] *= 1e-14
+        tol = 1e-13 * np.abs(c).max()
+        for cc in (c, c.real, np.append(c, [0, 0])):
+            for t in (0, tol, 1e-3, 10.0):
+                self._same(curve.polytrim(cc, t), polytrim(cc, t))
+
+    def test_polytrim_edge_cases(self):
+        for c in (np.zeros(4, dtype=complex), np.zeros(3), [0, 0], [1, 2, 0], [1e-20j], [-0.0, 0.0]):
+            for t in (0, 1e-13):
+                self._same(curve.polytrim(c, t), polytrim(c, t))
+        with pytest.raises(ValueError):
+            curve.polytrim([1.0], -1.0)
+        with pytest.raises(ValueError):
+            curve.polytrim(np.ones((2, 2)))
+
 LIFT_ETAS = (0.17, 0.23, 0.11 + 0.05j, 1 / 31, 2 / 31, 1 / 41, 1 / 61)
 LIFT_TAUS = (0.8j, 1.2j, 2j, 0.3 + 1.4j)
 EDGE_LIFT_GRID = [
