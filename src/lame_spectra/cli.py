@@ -2,16 +2,18 @@
 
 Subcommands: edges | spectrum | verify | flow | curve-point | coeffs.
 Default output is a single JSON document (schema 1) carrying the tolerance
-and series cutoff used; sweeps and trajectories can be dumped as CSV.
+and series cutoff used; ``spectrum`` sweeps and ``flow`` trajectories can be
+dumped as CSV instead (``--format csv`` elsewhere exits 2).  ``main`` reads the
+settings and builds the evaluator; each ``cmd_*`` returns its exit code and
+document, which ``main`` prints under the run's ``provenance`` block.
 
-Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters, torsion
-eta or a sampling offset on a theta1 zero (ValueError, EllipticError); 3
-ambiguous clustering, a wrong edge count, a non-real spectrum or
-non-convergence (ClusterAmbiguityError, ConvergenceError); 4 margin violation
-or off-locus poles (MarginViolationError, LocusError).  ``main`` maps
-exceptions to codes 2-4 through ``EXIT_CODES`` and prints each as one line on
-stderr, ``error: <ExceptionName>: <message>``; any other exception is a bug
-and propagates.
+Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
+torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
+count, a non-real spectrum or non-convergence (ClusterAmbiguityError,
+ConvergenceError); 4 margin violation or off-locus poles (MarginViolationError,
+LocusError).  ``main`` maps exceptions to codes 2-4 through ``EXIT_CODES``
+and prints each as one line on stderr, ``error: <ExceptionName>: <message>``;
+any other exception is a bug and propagates.
 
 Each call is a cold process, so this module imports at module level only what
 every subcommand needs.  The Volterra module (``flow``), ``csv`` (``--format
@@ -24,6 +26,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from math import comb
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,7 +41,7 @@ from .errors import (
     MarginViolationError,
 )
 from .lame import CurvePoint, LameContext, scaled_residual
-from .theta import EllipticParams, ThetaEvaluator
+from .theta import EllipticParams, ThetaEvaluator, theta
 from .util import format_complex, parse_complex, parse_eta
 
 if TYPE_CHECKING:
@@ -74,6 +77,8 @@ class RunConfig:
 # the keys a --config file may set, with their values when neither it nor a flag does
 _CONFIG_DEFAULTS = {"eta": "0.17", "tau": "1.2i", "tol": "1e-12", "seed": "0", "format": "json"}
 _FORMATS = ("json", "csv")
+# the commands with a CSV form
+_CSV_COMMANDS = ("spectrum", "flow")
 
 
 def _read_config_file(path):
@@ -119,6 +124,9 @@ def _build_config(args) -> RunConfig:
     fmt = setting("format", str)
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    if fmt == "csv" and args.command not in _CSV_COMMANDS:
+        raise ValueError(f"{args.command} has no CSV form; "
+                         f"--format csv is offered by {' and '.join(_CSV_COMMANDS)} only")
     ell = getattr(args, "ell", 1)
     if ell < 1:
         raise ValueError(f"--ell must be >= 1, got {ell}")
@@ -164,14 +172,11 @@ def _c(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_edges(args) -> int:
-    cfg = _build_config(args)
-    ev = cfg.evaluator()
+def cmd_edges(args, cfg: RunConfig, ev: ThetaEvaluator):
     edges = curve_mod.band_edges(cfg.ell, ev)
     counts = edges.counts()
     expected = curve_mod.BandEdgeSet.expected_counts(cfg.ell)
     doc = {
-        "provenance": _provenance(cfg, ev),
         "edges_per_label": {str(a): [_c(e) for e in edges.per_label[a]] for a in (1, 2, 3, 4)},
         "full_edge_set": [_c(e) for e in sorted(edges.with_reflection(), key=lambda z: (z.real, z.imag))],
         "counts": {str(a): counts[a] for a in counts},
@@ -186,22 +191,19 @@ def cmd_edges(args) -> int:
             dev[str(a)] = (max((abs(g - w) / max(abs(w), 1.0) for g, w in zip(got, want)), default=0.0)
                            if len(got) == len(want) else None)
         doc["closed_form_deviation"] = dev
-    _emit(doc)
-    return 0 if doc["counts_ok"] else 3
+    return (0 if doc["counts_ok"] else 3), doc
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _build_config(args)
+def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     if cfg.eta_fraction is None:
         raise ValueError("spectrum needs rational eta, pass --eta P/Q")
     if args.kpoints < 1:
         raise ValueError("--kpoints must be >= 1")
     P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
-    ev = cfg.evaluator()
     # theta1 vanishes only at m + n*tau, so the line Im x0 = Im tau/2 keeps the
     # orbit Im tau/2 away from every zero
-    x0 = parse_complex(args.x0) if args.x0 else 0.123456 + cfg.tau / 2
+    x0 = 0.123456 + cfg.tau / 2
     cand = numeric_band_edges(cfg.ell, re, x0, ev)
     analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
     num = cand.confident_values()
@@ -210,7 +212,6 @@ def cmd_spectrum(args) -> int:
         max_dev = max(min(abs(n - a) for a in analytic) for n in num)
     bands = band_intervals(cand.spectra)
     doc = {
-        "provenance": _provenance(cfg, ev),
         "x0": _c(x0),
         "numeric_edges": [_c(v) for v in cand.values],
         "confident": [bool(b) for b in cand.confident],
@@ -231,14 +232,11 @@ def cmd_spectrum(args) -> int:
         writer.writerow(["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])])
         for k, row in zip(ks, sweep):
             writer.writerow([repr(float(k))] + [repr(float(v)) for v in row.real])
-        return code
-    _emit(doc)
-    return code
+        return code, None
+    return code, doc
 
 
 def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):
-    from .theta import theta
-
     rng = np.random.default_rng(cfg.seed)
     results = {}
 
@@ -303,8 +301,6 @@ def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):
         err = max(err, abs(cc.C[0] - 1))
         record("cj-symmetry", err, 1e-10)
     if "cj-limit" in names:
-        from math import comb
-
         N = cfg.ell * (cfg.ell + 1) // 2
         devs = []
         for eta_small in (1e-2, 5e-3, 2.5e-3):
@@ -331,22 +327,15 @@ ALL_SUITES = [
 ]
 
 
-def cmd_verify(args) -> int:
-    cfg = _build_config(args)
-    names = ALL_SUITES if args.suite == "all" else [args.suite]
-    ev = cfg.evaluator()
-    results = _verify_suites(cfg, ev, names)
-    doc = {"provenance": _provenance(cfg, ev), "suites": results}
-    doc["all_passed"] = all(r["passed"] for r in results.values())
-    _emit(doc)
-    return 0 if doc["all_passed"] else 1
+def cmd_verify(args, cfg: RunConfig, ev: ThetaEvaluator):
+    results = _verify_suites(cfg, ev, ALL_SUITES if args.suite == "all" else [args.suite])
+    passed = all(r["passed"] for r in results.values())
+    return (0 if passed else 1), {"suites": results, "all_passed": passed}
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args, cfg: RunConfig, ev: ThetaEvaluator):
     from . import volterra
 
-    cfg = _build_config(args)
-    ev = cfg.evaluator()
     poles = [parse_complex(tok) for tok in args.poles.split(",")]
     cfg0 = volterra.PoleConfig(xs=tuple(poles))
     result = volterra.integrate_flow(cfg0, args.t_end, args.dt, ev)
@@ -365,9 +354,8 @@ def cmd_flow(args) -> int:
                 row += [repr(x.real), repr(x.imag)]
             row.append(repr(float(gap)))
             writer.writerow(row)
-        return 0
-    doc = {
-        "provenance": _provenance(cfg, ev),
+        return 0, None
+    return 0, {
         "trajectory": [
             {"t": snap.t, "poles": [_c(x) for x in snap.xs], "locus_gap": float(gap)}
             for snap, gap in zip(result.trajectory, result.locus_gaps)
@@ -375,15 +363,11 @@ def cmd_flow(args) -> int:
         "max_locus_gap": float(result.locus_gaps.max()),
         "min_margin": float(result.margins.min()),
     }
-    _emit(doc)
-    return 0
 
 
-def cmd_curve_point(args) -> int:
-    cfg = _build_config(args)
+def cmd_curve_point(args, cfg: RunConfig, ev: ThetaEvaluator):
     if (args.fix_zeta is None) == (args.fix_E is None):
         raise ValueError("pass exactly one of --fix-zeta / --fix-E")
-    ev = cfg.evaluator()
     ctx = LameContext(ell=cfg.ell, ev=ev)
     seed = CurvePoint(
         zeta=parse_complex(args.seed_zeta),
@@ -397,32 +381,22 @@ def cmd_curve_point(args) -> int:
     )
     pt = curve_mod.solve_curve_point(fix, seed, ctx)
     r0, r1 = scaled_residual(pt, ctx)
-    doc = {
-        "provenance": _provenance(cfg, ev),
+    return 0, {
         "point": {"zeta": _c(pt.zeta), "K": _c(pt.K), "E": _c(pt.E)},
         "bloch_multipliers": {"B1": _c(pt.B1(ev)), "Btau": _c(pt.Btau(ev))},
         "scaled_residual": [r0, r1],
     }
-    _emit(doc)
-    return 0
 
 
-def cmd_coeffs(args) -> int:
-    cfg = _build_config(args)
-    ev = cfg.evaluator()
-    from math import comb
-
+def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
     cc = curve_mod.curve_coeffs(cfg.ell, ev)
     N = cc.N
-    doc = {
-        "provenance": _provenance(cfg, ev),
+    return 0, {
         "N": N,
         "C": [_c(c) for c in cc.C],
         "symmetry_error": float(np.abs(cc.C - cc.C[::-1]).max()),
         "binomials": [comb(N, j) for j in range(N + 1)],
     }
-    _emit(doc)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +406,8 @@ def _add_common(p):
     p.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
     p.add_argument("--tol", type=float, help="evaluation tolerance")
     p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--format", choices=_FORMATS, help="output format")
+    p.add_argument("--format", choices=_FORMATS,
+                   help="output format; csv for spectrum and flow only")
     p.add_argument("--config", help="key=value config file setting eta, tau, tol, seed or "
                                     "format; flags win")
 
@@ -452,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kpoints", type=int, default=129,
                    help="rows of the CSV dispersion table; JSON bands come from the "
                         "phase +1 and -1 spectra")
-    p.add_argument("--x0", help="offset of the sampled orbit x0 + n*eta (complex); default "
-                                "0.123456 + tau/2, a line with no theta1 zeros")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
@@ -490,12 +463,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a ``cmd_*`` that wrote CSV returns the document None."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _build_config(args)
+        ev = cfg.evaluator()
+        code, doc = args.func(args, cfg, ev)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+    if doc is not None:
+        _emit({"provenance": _provenance(cfg, ev), **doc})
+    return code
 
 
 if __name__ == "__main__":

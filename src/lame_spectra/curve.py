@@ -24,9 +24,9 @@ with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
 the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval`` and
 take roots of the trimmed array with ``np.roots(c[::-1])``.  A stack of
-polynomials is a 2-D array, one per row.  ``polyval`` and ``polytrim`` are
-local copies of numpy's, value for value, so that importing this module does
-not load the ``numpy.polynomial`` package.
+polynomials is a 2-D array, one per row.  ``polyval`` is numpy's with
+``tensor=False``, value for value, so that importing this module does not
+load the ``numpy.polynomial`` package.
 """
 
 import cmath
@@ -70,41 +70,22 @@ EDGE_ACCEPT_TOL = 1e-8
 CJ_MAX_ELL = 20
 
 
-def polyval(x, c, tensor=True):
-    """numpy.polynomial.polynomial.polyval: Horner's rule in numpy's order of
-    operations, so that every value is bit for bit numpy's.  With ``tensor``
-    and an ndarray x, each column of a multi-dimensional c is evaluated at
-    every x; otherwise x broadcasts over the columns."""
-    c = np.array(c, ndmin=1, copy=None)
-    if c.dtype.char in "?bBhHiIlLqQpP":
-        c = c + 0.0
-    if isinstance(x, (tuple, list)):
-        x = np.asarray(x)
-    if isinstance(x, np.ndarray) and tensor:
-        c = c.reshape(c.shape + (1,) * x.ndim)
+def polyval(x, c):
+    """numpy.polynomial.polynomial.polyval(x, c, tensor=False) for a float or
+    complex array c: Horner's rule in numpy's order of operations, so that
+    every value is bit for bit numpy's.  x broadcasts over the columns of a
+    multi-dimensional c."""
     c0 = c[-1] + x * 0
     for i in range(2, len(c) + 1):
         c0 = c[-i] + c0 * x
     return c0
 
 
-def polytrim(c, tol=0):
-    """numpy.polynomial.polynomial.polytrim: a copy of the 1-D coefficients c,
-    as float or complex, without the trailing ones of modulus <= tol; all
-    trimmed leaves the one coefficient 0."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    c = np.array(c, ndmin=1)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficient array must be 1-d and non-empty")
-    c = c.astype(np.common_type(c))
-    keep = np.flatnonzero(np.abs(c) > tol)
-    return c[:keep[-1] + 1].copy() if keep.size else c[:1] * 0
-
-
 def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing coefficients below 1e-13 of the largest (at least one stays)."""
-    return polytrim(c, 1e-13 * np.abs(c).max())
+    """Drop trailing coefficients of modulus <= 1e-13 of the largest; all
+    dropped leaves the one coefficient 0."""
+    keep = np.flatnonzero(np.abs(c) > 1e-13 * np.abs(c).max())
+    return c[:keep[-1] + 1] if keep.size else c[:1] * 0
 
 
 def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
@@ -692,8 +673,8 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
                 continue
             # the scaled sums at every candidate E, one row of terms per E
             E = cands[:, None]
-            score = np.maximum(_scaled_sum(polyval(E, rows1.T, tensor=False)),
-                               _scaled_sum(polyval(E, rows2.T, tensor=False)))
+            score = np.maximum(_scaled_sum(polyval(E, rows1.T)),
+                               _scaled_sum(polyval(E, rows2.T)))
             best = int(np.argmin(score))
             if score[best] > 1e-4:
                 continue

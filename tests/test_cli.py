@@ -15,6 +15,7 @@ from lame_spectra.errors import (
     LocusError,
     MarginViolationError,
 )
+from lame_spectra.theta import EllipticParams, ThetaEvaluator
 from lame_spectra.util import format_complex, parse_complex, parse_eta
 
 
@@ -155,12 +156,14 @@ class TestSpectrumCommand:
             assert code == 0
             assert parse_complex(json.loads(out)["x0"]) == pytest.approx(x0, abs=1e-15)
 
-    def test_x0_on_theta1_zero_is_one_error_line(self, capsys):
-        code = main(["spectrum", "--ell", "1", "--eta", "1/31", "--x0", "0"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: PoleProximityError: ")
-        assert len(err.splitlines()) == 1
+    def test_x0_flag_is_refused(self, capsys):
+        # the orbit is always 0.123456 + tau/2: the spectra do not depend on x0
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--ell", "1", "--eta", "1/31", "--x0", "0.1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --x0" in captured.err
 
     @pytest.mark.parametrize("tau,Qs", [("1.2i", (13, 31, 41, 61, 101)), ("0.8i", (13, 31, 41, 61))],
                              ids=["1.2i", "0.8i"])
@@ -186,14 +189,6 @@ class TestSpectrumCommand:
                 if not max(h1, h2) < 1e-5 * scale:
                     bad.append((P, Q, max(h1, h2) / scale))
         assert not bad
-
-    def test_x0_accepts_i_suffix(self, capsys):
-        outs = []
-        for x0 in ("0.1+0.02i", "0.1+0.02j"):
-            code, out = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31", "--x0", x0)
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
 
     def test_requires_rational_eta(self, capsys):
         code, _ = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "0.17")
@@ -398,6 +393,62 @@ class TestEmit:
         cli._emit(doc, got)
         assert got.writes == 1
         assert got.getvalue() == want.getvalue()
+
+
+# one cheap run of each command, before the flags the envelope test adds
+ENVELOPE_RUNS = {
+    "edges": ["edges", "--ell", "1"],
+    "spectrum": ["spectrum", "--ell", "1"],
+    "verify": ["verify", "--suite", "schur", "--ell", "2"],
+    "flow": ["flow", "--ell", "1", "--poles", "0.21+0.05i", "--t-end", "0.02"],
+    "curve-point": ["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"],
+    "coeffs": ["coeffs", "--ell", "2"],
+}
+
+
+class TestReportEnvelope:
+    """``main`` prints every JSON report under one ``provenance`` block taken
+    from the run's settings, and commands without a CSV form refuse
+    ``--format csv`` (``test_csv_sweep`` and ``test_csv_trajectory`` pin that
+    the CSV forms print their table alone)."""
+
+    @pytest.mark.parametrize("command,eta", [
+        (command, eta) for command in ENVELOPE_RUNS for eta in ("2/41", "0.23")
+        if (command, eta) != ("spectrum", "0.23")  # spectrum needs a P/Q eta
+    ])
+    def test_provenance_from_flags(self, capsys, command, eta):
+        argv = ENVELOPE_RUNS[command] + ["--eta", eta, "--tau", "0.9i", "--tol", "1e-11",
+                                         "--seed", "5"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        value, frac = parse_eta(eta)
+        ev = ThetaEvaluator(EllipticParams(tau=0.9j, eta=value, tol=1e-11))
+        assert json.loads(out)["provenance"] == {
+            "schema": cli.SCHEMA,
+            "ell": int(argv[argv.index("--ell") + 1]),
+            "eta": format_complex(value),
+            "eta_rational": "2/41" if frac is not None else None,
+            "tau": "0.9i",
+            "tol": 1e-11,
+            "series_cutoff": ev.series_cutoff,
+            "seed": 5,
+        }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["edges", "coeffs", "verify", "curve-point"])
+    def test_csv_refused_without_csv_form(self, capsys, tmp_path, command, source):
+        if source == "flag":
+            extra = ["--format", "csv"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format = csv\n")
+            extra = ["--config", str(cfg)]
+        code = main(ENVELOPE_RUNS[command] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: ValueError: {command} has no CSV form; "
+                                "--format csv is offered by spectrum and flow only\n")
 
 
 # the exit-code table as README.md and the cli docstring state it

@@ -248,7 +248,10 @@ class TestClosedFormBatch:
 
 
 class TestPolyHelpers:
-    """``curve.polyval`` and ``curve.polytrim`` are numpy's, bit for bit."""
+    """``curve.polyval`` is numpy's ``polyval(x, c, tensor=False)`` and
+    ``curve._trim`` numpy's ``polytrim(c, 1e-13 * max|c|)``, bit for bit, on
+    the inputs their callers pass: complex coefficient arrays, a scalar x, and
+    an (n, 1) x on a 2-D c."""
 
     @staticmethod
     def _same(got, want):
@@ -261,47 +264,36 @@ class TestPolyHelpers:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_polyval_1d(self, seed):
+    def test_polyval_scalar_x(self, seed):
         rng = np.random.default_rng(seed)
-        c = self._cplx(rng, 1 + seed)
-        for x in (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 4), self._cplx(rng, 3, 2),
-                  [0.5, 1.5 - 2j], 2.0):
-            for tensor in (True, False):
-                self._same(curve.polyval(x, c, tensor=tensor), polyval(x, c, tensor=tensor))
+        for c in (self._cplx(rng, 1 + seed), self._cplx(rng, 1 + seed, 3)):
+            for x in (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 1)[0], 2.0):
+                self._same(curve.polyval(x, c), polyval(x, c, tensor=False))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_polyval_2d(self, seed):
+    def test_polyval_column_x_on_rows(self, seed):
+        # one row of values per x, as random_curve_points evaluates its candidates
         rng = np.random.default_rng(100 + seed)
         c = self._cplx(rng, 1 + seed, 3)
-        xs = (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 5), self._cplx(rng, 2, 4))
-        for x in xs:
-            self._same(curve.polyval(x, c), polyval(x, c))
-        # tensor=False broadcasts x over the columns of c
-        for x in (complex(self._cplx(rng, 1)[0]), self._cplx(rng, 3), self._cplx(rng, 6, 1)):
-            self._same(curve.polyval(x, c, tensor=False), polyval(x, c, tensor=False))
-
-    def test_polyval_integer_coefficients(self):
-        self._same(curve.polyval(3, [1, 2, 3]), polyval(3, [1, 2, 3]))
-        self._same(curve.polyval(np.arange(4), [[1, 2], [3, 4]]), polyval(np.arange(4), [[1, 2], [3, 4]]))
+        x = self._cplx(rng, 6, 1)
+        self._same(curve.polyval(x, c), polyval(x, c, tensor=False))
+        assert curve.polyval(x, c).shape == (6, 3)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_polytrim(self, seed):
+    def test_trim(self, seed):
         rng = np.random.default_rng(200 + seed)
         c = self._cplx(rng, 6)
         c[4:] *= 1e-14
-        tol = 1e-13 * np.abs(c).max()
-        for cc in (c, c.real, np.append(c, [0, 0])):
-            for t in (0, tol, 1e-3, 10.0):
-                self._same(curve.polytrim(cc, t), polytrim(cc, t))
+        for cc in (c, c.real, np.append(c, [0, 0]), np.append(c, [1e-20j, 3e-20])):
+            self._same(curve._trim(cc), polytrim(cc, 1e-13 * np.abs(cc).max()))
 
-    def test_polytrim_edge_cases(self):
-        for c in (np.zeros(4, dtype=complex), np.zeros(3), [0, 0], [1, 2, 0], [1e-20j], [-0.0, 0.0]):
-            for t in (0, 1e-13):
-                self._same(curve.polytrim(c, t), polytrim(c, t))
-        with pytest.raises(ValueError):
-            curve.polytrim([1.0], -1.0)
-        with pytest.raises(ValueError):
-            curve.polytrim(np.ones((2, 2)))
+    @pytest.mark.parametrize("c", [
+        np.zeros(4, dtype=complex), np.zeros(3), np.array([1 + 0j, 2, 0]), np.array([1e-20j]),
+        np.array([1e-20, 1e-20j]), np.array([1 + 2j, 1e-20, 1e-20j]), np.array([-0.0, 0.0]),
+    ], ids=lambda c: str(c.tolist()))
+    def test_trim_edge_cases(self, c):
+        self._same(curve._trim(c), polytrim(c, 1e-13 * np.abs(c).max()))
+
 
 LIFT_ETAS = (0.17, 0.23, 0.11 + 0.05j, 1 / 31, 2 / 31, 1 / 41, 1 / 61)
 LIFT_TAUS = (0.8j, 1.2j, 2j, 0.3 + 1.4j)
