@@ -571,10 +571,13 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
     def norm_scaled(v):
         return max(scaled_residual(point(v), ctx))
 
-    f = func(v)
+    # a converged seed returns before f is built: one residue matrix, not two
+    f = None
     for _ in range(max_iter):
         if norm_scaled(v) < NEWTON_TOL:
             return point(v)
+        if f is None:
+            f = func(v)
         J = np.zeros((2, 2), dtype=complex)
         for c in range(2):
             h = 1e-7 * max(1.0, abs(v[c]))

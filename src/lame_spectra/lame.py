@@ -20,6 +20,14 @@ elementary kernel Phi(x, zeta) = theta1(zeta + x)/(theta1(x) theta1(zeta)):
 Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
 second row cut out the spectral curve in (zeta, K, E).
+
+The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
+at Halton points x.  Every theta1 value it needs lies on the two progressions
+x + n*eta and zeta + x + n*eta, n = -(3l+1)..2l+1, so it reads them, with
+theta1(zeta), from one shifted theta table (``build_Psi`` reads its n = -l..0
+the same way).  Its spread check is relative above |w| = 1 and absolute
+below: near a band edge w is tiny and the W sum cancels to the scale of its
+terms, not of w.
 """
 
 import cmath
@@ -135,11 +143,16 @@ class BlochCoeffs:
     second_sv: float = field(default=float("inf"))
 
 
+def _nonzero(t, ev: ThetaEvaluator, what: str, *args):
+    """``t`` itself, or PoleProximityError naming ``what.format(*args)`` when
+    some entry is within tol of a theta1 zero."""
+    if np.min(np.abs(t)) < ev.zero_threshold:
+        raise PoleProximityError(what.format(*args) + " within tol of zero")
+    return t
+
+
 def _guarded_t1(x, ev):
-    val = theta(1, x, ev)
-    if np.min(np.abs(val)) < ev.zero_threshold:
-        raise PoleProximityError(f"theta1({x}) within tol of zero")
-    return val
+    return _nonzero(theta(1, x, ev), ev, "theta1({})", x)
 
 
 def phi(x: complex, zeta: complex, ev: ThetaEvaluator) -> complex:
@@ -292,6 +305,27 @@ def build_psi(pt: CurvePoint, coeffs: BlochCoeffs, x: complex, ctx: LameContext)
     return cmath.exp(pt.log_K * x / ev.eta) * out
 
 
+def _progressions(zeta: complex, xs: np.ndarray, n: np.ndarray, ev: ThetaEvaluator):
+    """theta1(x + n*eta) and theta1(zeta + x + n*eta), each of shape
+    xs.shape + n.shape, and the guarded theta1(zeta): one shifted call on the
+    points [x..., zeta + x..., zeta].  ``n`` is increasing and holds 0."""
+    flat = xs.ravel()
+    t = theta(1, np.concatenate([flat, zeta + flat, [zeta]]), ev, shifts=n * ev.eta)
+    t1z = _nonzero(t[-1, -n[0]], ev, "theta1({})", zeta)
+    shape = xs.shape + n.shape
+    return t[:flat.size].reshape(shape), t[flat.size:-1].reshape(shape), t1z
+
+
+def _Psi_sum(pt: CurvePoint, coeffs: BlochCoeffs, ys, cols, tx, tz, t1z, ev: ThetaEvaluator):
+    """Psi(y) from the tables of ``_progressions``, whose columns cols[..., k-1]
+    hold theta1(y - k*eta) and theta1(zeta + y - k*eta), k = 1..l."""
+    t = tx[..., cols]
+    # the k = m factor is masked to 1, never divided out: theta1(y - m*eta)
+    # vanishes at y = m*eta, where Psi is finite
+    others = np.where(np.eye(t.shape[-1], dtype=bool), 1, t[..., None, :]).prod(axis=-1)
+    return np.exp(pt.log_K * ys / ev.eta) * (coeffs.s * (tz[..., cols] / t1z) * others).sum(axis=-1)
+
+
 def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x, ctx: LameContext):
     """psi(x) * prod_{j=1..l} theta1(x - j*eta), evaluated in its entire form.
 
@@ -302,23 +336,30 @@ def build_Psi(pt: CurvePoint, coeffs: BlochCoeffs, x, ctx: LameContext):
                  * prod_{k != m} theta1(x - k*eta)
 
     ``x`` is a scalar (returns a complex) or an ndarray (returns one of its
-    shape); each of the two theta1 progressions is read in one call.
+    shape); both theta1 progressions come from one shifted call.
     """
-    ev = ctx.ev
+    l = ctx.ell
     xs = np.asarray(x, dtype=complex)
-    k_eta = np.arange(1, ctx.ell + 1) * ev.eta
-    t = theta(1, xs[..., None] - k_eta, ev)
-    # theta1(zeta + x - m*eta) for m = 1..l, with theta1(zeta) appended last
-    tz = theta(1, np.append(pt.zeta + xs[..., None] - k_eta, pt.zeta), ev)
-    t1z = tz[-1]
-    if abs(t1z) < ev.zero_threshold:
-        raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")
-    tz = tz[:-1].reshape(t.shape)
-    # the k = m factor is masked to 1, never divided out: theta1(x - m*eta)
-    # vanishes at x = m*eta, where Psi is finite
-    others = np.where(np.eye(ctx.ell, dtype=bool), 1, t[..., None, :]).prod(axis=-1)
-    out = np.exp(pt.log_K * xs / ev.eta) * (coeffs.s * (tz / t1z) * others).sum(axis=-1)
+    # n = -l..0: theta1(x - k*eta) sits in column l - k
+    tables = _progressions(pt.zeta, xs, np.arange(-l, 1), ctx.ev)
+    out = _Psi_sum(pt, coeffs, xs, l - np.arange(1, l + 1), *tables, ctx.ev)
     return complex(out) if out.ndim == 0 else out
+
+
+def _W_sum(t, Psi_shifted, ctx: LameContext):
+    """W Psi from theta1(x + j*eta), j = -(2l+1)..2l+1, on the last axis of
+    ``t`` and Psi(x + j*eta), j = 2l+1, 2l-1, .., -(2l+1), on that of
+    ``Psi_shifted``."""
+    l = ctx.ell
+    pref = t[..., l + 1:3 * l + 2].prod(axis=-1)  # j = -l..l
+    # the k-th denominator is the window j = -k..2l-k+1 of the table
+    den = sliding_window_view(t, 2 * l + 2, axis=-1)[..., ::-1, :].prod(axis=-1)
+    # the k-th shift is j = 2l-2k+1: every other entry, from the top down
+    return pref * (ctx._w_coeffs * t[..., ::-2] / den * Psi_shifted).sum(axis=-1)
+
+
+def _W_guard(t, x, l: int, ev: ThetaEvaluator):
+    return _nonzero(t, ev, "theta1(x + j*eta), |j| <= {}, for some x in {}", 2 * l + 1, x)
 
 
 def apply_W(Psi, x, ctx: LameContext):
@@ -333,18 +374,14 @@ def apply_W(Psi, x, ctx: LameContext):
     on a joint eigenfunction closes w^2 = prod_i (E^2 - E_i^2).
 
     ``x`` is a scalar or an ndarray.  Every theta1 factor comes from one
-    guarded table on x + j*eta, j = -(2l+1)..2l+1, and Psi is called once,
-    on the array of shape x.shape + (2l+2,) of shifted points.
+    guarded shifted call, theta1(x + j*eta) for j = -(2l+1)..2l+1, and Psi
+    is called once, on the array of shape x.shape + (2l+2,) of shifted points.
     """
     l = ctx.ell
     xs = np.asarray(x, dtype=complex)
-    args = xs[..., None] + np.arange(-(2 * l + 1), 2 * l + 2) * ctx.ev.eta
-    t = _guarded_t1(args, ctx.ev)
-    pref = t[..., l + 1:3 * l + 2].prod(axis=-1)  # j = -l..l
-    # the k-th denominator is the window j = -k..2l-k+1 of the table
-    den = sliding_window_view(t, 2 * l + 2, axis=-1)[..., ::-1, :].prod(axis=-1)
-    # the k-th shift is j = 2l-2k+1: every other entry, from the top down
-    out = pref * (ctx._w_coeffs * t[..., ::-2] / den * Psi(args[..., ::-2])).sum(axis=-1)
+    j_eta = np.arange(-(2 * l + 1), 2 * l + 2) * ctx.ev.eta
+    t = _W_guard(theta(1, xs, ctx.ev, shifts=j_eta), x, l, ctx.ev)
+    out = _W_sum(t, Psi((xs[..., None] + j_eta)[..., ::-2]), ctx)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -357,34 +394,51 @@ def _halton_window() -> np.ndarray:
 
 
 def _sample_points(ctx: LameContext, n: int, avoid_margin: float = 1e-3) -> np.ndarray:
-    """Halton points in a window, away from every theta1 zero the W formula hits."""
+    """The first n Halton points of the window away from every theta1 zero the
+    W formula hits; the whole window is filtered only when its first 2n
+    points leave fewer than n."""
     ev = ctx.ev
     l = ctx.ell
-    window = _halton_window()
     shifts = np.arange(-(2 * l + 2), 2 * l + 3) * ev.eta
-    near = is_close_to_lattice(window[:, None] + shifts, ev.tau, avoid_margin)
-    pts = window[~near.any(axis=1)][:n]
-    if len(pts) < n:
-        raise ConsistencyError("could not find enough pole-free sample points")
-    return pts
+    window = _halton_window()
+    for cand in (window[:2 * n], window):
+        near = is_close_to_lattice(cand[:, None] + shifts, ev.tau, avoid_margin)
+        pts = cand[~near.any(axis=1)][:n]
+        if len(pts) == n:
+            return pts
+    raise ConsistencyError("could not find enough pole-free sample points")
 
 
 def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
                  n_samples: int = 10, rel_tol: float = 1e-7) -> complex:
     """Eigenvalue w with W Psi = w Psi, as a consistency-checked ratio.
 
-    Evaluates W Psi / Psi at ``n_samples`` Halton-sampled points away from
+    Evaluates W Psi / Psi at ``n_samples`` Halton-sampled points x away from
     the theta zeros, rejects outliers beyond 5x the median deviation, and
-    requires the surviving spread to be below ``rel_tol`` relative; a larger
-    spread means Psi is not a joint eigenfunction and raises
+    requires the surviving spread to be below ``rel_tol * max(|w|, 1)``: a
+    relative scale above |w| = 1 and an absolute one below it, where W Psi
+    cancels to the scale of its terms (near a band edge |w| is tiny).  A
+    larger spread means Psi is not a joint eigenfunction and raises
     ConsistencyError.
+
+    Every theta1 value comes from one shifted table on the progressions
+    x + n*eta and zeta + x + n*eta, n = -(3l+1)..2l+1, plus theta1(zeta):
+    Psi(x + j*eta) for j = 0 and the shifts of W reads columns j - k, and
+    the W coefficients read columns -(2l+1)..2l+1, guarded as in ``apply_W``.
     """
+    l = ctx.ell
+    lo = -(3 * l + 1)
     xs = _sample_points(ctx, n_samples)
-    denom = build_Psi(pt, coeffs, xs, ctx)
+    tx, tz, t1z = _progressions(pt.zeta, xs, np.arange(lo, 2 * l + 2), ctx.ev)
+    js = np.append(np.arange(2 * l + 1, -(2 * l + 2), -2), 0)
+    Psi = _Psi_sum(pt, coeffs, xs[:, None] + js * ctx.ev.eta,
+                   js[:, None] - np.arange(1, l + 1) - lo, tx, tz, t1z, ctx.ev)
+    denom = Psi[:, -1]
     usable = np.abs(denom) >= ctx.ev.tol
     if np.count_nonzero(usable) < 3:
         raise ConsistencyError("too few usable sample points for the W ratio")
-    arr = apply_W(lambda y: build_Psi(pt, coeffs, y, ctx), xs[usable], ctx) / denom[usable]
+    t = _W_guard(tx[usable, l:], xs[usable], l, ctx.ev)  # j = -(2l+1)..2l+1
+    arr = _W_sum(t, Psi[usable, :-1], ctx) / denom[usable]
     med = complex(np.median(arr.real), np.median(arr.imag))
     dev = np.abs(arr - med)
     cut = 5 * max(float(np.median(dev)), ctx.ev.tol * max(abs(med), 1.0))
@@ -395,7 +449,7 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
     spread = float(np.max(np.abs(keep - w)))
     if spread > rel_tol * max(abs(w), 1.0):
         raise ConsistencyError(
-            f"W ratio spread {spread:.3e} exceeds {rel_tol:.1e} * |w|: "
+            f"W ratio spread {spread:.3e} exceeds {rel_tol:.1e} * max(|w|, 1): "
             "not a joint eigenfunction"
         )
     return w

@@ -775,6 +775,24 @@ class TestSolveCurvePoint:
         pt = solve_curve_point({"E": base.E}, seed, ctx2)
         assert max(scaled_residual(pt, ctx2)) < 1e-10
 
+    @pytest.mark.parametrize("fix", ["zeta", "E"])
+    def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
+        # a seed already on the curve returns after the first scaled check,
+        # before the unscaled residual f of the Newton step is built
+        seed = curve_points[2][0]
+        assert max(scaled_residual(seed, ctx2)) < curve.NEWTON_TOL
+        builds = []
+        real = lame._build_M_with_magnitudes
+
+        def counting(pt, ctx):
+            builds.append(pt)
+            return real(pt, ctx)
+
+        monkeypatch.setattr(lame, "_build_M_with_magnitudes", counting)
+        pt = solve_curve_point({fix: getattr(seed, fix)}, seed, ctx2)
+        assert len(builds) == 1
+        assert (pt.zeta, pt.K, pt.E) == (seed.zeta, seed.K, seed.E)
+
     def test_nonconvergence_reports(self, ctx2):
         seed = CurvePoint(zeta=0.4 + 0.2j, K=0.01 + 5j, E=-40.0)
         with pytest.raises(ConvergenceError):
