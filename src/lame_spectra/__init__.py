@@ -1,56 +1,22 @@
 """Spectral curves, band edges, double-Bloch eigenfunctions and Volterra
 pole dynamics for the difference Lame operator with elliptic coefficients.
 
-The Volterra module loads on first use: its names below resolve through the
-module ``__getattr__`` (PEP 562), so ``import lame_spectra`` does not import
-``lame_spectra.volterra``.
+The package re-exports the ``__all__`` of ``theta``, ``enumbers``, ``lame``,
+``curve`` and ``bloch``: each module's list is the only list of its public
+names.  The Volterra module loads on first use: its names resolve through
+the module ``__getattr__`` (PEP 562), so ``import lame_spectra`` does not
+import ``lame_spectra.volterra``.
 """
 
-from .theta import EllipticParams, ThetaEvaluator, theta, theta1_prime, theta_halfshift, weierstrass_p
-from .enumbers import ebracket, ebinom, efactorial, qnumber
-from .lame import (
-    BlochCoeffs,
-    CurvePoint,
-    LameContext,
-    apply_L,
-    apply_Ltilde,
-    apply_W,
-    build_M,
-    build_psi,
-    build_Psi,
-    gauge_factor,
-    phi,
-    residual,
-    scaled_residual,
-    solve_bloch_coeffs,
-    w_eigenvalue,
-)
-from .curve import (
-    BandEdgeSet,
-    CurveCoeffs,
-    a_polys_determinant,
-    a_polys_recurrence,
-    band_edges,
-    bloch_relation,
-    bloch_relation_det,
-    cauchy_det,
-    closed_form_edges,
-    curve_coeffs,
-    curve_equations,
-    edge_curve_points,
-    random_curve_points,
-    solve_curve_point,
-    weyl_denominator_check,
-)
-from .bloch import (
-    EdgeCandidates,
-    RationalEta,
-    band_intervals,
-    band_sweep,
-    numeric_band_edges,
-)
+from .theta import *
+from .enumbers import *
+from .lame import *
+from .curve import *
+from .bloch import *
 from . import errors
 
+# volterra.__all__, named here because the lazy load needs them before the
+# module is imported
 _VOLTERRA_NAMES = (
     "FlowResult",
     "LocusReport",

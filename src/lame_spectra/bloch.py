@@ -169,17 +169,17 @@ def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator
     """Hop amplitudes of the symmetric gauge on the orbit x_n = x0 + n*eta.
 
     a_n = theta1(x_n - l*eta)/theta1(x_n), c_n = theta1(x_n + l*eta)/theta1(x_n),
-    no diagonal term.  Returns (a, c, x0), with x0 as given: a denominator
+    no diagonal term, read from one shifted theta table at the shifts 0,
+    -l*eta and l*eta.  Returns (a, c, x0), with x0 as given: a denominator
     within the guard of a theta1 zero raises PoleProximityError rather than
     moving the orbit.
     """
     xs = x0 + np.arange(re.Q) * re.eta
-    den = theta(1, xs, ev)
+    t = theta(1, xs, ev, shifts=[0, -ell * re.eta, ell * re.eta])
+    den = t[:, 0]
     if not np.min(np.abs(den)) > max(ev.tol, 1e-8) * abs(ev.theta1_prime0):
         raise PoleProximityError(f"theta1 ~ 0 on the orbit x0 + n*eta, x0={x0}")
-    a = theta(1, xs - ell * re.eta, ev) / den
-    c = theta(1, xs + ell * re.eta, ev) / den
-    return a, c, x0
+    return t[:, 1] / den, t[:, 2] / den, x0
 
 
 @dataclass(frozen=True)

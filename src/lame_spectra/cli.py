@@ -209,7 +209,9 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     num = cand.confident_values()
     max_dev = None
     if len(num) and len(analytic):
-        max_dev = max(min(abs(n - a) for a in analytic) for n in num)
+        # abs of a complex is hypot, so this is max_n min_a |n - a| exactly
+        d = num[:, None] - np.asarray(analytic)
+        max_dev = float(np.hypot(d.real, d.imag).min(axis=1).max())
     bands = band_intervals(cand.spectra)
     doc = {
         "x0": _c(x0),

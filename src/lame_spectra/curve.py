@@ -47,23 +47,22 @@ __all__ = [
     "a_polys_recurrence",
     "a_polys_determinant",
     "curve_equations",
-    "curve_equations_scaled",
     "band_edges",
     "closed_form_edges",
     "curve_coeffs",
     "bloch_relation",
     "bloch_relation_det",
-    "bloch_relation_scale",
     "cauchy_det",
     "weyl_denominator_check",
     "solve_curve_point",
     "edge_curve_points",
     "random_curve_points",
-    "half_period",
 ]
 
-# a curve point is accepted once its largest scaled residual is below NEWTON_TOL
+# a curve point is accepted once its largest scaled residual is below NEWTON_TOL,
+# within NEWTON_MAX_ITER Newton steps
 NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 100
 # an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
 EDGE_ACCEPT_TOL = 1e-8
 # the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
@@ -450,18 +449,15 @@ def _bloch_terms(zeta: complex, K: complex, cc: CurveCoeffs, ev: ThetaEvaluator)
     return np.array([(-1) ** j * cc.C[j] * t * K ** (2 * (N - j)) for j, t in enumerate(th)])
 
 
-def bloch_relation(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator,
-                   coeffs: CurveCoeffs = None) -> complex:
+def bloch_relation(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> complex:
     """sum_j (-1)^j C_j theta1(zeta - 2j eta) K^(2(N-j)); zero on the curve's
     (zeta, K) projection."""
-    cc = coeffs if coeffs is not None else curve_coeffs(ell, ev)
-    return complex(_bloch_terms(zeta, K, cc, ev).sum())
+    return complex(_bloch_terms(zeta, K, curve_coeffs(ell, ev), ev).sum())
 
 
-def bloch_relation_scale(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator,
-                         coeffs: CurveCoeffs = None) -> float:
-    cc = coeffs if coeffs is not None else curve_coeffs(ell, ev)
-    return float(np.abs(_bloch_terms(zeta, K, cc, ev)).sum())
+def bloch_relation_scale(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> float:
+    """The sum of the magnitudes of the terms of ``bloch_relation``."""
+    return float(np.abs(_bloch_terms(zeta, K, curve_coeffs(ell, ev), ev)).sum())
 
 
 def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> complex:
@@ -539,11 +535,10 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
 # ---------------------------------------------------------------------------
 # numerical curve points
 
-def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
-                      max_iter: int = 100) -> CurvePoint:
+def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoint:
     """Newton-solve both residual determinants to zero in the two free
     coordinates, one of (zeta, E) being held fixed, until the largest scaled
-    residual is below NEWTON_TOL.
+    residual is below NEWTON_TOL, in at most NEWTON_MAX_ITER steps.
 
     ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
     Steps are damped by halving (up to 8 times) whenever the residual norm
@@ -573,7 +568,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
 
     # a converged seed returns before f is built: one residue matrix, not two
     f = None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if norm_scaled(v) < NEWTON_TOL:
             return point(v)
         if f is None:
@@ -609,7 +604,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext,
             v, f = v + step, func(v + step)
     if norm_scaled(v) < NEWTON_TOL:
         return point(v)
-    raise ConvergenceError(f"no convergence after {max_iter} Newton steps", reason="max-iter")
+    raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
 
 
 def edge_bloch_factors(a: int, ev: ThetaEvaluator):

@@ -64,6 +64,11 @@ __all__ = [
 
 # M is rank deficient when its smallest singular value is below this times its term scale
 RANK_TOL = 1e-6
+# w_eigenvalue samples W Psi/Psi at W_SAMPLES points at least W_MARGIN from every
+# theta1 zero the W formula hits, and accepts a spread up to W_REL_TOL * max(|w|, 1)
+W_SAMPLES = 10
+W_MARGIN = 1e-3
+W_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -393,29 +398,39 @@ def _halton_window() -> np.ndarray:
     return window
 
 
-def _sample_points(ctx: LameContext, n: int, avoid_margin: float = 1e-3) -> np.ndarray:
-    """The first n Halton points of the window away from every theta1 zero the
-    W formula hits; the whole window is filtered only when its first 2n
-    points leave fewer than n."""
+def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
+    """The first n Halton points of the window at least W_MARGIN from every
+    theta1 zero the W formula hits; the whole window is filtered only when
+    its first 2n points leave fewer than n."""
     ev = ctx.ev
     l = ctx.ell
     shifts = np.arange(-(2 * l + 2), 2 * l + 3) * ev.eta
     window = _halton_window()
     for cand in (window[:2 * n], window):
-        near = is_close_to_lattice(cand[:, None] + shifts, ev.tau, avoid_margin)
+        near = is_close_to_lattice(cand[:, None] + shifts, ev.tau, W_MARGIN)
         pts = cand[~near.any(axis=1)][:n]
         if len(pts) == n:
             return pts
     raise ConsistencyError("could not find enough pole-free sample points")
 
 
-def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
-                 n_samples: int = 10, rel_tol: float = 1e-7) -> complex:
+def _median(v: np.ndarray) -> float:
+    """np.median of a 1-D float array, bit for bit, from one sort: the middle
+    value, or the mean of the middle two; NaN when any entry is NaN."""
+    s = np.sort(v)
+    mid = len(s) // 2
+    # NaN sorts last
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
+def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> complex:
     """Eigenvalue w with W Psi = w Psi, as a consistency-checked ratio.
 
-    Evaluates W Psi / Psi at ``n_samples`` Halton-sampled points x away from
+    Evaluates W Psi / Psi at W_SAMPLES Halton-sampled points x away from
     the theta zeros, rejects outliers beyond 5x the median deviation, and
-    requires the surviving spread to be below ``rel_tol * max(|w|, 1)``: a
+    requires the surviving spread to be below ``W_REL_TOL * max(|w|, 1)``: a
     relative scale above |w| = 1 and an absolute one below it, where W Psi
     cancels to the scale of its terms (near a band edge |w| is tiny).  A
     larger spread means Psi is not a joint eigenfunction and raises
@@ -428,7 +443,7 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
     """
     l = ctx.ell
     lo = -(3 * l + 1)
-    xs = _sample_points(ctx, n_samples)
+    xs = _sample_points(ctx, W_SAMPLES)
     tx, tz, t1z = _progressions(pt.zeta, xs, np.arange(lo, 2 * l + 2), ctx.ev)
     js = np.append(np.arange(2 * l + 1, -(2 * l + 2), -2), 0)
     Psi = _Psi_sum(pt, coeffs, xs[:, None] + js * ctx.ev.eta,
@@ -439,17 +454,17 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext,
         raise ConsistencyError("too few usable sample points for the W ratio")
     t = _W_guard(tx[usable, l:], xs[usable], l, ctx.ev)  # j = -(2l+1)..2l+1
     arr = _W_sum(t, Psi[usable, :-1], ctx) / denom[usable]
-    med = complex(np.median(arr.real), np.median(arr.imag))
+    med = complex(_median(arr.real), _median(arr.imag))
     dev = np.abs(arr - med)
-    cut = 5 * max(float(np.median(dev)), ctx.ev.tol * max(abs(med), 1.0))
+    cut = 5 * max(_median(dev), ctx.ev.tol * max(abs(med), 1.0))
     keep = arr[dev <= cut]
     if len(keep) < 3:
         keep = arr
     w = complex(keep.mean())
     spread = float(np.max(np.abs(keep - w)))
-    if spread > rel_tol * max(abs(w), 1.0):
+    if spread > W_REL_TOL * max(abs(w), 1.0):
         raise ConsistencyError(
-            f"W ratio spread {spread:.3e} exceeds {rel_tol:.1e} * max(|w|, 1): "
+            f"W ratio spread {spread:.3e} exceeds {W_REL_TOL:.1e} * max(|w|, 1): "
             "not a joint eigenfunction"
         )
     return w

@@ -53,7 +53,6 @@ __all__ = [
     "theta1_prime",
     "theta_halfshift",
     "weierstrass_p",
-    "HALF_PERIOD_LABELS",
 ]
 
 # characteristics (alpha, beta) of theta_a in the series above

@@ -66,7 +66,9 @@ MARGIN_TOL = 1e-6
 # and within GAP_FACTOR * LOCUS_TOL at every step
 LOCUS_TOL = 1e-8
 GAP_FACTOR = 100.0
-# find_locus_config: Gauss-Newton steps per attempt, and the residual it accepts
+# find_locus_config: random seeds it tries, Gauss-Newton steps per attempt,
+# and the residual it accepts
+LOCUS_ATTEMPTS = 40
 LOCUS_NEWTON_STEPS = 60
 LOCUS_TARGET = 1e-10
 # it rejects a configuration as rigid (its flow only translates) when the
@@ -390,17 +392,18 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     return FlowResult(trajectory=traj, locus_gaps=np.array(gaps), margins=np.array(margins))
 
 
-def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40):
+def find_locus_config(ell: int, ev: ThetaEvaluator, rng):
     """Damped Gauss-Newton search for a non-trivial on-locus configuration.
 
     Seeds are random perturbations of the degenerate boundary configuration,
     pushed just outside the singular margins.  There is no guarantee of
-    success; each attempt takes up to LOCUS_NEWTON_STEPS damped steps, and
-    the first configuration with locus residual below LOCUS_TARGET is
-    returned, or None if every attempt fails (failures are the caller's to
-    report, not to hide).  For M > 1 a configuration whose velocities are
-    all equal (spread at most RIGID_TOL, such as a 3-torsion sublattice
-    {0, tau/3, 2 tau/3}) only translates, so its attempt counts as failed.
+    success; each of up to LOCUS_ATTEMPTS attempts takes up to
+    LOCUS_NEWTON_STEPS damped steps, and the first configuration with locus
+    residual below LOCUS_TARGET is returned, or None if every attempt fails
+    (failures are the caller's to report, not to hide).  For M > 1 a
+    configuration whose velocities are all equal (spread at most RIGID_TOL,
+    such as a 3-torsion sublattice {0, tau/3, 2 tau/3}) only translates, so
+    its attempt counts as failed.
     """
     base = np.array(degenerate_poles(ell, ev).xs, dtype=complex)
 
@@ -412,7 +415,7 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng, n_attempts: int = 40):
         rep = locus_residual(PoleConfig(xs=tuple(xs)), ev)
         return rep.residuals
 
-    for _ in range(n_attempts):
+    for _ in range(LOCUS_ATTEMPTS):
         spread = 0.35 + 0.4 * rng.random()
         xs = base + spread * (rng.standard_normal(len(base)) + 1j * rng.standard_normal(len(base)))
         try:

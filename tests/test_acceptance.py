@@ -48,6 +48,7 @@ from lame_spectra.curve import (
     weyl_denominator_check,
 )
 from lame_spectra.enumbers import ebracket
+from lame_spectra.lame import W_REL_TOL
 from lame_spectra.errors import MarginViolationError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.volterra import (
@@ -245,11 +246,12 @@ def test_criterion_8_w_operator_suite(solved_points):
     pts = [pt for c, pt in solved_points if c.ell == 1][:5]
     edges = band_edges(1, ev).union()
     worst_inv = worst_rel = 0.0
+    assert W_REL_TOL == 1e-7  # the pinned spread bound of the W check
     for pt in pts:
         c = solve_bloch_coeffs(pt, ctx)
-        w = w_eigenvalue(pt, c, ctx, rel_tol=1e-7)  # raises if spread > 1e-7
+        w = w_eigenvalue(pt, c, ctx)  # raises if spread > W_REL_TOL * max(|w|, 1)
         spt = CurvePoint(2 * ctx.N * ev.eta - pt.zeta, 1 / pt.K, pt.E)
-        sw = w_eigenvalue(spt, solve_bloch_coeffs(spt, ctx), ctx, rel_tol=1e-7)
+        sw = w_eigenvalue(spt, solve_bloch_coeffs(spt, ctx), ctx)
         worst_inv = max(worst_inv, abs(w + sw) / max(abs(w), 1.0))
         want = np.prod([pt.E**2 - e**2 for e in edges])
         worst_rel = max(worst_rel, abs(w**2 - want) / abs(want))

@@ -130,6 +130,41 @@ class TestMatrixBuild:
             assert lame_coefficients(1, re31, x0, ev31)[2] == x0
 
 
+def _reference_lame_coefficients(ell, re, x0, ev):
+    """The three theta calls ``lame_coefficients`` replaced with one table."""
+    xs = x0 + np.arange(re.Q) * re.eta
+    den = theta(1, xs, ev)
+    return theta(1, xs - ell * re.eta, ev) / den, theta(1, xs + ell * re.eta, ev) / den
+
+
+class TestLameCoefficientsOneTable:
+    def test_one_theta_call(self, monkeypatch, re31, ev31):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return theta(*args, **kwargs)
+
+        monkeypatch.setattr(bloch, "theta", counting)
+        lame_coefficients(2, re31, X0 + ev31.tau / 2, ev31)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j, 0.8j, 2j])
+    @pytest.mark.parametrize("P,Q", [(1, 31), (3, 31), (2, 41), (1, 61), (3, 101)])
+    def test_hops_match_three_calls(self, tau, P, Q):
+        re = RationalEta(P, Q)
+        ev = ThetaEvaluator(EllipticParams(tau=tau, eta=P / Q, tol=1e-12))
+        # each hop within 1e-13 of its own size on the line Im x0 = Im tau/2;
+        # on the real line, where the orbit passes near theta1 zeros, within
+        # 1e-13 of the largest hop
+        for ell in range(1, 9):
+            for x0, per_hop in ((X0 + tau / 2, True), (X0, False)):
+                got = lame_coefficients(ell, re, x0, ev)[:2]
+                for g, want in zip(got, _reference_lame_coefficients(ell, re, x0, ev)):
+                    scale = np.abs(want) if per_hop else np.abs(want).max()
+                    assert (np.abs(g - want) <= 1e-13 * scale).all(), (ell, x0)
+
+
 class TestNumericEdges:
     def test_free_case_extremes_only(self, ev31, re31):
         cand = numeric_band_edges(0, re31, X0, ev31)

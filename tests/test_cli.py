@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from lame_spectra import bloch, cli
+from lame_spectra import bloch, cli, curve
 from lame_spectra.bloch import periodic_matrix
 from lame_spectra.cli import EXIT_CODES, main
 from lame_spectra.errors import (
@@ -246,6 +246,17 @@ class TestSpectrumCommand:
         code, _ = run_cli(capsys, "spectrum", "--ell", "1", "--eta", "1/31", *flags)
         assert code == 0
         assert len(built) == solves
+
+    @pytest.mark.parametrize("ell,P,Q", [(1, 1, 31), (4, 3, 101)])
+    def test_max_deviation_is_the_generators(self, capsys, ell, P, Q):
+        # the one-broadcast value equals max over n of min over a of |n - a|,
+        # computed here as the per-pair generator it replaced
+        code, out = run_cli(capsys, "spectrum", "--ell", str(ell), "--eta", f"{P}/{Q}")
+        assert code == 0
+        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=P / Q, tol=1e-12))
+        num = bloch.numeric_band_edges(ell, bloch.RationalEta(P, Q), 0.123456 + 0.6j, ev).confident_values()
+        analytic = curve.band_edges(ell, ev).with_reflection()
+        assert json.loads(out)["max_deviation"] == max(min(abs(n - a) for a in analytic) for n in num)
 
     def test_csv_sweep(self, capsys):
         code, out = run_cli(

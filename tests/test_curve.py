@@ -793,10 +793,11 @@ class TestSolveCurvePoint:
         assert len(builds) == 1
         assert (pt.zeta, pt.K, pt.E) == (seed.zeta, seed.K, seed.E)
 
-    def test_nonconvergence_reports(self, ctx2):
+    def test_nonconvergence_reports(self, ctx2, monkeypatch):
+        monkeypatch.setattr(curve, "NEWTON_MAX_ITER", 3)
         seed = CurvePoint(zeta=0.4 + 0.2j, K=0.01 + 5j, E=-40.0)
         with pytest.raises(ConvergenceError):
-            solve_curve_point({"zeta": 0.9 + 0.9j}, seed, ctx2, max_iter=3)
+            solve_curve_point({"zeta": 0.9 + 0.9j}, seed, ctx2)
 
     def test_edge_points_are_on_curve(self, edge_points, ctx1):
         assert len(edge_points) >= 6

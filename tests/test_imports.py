@@ -1,5 +1,7 @@
 """What the package loads at import, and the names it loads on first use."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lame_spectra
-from lame_spectra import volterra
+from lame_spectra import bloch, curve, enumbers, lame, volterra
 from lame_spectra.theta import theta
 from lame_spectra.util import parse_eta
 
@@ -34,18 +36,7 @@ for argv in (["flow", "--poles", "0.21+0.05i"],
 print(json.dumps(report))
 """
 
-VOLTERRA_NAMES = (
-    "FlowResult",
-    "LocusReport",
-    "PoleConfig",
-    "c_from_poles",
-    "degenerate_poles",
-    "find_locus_config",
-    "integrate_flow",
-    "locus_residual",
-    "pole_rhs",
-    "volterra_rhs_c",
-)
+VOLTERRA_NAMES = tuple(volterra.__all__)
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +104,30 @@ class TestLazyVolterraNames:
         assert ns["theta"] is theta
         for name in VOLTERRA_NAMES:
             assert ns[name] is getattr(volterra, name)
+
+
+class TestExports:
+    """Each public name is listed once, in its module's ``__all__``; the
+    package re-exports those lists and adds the Volterra names and errors."""
+
+    def test_package_all_is_the_union_of_module_lists(self):
+        theta_mod = importlib.import_module("lame_spectra.theta")  # the package binds the function
+        want = set()
+        for mod in (theta_mod, enumbers, lame, curve, bloch):
+            want |= set(mod.__all__)
+        got = set(lame_spectra.__all__) - set(lame_spectra._VOLTERRA_NAMES) - {"errors"}
+        assert got == want
+        assert len(lame_spectra.__all__) == len(set(lame_spectra.__all__))
+
+    def test_volterra_names_are_its_all(self):
+        assert set(lame_spectra._VOLTERRA_NAMES) == set(volterra.__all__)
+
+    def test_init_imports_no_names_by_hand(self):
+        # a star import per re-exported module, and the errors submodule
+        tree = ast.parse(Path(lame_spectra.__file__).read_text())
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        stars = [node.module for node in imports if [a.name for a in node.names] == ["*"]]
+        assert stars == ["theta", "enumbers", "lame", "curve", "bloch"]
+        rest = [(node.module, [a.name for a in node.names]) for node in imports
+                if [a.name for a in node.names] != ["*"]]
+        assert rest == [(None, ["errors"])]

@@ -416,6 +416,25 @@ class TestCommutingOperator:
             assert abs(w) < 1e-6 * math.sqrt(scale)
 
 
+class TestMedian:
+    def test_equals_numpy_median(self):
+        # 22 lengths x 300 arrays: plain, with ties, and with a NaN, each value
+        # scaled by 10^k for k = -8..8
+        rng = np.random.default_rng(0)
+        for n in range(3, 25):
+            for i in range(300):
+                v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+                if i % 3 == 1:
+                    v = rng.choice(v[:3], n)
+                elif i % 3 == 2:
+                    v[rng.integers(n)] = math.nan
+                got, want = lame._median(v), float(np.median(v))
+                if math.isnan(want):
+                    assert math.isnan(got), v
+                else:
+                    assert got == want, v
+
+
 class TestBatchedMatchesReference:
     @grid
     def test_build_Psi(self, ell, tau, eta):
@@ -518,11 +537,12 @@ class TestThetaCallCount:
         return seen
 
     @pytest.mark.parametrize("ell", [1, 4])
-    def test_w_eigenvalue_independent_of_samples(self, calls, ell):
+    def test_w_eigenvalue_independent_of_samples(self, calls, monkeypatch, ell):
         ctx, pt, c = _grid_point(ell, 1.2j, 0.17)
         for n in (10, 20):
+            monkeypatch.setattr(lame, "W_SAMPLES", n)
             calls.clear()
-            w_eigenvalue(pt, c, ctx, n_samples=n)
+            w_eigenvalue(pt, c, ctx)
             assert len(calls) == 1
 
     @pytest.mark.parametrize("ell", [1, 4])

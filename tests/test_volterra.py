@@ -144,7 +144,7 @@ GRID = [
 
 @pytest.fixture(scope="module")
 def onlocus_cfg(ev):
-    cfg = find_locus_config(2, ev, np.random.default_rng(7), n_attempts=30)
+    cfg = find_locus_config(2, ev, np.random.default_rng(7))
     assert cfg is not None, "locus search failed for ell=2 (seeded run)"
     return cfg
 
