@@ -209,7 +209,8 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     num = cand.confident_values()
     max_dev = None
     if len(num) and len(analytic):
-        # abs of a complex is hypot, so this is max_n min_a |n - a| exactly
+        # hypot, as Python's abs(complex); numpy's vectorised complex abs can
+        # differ from it in the last bit
         d = num[:, None] - np.asarray(analytic)
         max_dev = float(np.hypot(d.real, d.imag).min(axis=1).max())
     bands = band_intervals(cand.spectra)

@@ -414,17 +414,6 @@ def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
     raise ConsistencyError("could not find enough pole-free sample points")
 
 
-def _median(v: np.ndarray) -> float:
-    """np.median of a 1-D float array, bit for bit, from one sort: the middle
-    value, or the mean of the middle two; NaN when any entry is NaN."""
-    s = np.sort(v)
-    mid = len(s) // 2
-    # NaN sorts last
-    if np.isnan(s[-1]):
-        return float(s[-1])
-    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
-
-
 def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> complex:
     """Eigenvalue w with W Psi = w Psi, as a consistency-checked ratio.
 
@@ -454,9 +443,9 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
         raise ConsistencyError("too few usable sample points for the W ratio")
     t = _W_guard(tx[usable, l:], xs[usable], l, ctx.ev)  # j = -(2l+1)..2l+1
     arr = _W_sum(t, Psi[usable, :-1], ctx) / denom[usable]
-    med = complex(_median(arr.real), _median(arr.imag))
+    med = complex(np.median(arr.real), np.median(arr.imag))
     dev = np.abs(arr - med)
-    cut = 5 * max(_median(dev), ctx.ev.tol * max(abs(med), 1.0))
+    cut = 5 * max(float(np.median(dev)), ctx.ev.tol * max(abs(med), 1.0))
     keep = arr[dev <= cut]
     if len(keep) < 3:
         keep = arr

@@ -416,25 +416,6 @@ class TestCommutingOperator:
             assert abs(w) < 1e-6 * math.sqrt(scale)
 
 
-class TestMedian:
-    def test_equals_numpy_median(self):
-        # 22 lengths x 300 arrays: plain, with ties, and with a NaN, each value
-        # scaled by 10^k for k = -8..8
-        rng = np.random.default_rng(0)
-        for n in range(3, 25):
-            for i in range(300):
-                v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-                if i % 3 == 1:
-                    v = rng.choice(v[:3], n)
-                elif i % 3 == 2:
-                    v[rng.integers(n)] = math.nan
-                got, want = lame._median(v), float(np.median(v))
-                if math.isnan(want):
-                    assert math.isnan(got), v
-                else:
-                    assert got == want, v
-
-
 class TestBatchedMatchesReference:
     @grid
     def test_build_Psi(self, ell, tau, eta):
