@@ -38,7 +38,7 @@ import numpy as np
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
-from .lame import CurvePoint, LameContext, phi, residual, scaled_residual
+from .lame import CurvePoint, LameContext, _minors, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
 
 __all__ = [
@@ -98,7 +98,6 @@ def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
     The factorial table guards [2] .. [2l] in increasing order first, so a
     torsion eta is reported with its true order, the smallest vanishing one.
     """
-    theta1_multiples(2 * ell, ev)
     efactorial(2 * ell, ev)
     A = np.zeros((ell + 1, ell + 1), dtype=complex)
     A[ell, 0] = 1.0
@@ -319,7 +318,6 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
     # [2]..[2l] in increasing order: a torsion eta is named by its smallest order
-    theta1_multiples(2 * ell, ev)
     efactorial(2 * ell, ev)
     tau, eta = ev.tau, ev.eta
     # a term of b_j at |k| > K is below |q|^(l K (K+1)) <= |q|^(n^2) < tol/100 of its column's
@@ -542,9 +540,11 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
     Steps are damped by halving (up to 8 times) whenever the residual norm
-    does not decrease.  Non-convergence raises ConvergenceError with reason
-    'max-iter'; a numerically singular Jacobian (near a branch point) raises
-    with reason 'singular-jacobian'.
+    does not decrease; after 8 failed halvings the full step is taken.  Each
+    iterate, and each trial step, reads one residue matrix for both its
+    determinants and its scaled residual.  Non-convergence raises
+    ConvergenceError with reason 'max-iter'; a numerically singular Jacobian
+    (near a branch point) raises with reason 'singular-jacobian'.
     """
     if set(fix) == {"zeta"}:
         fixed_zeta, free = complex(fix["zeta"]), "KE"
@@ -563,16 +563,15 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     def func(v):
         return np.array(residual(point(v), ctx), dtype=complex)
 
-    def norm_scaled(v):
-        return max(scaled_residual(point(v), ctx))
+    def state(v):
+        """(f, largest scaled residual) at v."""
+        f, scaled = _minors(point(v), ctx)
+        return np.array(f, dtype=complex), max(scaled)
 
-    # a converged seed returns before f is built: one residue matrix, not two
-    f = None
+    f, scaled = state(v)
     for _ in range(NEWTON_MAX_ITER):
-        if norm_scaled(v) < NEWTON_TOL:
+        if scaled < NEWTON_TOL:
             return point(v)
-        if f is None:
-            f = func(v)
         J = np.zeros((2, 2), dtype=complex)
         for c in range(2):
             h = 1e-7 * max(1.0, abs(v[c]))
@@ -581,10 +580,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
             J[:, c] = (func(dv) - f) / h
         try:
             if np.linalg.cond(J) > 1e13:
-                raise ConvergenceError(
-                    "Jacobian numerically singular (branch point?)",
-                    reason="singular-jacobian",
-                )
+                raise np.linalg.LinAlgError
             step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
             raise ConvergenceError(
@@ -595,14 +591,15 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
         lam = 1.0
         for _ in range(8):
             trial = v + lam * step
-            ft = func(trial)
+            ft, st = state(trial)
             if np.linalg.norm(ft) < base:
-                v, f = trial, ft
+                v, f, scaled = trial, ft, st
                 break
             lam /= 2
         else:
-            v, f = v + step, func(v + step)
-    if norm_scaled(v) < NEWTON_TOL:
+            v = v + step
+            f, scaled = state(v)
+    if scaled < NEWTON_TOL:
         return point(v)
     raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
 

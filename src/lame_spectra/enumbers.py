@@ -72,9 +72,11 @@ def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
 
 
 def _factorials(n: int, ev: ThetaEvaluator) -> tuple:
-    """[k]! for k = 0..n (the table may hold more entries); starts as ([0]!, [1]!)."""
+    """[k]! for k = 0..n (the table may hold more entries); starts as ([0]!, [1]!).
+    A growth reads its brackets first, so the theta table grows by one call."""
     table = ev._factorials
     if len(table) <= n:
+        _brackets(n, ev)
         out = list(table)
         for j in range(len(out), n + 1):
             out.append(out[-1] * nonzero_bracket(j, ev))

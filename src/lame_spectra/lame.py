@@ -19,7 +19,8 @@ elementary kernel Phi(x, zeta) = theta1(zeta + x)/(theta1(x) theta1(zeta)):
 
 Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
-second row cut out the spectral curve in (zeta, K, E).
+second row cut out the spectral curve in (zeta, K, E).  Both minors, and
+their Hadamard-scaled values, come from one matrix in one stacked ``det``.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
-from .enumbers import ebracket, ebinom, nonzero_bracket, theta1_multiples
+from .enumbers import ebracket, ebinom, efactorial, theta1_multiples
 from .errors import ConsistencyError, PoleProximityError
 from .theta import ThetaEvaluator, theta
 from .util import halton, is_close_to_lattice
@@ -86,9 +87,7 @@ class LameContext:
     def __post_init__(self):
         if self.ell < 0:
             raise ValueError(f"ell must be a non-negative integer, got {self.ell}")
-        theta1_multiples(2 * self.ell + 2, self.ev)
-        for j in range(1, 2 * self.ell + 3):
-            nonzero_bracket(j, self.ev)
+        efactorial(2 * self.ell + 2, self.ev)
 
     @property
     def N(self) -> int:
@@ -151,7 +150,7 @@ class BlochCoeffs:
 def _nonzero(t, ev: ThetaEvaluator, what: str, *args):
     """``t`` itself, or PoleProximityError naming ``what.format(*args)`` when
     some entry is within tol of a theta1 zero."""
-    if np.min(np.abs(t)) < ev.zero_threshold:
+    if np.abs(t).min() < ev.zero_threshold:
         raise PoleProximityError(what.format(*args) + " within tol of zero")
     return t
 
@@ -203,30 +202,27 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
     ev = ctx.ev
     # theta1(zeta - m*eta) for m = 0..l+1 in one call; te[n] = theta1(n*eta)
     tz = theta(1, pt.zeta - np.arange(l + 2) * ev.eta, ev)
-    if abs(tz[0]) < ev.zero_threshold:
-        raise PoleProximityError(f"theta1({pt.zeta}) within tol of zero")
+    _nonzero(tz[0], ev, "theta1({})", pt.zeta)
     tz = tz.tolist()
     te = ctx._eta_theta1
     t1z, t1e = tz[0], te[1]
     Kinv = 1.0 / pt.K
     M = np.zeros((l + 1, l), dtype=complex)
     mag = np.zeros((l + 1, l))
+
+    def add(i, j, term):
+        M[i, j] += term
+        mag[i, j] += abs(term)
+
     for j in range(1, l + 1):
-        M[j - 1, j - 1] += pt.K
-        mag[j - 1, j - 1] += abs(pt.K)
-        M[j, j - 1] += -pt.E
-        mag[j, j - 1] += abs(pt.E)
+        add(j - 1, j - 1, pt.K)
+        add(j, j - 1, -pt.E)
         if j + 1 <= l:
-            num = te[j + l + 1] * te[j - l]
-            den = te[j + 1] * te[j]
-            M[j + 1, j - 1] += Kinv * num / den
-            mag[j + 1, j - 1] += abs(Kinv * num / den)
-        for i in (0, 1):
-            sgn = 1.0 if i == 0 else -1.0
+            add(j + 1, j - 1, Kinv * (te[j + l + 1] * te[j - l]) / (te[j + 1] * te[j]))
+        for i, sgn in ((0, 1.0), (1, -1.0)):
             num = tz[j - i + 1] * te[i + l] * te[i - l - 1]
             den = t1z * t1e * te[j - i + 1]
-            M[i, j - 1] += sgn * Kinv * num / den
-            mag[i, j - 1] += abs(Kinv * num / den)
+            add(i, j - 1, sgn * Kinv * num / den)
     return M, mag
 
 
@@ -248,9 +244,16 @@ def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
     return M
 
 
-def _hadamard_magnitude(mag: np.ndarray) -> float:
-    norms = np.linalg.norm(mag, axis=1)
-    return float(np.prod(np.maximum(norms, 1e-300)))
+def _minors(pt: CurvePoint, ctx: LameContext):
+    """((det M0, det M1), (r0, r1)) from one residue matrix: M0 and M1 drop
+    row 0 and row 1, both determinants come from one stacked ``det``, and r
+    is |det| over the Hadamard bound of the kept rows of term magnitudes."""
+    M, mag = _build_M_with_magnitudes(pt, ctx)
+    l = ctx.ell
+    rows = np.array([range(1, l + 1), [0, *range(2, l + 1)]])
+    dets = np.linalg.det(M[rows]).tolist()
+    bounds = np.maximum(np.linalg.norm(mag, axis=1), 1e-300)[rows]
+    return tuple(dets), tuple(abs(d) / np.prod(b) for d, b in zip(dets, bounds))
 
 
 def residual(pt: CurvePoint, ctx: LameContext):
@@ -258,10 +261,7 @@ def residual(pt: CurvePoint, ctx: LameContext):
 
     Both vanish exactly when (zeta, K, E) lies on the spectral curve.
     """
-    M = build_M(pt, ctx)
-    d0 = complex(np.linalg.det(np.delete(M, 0, axis=0)))
-    d1 = complex(np.linalg.det(np.delete(M, 1, axis=0)))
-    return d0, d1
+    return _minors(pt, ctx)[0]
 
 
 def scaled_residual(pt: CurvePoint, ctx: LameContext):
@@ -271,10 +271,7 @@ def scaled_residual(pt: CurvePoint, ctx: LameContext):
     cancel on the curve, so the scaled values measure how far below the
     conditioning floor the determinants sit.
     """
-    M, mag = _build_M_with_magnitudes(pt, ctx)
-    r0 = abs(np.linalg.det(np.delete(M, 0, axis=0))) / _hadamard_magnitude(np.delete(mag, 0, axis=0))
-    r1 = abs(np.linalg.det(np.delete(M, 1, axis=0))) / _hadamard_magnitude(np.delete(mag, 1, axis=0))
-    return r0, r1
+    return _minors(pt, ctx)[1]
 
 
 def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext) -> BlochCoeffs:

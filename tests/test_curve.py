@@ -775,12 +775,19 @@ class TestSolveCurvePoint:
         pt = solve_curve_point({"E": base.E}, seed, ctx2)
         assert max(scaled_residual(pt, ctx2)) < 1e-10
 
-    @pytest.mark.parametrize("fix", ["zeta", "E"])
+    @pytest.mark.parametrize("fix", ["zeta", "E", "cli-seed"])
     def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
-        # a seed already on the curve returns after the first scaled check,
-        # before the unscaled residual f of the Newton step is built
-        seed = curve_points[2][0]
-        assert max(scaled_residual(seed, ctx2)) < curve.NEWTON_TOL
+        # a seed already on the curve returns after its first residue matrix;
+        # the curve-point command's default seed at zeta = 0.31+0.07i takes
+        # Newton steps, and each iterate and trial step reads one matrix for
+        # f and its scaled check, each Jacobian column one more
+        if fix == "cli-seed":
+            seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+            fixed, want = {"zeta": seed.zeta}, 28
+        else:
+            seed = curve_points[2][0]
+            assert max(scaled_residual(seed, ctx2)) < curve.NEWTON_TOL
+            fixed, want = {fix: getattr(seed, fix)}, 1
         builds = []
         real = lame._build_M_with_magnitudes
 
@@ -789,9 +796,12 @@ class TestSolveCurvePoint:
             return real(pt, ctx)
 
         monkeypatch.setattr(lame, "_build_M_with_magnitudes", counting)
-        pt = solve_curve_point({fix: getattr(seed, fix)}, seed, ctx2)
-        assert len(builds) == 1
-        assert (pt.zeta, pt.K, pt.E) == (seed.zeta, seed.K, seed.E)
+        pt = solve_curve_point(fixed, seed, ctx2)
+        assert len(builds) == want
+        if want == 1:
+            assert (pt.zeta, pt.K, pt.E) == (seed.zeta, seed.K, seed.E)
+        else:
+            assert max(scaled_residual(pt, ctx2)) < curve.NEWTON_TOL
 
     def test_nonconvergence_reports(self, ctx2, monkeypatch):
         monkeypatch.setattr(curve, "NEWTON_MAX_ITER", 3)

@@ -10,6 +10,7 @@ from lame_spectra import (
     EllipticParams,
     LameContext,
     ThetaEvaluator,
+    a_polys_recurrence,
     band_edges,
     curve_coeffs,
     ebinom,
@@ -124,7 +125,10 @@ class TestTable:
         (LameContext, lambda ell: 2 * ell + 2),
         (band_edges, lambda ell: 2 * ell),
         (curve_coeffs, lambda ell: 2 * ell),
-    ], ids=["LameContext", "band_edges", "curve_coeffs"])
+        (a_polys_recurrence, lambda ell: 2 * ell),
+        # a factorial growth reads its brackets first: one call, not one per entry
+        (lambda ell, ev: efactorial(2 * ell, ev), lambda ell: 2 * ell),
+    ], ids=["LameContext", "band_edges", "curve_coeffs", "a_polys_recurrence", "efactorial"])
     def test_one_theta_call_per_entry_point(self, monkeypatch, ell, entry, top):
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)

@@ -75,6 +75,18 @@ def _reference_build_M(pt, ctx):
     return M, mag
 
 
+def _reference_minors(M, mag):
+    """(det M0, det M1) and their scaled values, one ``np.delete`` copy and
+    one ``det`` per minor."""
+    def hadamard(m):
+        return float(np.prod(np.maximum(np.linalg.norm(m, axis=1), 1e-300)))
+
+    dets = [complex(np.linalg.det(np.delete(M, r, axis=0))) for r in (0, 1)]
+    scaled = [abs(np.linalg.det(np.delete(M, r, axis=0))) / hadamard(np.delete(mag, r, axis=0))
+              for r in (0, 1)]
+    return tuple(dets), tuple(scaled)
+
+
 def _reference_build_Psi(pt, coeffs, x, ctx):
     ev = ctx.ev
     t1z = _guarded_t1(pt.zeta, ev)
@@ -460,6 +472,10 @@ class TestBatchedMatchesReference:
             np.testing.assert_array_equal(M == 0, M_ref == 0)
             np.testing.assert_allclose(M, M_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(mag, mag_ref, rtol=1e-12, atol=0)
+            # both minors of one matrix, bit for bit the one-copy-per-minor route
+            dets, scaled = _reference_minors(M, mag)
+            assert residual(pt, ctx) == dets
+            assert scaled_residual(pt, ctx) == scaled
 
     def test_w_near_band_edge(self):
         # |w| = 2.9e-6: the W sum cancels to the scale of its terms, and the
