@@ -21,12 +21,17 @@ Eliminating E leads to a single relation between the Bloch parameters,
 
 with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 
+The two sums are the paper's form of the curve.  Curve points are seeded,
+Newton-solved and certified on the residue matrix of ``lame`` instead, whose
+two minors are the same functions: det M0 = -[2] S1/theta1(zeta) and
+det M1 = -K S2/theta1(zeta).  The sums (``curve_equations``) stay as the
+oracle of that identity.
+
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
-the layout of ``numpy.polynomial.polynomial``: evaluate with ``polyval`` and
-take roots of the trimmed array with ``np.roots(c[::-1])``.  A stack of
-polynomials is a 2-D array, one per row.  ``polyval`` is numpy's with
-``tensor=False``, value for value, so that importing this module does not
-load the ``numpy.polynomial`` package.
+the layout of ``numpy.polynomial.polynomial``; a stack of polynomials is a
+2-D array, one per row.  ``polyval`` is numpy's with ``tensor=False``, value
+for value, so that importing this module does not load the
+``numpy.polynomial`` package.
 """
 
 import cmath
@@ -38,7 +43,8 @@ import numpy as np
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
-from .lame import CurvePoint, LameContext, _minors, phi, residual, scaled_residual
+# phi is not called here, but perfbench/tracing.py rebinds it on this module
+from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _minors, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
 
 __all__ = [
@@ -78,13 +84,6 @@ def polyval(x, c):
     for i in range(2, len(c) + 1):
         c0 = c[-i] + c0 * x
     return c0
-
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """Drop trailing coefficients of modulus <= 1e-13 of the largest; all
-    dropped leaves the one coefficient 0."""
-    keep = np.flatnonzero(np.abs(c) > 1e-13 * np.abs(c).max())
-    return c[:keep[-1] + 1] if keep.size else c[:1] * 0
 
 
 def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
@@ -139,31 +138,17 @@ def _binom_nz(n: int, m: int, ev: ThetaEvaluator) -> complex:
     return val
 
 
-def _curve_factors(ell: int, ev: ThetaEvaluator) -> tuple:
-    """The eta-only factors of the curve sums: ebinom(l, j) for j = 0..l, and
-    [j-1] and ebinom(l+1, j) for j = 0..l+1.  They depend on ell and the
-    evaluator only, so a caller weighting several points reads them once."""
-    b1 = [ebinom(ell, j, ev) for j in range(ell + 1)]
-    br = [ebracket(j - 1, ev) for j in range(ell + 2)]
-    b2 = [ebinom(ell + 1, j, ev) for j in range(ell + 2)]
-    return b1, br, b2
+def _curve_rows(A: np.ndarray, w: list, ev: ThetaEvaluator):
+    """The weighted rows of the two curve sums, for weights w_0..w_{l+1}:
+    w_j ebinom(l, j) A_j (j = 0..l) and (w_j [j-1]) ebinom(l+1, j) A_|j-1|
+    (j = 0..l+1).  Summing the rows of a stack gives its sum as a polynomial.
 
-
-def _curve_rows(A: np.ndarray, w: list, factors: tuple):
-    """The weighted rows of the two curve sums, for weights w_0..w_{l+1} and
-    the factors of ``_curve_factors``: w_j ebinom(l, j) A_j (j = 0..l) and
-    (w_j [j-1]) ebinom(l+1, j) A_|j-1| (j = 0..l+1).  Summing the rows of a
-    stack gives its sum as a polynomial.
-
-    The factors are the evaluator's table values, bit for bit the sequential
-    products, and they are applied to a weight in that fixed order as Python
-    scalars: numpy's vectorised complex product rounds differently (fused
-    multiply-add), and the points ``random_curve_points`` picks from these
-    rows are pinned bit for bit."""
+    The eta-only factors are the evaluator's table values, applied to a
+    weight in that fixed order as Python scalars: numpy's vectorised complex
+    product rounds differently (fused multiply-add)."""
     ell = len(A) - 1
-    b1, br, b2 = factors
-    c1 = [w[j] * b1[j] for j in range(ell + 1)]
-    c2 = [w[j] * br[j] * b2[j] for j in range(ell + 2)]
+    c1 = [w[j] * ebinom(ell, j, ev) for j in range(ell + 1)]
+    c2 = [w[j] * ebracket(j - 1, ev) * ebinom(ell + 1, j, ev) for j in range(ell + 2)]
     below = np.abs(np.arange(ell + 2) - 1)
     return np.array(c1)[:, None] * A, np.array(c2)[:, None] * A[below]
 
@@ -177,7 +162,7 @@ def _point_weights(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> l
 def _curve_sum_terms(pt: CurvePoint, ctx: LameContext):
     A = a_polys_recurrence(ctx.ell, ctx.ev)
     w = _point_weights(pt.zeta, pt.K, ctx.ell, ctx.ev)
-    rows1, rows2 = _curve_rows(A, w, _curve_factors(ctx.ell, ctx.ev))
+    rows1, rows2 = _curve_rows(A, w, ctx.ev)
     return polyval(pt.E, rows1.T), polyval(pt.E, rows2.T)
 
 
@@ -466,18 +451,23 @@ def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) 
                * Phi(-(m+n) eta, zeta).
 
     Multiplied by theta1(zeta) this equals the coefficient expansion of
-    ``bloch_relation`` identically.
+    ``bloch_relation`` identically.  Every theta1 value comes from one table:
+    theta1(k eta), k = 0..2l, from ``theta1_multiples`` (odd in k), and
+    theta1(zeta - k eta), k = 0..2l, from one call; each divisor is guarded.
     """
-    G = np.zeros((ell, ell), dtype=complex)
-    for m in range(1, ell + 1):
-        pre = (-1) ** (ell + 1) * theta(1, 2 * m * ev.eta, ev)
-        for j in range(1, ell + 1):
-            if j != m:
-                pre *= theta(1, (m + j) * ev.eta, ev) / theta(1, (m - j) * ev.eta, ev)
-        for n in range(1, ell + 1):
-            G[m - 1, n - 1] = pre * phi(-(m + n) * ev.eta, zeta, ev)
-    D = np.diag([K ** (2 * m) for m in range(1, ell + 1)])
-    return complex(np.linalg.det(D + G))
+    te = np.array(theta1_multiples(2 * ell, ev)[:2 * ell + 1])
+    tz = theta(1, zeta - np.arange(2 * ell + 1) * ev.eta, ev)
+    if np.abs(np.append(te[1:], tz[0])).min() < ev.zero_threshold:
+        raise PoleProximityError(f"theta1(zeta) or theta1(k*eta), k = 1..{2 * ell}, within tol of zero")
+    m = np.arange(1, ell + 1)
+    diff, total = m[:, None] - m, m[:, None] + m
+    # theta1((m-j) eta) = sign(m-j) theta1(|m-j| eta) off the diagonal; on it the
+    # divisor is 1, which leaves the factor theta1(2m eta)
+    ratio = te[total] / (np.sign(diff) * te[np.abs(diff)] + np.eye(ell))
+    pre = (-1) ** (ell + 1) * ratio.prod(axis=1)
+    # Phi(-(m+n) eta, zeta) = theta1(zeta - (m+n) eta) / (theta1(-(m+n) eta) theta1(zeta))
+    G = pre[:, None] * tz[total] / (-te[total] * tz[0])
+    return complex(np.linalg.det(np.diag(K ** (2 * m)) + G))
 
 
 def cauchy_det(xs, zeta: complex, ev: ThetaEvaluator):
@@ -565,8 +555,8 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     def state(v):
         """(f, largest scaled residual) at v."""
-        f, scaled = _minors(point(v), ctx)
-        return np.array(f, dtype=complex), max(scaled)
+        f, scaled = _minors(*_build_M_with_magnitudes(point(v), ctx))
+        return f, scaled.max()
 
     f, scaled = state(v)
     for _ in range(NEWTON_MAX_ITER):
@@ -637,19 +627,20 @@ def edge_curve_points(ctx: LameContext) -> list:
 def random_curve_points(ctx: LameContext, n: int, rng) -> list:
     """Generic on-curve points via the Bloch relation.
 
-    Draw zeta, solve the relation as a polynomial in K^2, recover E as a
-    common root of the two curve sums at (zeta, K), then Newton-polish the
-    residual determinants at fixed zeta.  The E candidates are the roots of
-    S1 as a polynomial in E; each scores the larger of its two scaled sums
-    (as in ``curve_equations_scaled``), all candidates at once from the rows
-    of that (zeta, K).  The first candidate with the smallest score seeds
-    the polish, unless that score exceeds 1e-4.  Points failing any stage
-    are discarded, so the returned list always holds certified points.
+    Draw zeta, solve the relation as a polynomial in K^2, seed E from the
+    residue matrix at (zeta, K), then Newton-polish the residual
+    determinants at fixed zeta.  E enters M only as -E at (j, j-1), so the
+    minor without row 0 is M0(0) - E I: the E candidates are the eigenvalues
+    of M0 built once at E = 0.  Each scores the larger of its two scaled
+    minors (as in ``scaled_residual``), all candidates at once from that one
+    matrix.  The first candidate with the smallest score seeds the polish,
+    unless that score exceeds 1e-4.  Points failing any stage are discarded,
+    so the returned list always holds certified points.
     """
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
-    A = a_polys_recurrence(ctx.ell, ev)
-    factors = _curve_factors(ctx.ell, ev)
+    # the entries (j, j-1), j = 1..l, where E enters M
+    D = np.eye(ctx.ell + 1, ctx.ell, -1)
     out = []
     attempts = 0
     while len(out) < n and attempts < 40 * n:
@@ -662,14 +653,13 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
             if abs(u) < 1e-10:
                 continue
             K = cmath.sqrt(complex(u))
-            rows1, rows2 = _curve_rows(A, _point_weights(zeta, K, ctx.ell, ev), factors)
-            cands = np.roots(_trim(rows1.sum(axis=0))[::-1])
-            if not cands.size:
-                continue
-            # the scaled sums at every candidate E, one row of terms per E
-            E = cands[:, None]
-            score = np.maximum(_scaled_sum(polyval(E, rows1.T)),
-                               _scaled_sum(polyval(E, rows2.T)))
+            M, mag = _build_M_with_magnitudes(CurvePoint(zeta, K, 0j), ctx)
+            cands = np.linalg.eigvals(M[1:])
+            # the scaled minors at every candidate E, one matrix per E; |E| is hypot,
+            # the scalar abs the build takes
+            E = cands[:, None, None]
+            _, scaled = _minors(M - E * D, mag + np.hypot(E.real, E.imag) * D)
+            score = scaled.max(axis=-1)
             best = int(np.argmin(score))
             if score[best] > 1e-4:
                 continue

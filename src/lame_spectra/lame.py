@@ -244,16 +244,17 @@ def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
     return M
 
 
-def _minors(pt: CurvePoint, ctx: LameContext):
-    """((det M0, det M1), (r0, r1)) from one residue matrix: M0 and M1 drop
-    row 0 and row 1, both determinants come from one stacked ``det``, and r
-    is |det| over the Hadamard bound of the kept rows of term magnitudes."""
-    M, mag = _build_M_with_magnitudes(pt, ctx)
-    l = ctx.ell
+def _minors(M: np.ndarray, mag: np.ndarray):
+    """Arrays (det M0, det M1) and (r0, r1) of a residue matrix M with its
+    term magnitudes, or of a stack of them along the leading axes (shape
+    stack + (2,)): M0 and M1 drop row 0 and row 1, all determinants come from
+    one stacked ``det``, and r is |det| over the Hadamard bound of the kept
+    rows of term magnitudes."""
+    l = M.shape[-1]
     rows = np.array([range(1, l + 1), [0, *range(2, l + 1)]])
-    dets = np.linalg.det(M[rows]).tolist()
-    bounds = np.maximum(np.linalg.norm(mag, axis=1), 1e-300)[rows]
-    return tuple(dets), tuple(abs(d) / np.prod(b) for d, b in zip(dets, bounds))
+    dets = np.linalg.det(M[..., rows, :])
+    bounds = np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., rows]
+    return dets, np.hypot(dets.real, dets.imag) / np.prod(bounds, axis=-1)
 
 
 def residual(pt: CurvePoint, ctx: LameContext):
@@ -261,7 +262,7 @@ def residual(pt: CurvePoint, ctx: LameContext):
 
     Both vanish exactly when (zeta, K, E) lies on the spectral curve.
     """
-    return _minors(pt, ctx)[0]
+    return tuple(_minors(*_build_M_with_magnitudes(pt, ctx))[0].tolist())
 
 
 def scaled_residual(pt: CurvePoint, ctx: LameContext):
@@ -271,7 +272,7 @@ def scaled_residual(pt: CurvePoint, ctx: LameContext):
     cancel on the curve, so the scaled values measure how far below the
     conditioning floor the determinants sit.
     """
-    return _minors(pt, ctx)[1]
+    return tuple(_minors(*_build_M_with_magnitudes(pt, ctx))[1].tolist())
 
 
 def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext) -> BlochCoeffs:
