@@ -46,6 +46,7 @@ from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError,
 # phi is not called here, but perfbench/tracing.py rebinds it on this module
 from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _minors, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, theta
+from .util import is_close_to_lattice
 
 __all__ = [
     "BandEdgeSet",
@@ -69,6 +70,8 @@ __all__ = [
 # within NEWTON_MAX_ITER Newton steps
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 100
+# a fixed-E solve stops once its zeta is within this of a lattice point, a pole of M
+POLE_MARGIN = 1e-6
 # an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
 EDGE_ACCEPT_TOL = 1e-8
 # the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
@@ -78,8 +81,7 @@ CJ_MAX_ELL = 20
 def polyval(x, c):
     """numpy.polynomial.polynomial.polyval(x, c, tensor=False) for a float or
     complex array c: Horner's rule in numpy's order of operations, so that
-    every value is bit for bit numpy's.  x broadcasts over the columns of a
-    multi-dimensional c."""
+    every value is bit for bit numpy's."""
     c0 = c[-1] + x * 0
     for i in range(2, len(c) + 1):
         c0 = c[-i] + c0 * x
@@ -532,9 +534,10 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     Steps are damped by halving (up to 8 times) whenever the residual norm
     does not decrease; after 8 failed halvings the full step is taken.  Each
     iterate, and each trial step, reads one residue matrix for both its
-    determinants and its scaled residual.  Non-convergence raises
-    ConvergenceError with reason 'max-iter'; a numerically singular Jacobian
-    (near a branch point) raises with reason 'singular-jacobian'.
+    determinants and its scaled residual.  ConvergenceError's reason is
+    'max-iter' on non-convergence, 'singular-jacobian' on a numerically
+    singular Jacobian (near a branch point), and 'pole' once an accepted step
+    brings a free zeta within POLE_MARGIN of Z + tau Z, a pole of M.
     """
     if set(fix) == {"zeta"}:
         fixed_zeta, free = complex(fix["zeta"]), "KE"
@@ -589,6 +592,12 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
         else:
             v = v + step
             f, scaled = state(v)
+        if free == "zK" and is_close_to_lattice(v[0], ctx.ev.tau, POLE_MARGIN):
+            zeta, tau = complex(v[0]), ctx.ev.tau
+            n = round(zeta.imag / tau.imag)
+            pole = round((zeta - n * tau).real) + n * tau
+            raise ConvergenceError(f"zeta = {zeta} is {abs(zeta - pole):.1e} from the lattice point "
+                                   f"{pole}, a pole of the residue matrix", reason="pole")
     if scaled < NEWTON_TOL:
         return point(v)
     raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
@@ -639,8 +648,7 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
     """
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
-    # the entries (j, j-1), j = 1..l, where E enters M
-    D = np.eye(ctx.ell + 1, ctx.ell, -1)
+    D = ctx._M_parts[1]  # the pattern where -E enters M
     out = []
     attempts = 0
     while len(out) < n and attempts < 40 * n:

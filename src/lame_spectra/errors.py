@@ -26,9 +26,9 @@ class ConsistencyError(EllipticError):
 
 
 class ConvergenceError(EllipticError):
-    """An iterative solve failed. ``reason`` is 'max-iter' or
-    'singular-jacobian' so branch-point neighbourhoods can be told apart
-    from plain non-convergence."""
+    """An iterative solve failed. ``reason`` is 'max-iter', 'singular-jacobian'
+    or 'pole', so branch points and lattice poles can be told apart from
+    plain non-convergence."""
 
     def __init__(self, message, reason="max-iter"):
         super().__init__(message)

@@ -74,7 +74,7 @@ W_REL_TOL = 1e-7
 
 @dataclass(frozen=True)
 class LameContext:
-    """Degree l plus a theta evaluator; reads theta1(k*eta), k = 0..2l+2, in one call.
+    """Degree l plus a theta evaluator; caches the eta-only parts of ``build_M``.
 
     N = l(l+1)/2 is the genus-fixing count that recurs in every curve
     formula.  Construction fails with TorsionEtaError if any bracket
@@ -94,15 +94,23 @@ class LameContext:
         return self.ell * (self.ell + 1) // 2
 
     @cached_property
-    def _eta_theta1(self) -> dict:
-        """theta1(n*eta) for n = -(l+1)..2l, the eta-only factors of the
-        residue matrix, from the evaluator's table and theta1(-x) = -theta1(x);
-        the divisors n = 1..l+1 are guarded."""
+    def _M_parts(self) -> tuple:
+        """(P, D, B, R, n) of the residue matrix, read-only, from theta1(k*eta),
+        k = 0..2l, of the evaluator's table and theta1(-x) = -theta1(x); the
+        divisors k = 1..l+1 are guarded."""
         l = self.ell
         t = theta1_multiples(2 * l, self.ev)
         if min(abs(v) for v in t[1:l + 2]) < self.ev.zero_threshold:
             raise PoleProximityError(f"theta1(n*eta) within tol of zero for some n in 1..{l + 1}")
-        return {n: (t[n] if n >= 0 else -t[-n]) for n in range(-(l + 1), 2 * l + 1)}
+        n = np.arange(2, l + 2) - np.arange(2)[:, None]
+        # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
+        R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
+        # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
+        hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
+        parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n)
+        for a in parts:
+            a.flags.writeable = False
+        return parts
 
     @cached_property
     def _w_coeffs(self) -> np.ndarray:
@@ -200,29 +208,15 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
     if l < 1:
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
-    # theta1(zeta - m*eta) for m = 0..l+1 in one call; te[n] = theta1(n*eta)
+    P, D, B, R, n = ctx._M_parts
+    # theta1(zeta - m*eta) for m = 0..l+1 in one call
     tz = theta(1, pt.zeta - np.arange(l + 2) * ev.eta, ev)
     _nonzero(tz[0], ev, "theta1({})", pt.zeta)
-    tz = tz.tolist()
-    te = ctx._eta_theta1
-    t1z, t1e = tz[0], te[1]
-    Kinv = 1.0 / pt.K
-    M = np.zeros((l + 1, l), dtype=complex)
-    mag = np.zeros((l + 1, l))
-
-    def add(i, j, term):
-        M[i, j] += term
-        mag[i, j] += abs(term)
-
-    for j in range(1, l + 1):
-        add(j - 1, j - 1, pt.K)
-        add(j, j - 1, -pt.E)
-        if j + 1 <= l:
-            add(j + 1, j - 1, Kinv * (te[j + l + 1] * te[j - l]) / (te[j + 1] * te[j]))
-        for i, sgn in ((0, 1.0), (1, -1.0)):
-            num = tz[j - i + 1] * te[i + l] * te[i - l - 1]
-            den = t1z * t1e * te[j - i + 1]
-            add(i, j - 1, sgn * Kinv * num / den)
+    hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
+    M = pt.K * P - pt.E * D + hops
+    M[:2] += corr
+    mag = abs(pt.K) * P + abs(pt.E) * D + np.abs(hops)
+    mag[:2] += np.abs(corr)
     return M, mag
 
 
@@ -239,6 +233,9 @@ def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
                     / (theta1(eta) theta1((j-i+1) eta)) * (d(i,0) - d(i,1))
 
     Rows i >= 2 are banded; rows 0 and 1 carry the dense correction pair.
+    So M = K P - E D + K^-1 (B + C(zeta)): P and D are the 0/1 patterns
+    d(i, j-1) and d(i, j), B the hops, and C = R theta1(zeta - n eta)/theta1(zeta)
+    on rows 0-1, n = j-i+1; (P, D, B, R, n) is cached per context.
     """
     M, _ = _build_M_with_magnitudes(pt, ctx)
     return M

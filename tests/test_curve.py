@@ -805,6 +805,15 @@ class TestSolveCurvePoint:
         pt = solve_curve_point({"E": base.E}, seed, ctx2)
         assert max(scaled_residual(pt, ctx2)) < 1e-10
 
+    def test_fix_E_stops_at_pole(self, ctx2):
+        # the curve-point command's default seed with E fixed at 1.6+0.4i walks
+        # zeta into the lattice point tau, where the scaled residual falls
+        # although f does not
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        with pytest.raises(ConvergenceError, match="lattice point 1.2j") as info:
+            solve_curve_point({"E": seed.E}, seed, ctx2)
+        assert info.value.reason == "pole"
+
     @pytest.mark.parametrize("fix", ["zeta", "E", "cli-seed"])
     def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
         # a seed already on the curve returns after its first residue matrix;

@@ -457,7 +457,10 @@ class TestBatchedMatchesReference:
         assert np.max(np.abs(got - want)) < 1e-9 * scale
         assert abs(w - want.mean()) < 1e-9 * scale
 
-    @grid
+    @pytest.mark.parametrize(
+        "ell,tau,eta",
+        [(l, t, e) for l in range(1, 9) for t in GRID_TAUS for e in GRID_ETAS],
+    )
     def test_build_M_and_magnitudes(self, ell, tau, eta):
         ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
         rng = np.random.default_rng(ell)
