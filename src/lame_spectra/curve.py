@@ -43,9 +43,9 @@ import numpy as np
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
-# phi is not called here, but perfbench/tracing.py rebinds it on this module
+# phi and residual are not called here, but perfbench/tracing.py rebinds them on this module
 from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _minors, phi, residual, scaled_residual
-from .theta import ThetaEvaluator, theta
+from .theta import ThetaEvaluator, _nonzero, theta
 from .util import is_close_to_lattice
 
 __all__ = [
@@ -459,8 +459,7 @@ def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) 
     """
     te = np.array(theta1_multiples(2 * ell, ev)[:2 * ell + 1])
     tz = theta(1, zeta - np.arange(2 * ell + 1) * ev.eta, ev)
-    if np.abs(np.append(te[1:], tz[0])).min() < ev.zero_threshold:
-        raise PoleProximityError(f"theta1(zeta) or theta1(k*eta), k = 1..{2 * ell}, within tol of zero")
+    _nonzero(np.append(te[1:], tz[0]), ev, "theta1(zeta) or theta1(k*eta), k = 1..{},", 2 * ell)
     m = np.arange(1, ell + 1)
     diff, total = m[:, None] - m, m[:, None] + m
     # theta1((m-j) eta) = sign(m-j) theta1(|m-j| eta) off the diagonal; on it the
@@ -472,6 +471,22 @@ def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) 
     return complex(np.linalg.det(np.diag(K ** (2 * m)) + G))
 
 
+def _cauchy_matrix(xs, zeta: complex, ev: ThetaEvaluator):
+    """A = (theta1(x_i + x_j + zeta) / theta1(x_i + x_j)) of ``cauchy_det``, with
+    theta1(x_i + x_j) and theta1(x_i - x_j), i < j, from one theta table: the
+    sums and the differences at the shifts 0 and zeta.  A sum within tol of a
+    theta1 zero raises PoleProximityError naming its first pair (i, j)."""
+    x = np.asarray(xs, dtype=complex)
+    n = len(x)
+    t = theta(1, np.append(x[:, None] + x, (x[:, None] - x)[np.triu_indices(n, 1)]), ev, shifts=[0, zeta])
+    den = t[:n * n, 0].reshape(n, n)
+    near = np.abs(den) < ev.zero_threshold
+    if near.any():
+        i, j = np.argwhere(near)[0]
+        raise PoleProximityError(f"theta1(x_{i}+x_{j}) ~ 0")
+    return t[:n * n, 1].reshape(n, n) / den, den, t[n * n:, 0]
+
+
 def cauchy_det(xs, zeta: complex, ev: ThetaEvaluator):
     """Elliptic Cauchy determinant: returns (lhs, rhs) of
 
@@ -479,24 +494,11 @@ def cauchy_det(xs, zeta: complex, ev: ThetaEvaluator):
           = theta1^(n-1)(zeta) theta1(zeta + 2 sum x_i) / prod_i theta1(2 x_i)
             * prod_{i<j} theta1^2(x_i - x_j) / theta1^2(x_i + x_j).
     """
-    n = len(xs)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            s = xs[i] + xs[j]
-            den = theta(1, s, ev)
-            if abs(den) < ev.zero_threshold:
-                raise PoleProximityError(f"theta1(x_{i}+x_{j}) ~ 0")
-            mat[i, j] = theta(1, s + zeta, ev) / den
-    lhs = complex(np.linalg.det(mat))
-    tz = theta(1, zeta, ev)
-    rhs = tz ** (n - 1) * theta(1, zeta + 2 * sum(xs), ev)
-    for x in xs:
-        rhs /= theta(1, 2 * x, ev)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rhs *= theta(1, xs[i] - xs[j], ev) ** 2 / theta(1, xs[i] + xs[j], ev) ** 2
-    return lhs, complex(rhs)
+    A, den, diff = _cauchy_matrix(xs, zeta, ev)
+    n = len(A)
+    tz, tsum = theta(1, np.array([zeta, zeta + 2 * sum(xs)]), ev).tolist()
+    pairs = np.prod((diff / den[np.triu_indices(n, 1)]) ** 2)
+    return complex(np.linalg.det(A)), complex(tz ** (n - 1) * tsum / np.prod(np.diag(den)) * pairs)
 
 
 def weyl_denominator_check(ell: int, z: complex, q: complex):
@@ -533,8 +535,8 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
     Steps are damped by halving (up to 8 times) whenever the residual norm
     does not decrease; after 8 failed halvings the full step is taken.  Each
-    iterate, and each trial step, reads one residue matrix for both its
-    determinants and its scaled residual.  ConvergenceError's reason is
+    iterate, trial step and Jacobian column reads its determinants and scaled
+    residual from one residue matrix, by one routine.  ConvergenceError's reason is
     'max-iter' on non-convergence, 'singular-jacobian' on a numerically
     singular Jacobian (near a branch point), and 'pole' once an accepted step
     brings a free zeta within POLE_MARGIN of Z + tau Z, a pole of M.
@@ -553,24 +555,23 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
             return CurvePoint(zeta=fixed_zeta, K=complex(v[0]), E=complex(v[1]))
         return CurvePoint(zeta=complex(v[0]), K=complex(v[1]), E=fixed_E)
 
-    def func(v):
-        return np.array(residual(point(v), ctx), dtype=complex)
-
     def state(v):
         """(f, largest scaled residual) at v."""
         f, scaled = _minors(*_build_M_with_magnitudes(point(v), ctx))
         return f, scaled.max()
 
     f, scaled = state(v)
-    for _ in range(NEWTON_MAX_ITER):
+    for n_steps in range(NEWTON_MAX_ITER + 1):
         if scaled < NEWTON_TOL:
             return point(v)
+        if n_steps == NEWTON_MAX_ITER:
+            raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
         J = np.zeros((2, 2), dtype=complex)
         for c in range(2):
             h = 1e-7 * max(1.0, abs(v[c]))
             dv = v.copy()
             dv[c] += h
-            J[:, c] = (func(dv) - f) / h
+            J[:, c] = (state(dv)[0] - f) / h
         try:
             if np.linalg.cond(J) > 1e13:
                 raise np.linalg.LinAlgError
@@ -598,9 +599,6 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
             pole = round((zeta - n * tau).real) + n * tau
             raise ConvergenceError(f"zeta = {zeta} is {abs(zeta - pole):.1e} from the lattice point "
                                    f"{pole}, a pole of the residue matrix", reason="pole")
-    if scaled < NEWTON_TOL:
-        return point(v)
-    raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
 
 
 def edge_bloch_factors(a: int, ev: ThetaEvaluator):

@@ -40,8 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
 from .enumbers import ebracket, ebinom, efactorial, theta1_multiples
-from .errors import ConsistencyError, PoleProximityError
-from .theta import ThetaEvaluator, theta
+from .errors import ConsistencyError
+from .theta import ThetaEvaluator, _nonzero, theta
 from .util import halton, is_close_to_lattice
 
 __all__ = [
@@ -95,19 +95,19 @@ class LameContext:
 
     @cached_property
     def _M_parts(self) -> tuple:
-        """(P, D, B, R, n) of the residue matrix, read-only, from theta1(k*eta),
-        k = 0..2l, of the evaluator's table and theta1(-x) = -theta1(x); the
-        divisors k = 1..l+1 are guarded."""
+        """(P, D, B, R, n) of the residue matrix and zeta's offsets m*eta, m = 0..l+1,
+        read-only, from theta1(k*eta), k = 0..2l, of the evaluator's table and
+        theta1(-x) = -theta1(x); the divisors k = 1..l+1 are guarded."""
         l = self.ell
         t = theta1_multiples(2 * l, self.ev)
-        if min(abs(v) for v in t[1:l + 2]) < self.ev.zero_threshold:
-            raise PoleProximityError(f"theta1(n*eta) within tol of zero for some n in 1..{l + 1}")
+        _nonzero(t[1:l + 2], self.ev, "theta1(n*eta) for some n in 1..{}", l + 1)
         n = np.arange(2, l + 2) - np.arange(2)[:, None]
         # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
         R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
         # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
         hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
-        parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n)
+        parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
+                 np.arange(l + 2) * self.ev.eta)
         for a in parts:
             a.flags.writeable = False
         return parts
@@ -155,14 +155,6 @@ class BlochCoeffs:
     second_sv: float = field(default=float("inf"))
 
 
-def _nonzero(t, ev: ThetaEvaluator, what: str, *args):
-    """``t`` itself, or PoleProximityError naming ``what.format(*args)`` when
-    some entry is within tol of a theta1 zero."""
-    if np.abs(t).min() < ev.zero_threshold:
-        raise PoleProximityError(what.format(*args) + " within tol of zero")
-    return t
-
-
 def _guarded_t1(x, ev):
     return _nonzero(theta(1, x, ev), ev, "theta1({})", x)
 
@@ -208,9 +200,9 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
     if l < 1:
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
-    P, D, B, R, n = ctx._M_parts
+    P, D, B, R, n, m_eta = ctx._M_parts
     # theta1(zeta - m*eta) for m = 0..l+1 in one call
-    tz = theta(1, pt.zeta - np.arange(l + 2) * ev.eta, ev)
+    tz = theta(1, pt.zeta - m_eta, ev)
     _nonzero(tz[0], ev, "theta1({})", pt.zeta)
     hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
     M = pt.K * P - pt.E * D + hops

@@ -152,6 +152,17 @@ class ThetaEvaluator:
         return max(self.series_cutoff, math.ceil(m_star) + 2)
 
 
+def _nonzero(t, ev: ThetaEvaluator, what: str, *args):
+    """``t`` itself, or PoleProximityError naming ``what.format(*args)`` when
+    |t| (a scalar) or min |t| (an array) is below ``ev.zero_threshold``.
+    Guards that raise or word it otherwise keep their own test: c_from_poles
+    names the x and the pole, bloch.lame_coefficients has its own 1e-8 floor,
+    enumbers raises TorsionEtaError, the Volterra margin guard MarginViolationError."""
+    if (abs(t) if isinstance(t, complex) else np.abs(t).min()) < ev.zero_threshold:
+        raise PoleProximityError(what.format(*args) + " within tol of zero")
+    return t
+
+
 def _series(a: int, x, tau: complex, n_terms: int, deriv: int):
     alpha, beta = _CHAR[a]
     if alpha == 0.5:
@@ -307,9 +318,7 @@ def weierstrass_p(x, ev: ThetaEvaluator):
     derivative with flipped sign.  Raises PoleProximityError within tol of a
     lattice point (where theta1 vanishes).
     """
-    t0 = theta(1, x, ev)
-    if np.any(np.abs(t0) < ev.zero_threshold):
-        raise PoleProximityError(f"theta1({x}) is within tol of zero (lattice point)")
+    t0 = _nonzero(theta(1, x, ev), ev, "theta1({}) (a lattice point)", x)
     t1 = theta(1, x, ev, deriv=1)
     t2 = theta(1, x, ev, deriv=2)
     return (t1 * t1 - t2 * t0) / (t0 * t0)

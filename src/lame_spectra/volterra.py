@@ -289,16 +289,16 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     shortened so that equal steps end on t_end; the first step tries the
     whole span.  The trajectory holds one PoleConfig per grid time
     t = cfg0.t + t_end*i/n, n = round(|t_end/dt|) (at least 1 unless t_end
-    is 0), read from the pair's fourth-order dense output; a grid time that
-    ends a step takes the step's end point itself.
+    is 0).  Every grid time after the start, a step's own end included, is
+    read from its step's fourth-order dense output, one batch per step.
 
     ``t_end``, ``dt`` and their ratio must be finite and ``dt`` nonzero
     (ValueError).
     Preconditions: margins hold and the two systems agree within LOCUS_TOL
     at cfg0 (otherwise LocusError with the measured gap).  Checks: every
     stage evaluation raises MarginViolationError under the margin guard;
-    every accepted step end and every grid point (the interior ones of a
-    step in one batched evaluation) is checked for its margin and for a
+    every accepted step end (through its last stage) and every grid point
+    (one batched evaluation per step) is checked for its margin and for a
     locus gap above GAP_FACTOR * LOCUS_TOL * max(1, max|v1|), which halts
     the flow with LocusError.  ``locus_gaps`` and ``margins`` hold the
     values at the grid points.  A trial step whose stages overflow is
@@ -354,7 +354,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
                     err = math.inf
                     break
                 # the last row is the fifth-order end point; its velocity is K[6]
-                K[st + 1], w2, w_margin = _flow_state(y, ev)
+                K[st + 1], w2, _ = _flow_state(y, ev)
             else:
                 scale = FLOW_TOL * (1.0 + np.maximum(np.abs(xs), np.abs(y)))
                 err = float((np.abs(h * (_DP_E @ K)) / scale).max(initial=0.0))
@@ -363,29 +363,24 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
             h *= 0.2 if not math.isfinite(err) else max(0.2, 0.9 * err**-0.2)
             continue
         s_new = t_end if h == left else s + h
-        w_gap = checked_gaps(K[6], w2, cfg0.t + s_new)
+        checked_gaps(K[6], w2, cfg0.t + s_new)
         j = i
-        while j <= n_out and (grid[j] - s_new) * t_end < 0:
+        while j <= n_out and (grid[j] - s_new) * t_end <= 0:
             j += 1
         if j > i:
-            # interior grid points from the dense output, checked in one batch
+            # the step's grid points from its dense output, checked in one batch
             th = ((np.array(grid[i:j]) - s) / h)[:, None]
             d = y - xs
             bspl = h * K[0] - d
             r5 = h * (_DP_D @ K)
-            y_mid = xs + th * (d + (1 - th) * (bspl + th * (d - h * K[6] - bspl + (1 - th) * r5)))
-            m1, m2, m_margin = _flow_state(y_mid, ev)
+            y_grid = xs + th * (d + (1 - th) * (bspl + th * (d - h * K[6] - bspl + (1 - th) * r5)))
+            m1, m2, m_margin = _flow_state(y_grid, ev)
             m_gaps = checked_gaps(m1, m2, [cfg0.t + g for g in grid[i:j]])
-            for row, t_i, g, mg in zip(y_mid, grid[i:j], m_gaps, m_margin):
+            for row, t_i, g, mg in zip(y_grid, grid[i:j], m_gaps, m_margin):
                 traj.append(PoleConfig(xs=tuple(row), t=cfg0.t + t_i))
                 gaps.append(float(g))
                 margins.append(float(mg))
             i = j
-        if i <= n_out and grid[i] == s_new:
-            traj.append(PoleConfig(xs=tuple(y), t=cfg0.t + grid[i]))
-            gaps.append(float(w_gap))
-            margins.append(w_margin)
-            i += 1
         xs, s = y, s_new
         K[0] = K[6]
         h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0

@@ -279,6 +279,31 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["all_passed"]
 
+    @pytest.mark.parametrize("args", [
+        ("--suite", "all", "--ell", "7"),
+        ("--suite", "cauchy", "--ell", "6", "--tau", "0.3+1.4i", "--eta", "0.11+0.05i"),
+    ])
+    def test_cauchy_rounding_within_its_bound(self, capsys, args):
+        # clustered points make kappa(A) reach about 1e11 at n = 8; the check
+        # allows each draw 10 n eps kappa(A), not a fixed 1e-9
+        code, out = run_cli(capsys, "verify", *args)
+        assert code == 0
+        doc = json.loads(out)["suites"]["cauchy"]
+        assert len(doc["rel_errors"]) == len(doc["bounds"]) == int(args[3]) + 1
+
+    @pytest.mark.parametrize("ell", ["3", "7"])
+    def test_planted_cauchy_defect_fails(self, capsys, monkeypatch, ell):
+        real = curve.cauchy_det
+
+        def off_by_one_percent(xs, zeta, ev):
+            lhs, rhs = real(xs, zeta, ev)
+            return lhs, rhs * (1 + 1e-2)
+
+        monkeypatch.setattr(curve, "cauchy_det", off_by_one_percent)
+        code, out = run_cli(capsys, "verify", "--suite", "cauchy", "--ell", ell)
+        assert code == 1
+        assert not json.loads(out)["suites"]["cauchy"]["passed"]
+
     def test_cj_symmetry_l6(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "cj-symmetry", "--ell", "6")
         assert code == 0

@@ -4,6 +4,7 @@ Bloch-multiplier relation and the identity suites behind it."""
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 from math import comb
 
@@ -750,6 +751,11 @@ class TestCauchyDeterminant:
         lhs, rhs = cauchy_det(xs, z, ev)
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
 
+    def test_coincident_pair_names_its_sum(self, ev):
+        # x_0 + x_1 = 0, a zero of theta1 on the matrix's first row
+        with pytest.raises(PoleProximityError, match=re.escape("theta1(x_0+x_1)")):
+            cauchy_det([0.3, -0.3, 0.1], 0.43 + 0.11j, ev)
+
 
 class TestWeylDenominator:
     def test_z_zero(self):
@@ -818,8 +824,8 @@ class TestSolveCurvePoint:
     def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
         # a seed already on the curve returns after its first residue matrix;
         # the curve-point command's default seed at zeta = 0.31+0.07i takes
-        # Newton steps, and each iterate and trial step reads one matrix for
-        # f and its scaled check, each Jacobian column one more
+        # Newton steps, and each iterate, trial step and Jacobian column reads
+        # one matrix, all through curve's own build
         if fix == "cli-seed":
             seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
             fixed, want = {"zeta": seed.zeta}, 28
@@ -834,9 +840,7 @@ class TestSolveCurvePoint:
             builds.append(pt)
             return real(pt, ctx)
 
-        # the iterates read the build through curve, the Jacobian's residual through lame
-        for module in (curve, lame):
-            monkeypatch.setattr(module, "_build_M_with_magnitudes", counting)
+        monkeypatch.setattr(curve, "_build_M_with_magnitudes", counting)
         pt = solve_curve_point(fixed, seed, ctx2)
         assert len(builds) == want
         if want == 1:

@@ -239,6 +239,8 @@ class TestWeierstrass:
     def test_pole_guard(self, ev):
         with pytest.raises(PoleProximityError):
             weierstrass_p(0.0, ev)
+        with pytest.raises(PoleProximityError, match="lattice point"):
+            weierstrass_p(np.array([0.3, 1.0 + 1.2j]), ev)
 
 
 def _plain_series(a, x, tau, n_terms, deriv):

@@ -273,8 +273,18 @@ class TestThetaCallCount:
         res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_w)
         assert len(res.trajectory) == 21
         assert len(calls) == len(flow_states) <= 21
-        # the interior grid points of a step are read as one (points, M) batch
+        # the grid points of a step are read as one (points, M) batch
         assert any(len(shape) == 2 for shape in flow_states)
+
+    @pytest.mark.parametrize("ell,eta,seed", [(2, 1 / 31, 0), (3, 0.17, 0), (3, 0.17, 3)])
+    def test_every_grid_point_is_read_from_a_dense_output_batch(self, flow_states, ell, eta, seed):
+        # a one-step flow and two multi-step ones: every grid time after the
+        # start, a step's own end too, is a row of some step's batch
+        ev_w = ThetaEvaluator(EllipticParams(tau=1.2j, eta=eta, tol=1e-12))
+        cfg = find_locus_config(ell, ev_w, np.random.default_rng(seed))
+        flow_states.clear()
+        res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev_w)
+        assert sum(shape[0] for shape in flow_states if len(shape) == 2) == len(res.trajectory) - 1
 
 
 class TestCoefficient:
