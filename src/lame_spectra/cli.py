@@ -5,7 +5,7 @@ Default output is a single JSON document (schema 1) carrying the tolerance
 and series cutoff used; ``spectrum`` sweeps and ``flow`` trajectories can be
 dumped as CSV instead (``--format csv`` elsewhere exits 2).  ``main`` reads the
 settings and builds the evaluator; each ``cmd_*`` returns its exit code and
-document, which ``main`` prints under the run's ``provenance`` block.
+document or CSV rows, which ``main`` prints (a document under ``provenance``).
 
 Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
 torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
@@ -227,115 +227,122 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     if Q <= 2 * cfg.ell + 2:
         doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
     if cfg.fmt == "csv":
-        import csv
-
         ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
         sweep = band_sweep(cfg.ell, re, x0, ks, ev)
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])])
-        for k, row in zip(ks, sweep):
-            writer.writerow([repr(float(k))] + [repr(float(v)) for v in row.real])
-        return code, None
+        rows = [["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])]]
+        for k, energies in zip(ks, sweep.real):
+            rows.append([repr(float(k))] + [repr(float(v)) for v in energies])
+        return code, rows
     return code, doc
 
 
-def _verify_suites(cfg: RunConfig, ev: ThetaEvaluator, names):
-    rng = np.random.default_rng(cfg.seed)
-    results = {}
+# Each verify suite draws from the run's one rng and returns one relative error
+# per draw (the largest where a draw checks several), each draw's bound (a
+# scalar holds for all) and where the bound comes from.  It passes when every
+# error is at most its bound, and fails with no draw (no curve point found).
 
-    def record(name, err, tol):
-        results[name] = {"max_rel_error": float(err), "tol": tol, "passed": bool(err < tol)}
-
-    if "theta-monodromy" in names:
-        err = 0.0
-        for a in (1, 2, 3, 4):
-            for _ in range(20):
-                x = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
-                s1 = -1 if a in (1, 2) else 1
-                st = -1 if a in (1, 4) else 1
-                v = theta(a, x, ev)
-                e1 = abs(theta(a, x + 1, ev) - s1 * v) / max(abs(v), 1.0)
-                ratio = st * np.exp(-1j * np.pi * ev.tau - 2j * np.pi * x)
-                e2 = abs(theta(a, x + ev.tau, ev) - ratio * v) / max(abs(ratio * v), 1.0)
-                err = max(err, e1, e2)
-        record("theta-monodromy", err, 1e-10)
-    if "cauchy" in names:
-        # clustered points: kappa(A) is about 1e11 at n = 8, and LU's relative error n eps kappa(A)
-        errs, bounds = [], []
-        for n in range(1, cfg.ell + 2):
-            xs = [complex(rng.uniform(0.05, 0.4), rng.uniform(-0.1, 0.1)) for _ in range(n)]
-            zeta = complex(rng.uniform(0.1, 0.7), rng.uniform(0.0, 0.2))
-            lhs, rhs = curve_mod.cauchy_det(xs, zeta, ev)
-            kappa = np.linalg.cond(curve_mod._cauchy_matrix(xs, zeta, ev)[0])
-            errs.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
-            bounds.append(10 * n * np.finfo(float).eps * kappa)
-        results["cauchy"] = {"max_rel_error": max(errs), "rel_errors": errs, "bounds": bounds,
-                             "passed": all(e <= b for e, b in zip(errs, bounds))}
-    if "schur" in names:
-        err = 0.0
-        for _ in range(5):
-            z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
-            q = np.exp(1j * rng.uniform(0.2, 1.2))
-            lhs, rhs = curve_mod.weyl_denominator_check(cfg.ell, z, complex(q))
-            err = max(err, abs(lhs - rhs) / max(abs(rhs), 1e-30))
-        record("schur", err, 1e-10)
-    if "apoly" in names:
-        err = 0.0
-        A = curve_mod.a_polys_recurrence(cfg.ell, ev)
+def _theta_monodromy(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    errors = []
+    for a in (1, 2, 3, 4):
         for _ in range(20):
-            E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-            for s in range(cfg.ell + 1):
-                det = curve_mod.a_polys_determinant(cfg.ell, s, E, ev)
-                rec = curve_mod.polyval(E, A[cfg.ell - s])
-                err = max(err, abs(det - rec) / max(abs(rec), 1.0))
-        record("apoly", err, 1e-10)
-    if "curve-symmetry" in names:
-        ctx = LameContext(ell=cfg.ell, ev=ev)
-        pts = curve_mod.random_curve_points(ctx, 3, rng)
-        err = 0.0
-        for pt in pts:
-            for mapped in (
-                CurvePoint(zeta=pt.zeta + ev.tau, K=pt.K * np.exp(2j * np.pi * ev.eta), E=pt.E),
-                CurvePoint(zeta=pt.zeta, K=-pt.K, E=-pt.E),
-                CurvePoint(zeta=2 * ctx.N * ev.eta - pt.zeta, K=1 / pt.K, E=pt.E),
-            ):
-                err = max(err, max(scaled_residual(mapped, ctx)))
-        record("curve-symmetry", err, 1e-8)
-    if "cj-symmetry" in names:
-        cc = curve_mod.curve_coeffs(cfg.ell, ev)
-        scale = np.abs(cc.C).max()
-        err = float(np.abs(cc.C - cc.C[::-1]).max() / scale)
-        err = max(err, abs(cc.C[0] - 1))
-        record("cj-symmetry", err, 1e-10)
-    if "cj-limit" in names:
-        N = cfg.ell * (cfg.ell + 1) // 2
-        devs = []
-        for eta_small in (1e-2, 5e-3, 2.5e-3):
-            ev_s = ThetaEvaluator(EllipticParams(tau=cfg.tau, eta=eta_small, tol=cfg.tol))
-            cc = curve_mod.curve_coeffs(cfg.ell, ev_s)
-            devs.append(max(abs(cc.C[j] - comb(N, j)) for j in range(N + 1)))
-        decreasing = devs[0] > devs[1] > devs[2]
-        results["cj-limit"] = {
-            "deviations": [float(d) for d in devs],
-            "monotone_decreasing": bool(decreasing),
-            "passed": bool(decreasing),
-        }
-    return results
+            x = complex(rng.uniform(-1, 1), rng.uniform(-0.4, 0.4))
+            s1 = -1 if a in (1, 2) else 1
+            st = -1 if a in (1, 4) else 1
+            v = theta(a, x, ev)
+            e1 = abs(theta(a, x + 1, ev) - s1 * v) / max(abs(v), 1.0)
+            ratio = st * np.exp(-1j * np.pi * ev.tau - 2j * np.pi * x)
+            e2 = abs(theta(a, x + ev.tau, ev) - ratio * v) / max(abs(ratio * v), 1.0)
+            errors.append(max(e1, e2))
+    return errors, 1e-10, "fixed"
 
 
-ALL_SUITES = [
-    "theta-monodromy",
-    "cauchy",
-    "schur",
-    "apoly",
-    "curve-symmetry",
-    "cj-symmetry",
-    "cj-limit",
-]
+def _cauchy(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    # clustered points: kappa(A) is about 1e11 at n = 8, and LU's relative error n eps kappa(A)
+    errors, bounds = [], []
+    for n in range(1, cfg.ell + 2):
+        xs = [complex(rng.uniform(0.05, 0.4), rng.uniform(-0.1, 0.1)) for _ in range(n)]
+        zeta = complex(rng.uniform(0.1, 0.7), rng.uniform(0.0, 0.2))
+        lhs, rhs = curve_mod.cauchy_det(xs, zeta, ev)
+        kappa = np.linalg.cond(curve_mod._cauchy_matrix(xs, zeta, ev)[0])
+        errors.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        bounds.append(10 * n * np.finfo(float).eps * kappa)
+    return errors, bounds, "10 n eps kappa(A)"
+
+
+def _schur(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    errors = []
+    for _ in range(5):
+        z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
+        q = np.exp(1j * rng.uniform(0.2, 1.2))
+        lhs, rhs = curve_mod.weyl_denominator_check(cfg.ell, z, complex(q))
+        errors.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
+    return errors, 1e-10, "fixed"
+
+
+def _apoly(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    A = curve_mod.a_polys_recurrence(cfg.ell, ev)
+    errors = []
+    for _ in range(20):
+        E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+        dets = [curve_mod.a_polys_determinant(cfg.ell, s, E, ev) for s in range(cfg.ell + 1)]
+        recs = [curve_mod.polyval(E, A[cfg.ell - s]) for s in range(cfg.ell + 1)]
+        errors.append(max(abs(d - r) / max(abs(r), 1.0) for d, r in zip(dets, recs)))
+    return errors, 1e-10, "fixed"
+
+
+def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    ctx = LameContext(ell=cfg.ell, ev=ev)
+    errors = []
+    for pt in curve_mod.random_curve_points(ctx, 3, rng):
+        mapped = (
+            CurvePoint(zeta=pt.zeta + ev.tau, K=pt.K * np.exp(2j * np.pi * ev.eta), E=pt.E),
+            CurvePoint(zeta=pt.zeta, K=-pt.K, E=-pt.E),
+            CurvePoint(zeta=2 * ctx.N * ev.eta - pt.zeta, K=1 / pt.K, E=pt.E),
+        )
+        errors.append(max(max(scaled_residual(m, ctx)) for m in mapped))
+    return errors, 1e-8, "fixed"
+
+
+def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    C = curve_mod.curve_coeffs(cfg.ell, ev).C
+    err = max(float(np.abs(C - C[::-1]).max() / np.abs(C).max()), abs(C[0] - 1))
+    return [err], 1e-10, "fixed"
+
+
+def _cj_limit(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    """C_j -> binom(N, j) as eta -> 0 at the eta^2 rate: while N^2 eta^2 is
+    small, halving eta divides d = max_j |C_j / binom(N, j) - 1| by 4."""
+    N = cfg.ell * (cfg.ell + 1) // 2
+    binom = np.array([comb(N, j) for j in range(N + 1)], dtype=float)
+    d = np.empty(3)
+    for k in range(3):
+        ev_k = ThetaEvaluator(EllipticParams(tau=cfg.tau, eta=0.1 / N / 2**k, tol=cfg.tol))
+        d[k] = np.abs(curve_mod.curve_coeffs(cfg.ell, ev_k).C / binom - 1).max()
+    return np.abs(4 * d[1:] - d[:-1]), 0.05 * d[:-1] + 64 * np.finfo(float).eps, "eta^2 rate"
+
+
+# in the order --suite all runs them, which fixes each suite's draws
+SUITES = {
+    "theta-monodromy": _theta_monodromy,
+    "cauchy": _cauchy,
+    "schur": _schur,
+    "apoly": _apoly,
+    "curve-symmetry": _curve_symmetry,
+    "cj-symmetry": _cj_symmetry,
+    "cj-limit": _cj_limit,
+}
 
 
 def cmd_verify(args, cfg: RunConfig, ev: ThetaEvaluator):
-    results = _verify_suites(cfg, ev, ALL_SUITES if args.suite == "all" else [args.suite])
+    rng = np.random.default_rng(cfg.seed)
+    results = {}
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        errors, bounds, source = SUITES[name](cfg, ev, rng)
+        errors = [float(e) for e in errors]
+        bounds = [float(b) for b in np.broadcast_to(bounds, len(errors))]
+        results[name] = {"rel_errors": errors, "bounds": bounds, "bound_source": source,
+                         "max_rel_error": max(errors, default=None),
+                         "passed": bool(errors) and all(e <= b for e, b in zip(errors, bounds))}
     passed = all(r["passed"] for r in results.values())
     return (0 if passed else 1), {"suites": results, "all_passed": passed}
 
@@ -347,21 +354,16 @@ def cmd_flow(args, cfg: RunConfig, ev: ThetaEvaluator):
     cfg0 = volterra.PoleConfig(xs=tuple(poles))
     result = volterra.integrate_flow(cfg0, args.t_end, args.dt, ev)
     if cfg.fmt == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
         head = ["t"]
         for j in range(cfg0.M):
             head += [f"re_x{j+1}", f"im_x{j+1}"]
-        head.append("locus_gap")
-        writer.writerow(head)
+        rows = [head + ["locus_gap"]]
         for snap, gap in zip(result.trajectory, result.locus_gaps):
             row = [repr(snap.t)]
             for x in snap.xs:
                 row += [repr(x.real), repr(x.imag)]
-            row.append(repr(float(gap)))
-            writer.writerow(row)
-        return 0, None
+            rows.append(row + [repr(float(gap))])
+        return 0, rows
     return 0, {
         "trajectory": [
             {"t": snap.t, "poles": [_c(x) for x in snap.xs], "locus_gap": float(gap)}
@@ -408,79 +410,76 @@ def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--eta", help="lattice spacing: 'a+bi' or exact 'P/Q'")
-    p.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
-    p.add_argument("--tol", type=float, help="evaluation tolerance")
-    p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--format", choices=_FORMATS,
-                   help="output format; csv for spectrum and flow only")
-    p.add_argument("--config", help="key=value config file setting eta, tau, tol, seed or "
-                                    "format; flags win")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--eta", help="lattice spacing: 'a+bi' or exact 'P/Q'")
+    common.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
+    common.add_argument("--tol", type=float, help="evaluation tolerance")
+    common.add_argument("--seed", type=int, help="seed for randomized suites")
+    common.add_argument("--format", choices=_FORMATS,
+                        help="output format; csv for spectrum and flow only")
+    common.add_argument("--config", help="key=value config file setting eta, tau, tol, seed "
+                                         "or format; flags win")
     ap = argparse.ArgumentParser(prog="lame-spectra", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("edges", help="analytic band edges per half-period label")
+    p = sub.add_parser("edges", parents=[common], help="analytic band edges per half-period label")
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_edges)
 
-    p = sub.add_parser("spectrum", help="numeric Bloch spectrum for rational eta")
+    p = sub.add_parser("spectrum", parents=[common], help="numeric Bloch spectrum for rational eta")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--kpoints", type=int, default=129,
                    help="rows of the CSV dispersion table; JSON bands come from the "
                         "phase +1 and -1 spectra")
-    _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("--suite", choices=ALL_SUITES + ["all"], default="all")
+    p = sub.add_parser("verify", parents=[common], help="run an identity suite")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--ell", type=int, default=3)
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("flow", help="integrate the Volterra pole flow")
+    p = sub.add_parser("flow", parents=[common], help="integrate the Volterra pole flow")
     p.add_argument("--poles", required=True, help="comma-separated complex pole list")
     p.add_argument("--t-end", dest="t_end", type=float, default=0.3)
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--ell", type=int, default=1)
-    _add_common(p)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("curve-point", help="Newton-solve a point on the spectral curve")
+    p = sub.add_parser("curve-point", parents=[common],
+                       help="Newton-solve a point on the spectral curve")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--fix-zeta", dest="fix_zeta")
     p.add_argument("--fix-E", dest="fix_E")
     p.add_argument("--seed-zeta", dest="seed_zeta", default="0.31+0.07i")
     p.add_argument("--seed-K", dest="seed_K", default="1.4+0.5i")
     p.add_argument("--seed-E", dest="seed_E", default="1.6+0.4i")
-    _add_common(p)
     p.set_defaults(func=cmd_curve_point)
 
-    p = sub.add_parser("coeffs", help="Bloch-relation coefficients C_j")
+    p = sub.add_parser("coeffs", parents=[common], help="Bloch-relation coefficients C_j")
     p.add_argument("--ell", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_coeffs)
 
     return ap
 
 
 def main(argv=None) -> int:
-    """Run one command; a ``cmd_*`` that wrote CSV returns the document None."""
+    """Run one command and write what it returns: CSV rows, header first, or a JSON document."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
         ev = cfg.evaluator()
-        code, doc = args.func(args, cfg, ev)
+        code, out = args.func(args, cfg, ev)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
-    if doc is not None:
-        _emit({"provenance": _provenance(cfg, ev), **doc})
+    if cfg.fmt == "csv":
+        import csv
+
+        csv.writer(sys.stdout).writerows(out)
+    else:
+        _emit({"provenance": _provenance(cfg, ev), **out})
     return code
 
 
