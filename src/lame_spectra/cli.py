@@ -2,10 +2,12 @@
 
 Subcommands: edges | spectrum | verify | flow | curve-point | coeffs.
 Default output is a single JSON document (schema 1) carrying the tolerance
-and series cutoff used; ``spectrum`` sweeps and ``flow`` trajectories can be
-dumped as CSV instead (``--format csv`` elsewhere exits 2).  ``main`` reads the
-settings and builds the evaluator; each ``cmd_*`` returns its exit code and
-document or CSV rows, which ``main`` prints (a document under ``provenance``).
+and series cutoff used, written compact on one line with sorted keys (pipe it
+into ``python -m json.tool`` to read it by eye); ``spectrum`` sweeps and
+``flow`` trajectories can be dumped as CSV instead (``--format csv``
+elsewhere exits 2).  ``main`` reads the settings and builds the evaluator;
+each ``cmd_*`` returns its exit code and document or CSV rows, which ``main``
+prints (a document under ``provenance``).
 
 Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
 torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
@@ -162,7 +164,7 @@ def _provenance(cfg: RunConfig, ev: ThetaEvaluator) -> dict:
 
 def _emit(doc, stream=None):
     stream = stream or sys.stdout
-    stream.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    stream.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _c(z: complex) -> str:
@@ -304,9 +306,13 @@ def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
 
 
 def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    """One error per j: |C_j - C_{N-j}| relative to the larger of the two (0
+    where both vanish), and at j = 0 also |C_0 - 1|."""
     C = curve_mod.curve_coeffs(cfg.ell, ev).C
-    err = max(float(np.abs(C - C[::-1]).max() / np.abs(C).max()), abs(C[0] - 1))
-    return [err], 1e-10, "fixed"
+    scale = np.maximum(np.abs(C), np.abs(C[::-1]))
+    errors = np.abs(C - C[::-1]) / np.where(scale > 0, scale, 1.0)
+    errors[0] = max(errors[0], abs(C[0] - 1))
+    return errors, 1e-10, "fixed"
 
 
 def _cj_limit(cfg: RunConfig, ev: ThetaEvaluator, rng):

@@ -26,15 +26,16 @@ cache of _SHIFT_TABLES_MAX (256) read-only matrices (``_shift_table``): a
 Volterra flow, whose shifts are always the same multiples of eta, builds one
 per cutoff it meets (one on every flow of the benchmark).  ``_series``, one
 exp per point and term, is left for points the split cannot hold and for
-theta1'(0).
+theta1'(0), which is summed once per (tau, cutoff) and kept in a
+least-recently-used cache of _PRIME0_MAX (256) values (``_theta1_prime0``).
 
 An evaluator's parameters are fixed at construction; its caches, the eta-only
 tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
 factorials [k]!), only grow, by replacing the stored tuple, so evaluators are
-safe to share across threads.  The shift-table cache is thread-safe too:
-``functools.lru_cache`` keeps its structure coherent under concurrent calls,
-two threads that miss on one key at once each build the same values, and no
-caller can write a cached matrix.
+safe to share across threads.  The two module caches are thread-safe too:
+``functools.lru_cache`` keeps their structure coherent under concurrent
+calls, two threads that miss on one key at once each build the same values,
+and no caller can write a cached matrix.
 """
 
 import cmath
@@ -104,7 +105,9 @@ class ThetaEvaluator:
     so evaluators built anew per request share them.  ``theta1_prime0`` is
     summed by ``_series``, not through a table: that sum comes out real on
     the imaginary tau axis, where the table's leaves an imaginary part of
-    ~1e-33, and every Volterra velocity scales by it.
+    ~1e-33, and every Volterra velocity scales by it.  The sum is made once
+    per (tau, cutoff) and cached in the module too (``_theta1_prime0``), so
+    an evaluator built again for the same tau and tol does not repeat it.
     """
 
     params: EllipticParams
@@ -124,8 +127,7 @@ class ThetaEvaluator:
         n = max(4, math.ceil(math.sqrt(target / lq)))
         object.__setattr__(self, "series_cutoff", n + 1)
         object.__setattr__(self, "_cutoff_c", -target / math.pi)
-        d = _series(1, 0.0, self.params.tau, self.series_cutoff, 1)
-        object.__setattr__(self, "theta1_prime0", complex(d))
+        object.__setattr__(self, "theta1_prime0", _theta1_prime0(self.params.tau, self.series_cutoff))
 
     @property
     def zero_threshold(self) -> float:
@@ -187,6 +189,9 @@ _SPLIT_LOG_MAX = 600.0
 
 # shift-exp matrices kept by _shift_table, least recently used dropped first
 _SHIFT_TABLES_MAX = 256
+
+# theta1'(0) values kept by _theta1_prime0, least recently used dropped first
+_PRIME0_MAX = 256
 
 
 def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
@@ -267,6 +272,12 @@ def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
         shift_exp = shift_exp * ((2j * math.pi * m) ** deriv)[:, None]
     m.flags.writeable = shift_exp.flags.writeable = False
     return m, shift_exp
+
+
+@functools.lru_cache(maxsize=_PRIME0_MAX)
+def _theta1_prime0(tau: complex, n: int) -> complex:
+    """theta1'(0 | tau), the ``_series`` sum with cutoff n."""
+    return complex(_series(1, 0.0, tau, n, 1))
 
 
 def theta1_prime(x, ev: ThetaEvaluator):

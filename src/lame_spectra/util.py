@@ -28,21 +28,15 @@ def halton(n: int, base: int) -> np.ndarray:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi', 'bi', or 'a' (also accepts 'j' as the imaginary unit)."""
+    """Parse 'a+bi', 'bi', or 'a' (also accepts 'j' as the imaginary unit),
+    and everything ``format_complex`` writes, 'inf' and 'nan' parts too."""
     s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty complex literal")
+    if not s or s.endswith(("+", "-")):
+        raise ValueError(f"cannot parse complex literal {text!r}")
     if s.endswith(("i", "I")):
         s = s[:-1] + "j"
-    s = s.replace("I", "j")
-    if s.endswith("+") or s.endswith("-"):
-        raise ValueError(f"cannot parse complex literal {text!r}")
     try:
-        if "j" in s:
-            # bare '+j' / '-j' need the implicit 1
-            s = re.sub(r"(?<![\d.])([+-]?)j", r"\g<1>1j", s)
-            return complex(s)
-        return complex(float(s))
+        return complex(s)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 

@@ -439,3 +439,32 @@ class TestShiftTable:
         # grid points; every evaluation has the same key, so one build
         assert info.hits + info.misses == 8
         assert info.misses == info.currsize == 1
+
+
+class TestPrime0Cache:
+    """theta1'(0) is the ``_series`` sum, made once per (tau, cutoff) and
+    kept in a bounded module cache."""
+
+    def test_evaluators_share_the_series_sum(self):
+        tau = 0.3 + 1.4j
+        theta_module._theta1_prime0.cache_clear()
+        evs = [ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12)) for eta in (0.17, 0.11 + 0.05j)]
+        want = complex(theta_module._series(1, 0.0, tau, evs[0].series_cutoff, 1))
+        assert [e.theta1_prime0 for e in evs] == [want, want]
+        info = theta_module._theta1_prime0.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_a_new_cutoff_gets_its_own_entry(self):
+        theta_module._theta1_prime0.cache_clear()
+        a, b = (ThetaEvaluator(EllipticParams(tau=0.5j, eta=0.17, tol=tol)) for tol in (1e-12, 1e-4))
+        assert a.series_cutoff != b.series_cutoff
+        for e in (a, b):
+            assert e.theta1_prime0 == complex(theta_module._series(1, 0.0, 0.5j, e.series_cutoff, 1))
+        assert theta_module._theta1_prime0.cache_info().currsize == 2
+
+    def test_bounded(self):
+        theta_module._theta1_prime0.cache_clear()
+        assert theta_module._theta1_prime0.cache_info().maxsize == theta_module._PRIME0_MAX
+        for k in range(theta_module._PRIME0_MAX + 5):
+            ThetaEvaluator(EllipticParams(tau=complex(k / 1000, 1.2), eta=0.17))
+        assert theta_module._theta1_prime0.cache_info().currsize == theta_module._PRIME0_MAX
