@@ -24,8 +24,8 @@ theta1 is odd, so the factor pole k contributes to the first system of
 pole j is the factor pole j contributes to the second system of pole k:
 with r1(D) the first product's factor and r2(D) the second's, r1(-D) =
 r2(D).  Each pole set is therefore read from one theta table over the
-M(M-1)/2 differences x_j - x_k, j < k, and D = 0 (for theta1(2 eta)), at the
-shifts 0, +-eta, +-2eta.
+M(M-1)/2 differences x_j - x_k, j < k, at the shifts 0, +-eta, +-2eta; the
+scale theta1(2 eta) is the evaluator's theta1(k eta) table entry.
 
 A configuration whose velocities are all equal (such as a 3-torsion
 sublattice) is on the locus, but its flow only translates the poles and
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .enumbers import theta1_multiples
 from .errors import ConvergenceError, LocusError, MarginViolationError, PoleProximityError
 # theta1_prime is not called here, but perfbench/tracing.py rebinds it on this module
 from .theta import ThetaEvaluator, theta, theta1_prime
@@ -142,33 +143,15 @@ _SHIFTS = np.array([2.0, -2.0, -1.0, 1.0, 0.0])
 
 @functools.lru_cache(maxsize=None)
 def _pair_index(M: int):
-    """Index tables of M poles (read-only).
-
-    ``j, k``: the pairs j < k followed by one extra pair (0, 0), so that
-    xs[j] - xs[k] is the M(M-1)/2 differences and then an exact 0, the D = 0
-    row that carries theta1(2 eta).  ``rows`` (M, M-1) and ``cols`` (M-1, M)
-    pick the off-diagonal entries of R (see ``_pair_thetas``) from the
-    flattened (pair, system) factor array: row j of ``rows`` holds R[j, k]
-    and column j of ``cols`` holds R[k, j], each over k != j in order of k.
-    """
+    """The pairs j < k of M poles, as two read-only index arrays."""
     j, k = np.triu_indices(M, 1)
-    flat = np.empty((M, M), dtype=np.intp)
-    flat[j, k] = 2 * np.arange(len(j))
-    flat[k, j] = flat[j, k] + 1
-    off = ~np.eye(M, dtype=bool)
-    rows = flat[off].reshape(M, max(M - 1, 0))
-    # C order, so that prod(axis=0) multiplies row by row as R.prod(axis=0)
-    # does; a transposed view is reduced by another loop, off in the last bit
-    cols = np.ascontiguousarray(flat.T[off].reshape(M, max(M - 1, 0)).T)
-    j, k = np.append(j, 0), np.append(k, 0)
-    for a in (j, k, rows, cols):
-        a.flags.writeable = False
-    return j, k, rows, cols
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
     """The residue-system products of a pole set, from one theta call over
-    the pairs j < k and the D = 0 row.
+    the pairs j < k.
 
     With R the (M, M) matrix R[j, k] = r1(x_j - x_k) above the diagonal,
     R[k, j] = r2(x_j - x_k) below it and 1 on it, where
@@ -177,25 +160,18 @@ def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
 
     and r2 is r1 with eta -> -eta, returns the products of the rows of R (the
     first system's factors of each pole) and of its columns (the second's):
-    theta1 is odd, so r1(-D) = r2(D).  The products are gathered through the
-    index tables of ``_pair_index`` and multiply in order of k, giving the
-    values of R.prod(axis=1) and R.prod(axis=0) without building R.  Also
-    returns theta1(2 eta), read from the table's last row, D = 0 (the extra
-    pair (0, 0) of ``_pair_index``), and the margin of ``check_margins``,
-    raising as it does.  The table over j < k covers j > k too:
-    |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are symmetric.
+    theta1 is odd, so r1(-D) = r2(D).  Also returns the margin of
+    ``check_margins``, raising as it does.  The table over j < k covers j > k
+    too: |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are
+    symmetric.
 
     ``xs`` of shape (..., M) is a batch of pole sets, still read by one theta
-    call: the products have shape (..., M), theta1(2 eta) and the margins
-    shape (...), and the guard raises if any set violates it.  A 1-D ``xs``
-    returns a float margin.
+    call: the products have shape (..., M), the margins shape (...), and the
+    guard raises if any set violates it.  A 1-D ``xs`` returns a float margin.
     """
     M = xs.shape[-1]
-    j, k, rows, cols = _pair_index(M)
-    # with no pole to index, the D = 0 row alone
-    d = xs[..., j] - xs[..., k] if M else np.zeros(xs.shape[:-1] + (1,), dtype=complex)
-    vals = theta(1, d, ev, shifts=_SHIFTS * ev.eta)
-    T = vals[..., :-1, :]
+    j, k = _pair_index(M)
+    T = theta(1, xs[..., j] - xs[..., k], ev, shifts=_SHIFTS * ev.eta)
     # no pair (M < 2): nothing near the singular set, margin inf
     worst = np.abs(T).min(axis=(-2, -1), initial=np.inf) / abs(ev.theta1_prime0)
     if (worst < MARGIN_TOL).any():
@@ -203,16 +179,21 @@ def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
             f"pole differences within {MARGIN_TOL:g} of the singular set "
             f"(min |theta1| = {worst.min():.3e}); boundary of the locus"
         )
-    r = ((T[..., 0:2] * T[..., 2:4]) / (T[..., 3:1:-1] * T[..., 4:])).reshape(*xs.shape[:-1], -1)
+    r = (T[..., 0:2] * T[..., 2:4]) / (T[..., 3:1:-1] * T[..., 4:])
+    R = np.ones(xs.shape + (M,), dtype=complex)
+    R[..., j, k] = r[..., 0]
+    R[..., k, j] = r[..., 1]
     worst = float(worst) if xs.ndim == 1 else worst
-    return r[..., rows].prod(axis=-1), r[..., cols].prod(axis=-2), vals[..., -1, 0], worst
+    return R.prod(axis=-1), R.prod(axis=-2), worst
 
 
 def _flow_state(xs: np.ndarray, ev: ThetaEvaluator):
-    """Both residue-system velocities and the margin, from one theta call;
-    ``xs`` of shape (..., M) as for ``_pair_thetas``."""
-    p1, p2, theta1_2eta, margin = _pair_thetas(xs, ev)
-    scale = np.asarray(theta1_2eta / ev.theta1_prime0)[..., None]
+    """Both residue-system velocities, each product scaled by
+    theta1(2 eta)/theta1'(0) (theta1(2 eta) from ``theta1_multiples``), and
+    the margin, from one theta call; ``xs`` of shape (..., M) as for
+    ``_pair_thetas``."""
+    p1, p2, margin = _pair_thetas(xs, ev)
+    scale = theta1_multiples(2, ev)[2] / ev.theta1_prime0
     return scale * p1, scale * p2, margin
 
 
@@ -251,7 +232,7 @@ def check_margins(cfg: PoleConfig, ev: ThetaEvaluator) -> float:
     Raises MarginViolationError below MARGIN_TOL: some factor of the residue
     systems is (numerically) singular there.
     """
-    return _pair_thetas(np.array(cfg.xs, dtype=complex), ev)[3]
+    return _pair_thetas(np.array(cfg.xs, dtype=complex), ev)[2]
 
 
 def pole_rhs(cfg: PoleConfig, ev: ThetaEvaluator):
@@ -271,7 +252,7 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
     An on-locus configuration has max norm below tolerance; the degenerate
     boundary configuration trips the margin guard instead of reporting.
     """
-    p1, p2, _, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
+    p1, p2, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
     res = p1 / p2 - 1
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
 

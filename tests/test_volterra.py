@@ -14,6 +14,7 @@ from lame_spectra.bloch import (
     coefficient_samples,
     numeric_band_edges_from_coefficients,
 )
+from lame_spectra.enumbers import theta1_multiples
 from lame_spectra.errors import LocusError, MarginViolationError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta, theta1_prime, weierstrass_p
 from lame_spectra.volterra import (
@@ -105,13 +106,11 @@ def _reference_c_from_poles(cfg, x, ev):
 
 
 def _reference_pair_thetas(xs, ev):
-    """The pair table as built before its index tables carried the D = 0 row
-    and the products were gathered: np.append of D = 0, and R scattered into
-    a ones matrix."""
+    """The pair table as the formula: R scattered into a ones matrix, and
+    theta1(2 eta) from the evaluator's theta1(k eta) table."""
     M = len(xs)
     j, k = np.triu_indices(M, 1)
-    vals = theta(1, np.append(xs[j] - xs[k], 0.0), ev, shifts=volterra._SHIFTS * ev.eta)
-    T = vals[:-1]
+    T = theta(1, xs[j] - xs[k], ev, shifts=volterra._SHIFTS * ev.eta)
     worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
     if worst < MARGIN_TOL:
         raise MarginViolationError(f"reference margin {worst:.3e}")
@@ -119,7 +118,7 @@ def _reference_pair_thetas(xs, ev):
     R = np.ones((M, M), dtype=complex)
     R[j, k] = r[:, 0]
     R[k, j] = r[:, 1]
-    return R, vals[-1, 0], worst
+    return R, theta1_multiples(2, ev)[2], worst
 
 
 def _reference_flow_state(xs, ev):
@@ -244,10 +243,10 @@ class TestThetaCallCount:
     @pytest.mark.parametrize("M", [1, 3, 6])
     def test_pair_table_reads_each_unordered_pair_once(self, calls, ev, M):
         # theta1 is odd, so x_k - x_j adds nothing to x_j - x_k: M(M-1)/2
-        # differences and D = 0 (for theta1(2 eta)), each at the five shifts
+        # differences, each at the five shifts
         pole_rhs(_random_poles(M, ev, seed=M), ev)
         (args,) = calls
-        assert np.size(args[1]) == M * (M - 1) // 2 + 1
+        assert np.size(args[1]) == M * (M - 1) // 2
 
     @pytest.fixture
     def flow_states(self, monkeypatch):
@@ -539,8 +538,8 @@ def _flow_start(M, ev):
 
 
 class TestFlowMatchesReference:
-    """The gathered pair products against the ones-matrix route they
-    replaced, and batches of pole sets against single sets."""
+    """The pair products against the ones-matrix route written as a
+    reference, and batches of pole sets against single sets."""
 
     @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
     def test_flow_state_matches_reference(self, M, tau, eta):
@@ -551,6 +550,15 @@ class TestFlowMatchesReference:
             assert g.shape == w.shape == (M,)
             assert (g == w).all()
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("M,tau,eta", [p for p in FLOW_GRID if p.values[0] == 1])
+    def test_single_pole_moves_at_the_table_scale(self, M, tau, eta):
+        # no pair: both systems are the empty product, so the one pole's
+        # velocity is the scale itself, theta1(2 eta)/theta1'(0)
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        v1, v2, margin = volterra._flow_state(np.full(M, 0.21 + 0.05j), ev_g)
+        want = theta1_multiples(2, ev_g)[2] / ev_g.theta1_prime0
+        assert v1[0] == v2[0] == want and margin == float("inf")
 
     @pytest.mark.parametrize("M,tau,eta", FLOW_GRID)
     def test_batched_sets_match_single_sets(self, M, tau, eta):
