@@ -42,7 +42,7 @@ from .errors import (
     LocusError,
     MarginViolationError,
 )
-from .lame import CurvePoint, LameContext, scaled_residual
+from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator, theta
 from .util import format_complex, parse_complex, parse_eta
 
@@ -299,6 +299,8 @@ def _apoly(cfg: RunConfig, ev: ThetaEvaluator, rng):
 
 
 def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    """Each image of a point reads sigma_min of its row-scaled residue matrix,
+    its distance to a rank-deficient matrix in units of each row's terms."""
     ctx = LameContext(ell=cfg.ell, ev=ev)
     errors = []
     for pt in curve_mod.random_curve_points(ctx, 3, rng):
@@ -307,7 +309,8 @@ def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
             CurvePoint(zeta=pt.zeta, K=-pt.K, E=-pt.E),
             CurvePoint(zeta=2 * ctx.N * ev.eta - pt.zeta, K=1 / pt.K, E=pt.E),
         )
-        errors.append(max(max(scaled_residual(m, ctx)) for m in mapped))
+        Mr = np.array([_row_scaled(*_build_M_with_magnitudes(m, ctx)) for m in mapped])
+        errors.append(np.linalg.svd(Mr, compute_uv=False)[:, -1].max())
     return errors, 1e-8, "fixed"
 
 

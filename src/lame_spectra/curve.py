@@ -21,11 +21,14 @@ Eliminating E leads to a single relation between the Bloch parameters,
 
 with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 
-The two sums are the paper's form of the curve.  Curve points are seeded,
-Newton-solved and certified on the residue matrix of ``lame`` instead, whose
-two minors are the same functions: det M0 = -[2] S1/theta1(zeta) and
-det M1 = -K S2/theta1(zeta).  The sums (``curve_equations``) stay as the
-oracle of that identity.
+The two sums are the paper's form of the curve.  Curve points are solved
+on the residue matrix M of ``lame`` instead, whose two minors are the same
+functions: det M0 = -[2] S1/theta1(zeta) and det M1 = -K S2/theta1(zeta).
+A point is a rank drop of M, and Newton solves M s = 0, c^H s = 1 for the
+point and its null vector s at once, with the exact Jacobian; one measure,
+the backward error of s with each row scaled by its term magnitudes,
+seeds, accepts and checks the points.  The sums (``curve_equations``) stay
+as the oracle of the minor identity.
 
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
 the layout of ``numpy.polynomial.polynomial``; a stack of polynomials is a
@@ -44,7 +47,7 @@ import numpy as np
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 # phi and residual are not called here, but perfbench/tracing.py rebinds them on this module
-from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _minors, phi, residual, scaled_residual
+from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, _nonzero, theta
 from .util import is_close_to_lattice
 
@@ -66,8 +69,9 @@ __all__ = [
     "random_curve_points",
 ]
 
-# a curve point is accepted once its largest scaled residual is below NEWTON_TOL,
-# within NEWTON_MAX_ITER Newton steps
+# a curve point is accepted once the row-scaled backward error of its null
+# vector, max_i |(M s)_i| / (||mag_i|| ||s||), is below NEWTON_TOL, within
+# NEWTON_MAX_ITER Newton steps
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 100
 # a fixed-E solve stops once its zeta is within this of a lattice point, a pole of M
@@ -528,18 +532,27 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
 # numerical curve points
 
 def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoint:
-    """Newton-solve both residual determinants to zero in the two free
-    coordinates, one of (zeta, E) being held fixed, until the largest scaled
-    residual is below NEWTON_TOL, in at most NEWTON_MAX_ITER steps.
+    """Newton on the bordered system M(v) s = 0, c^H s = 1 in the two free
+    coordinates v and the Bloch vector s, one of (zeta, E) being held fixed,
+    until the backward error of s is below NEWTON_TOL, in at most
+    NEWTON_MAX_ITER steps.
 
     ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
-    Steps are damped by halving (up to 8 times) whenever the residual norm
-    does not decrease; after 8 failed halvings the full step is taken.  Each
-    iterate, trial step and Jacobian column reads its determinants and scaled
-    residual from one residue matrix, by one routine.  ConvergenceError's reason is
-    'max-iter' on non-convergence, 'singular-jacobian' on a numerically
-    singular Jacobian (near a branch point), and 'pole' once an accepted step
-    brings a free zeta within POLE_MARGIN of Z + tau Z, a pole of M.
+    c and the first s are the smallest right singular vector of the seed's
+    row-scaled M (``_row_scaled``); the backward error is
+    max_i |(M s)_i| / (||mag_i|| ||s||), mag the term magnitudes of M.  The
+    Jacobian is exact, [[dM/da s, dM/db s, M], [0, 0, c^H]], from
+    M = K P - E D + K^-1 (B + C(zeta)): dM/dK = P - (M - K P + E D)/K,
+    dM/dE = -D, and dM/dzeta is K^-1 dC/dzeta on rows 0-1, from theta1 and
+    theta1' at zeta - m eta.  A step is halved (up to 8 times) until it
+    lowers the backward error, and taken in full when none does.  A free
+    zeta moves at most one period, max(1, |tau|), per step: M repeats in
+    zeta up to a factor of K, and longer steps run theta1's series out of
+    range.  Each iterate and trial step reads its matrix by one routine.
+    ConvergenceError's reason is 'max-iter' on non-convergence,
+    'singular-jacobian' when the Jacobian is singular or the step not
+    finite, and 'pole' once a step brings a free zeta within POLE_MARGIN of
+    Z + tau Z, a pole of M.
     """
     if set(fix) == {"zeta"}:
         fixed_zeta, free = complex(fix["zeta"]), "KE"
@@ -549,54 +562,64 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
         v = np.array([seed.zeta, seed.K], dtype=complex)
     else:
         raise ValueError("fix must be exactly {'zeta': ...} or {'E': ...}")
+    P, D, _, R, n, m_eta = ctx._M_parts
+    ev = ctx.ev
+    period = max(1.0, abs(ev.tau))
 
     def point(v):
         if free == "KE":
             return CurvePoint(zeta=fixed_zeta, K=complex(v[0]), E=complex(v[1]))
         return CurvePoint(zeta=complex(v[0]), K=complex(v[1]), E=fixed_E)
 
-    def state(v):
-        """(f, largest scaled residual) at v."""
-        f, scaled = _minors(*_build_M_with_magnitudes(point(v), ctx))
-        return f, scaled.max()
+    def state(v, s=None):
+        """M at v, s (by default the smallest right singular vector of the
+        row-scaled M) and its backward error."""
+        M, mag = _build_M_with_magnitudes(point(v), ctx)
+        Mr = _row_scaled(M, mag)
+        if s is None:
+            s = np.linalg.svd(Mr)[2][-1].conj()
+        return M, s, np.abs(Mr @ s).max() / np.linalg.norm(s)
 
-    f, scaled = state(v)
+    M, s, berr = state(v)
+    c = s
     for n_steps in range(NEWTON_MAX_ITER + 1):
-        if scaled < NEWTON_TOL:
+        if berr < NEWTON_TOL:
             return point(v)
         if n_steps == NEWTON_MAX_ITER:
             raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
-        J = np.zeros((2, 2), dtype=complex)
-        for c in range(2):
-            h = 1e-7 * max(1.0, abs(v[c]))
-            dv = v.copy()
-            dv[c] += h
-            J[:, c] = (state(dv)[0] - f) / h
+        pt = point(v)
+        J = np.zeros((ctx.ell + 2, ctx.ell + 2), dtype=complex)
+        J[:-1, 2:], J[-1, 2:] = M, c.conj()
+        dK = (P - (M - pt.K * P + pt.E * D) / pt.K) @ s
+        if free == "KE":
+            J[:-1, 0], J[:-1, 1] = dK, -(D @ s)
+        else:
+            t = theta(1, pt.zeta - m_eta, ev)
+            dt = theta(1, pt.zeta - m_eta, ev, deriv=1)
+            J[:2, 0] = (R * (dt[n] - t[n] * dt[0] / t[0]) / (pt.K * t[0])) @ s
+            J[:-1, 1] = dK
         try:
-            if np.linalg.cond(J) > 1e13:
+            step = np.linalg.solve(J, -np.append(M @ s, c.conj() @ s - 1))
+            if not np.isfinite(step).all():
                 raise np.linalg.LinAlgError
-            step = np.linalg.solve(J, -f)
         except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "Jacobian numerically singular (branch point?)",
-                reason="singular-jacobian",
-            ) from None
-        base = np.linalg.norm(f)
-        lam = 1.0
+            raise ConvergenceError("Jacobian singular (branch point?)", reason="singular-jacobian") from None
+        full = period / abs(step[0]) if free == "zK" and abs(step[0]) > period else 1.0
+        lam = full
         for _ in range(8):
-            trial = v + lam * step
-            ft, st = state(trial)
-            if np.linalg.norm(ft) < base:
-                v, f, scaled = trial, ft, st
+            trial = state(v + lam * step[:2], s + lam * step[2:])
+            if trial[2] < berr:
                 break
             lam /= 2
         else:
-            v = v + step
-            f, scaled = state(v)
-        if free == "zK" and is_close_to_lattice(v[0], ctx.ev.tau, POLE_MARGIN):
-            zeta, tau = complex(v[0]), ctx.ev.tau
-            n = round(zeta.imag / tau.imag)
-            pole = round((zeta - n * tau).real) + n * tau
+            lam = full
+            trial = state(v + lam * step[:2], s + lam * step[2:])
+        v = v + lam * step[:2]
+        M, s, berr = trial
+        if free == "zK" and is_close_to_lattice(v[0], ev.tau, POLE_MARGIN):
+            zeta, tau = complex(v[0]), ev.tau
+            k = round(zeta.imag / tau.imag)
+            pole = round((zeta - k * tau).real) + k * tau
             raise ConvergenceError(f"zeta = {zeta} is {abs(zeta - pole):.1e} from the lattice point "
                                    f"{pole}, a pole of the residue matrix", reason="pole")
 
@@ -635,18 +658,18 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
     """Generic on-curve points via the Bloch relation.
 
     Draw zeta, solve the relation as a polynomial in K^2, seed E from the
-    residue matrix at (zeta, K), then Newton-polish the residual
-    determinants at fixed zeta.  E enters M only as -E at (j, j-1), so the
-    minor without row 0 is M0(0) - E I: the E candidates are the eigenvalues
-    of M0 built once at E = 0.  Each scores the larger of its two scaled
-    minors (as in ``scaled_residual``), all candidates at once from that one
-    matrix.  The first candidate with the smallest score seeds the polish,
-    unless that score exceeds 1e-4.  Points failing any stage are discarded,
-    so the returned list always holds certified points.
+    residue matrix at (zeta, K), then Newton-solve M s = 0 at fixed zeta.
+    E enters M only as -E at (j, j-1), so rows 1..l of M are M0(0) - E I:
+    the E candidates are the eigenvalues of M0 built once at E = 0, each
+    with its unit eigenvector y as a null vector of those rows.  Row 0 is
+    free of E, so a candidate scores |M[0] y| / ||mag_0||, the row-scaled
+    backward error of y (as in ``solve_curve_point``), all candidates at
+    once from that one matrix.  The first candidate with the smallest score
+    seeds the solve, unless that score exceeds 1e-4.  Points failing any
+    stage are discarded, so the returned list always holds certified points.
     """
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
-    D = ctx._M_parts[1]  # the pattern where -E enters M
     out = []
     attempts = 0
     while len(out) < n and attempts < 40 * n:
@@ -660,12 +683,8 @@ def random_curve_points(ctx: LameContext, n: int, rng) -> list:
                 continue
             K = cmath.sqrt(complex(u))
             M, mag = _build_M_with_magnitudes(CurvePoint(zeta, K, 0j), ctx)
-            cands = np.linalg.eigvals(M[1:])
-            # the scaled minors at every candidate E, one matrix per E; |E| is hypot,
-            # the scalar abs the build takes
-            E = cands[:, None, None]
-            _, scaled = _minors(M - E * D, mag + np.hypot(E.real, E.imag) * D)
-            score = scaled.max(axis=-1)
+            cands, vecs = np.linalg.eig(M[1:])
+            score = np.abs(_row_scaled(M, mag)[0] @ vecs)
             best = int(np.argmin(score))
             if score[best] > 1e-4:
                 continue

@@ -20,7 +20,9 @@ elementary kernel Phi(x, zeta) = theta1(zeta + x)/(theta1(x) theta1(zeta)):
 Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
 second row cut out the spectral curve in (zeta, K, E).  Both minors, and
-their Hadamard-scaled values, come from one matrix in one stacked ``det``.
+their Hadamard-scaled values, come from one matrix in one stacked ``det``;
+curve points are solved and certified on the row-scaled matrix instead
+(``_row_scaled``), whose null vector is s.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -244,6 +246,14 @@ def _minors(M: np.ndarray, mag: np.ndarray):
     dets = np.linalg.det(M[..., rows, :])
     bounds = np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., rows]
     return dets, np.hypot(dets.real, dets.imag) / np.prod(bounds, axis=-1)
+
+
+def _row_scaled(M: np.ndarray, mag: np.ndarray) -> np.ndarray:
+    """M with each row divided by the norm of its row of term magnitudes.  Then max_i |(M_r s)_i| / ||s|| is the backward error of
+    s as a null vector of M, row by row, and sigma_min(M_r) that of M as a
+    rank-deficient matrix: rows 0-1 carry C(zeta) ~ 1/theta1(zeta), which
+    would swamp a norm of the whole matrix near a pole."""
+    return M / np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., None]
 
 
 def residual(pt: CurvePoint, ctx: LameContext):

@@ -203,10 +203,11 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
     a plain call is the table at the one shift 0, of shape ``shape(x)``.
     Several shifts are joined by one matrix product; one column is summed per
     point, so that a point's value does not depend on the other points of the
-    call.  A deriv=0 call whose split terms would overflow (the
-    ``_SPLIT_LOG_MAX`` rule) first reduces its points to the fundamental
-    cell; points still out of range, in a cell too tall or for a derivative,
-    are summed by ``_series``.
+    call, up to rounding: numpy takes another matrix-product kernel for a
+    one-row table, which can move a value in its last bit.  A deriv=0 call
+    whose split terms would overflow (the ``_SPLIT_LOG_MAX`` rule) first
+    reduces its points to the fundamental cell; points still out of range,
+    in a cell too tall or for a derivative, are summed by ``_series``.
     """
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")

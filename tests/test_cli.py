@@ -363,11 +363,22 @@ PLANTS = {
     "cj-limit": lambda monkeypatch: _plant_coeffs(monkeypatch, lambda C, ev: C * (1 + abs(ev.eta))),
 }
 
-# plants a suite's arithmetic cannot see at the default eta = 0.17, tau = 1.2i
-PLANT_MISSES = {
-    ("curve-symmetry", 12): "E * (1 + 1e-6) moves the scaled residual by only about 1e-9 at "
-                            "ell 12 (5e-7 at ell 1-6), under the fixed 1e-8 bound",
-}
+
+def _verify_report(capsys, ell):
+    """The verify --suite all document at ell, checked for its shape and for
+    verdicts that follow the errors and bounds."""
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", ell)
+    doc = json.loads(out)
+    assert set(doc["suites"]) == set(cli.SUITES)
+    for r in doc["suites"].values():
+        assert set(r) == {"rel_errors", "bounds", "bound_source", "max_rel_error", "passed"}
+        assert len(r["rel_errors"]) == len(r["bounds"]) > 0
+        assert r["bound_source"] in ("fixed", "10 n eps kappa(A)", "eta^2 rate")
+        assert r["max_rel_error"] == max(r["rel_errors"])
+        assert r["passed"] == all(e <= b for e, b in zip(r["rel_errors"], r["bounds"]))
+    assert doc["all_passed"] == all(r["passed"] for r in doc["suites"].values())
+    assert code == (0 if doc["all_passed"] else 1)
+    return doc
 
 
 class TestVerifyCommand:
@@ -394,11 +405,7 @@ class TestVerifyCommand:
         assert len(doc["rel_errors"]) == len(doc["bounds"]) == int(args[3]) + 1
         assert max(doc["bounds"]) <= 1e-6
 
-    @pytest.mark.parametrize("suite,ell", [
-        pytest.param(suite, ell, marks=pytest.mark.xfail(strict=True, reason=PLANT_MISSES[suite, ell]))
-        if (suite, ell) in PLANT_MISSES else (suite, ell)
-        for suite in cli.SUITES for ell in (2, 6, 12)
-    ])
+    @pytest.mark.parametrize("suite,ell", [(suite, ell) for suite in cli.SUITES for ell in (2, 6, 12)])
     def test_planted_defect_fails(self, capsys, monkeypatch, suite, ell):
         PLANTS[suite](monkeypatch)
         code, out = run_cli(capsys, "verify", "--suite", suite, "--ell", str(ell))
@@ -406,11 +413,7 @@ class TestVerifyCommand:
         assert not json.loads(out)["suites"][suite]["passed"]
 
     @pytest.mark.parametrize("eta,tau,ell", [
-        pytest.param("0.17", "1.2i", 9, marks=pytest.mark.xfail(strict=True, reason=(
-            "curve-symmetry reads 4.1e-8 against 1e-8: a point Newton accepted at a scaled "
-            "residual of 7.6e-12, where sigma_min(M) is 5.8e-7, moves under the reflection "
-            "zeta -> 2 N eta - zeta, K -> 1/K; Newton to the rounding floor is ROADMAP item 14")))
-        if (eta, tau, ell) == ("0.17", "1.2i", 9) else (eta, tau, ell)
+        (eta, tau, ell)
         for eta, tau in (("0.17", "1.2i"), ("0.11+0.05i", "0.3+1.4i"), ("1/31", "1.2i"))
         for ell in (1, 2, 3, 6, 9, 12)
     ])
@@ -421,21 +424,13 @@ class TestVerifyCommand:
         assert [name for name, r in suites.items() if not r["passed"]] == []
         assert code == 0
 
-    # at ell 9 the curve-symmetry suite fails (see the grid test), so the
-    # verdict is checked on a failing suite too
     @pytest.mark.parametrize("ell", ["3", "9"])
     def test_one_report_shape_and_verdict(self, capsys, ell):
-        code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", ell)
-        doc = json.loads(out)
-        assert set(doc["suites"]) == set(cli.SUITES)
-        for r in doc["suites"].values():
-            assert set(r) == {"rel_errors", "bounds", "bound_source", "max_rel_error", "passed"}
-            assert len(r["rel_errors"]) == len(r["bounds"]) > 0
-            assert r["bound_source"] in ("fixed", "10 n eps kappa(A)", "eta^2 rate")
-            assert r["max_rel_error"] == max(r["rel_errors"])
-            assert r["passed"] == all(e <= b for e, b in zip(r["rel_errors"], r["bounds"]))
-        assert doc["all_passed"] == all(r["passed"] for r in doc["suites"].values())
-        assert code == (0 if doc["all_passed"] else 1)
+        assert _verify_report(capsys, ell)["all_passed"]
+
+    def test_one_report_shape_and_verdict_on_a_failing_suite(self, capsys, monkeypatch):
+        _plant_curve_symmetry(monkeypatch)
+        assert not _verify_report(capsys, "3")["all_passed"]
 
     def test_suite_without_draws_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(curve, "random_curve_points", lambda ctx, n, rng: [])

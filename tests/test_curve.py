@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from math import comb
 
 import numpy as np
@@ -41,6 +42,7 @@ from lame_spectra.curve import (
 from lame_spectra.enumbers import ebracket, nonzero_bracket, theta1_multiples
 from lame_spectra.errors import ConvergenceError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
+from lame_spectra.util import is_close_to_lattice
 
 
 class TestAPolynomials:
@@ -410,10 +412,41 @@ class TestEdgeReferenceRoute:
                 arr[...] = 0
 
 
+# the fixed-E seed grid at ell 2, eta 0.17, tau 1.2i
+FIX_E_GRID_E = (1.6 + 0.4j, 2, 3 + 1j, 0.5j, 5)
+FIX_E_GRID_ZETA = (0.31 + 0.07j, 0.05 + 0.02j, 0.02 + 1.15j, 0.97 + 0.03j, 0.1 + 0.1j, 0.5 + 0.6j)
+FIX_E_GRID_K = (1.4 + 0.5j, 0.3, 3, 1j)
+# residue matrices the curve-point command's default seed builds at fixed zeta
+CLI_SEED_BUILDS = 9
+
+
+def _count_builds(monkeypatch) -> list:
+    """The points of every residue matrix curve builds from here on."""
+    builds = []
+    real = lame._build_M_with_magnitudes
+
+    def counting(pt, ctx):
+        builds.append(pt)
+        return real(pt, ctx)
+
+    monkeypatch.setattr(curve, "_build_M_with_magnitudes", counting)
+    return builds
+
+
+def _backward_error(pt, ctx, s=None):
+    """max_i |(M s)_i| / (||mag_i|| ||s||) at pt, by default for the smallest
+    right singular vector of the row-scaled M, the solver's opening s."""
+    Mr = lame._row_scaled(*lame._build_M_with_magnitudes(pt, ctx))
+    if s is None:
+        s = np.linalg.svd(Mr)[2][-1].conj()
+    return np.abs(Mr @ s).max() / np.linalg.norm(s)
+
+
 def _per_candidate_curve_points(ctx, n, rng):
-    """random_curve_points with one scaled_residual call per E candidate, the
-    candidates being the eigenvalues of the residue matrix at E = 0 less its
-    row 0, each rebuilding its own residue matrix."""
+    """random_curve_points with the full backward error of each E candidate's
+    eigenvector, all rows, each candidate rebuilding its own residue matrix;
+    the candidates are the eigenpairs of the residue matrix at E = 0 less
+    its row 0."""
     ev = ctx.ev
     cc = curve_coeffs(ctx.ell, ev)
     out = []
@@ -428,9 +461,10 @@ def _per_candidate_curve_points(ctx, n, rng):
                 continue
             K = cmath.sqrt(complex(u))
             best = None
-            for E in np.linalg.eigvals(lame.build_M(CurvePoint(zeta, K, 0j), ctx)[1:]):
+            cands, vecs = np.linalg.eig(lame.build_M(CurvePoint(zeta, K, 0j), ctx)[1:])
+            for E, y in zip(cands, vecs.T):
                 pt = CurvePoint(zeta=zeta, K=K, E=complex(E))
-                score = max(scaled_residual(pt, ctx))
+                score = _backward_error(pt, ctx, y)
                 if best is None or score < best[0]:
                     best = (score, pt)
             if best is None or best[0] > 1e-4:
@@ -445,8 +479,8 @@ def _per_candidate_curve_points(ctx, n, rng):
 
 
 class TestCurvePointScoring:
-    """Scoring all E candidates at once, on one stack of residue matrices,
-    picks bit for bit the candidate a per-candidate ``scaled_residual`` loop
+    """Scoring all E candidates at once, by row 0 of one residue matrix, picks
+    the candidate a per-candidate loop over the backward error of every row
     picks, so the returned points are the loop's."""
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
@@ -812,41 +846,84 @@ class TestSolveCurvePoint:
         assert max(scaled_residual(pt, ctx2)) < 1e-10
 
     def test_fix_E_stops_at_pole(self, ctx2):
-        # the curve-point command's default seed with E fixed at 1.6+0.4i walks
-        # zeta into the lattice point tau, where the scaled residual falls
-        # although f does not
-        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
-        with pytest.raises(ConvergenceError, match="lattice point 1.2j") as info:
+        # with E fixed at 2 this seed walks zeta into the lattice point 0,
+        # where sigma_min of the row-scaled M falls with the distance to it
+        seed = CurvePoint(zeta=0.05 + 0.02j, K=0.5, E=2)
+        with pytest.raises(ConvergenceError, match="lattice point 0j") as info:
             solve_curve_point({"E": seed.E}, seed, ctx2)
         assert info.value.reason == "pole"
+
+    def test_fix_E_default_seed_converges(self, ctx2):
+        # the curve-point command's default seed with E fixed at 1.6+0.4i
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        pt = solve_curve_point({"E": seed.E}, seed, ctx2)
+        assert abs(pt.zeta - (0.0638481324312 + 0.9131093577540j)) < 1e-9
+        assert max(scaled_residual(pt, ctx2)) < curve.NEWTON_TOL
+
+    def test_near_pole_seed_returns_no_pole_point(self, ctx2):
+        # a whole-matrix measure, ||M s|| / (|||M|||_F ||s||), accepted an
+        # iterate of this seed 2.9e-6 from the lattice point -2 (scaled
+        # residual 3.7e-7): rows 0-1 carry C(zeta) ~ 1/theta1(zeta) and swamp
+        # that norm.  Row by row the solve ends away from the lattice, or stops
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=0.3, E=1.6 + 0.4j)
+        try:
+            pt = solve_curve_point({"E": seed.E}, seed, ctx2)
+        except ConvergenceError:
+            return
+        assert not is_close_to_lattice(pt.zeta, ctx2.ev.tau, 1e-3)
+        assert _backward_error(pt, ctx2) < curve.NEWTON_TOL
+
+    def test_fix_E_grid(self, ctx2):
+        # 120 seeds over E, zeta and K: every returned point is certified, at
+        # least as many are returned as by the minor-based Newton (94), and
+        # no more seeds raise a RuntimeWarning than under it (3)
+        returned, warned = 0, 0
+        for E, zeta, K in itertools.product(FIX_E_GRID_E, FIX_E_GRID_ZETA, FIX_E_GRID_K):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    pt = solve_curve_point({"E": E}, CurvePoint(zeta, K, E), ctx2)
+                except ConvergenceError:
+                    pt = None
+            warned += any(issubclass(w.category, RuntimeWarning) for w in caught)
+            if pt is not None:
+                returned += 1
+                assert max(scaled_residual(pt, ctx2)) <= 1e-9, (E, zeta, K)
+                assert _backward_error(pt, ctx2) <= curve.NEWTON_TOL, (E, zeta, K)
+        assert returned >= 94
+        assert warned <= 3
 
     @pytest.mark.parametrize("fix", ["zeta", "E", "cli-seed"])
     def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
         # a seed already on the curve returns after its first residue matrix;
         # the curve-point command's default seed at zeta = 0.31+0.07i takes
-        # Newton steps, and each iterate, trial step and Jacobian column reads
-        # one matrix, all through curve's own build
+        # Newton steps, and each iterate and trial step reads one matrix, all
+        # through curve's own build
         if fix == "cli-seed":
             seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
-            fixed, want = {"zeta": seed.zeta}, 28
+            fixed, want = {"zeta": seed.zeta}, CLI_SEED_BUILDS
         else:
             seed = curve_points[2][0]
-            assert max(scaled_residual(seed, ctx2)) < curve.NEWTON_TOL
+            assert _backward_error(seed, ctx2) < curve.NEWTON_TOL
             fixed, want = {fix: getattr(seed, fix)}, 1
-        builds = []
-        real = lame._build_M_with_magnitudes
-
-        def counting(pt, ctx):
-            builds.append(pt)
-            return real(pt, ctx)
-
-        monkeypatch.setattr(curve, "_build_M_with_magnitudes", counting)
+        builds = _count_builds(monkeypatch)
         pt = solve_curve_point(fixed, seed, ctx2)
         assert len(builds) == want
         if want == 1:
             assert (pt.zeta, pt.K, pt.E) == (seed.zeta, seed.K, seed.E)
         else:
-            assert max(scaled_residual(pt, ctx2)) < curve.NEWTON_TOL
+            assert _backward_error(pt, ctx2) < curve.NEWTON_TOL
+
+    def test_branch_seed_builds_few_matrices(self, monkeypatch):
+        # the seed of an analytic benchmark request, near a branch point of
+        # its fixed-zeta fibre (K ~ 0.9993), where steps damped on ||F|| crept
+        # at lambda = 1/32 through 197 matrices; the scoring matrix, the
+        # seed's and two line searches of at most 9 builds make 20
+        ctx = LameContext(ell=4, ev=ThetaEvaluator(EllipticParams(tau=0.3 + 1.4j, eta=1 / 61)))
+        builds = _count_builds(monkeypatch)
+        (pt,) = random_curve_points(ctx, 1, np.random.default_rng(953259061))
+        assert len(builds) <= 20
+        assert _backward_error(pt, ctx) < curve.NEWTON_TOL
 
     def test_nonconvergence_reports(self, ctx2, monkeypatch):
         monkeypatch.setattr(curve, "NEWTON_MAX_ITER", 3)
