@@ -314,14 +314,18 @@ def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
     return errors, 1e-8, "fixed"
 
 
-def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _cj_pair_errors(C: np.ndarray) -> np.ndarray:
     """One error per j: |C_j - C_{N-j}| relative to the larger of the two (0
     where both vanish), and at j = 0 also |C_0 - 1|."""
-    C = curve_mod.curve_coeffs(cfg.ell, ev).C
     scale = np.maximum(np.abs(C), np.abs(C[::-1]))
     errors = np.abs(C - C[::-1]) / np.where(scale > 0, scale, 1.0)
     errors[0] = max(errors[0], abs(C[0] - 1))
-    return errors, 1e-10, "fixed"
+    return errors
+
+
+def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+    """The palindrome C_j = C_{N-j} and C_0 = 1, one error per j (``_cj_pair_errors``)."""
+    return _cj_pair_errors(curve_mod.curve_coeffs(cfg.ell, ev).C), 1e-10, "fixed"
 
 
 def _cj_limit(cfg: RunConfig, ev: ThetaEvaluator, rng):
@@ -418,7 +422,7 @@ def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
     return 0, {
         "N": N,
         "C": [_c(c) for c in cc.C],
-        "symmetry_error": float(np.abs(cc.C - cc.C[::-1]).max()),
+        "symmetry_error": float(_cj_pair_errors(cc.C).max()),
         "binomials": [comb(N, j) for j in range(N + 1)],
     }
 

@@ -24,11 +24,12 @@ with subset-sum coefficients C_j that reduce to binomial(N, j) as eta -> 0.
 The two sums are the paper's form of the curve.  Curve points are solved
 on the residue matrix M of ``lame`` instead, whose two minors are the same
 functions: det M0 = -[2] S1/theta1(zeta) and det M1 = -K S2/theta1(zeta).
-A point is a rank drop of M, and Newton solves M s = 0, c^H s = 1 for the
-point and its null vector s at once, with the exact Jacobian; one measure,
-the backward error of s with each row scaled by its term magnitudes,
-seeds, accepts and checks the points.  The sums (``curve_equations``) stay
-as the oracle of the minor identity.
+A point is a rank drop of M, and one Newton loop solves M s = 0, c^H s = 1
+for (zeta, K, E), zeta or E held, and the null vector s at once, with one
+exact Jacobian column rule per coordinate; one measure, the backward error
+of s with each row scaled by its term magnitudes, seeds, accepts and checks
+the points.  The sums (``curve_equations``) stay as the oracle of the minor
+identity.
 
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
 the layout of ``numpy.polynomial.polynomial``; a stack of polynomials is a
@@ -49,7 +50,7 @@ from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError,
 # phi and residual are not called here, but perfbench/tracing.py rebinds them on this module
 from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, phi, residual, scaled_residual
 from .theta import ThetaEvaluator, _nonzero, theta
-from .util import is_close_to_lattice
+from .util import nearest_lattice_point
 
 __all__ = [
     "BandEdgeSet",
@@ -532,96 +533,92 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
 # numerical curve points
 
 def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoint:
-    """Newton on the bordered system M(v) s = 0, c^H s = 1 in the two free
-    coordinates v and the Bloch vector s, one of (zeta, E) being held fixed,
-    until the backward error of s is below NEWTON_TOL, in at most
-    NEWTON_MAX_ITER steps.
+    """Newton on the bordered system M(v) s = 0, c^H s = 1 in v = (zeta, K, E)
+    and the Bloch vector s, until the backward error of s is below
+    NEWTON_TOL, in at most NEWTON_MAX_ITER steps.
 
-    ``fix`` is {"zeta": value} (free: K, E) or {"E": value} (free: zeta, K).
-    c and the first s are the smallest right singular vector of the seed's
-    row-scaled M (``_row_scaled``); the backward error is
-    max_i |(M s)_i| / (||mag_i|| ||s||), mag the term magnitudes of M.  The
-    Jacobian is exact, [[dM/da s, dM/db s, M], [0, 0, c^H]], from
-    M = K P - E D + K^-1 (B + C(zeta)): dM/dK = P - (M - K P + E D)/K,
-    dM/dE = -D, and dM/dzeta is K^-1 dC/dzeta on rows 0-1, from theta1 and
-    theta1' at zeta - m eta.  A step is halved (up to 8 times) until it
-    lowers the backward error, and taken in full when none does.  A free
-    zeta moves at most one period, max(1, |tau|), per step: M repeats in
-    zeta up to a factor of K, and longer steps run theta1's series out of
-    range.  Each iterate and trial step reads its matrix by one routine.
-    ConvergenceError's reason is 'max-iter' on non-convergence,
-    'singular-jacobian' when the Jacobian is singular or the step not
-    finite, and 'pole' once a step brings a free zeta within POLE_MARGIN of
-    Z + tau Z, a pole of M.
+    ``fix`` is {"zeta": value} or {"E": value}: that coordinate is held, read
+    once and never written.  c and the first s are the smallest right
+    singular vector of the seed's row-scaled M_r (``_row_scaled``); the
+    backward error is max_i |(M_r s)_i| / ||s||.  The Jacobian is exact,
+    [[dM/da s, dM/db s, M], [0, 0, c^H]] for the free coordinates a, b, one
+    column rule per coordinate of M = K P - E D + K^-1 (B + C(zeta)):
+    dM/dzeta = K^-1 dC/dzeta on rows 0-1, from theta1 and theta1' at
+    zeta - m eta, dM/dK = P - (M - K P + E D)/K and dM/dE = -D.  A step is
+    halved (up to 8 times) until it lowers the backward error, and taken in
+    full when none does.  zeta moves at most one period, max(1, |tau|), per
+    step: M repeats in zeta up to a factor of K, and longer steps run
+    theta1's series out of range.  Each iterate and trial step reads its
+    matrix by one routine.  ConvergenceError's reason is 'max-iter' on
+    non-convergence, 'singular-jacobian' when the Jacobian is singular or
+    the step not finite, and 'pole' once a step of zeta ends within
+    POLE_MARGIN of Z + tau Z, a pole of M.
     """
-    if set(fix) == {"zeta"}:
-        fixed_zeta, free = complex(fix["zeta"]), "KE"
-        v = np.array([seed.K, seed.E], dtype=complex)
-    elif set(fix) == {"E"}:
-        fixed_E, free = complex(fix["E"]), "zK"
-        v = np.array([seed.zeta, seed.K], dtype=complex)
-    else:
+    if set(fix) not in ({"zeta"}, {"E"}):
         raise ValueError("fix must be exactly {'zeta': ...} or {'E': ...}")
+    ((name, value),) = fix.items()
+    held = ("zeta", "K", "E").index(name)
+    free = np.arange(3) != held
+    v = np.array([seed.zeta, seed.K, seed.E], dtype=complex)
+    v[held] = value
     P, D, _, R, n, m_eta = ctx._M_parts
-    ev = ctx.ev
-    period = max(1.0, abs(ev.tau))
+    period = max(1.0, abs(ctx.ev.tau))
 
-    def point(v):
-        if free == "KE":
-            return CurvePoint(zeta=fixed_zeta, K=complex(v[0]), E=complex(v[1]))
-        return CurvePoint(zeta=complex(v[0]), K=complex(v[1]), E=fixed_E)
+    def dM_dzeta(zeta, K, E, M, s):
+        t, dt = (theta(1, zeta - m_eta, ctx.ev, deriv=d) for d in (0, 1))
+        return (R * (dt[n] - t[n] * dt[0] / t[0]) / (K * t[0])) @ s
+
+    # dM/dv_i s at the point (zeta, K, E) of M, for v = (zeta, K, E); that of zeta is rows 0-1 only
+    rules = (dM_dzeta,
+             lambda zeta, K, E, M, s: (P - (M - K * P + E * D) / K) @ s,
+             lambda zeta, K, E, M, s: -(D @ s))
+    columns = [rules[i] for i in range(3) if i != held]
 
     def state(v, s=None):
-        """M at v, s (by default the smallest right singular vector of the
-        row-scaled M) and its backward error."""
-        M, mag = _build_M_with_magnitudes(point(v), ctx)
+        """v, M at v, s (by default M_r's smallest right singular vector) and its backward error."""
+        M, mag = _build_M_with_magnitudes(CurvePoint(*v.tolist()), ctx)
         Mr = _row_scaled(M, mag)
         if s is None:
             s = np.linalg.svd(Mr)[2][-1].conj()
-        return M, s, np.abs(Mr @ s).max() / np.linalg.norm(s)
+        return v, M, s, np.abs(Mr @ s).max() / np.linalg.norm(s)
 
-    M, s, berr = state(v)
+    v, M, s, berr = state(v)
     c = s
     for n_steps in range(NEWTON_MAX_ITER + 1):
         if berr < NEWTON_TOL:
-            return point(v)
+            return CurvePoint(*v.tolist())
         if n_steps == NEWTON_MAX_ITER:
             raise ConvergenceError(f"no convergence after {NEWTON_MAX_ITER} Newton steps", reason="max-iter")
-        pt = point(v)
         J = np.zeros((ctx.ell + 2, ctx.ell + 2), dtype=complex)
         J[:-1, 2:], J[-1, 2:] = M, c.conj()
-        dK = (P - (M - pt.K * P + pt.E * D) / pt.K) @ s
-        if free == "KE":
-            J[:-1, 0], J[:-1, 1] = dK, -(D @ s)
-        else:
-            t = theta(1, pt.zeta - m_eta, ev)
-            dt = theta(1, pt.zeta - m_eta, ev, deriv=1)
-            J[:2, 0] = (R * (dt[n] - t[n] * dt[0] / t[0]) / (pt.K * t[0])) @ s
-            J[:-1, 1] = dK
+        for j, column in enumerate(columns):
+            col = column(*v.tolist(), M, s)
+            J[:len(col), j] = col
         try:
             step = np.linalg.solve(J, -np.append(M @ s, c.conj() @ s - 1))
             if not np.isfinite(step).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             raise ConvergenceError("Jacobian singular (branch point?)", reason="singular-jacobian") from None
-        full = period / abs(step[0]) if free == "zK" and abs(step[0]) > period else 1.0
+        dv = np.zeros(3, dtype=complex)
+        dv[free] = step[:2]
+        full = period / abs(dv[0]) if abs(dv[0]) > period else 1.0
         lam = full
         for _ in range(8):
-            trial = state(v + lam * step[:2], s + lam * step[2:])
-            if trial[2] < berr:
+            trial = state(np.where(free, v + lam * dv, v), s + lam * step[2:])
+            if trial[3] < berr:
                 break
             lam /= 2
         else:
             lam = full
-            trial = state(v + lam * step[:2], s + lam * step[2:])
-        v = v + lam * step[:2]
-        M, s, berr = trial
-        if free == "zK" and is_close_to_lattice(v[0], ev.tau, POLE_MARGIN):
-            zeta, tau = complex(v[0]), ev.tau
-            k = round(zeta.imag / tau.imag)
-            pole = round((zeta - k * tau).real) + k * tau
-            raise ConvergenceError(f"zeta = {zeta} is {abs(zeta - pole):.1e} from the lattice point "
-                                   f"{pole}, a pole of the residue matrix", reason="pole")
+            trial = state(np.where(free, v + lam * dv, v), s + lam * step[2:])
+        v, M, s, berr = trial
+        if dv[0]:
+            zeta = complex(v[0])
+            pole = complex(nearest_lattice_point(zeta, ctx.ev.tau))
+            if abs(zeta - pole) < POLE_MARGIN:
+                raise ConvergenceError(f"zeta = {zeta} is {abs(zeta - pole):.1e} from the lattice point "
+                                       f"{pole}, a pole of the residue matrix", reason="pole")
 
 
 def edge_bloch_factors(a: int, ev: ThetaEvaluator):

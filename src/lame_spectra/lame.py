@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .enumbers import ebracket, ebinom, efactorial, theta1_multiples
 from .errors import ConsistencyError
 from .theta import ThetaEvaluator, _nonzero, theta
-from .util import halton, is_close_to_lattice
+from .util import halton, nearest_lattice_point
 
 __all__ = [
     "LameContext",
@@ -249,8 +249,9 @@ def _minors(M: np.ndarray, mag: np.ndarray):
 
 
 def _row_scaled(M: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    """M with each row divided by the norm of its row of term magnitudes.  Then max_i |(M_r s)_i| / ||s|| is the backward error of
-    s as a null vector of M, row by row, and sigma_min(M_r) that of M as a
+    """M with each row divided by the norm of its row of term magnitudes.
+    Then max_i |(M_r s)_i| / ||s|| is the backward error of s as a null
+    vector of M, row by row, and sigma_min(M_r) that of M as a
     rank-deficient matrix: rows 0-1 carry C(zeta) ~ 1/theta1(zeta), which
     would swamp a norm of the whole matrix near a pole."""
     return M / np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., None]
@@ -404,8 +405,8 @@ def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
     shifts = np.arange(-(2 * l + 2), 2 * l + 3) * ev.eta
     window = _halton_window()
     for cand in (window[:2 * n], window):
-        near = is_close_to_lattice(cand[:, None] + shifts, ev.tau, W_MARGIN)
-        pts = cand[~near.any(axis=1)][:n]
+        x = cand[:, None] + shifts
+        pts = cand[(np.abs(x - nearest_lattice_point(x, ev.tau)) >= W_MARGIN).all(axis=1)][:n]
         if len(pts) == n:
             return pts
     raise ConsistencyError("could not find enough pole-free sample points")

@@ -1,4 +1,4 @@
-"""Small shared helpers: quasi-random sampling, complex and eta parsing, lattice proximity."""
+"""Small shared helpers: quasi-random sampling, complex and eta parsing, the nearest lattice point."""
 
 import re
 
@@ -71,11 +71,8 @@ def parse_eta(text: str):
     return parse_complex(s), None
 
 
-def is_close_to_lattice(x, tau: complex, margin: float):
-    """True where x is within ``margin`` of the lattice Z + tau*Z (rough metric).
-
-    ``x`` is a complex scalar or an ndarray; the result has its shape.
-    """
-    x = np.asarray(x, dtype=complex)
-    r = x - np.round(x.imag / tau.imag) * tau
-    return np.hypot(r.real - np.round(r.real), r.imag) < margin
+def nearest_lattice_point(x, tau: complex):
+    """The lattice point m + n*tau nearest x (a complex scalar or an ndarray) in a
+    rough metric: n rounds Im x / Im tau, then m rounds Re(x - n*tau).  No part is -0.0."""
+    n = np.rint(x.imag / tau.imag)
+    return np.rint((x - n * tau).real) + n * tau + 0.0

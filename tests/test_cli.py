@@ -519,9 +519,13 @@ class TestCurvePointCommand:
         assert max(doc["scaled_residual"]) < 1e-10
         assert "B1" in doc["bloch_multipliers"]
 
-    def test_needs_exactly_one_fix(self, capsys):
-        code, _ = run_cli(capsys, "curve-point", "--ell", "2")
+    @pytest.mark.parametrize("fixes", [[], ["--fix-zeta", "0.31+0.07i", "--fix-E", "1.6+0.4i"]],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_fix(self, capsys, fixes):
+        code = main(["curve-point", "--ell", "2", *fixes])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.err == "error: ValueError: pass exactly one of --fix-zeta / --fix-E\n"
 
 
 class TestCoeffsCommand:
@@ -532,6 +536,17 @@ class TestCoeffsCommand:
         assert doc["N"] == 10
         assert doc["symmetry_error"] < 1e-10
         assert doc["C"][0] == "1.0"
+
+    @pytest.mark.parametrize("grid", [["--ell", "6"], ["--ell", "9", "--eta", "0.11+0.05i", "--tau", "0.3+1.4i"]],
+                             ids=["l6", "l9-complex"])
+    def test_symmetry_error_is_the_cj_symmetry_reading(self, capsys, grid):
+        # one per-pair reading of the palindrome, |C_j - C_{N-j}| over the
+        # larger of the two, for the report and the verify suite alike
+        code, out = run_cli(capsys, "coeffs", *grid)
+        assert code == 0
+        _, report = run_cli(capsys, "verify", "--suite", "cj-symmetry", *grid)
+        want = json.loads(report)["suites"]["cj-symmetry"]["max_rel_error"]
+        assert json.loads(out)["symmetry_error"] == want > 0
 
     @pytest.mark.parametrize(
         "argv", [["coeffs", "--ell", "21"], ["verify", "--suite", "cj-symmetry", "--ell", "21"]],

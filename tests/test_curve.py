@@ -42,7 +42,7 @@ from lame_spectra.curve import (
 from lame_spectra.enumbers import ebracket, nonzero_bracket, theta1_multiples
 from lame_spectra.errors import ConvergenceError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
-from lame_spectra.util import is_close_to_lattice
+from lame_spectra.util import nearest_lattice_point
 
 
 class TestAPolynomials:
@@ -870,8 +870,21 @@ class TestSolveCurvePoint:
             pt = solve_curve_point({"E": seed.E}, seed, ctx2)
         except ConvergenceError:
             return
-        assert not is_close_to_lattice(pt.zeta, ctx2.ev.tau, 1e-3)
+        assert abs(pt.zeta - nearest_lattice_point(pt.zeta, ctx2.ev.tau)) >= 1e-3
         assert _backward_error(pt, ctx2) < curve.NEWTON_TOL
+
+    @pytest.mark.parametrize("fix", [{"zeta": 0.31 + 0.07j}, {"zeta": complex(0.31, -0.0)},
+                                     {"E": 1.6 + 0.4j}, {"E": complex(1.6, -0.0)}],
+                             ids=["zeta", "zeta-negative-zero", "E", "E-negative-zero"])
+    def test_held_coordinate_is_returned_bit_for_bit(self, monkeypatch, ctx2, fix):
+        # a step moves only the two free coordinates: adding a zero step to
+        # the held one as well would turn its -0.0 into +0.0
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        builds = _count_builds(monkeypatch)
+        pt = solve_curve_point(fix, seed, ctx2)
+        assert len(builds) > 1
+        ((name, held),) = fix.items()
+        assert np.array(getattr(pt, name)).tobytes() == np.array(held).tobytes()
 
     def test_fix_E_grid(self, ctx2):
         # 120 seeds over E, zeta and K: every returned point is certified, at
