@@ -11,11 +11,14 @@ prints (a document under ``provenance``).
 
 Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
 torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
-count, a non-real spectrum or non-convergence (ClusterAmbiguityError,
-ConvergenceError); 4 margin violation or off-locus poles (MarginViolationError,
-LocusError).  ``main`` maps exceptions to codes 2-4 through ``EXIT_CODES``
-and prints each as one line on stderr, ``error: <ExceptionName>: <message>``;
-any other exception is a bug and propagates.
+count, a non-real spectrum, non-convergence, a failed linear-algebra routine
+or a value outside the double range (ClusterAmbiguityError, ConvergenceError,
+numpy.linalg.LinAlgError, OverflowError); 4 margin violation or off-locus
+poles (MarginViolationError, LocusError).  ``main`` maps exceptions to codes
+2-4 through ``EXIT_CODES`` and prints each as one line on stderr,
+``error: <ExceptionName>: <message>``; any other exception is a bug and
+propagates.  A command's own parser reads its arguments; the top-level one
+serves only usage, ``-h`` and unknown commands.
 
 Each call is a cold process, so this module imports at module level only what
 every subcommand needs.  The Volterra module (``flow``), ``csv`` (``--format
@@ -57,6 +60,9 @@ EXIT_CODES = {
     EllipticError: 2,
     ClusterAmbiguityError: 3,
     ConvergenceError: 3,
+    # a ValueError subclass, but no fault of the parameters
+    np.linalg.LinAlgError: 3,
+    OverflowError: 3,
     MarginViolationError: 4,
     LocusError: 4,
 }
@@ -218,8 +224,8 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     bands = band_intervals(cand.spectra)
     doc = {
         "x0": _c(x0),
-        "numeric_edges": [_c(v) for v in cand.values],
-        "confident": [bool(b) for b in cand.confident],
+        "numeric_edges": [format_complex(v) for v in cand.values.tolist()],
+        "confident": cand.confident.tolist(),
         "analytic_edges": [_c(v) for v in sorted(analytic, key=lambda z: (z.real, z.imag))],
         "max_deviation": max_dev,
         "bands": [[lo, hi] for lo, hi in bands],
@@ -360,7 +366,8 @@ def cmd_verify(args, cfg: RunConfig, ev: ThetaEvaluator):
         errors = [float(e) for e in errors]
         bounds = [float(b) for b in np.broadcast_to(bounds, len(errors))]
         results[name] = {"rel_errors": errors, "bounds": bounds, "bound_source": source,
-                         "max_rel_error": max(errors, default=None),
+                         # np.max, unlike max, returns NaN whenever an error is NaN
+                         "max_rel_error": float(np.max(errors)) if errors else None,
                          "passed": bool(errors) and all(e <= b for e, b in zip(errors, bounds))}
     passed = all(r["passed"] for r in results.values())
     return (0 if passed else 1), {"suites": results, "all_passed": passed}
@@ -421,7 +428,7 @@ def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
     N = cc.N
     return 0, {
         "N": N,
-        "C": [_c(c) for c in cc.C],
+        "C": [format_complex(c) for c in cc.C.tolist()],
         "symmetry_error": float(_cj_pair_errors(cc.C).max()),
         "binomials": [comb(N, j) for j in range(N + 1)],
     }
@@ -430,7 +437,8 @@ def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and, by name, each command's own parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eta", help="lattice spacing: 'a+bi' or exact 'P/Q'")
     common.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
@@ -480,12 +488,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=cmd_coeffs)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
     """Run one command and write what it returns: CSV rows, header first, or a JSON document."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap, commands = build_parser()
+    if argv and argv[0] in commands:
+        # the command's parser reads its own arguments, as the top-level one
+        # would hand them on; what it leaves is reported by the top-level one
+        args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = ap.parse_args(argv)
     try:
         cfg = _build_config(args)
         ev = cfg.evaluator()

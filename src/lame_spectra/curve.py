@@ -388,9 +388,12 @@ def _subset_sums(ell: int, ratio) -> np.ndarray:
     Subsets are bit masks (bit k-1 for item k), and the products P[mask] over
     the subsets of {1..t} are extended to {1..t+1} by one doubling: a mask
     without item t+1 gains prod_{k in J} R[k, t+1], a mask with it gains
-    prod_{k' <= t, k' not in J} R[t+1, k'], both factor vectors being built
-    by doubling over the earlier items.  Time and memory are O(2^l), so ell
-    above CJ_MAX_ELL raises ValueError before anything is allocated.
+    prod_{k' <= t, k' not in J} R[t+1, k'].  These factor vectors of every
+    later item are carried along, one (l - t, 2^t) array per side, and
+    doubled once per item, so the products are formed in the same order as
+    by building each item's vectors afresh, in l array passes.  Time and
+    memory are O(2^l), so ell above CJ_MAX_ELL raises ValueError before
+    anything is allocated.
     """
     if ell > CJ_MAX_ELL:
         raise ValueError(
@@ -404,14 +407,14 @@ def _subset_sums(ell: int, ratio) -> np.ndarray:
                 R[k, kp] = ratio(k + 1, kp + 1)
     P = np.ones(1, dtype=complex)
     S = np.zeros(1, dtype=np.intp)
+    # at step t, row r holds the factor vectors of item t + r + 1 over the subsets of {1..t}
+    inside = np.ones((ell, 1), dtype=complex)
+    outside = np.ones((ell, 1), dtype=complex)
     for t in range(ell):
-        inside = np.ones(1, dtype=complex)
-        outside = np.ones(1, dtype=complex)
-        for k in range(t):
-            inside = np.concatenate([inside, inside * R[k, t]])
-            outside = np.concatenate([outside * R[t, k], outside])
-        P = np.concatenate([P * inside, P * outside])
+        P = np.concatenate([P * inside[0], P * outside[0]])
         S = np.concatenate([S, S + t + 1])
+        inside = np.concatenate([inside[1:], inside[1:] * R[t, t + 1:, None]], axis=1)
+        outside = np.concatenate([outside[1:] * R[t + 1:, t, None], outside[1:]], axis=1)
     C = np.zeros(ell * (ell + 1) // 2 + 1, dtype=complex)
     np.add.at(C, S, P)
     return C

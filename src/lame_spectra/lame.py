@@ -22,7 +22,9 @@ system M s = 0; the two determinants obtained by deleting the first or the
 second row cut out the spectral curve in (zeta, K, E).  Both minors, and
 their Hadamard-scaled values, come from one matrix in one stacked ``det``;
 curve points are solved and certified on the row-scaled matrix instead
-(``_row_scaled``), whose null vector is s.
+(``_row_scaled``), whose null vector is s.  E enters the matrix only on one
+diagonal, so one E-free matrix per (zeta, K), kept in a bounded module cache
+(``_E_free_M``), serves every request at that point.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -35,7 +37,7 @@ terms, not of w.
 
 import cmath
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,6 +74,8 @@ RANK_TOL = 1e-6
 W_SAMPLES = 10
 W_MARGIN = 1e-3
 W_REL_TOL = 1e-7
+# identity masks of _Psi_sum kept by _eye_mask, one per l, least recently used dropped first
+_EYE_MASKS_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,8 @@ class CurvePoint:
     """Spectral parameters (zeta, K, E) with derived Bloch multipliers.
 
     K^(x/eta) always uses the principal logarithm of K; the multipliers
-    B1 = K^(1/eta) and Btau = K^(tau/eta) e^(-2i*pi*zeta) inherit it.
+    B1 = K^(1/eta) and Btau = K^(tau/eta) e^(-2i*pi*zeta) inherit it, and
+    raise OverflowError, naming the exponent, beyond the double range.
     """
 
     zeta: complex
@@ -142,10 +147,18 @@ class CurvePoint:
         return cmath.log(self.K)
 
     def B1(self, ev: ThetaEvaluator) -> complex:
-        return cmath.exp(self.log_K / ev.eta)
+        return _exp("B1", self.log_K / ev.eta)
 
     def Btau(self, ev: ThetaEvaluator) -> complex:
-        return cmath.exp(self.log_K * ev.tau / ev.eta) * cmath.exp(-2j * cmath.pi * self.zeta)
+        return _exp("Btau", self.log_K * ev.tau / ev.eta) * _exp("Btau", -2j * cmath.pi * self.zeta)
+
+
+def _exp(name: str, z: complex) -> complex:
+    """cmath.exp(z), whose OverflowError names the quantity and the exponent."""
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise OverflowError(f"{name} = exp({z:.1e}) is outside the double range") from None
 
 
 @dataclass(frozen=True)
@@ -197,21 +210,40 @@ def gauge_factor(x: complex, ctx: LameContext) -> complex:
     return out
 
 
-def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
+# E-free residue matrices kept by _E_free_M, least recently used dropped first
+_E_FREE_MAX = 32
+
+
+@lru_cache(maxsize=_E_FREE_MAX)
+def _E_free_M(zeta: complex, K: complex, ctx: LameContext):
+    """The residue matrix at (zeta, K, E = 0) and its term magnitudes,
+    read-only, from one theta1(zeta - m*eta) call; cached by value."""
     l = ctx.ell
     if l < 1:
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
     P, D, B, R, n, m_eta = ctx._M_parts
     # theta1(zeta - m*eta) for m = 0..l+1 in one call
-    tz = theta(1, pt.zeta - m_eta, ev)
-    _nonzero(tz[0], ev, "theta1({})", pt.zeta)
-    hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
-    M = pt.K * P - pt.E * D + hops
+    tz = theta(1, zeta - m_eta, ev)
+    _nonzero(tz[0], ev, "theta1({})", zeta)
+    hops, corr = B / K, R * tz[n] / (K * tz[0])
+    M = K * P + hops
     M[:2] += corr
-    mag = abs(pt.K) * P + abs(pt.E) * D + np.abs(hops)
+    mag = abs(K) * P + np.abs(hops)
     mag[:2] += np.abs(corr)
+    M.flags.writeable = mag.flags.writeable = False
     return M, mag
+
+
+def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
+    """The residue matrix M at pt and the magnitudes of its terms, entry by
+    entry.  E enters M only as -E D, and P, D and B have disjoint patterns,
+    so both are the E-free pair of ``_E_free_M`` at (zeta, K), minus E D and
+    plus |E| D: every entry as a direct build rounds it.  The pair is kept in
+    a bounded module cache, so the requests of one point share one build."""
+    M0, mag0 = _E_free_M(pt.zeta, pt.K, ctx)
+    D = ctx._M_parts[1]
+    return M0 - pt.E * D, mag0 + abs(pt.E) * D
 
 
 def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
@@ -319,13 +351,21 @@ def _progressions(zeta: complex, xs: np.ndarray, n: np.ndarray, ev: ThetaEvaluat
     return t[:flat.size].reshape(shape), t[flat.size:-1].reshape(shape), t1z
 
 
+@lru_cache(maxsize=_EYE_MASKS_MAX)
+def _eye_mask(l: int) -> np.ndarray:
+    """The read-only l x l boolean identity that masks ``_Psi_sum``'s own factors."""
+    mask = np.eye(l, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _Psi_sum(pt: CurvePoint, coeffs: BlochCoeffs, ys, cols, tx, tz, t1z, ev: ThetaEvaluator):
     """Psi(y) from the tables of ``_progressions``, whose columns cols[..., k-1]
     hold theta1(y - k*eta) and theta1(zeta + y - k*eta), k = 1..l."""
     t = tx[..., cols]
     # the k = m factor is masked to 1, never divided out: theta1(y - m*eta)
     # vanishes at y = m*eta, where Psi is finite
-    others = np.where(np.eye(t.shape[-1], dtype=bool), 1, t[..., None, :]).prod(axis=-1)
+    others = np.where(_eye_mask(t.shape[-1]), 1, t[..., None, :]).prod(axis=-1)
     return np.exp(pt.log_K * ys / ev.eta) * (coeffs.s * (tz[..., cols] / t1z) * others).sum(axis=-1)
 
 
@@ -412,6 +452,15 @@ def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
     raise ConsistencyError("could not find enough pole-free sample points")
 
 
+def _median(a: np.ndarray):
+    """``np.median`` of a finite 1-D array, bit for bit, from one sort: the
+    middle value, or the mean of the middle two.  np.median's own NaN check
+    imports numpy.ma."""
+    s = np.sort(a)
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
 def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> complex:
     """Eigenvalue w with W Psi = w Psi, as a consistency-checked ratio.
 
@@ -421,7 +470,8 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
     relative scale above |w| = 1 and an absolute one below it, where W Psi
     cancels to the scale of its terms (near a band edge |w| is tiny).  A
     larger spread means Psi is not a joint eigenfunction and raises
-    ConsistencyError.
+    ConsistencyError, as does a ratio that is not finite at some point.  The
+    medians are ``_median``'s, np.median's values from one sort each.
 
     Every theta1 value comes from one shifted table on the progressions
     x + n*eta and zeta + x + n*eta, n = -(3l+1)..2l+1, plus theta1(zeta):
@@ -441,9 +491,11 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
         raise ConsistencyError("too few usable sample points for the W ratio")
     t = _W_guard(tx[usable, l:], xs[usable], l, ctx.ev)  # j = -(2l+1)..2l+1
     arr = _W_sum(t, Psi[usable, :-1], ctx) / denom[usable]
-    med = complex(np.median(arr.real), np.median(arr.imag))
+    if not np.isfinite(arr).all():
+        raise ConsistencyError("W ratio is not finite at some sample point")
+    med = complex(_median(arr.real), _median(arr.imag))
     dev = np.abs(arr - med)
-    cut = 5 * max(float(np.median(dev)), ctx.ev.tol * max(abs(med), 1.0))
+    cut = 5 * max(float(_median(dev)), ctx.ev.tol * max(abs(med), 1.0))
     keep = arr[dev <= cut]
     if len(keep) < 3:
         keep = arr

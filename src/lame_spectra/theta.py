@@ -32,10 +32,14 @@ least-recently-used cache of _PRIME0_MAX (256) values (``_theta1_prime0``).
 An evaluator's parameters are fixed at construction; its caches, the eta-only
 tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
 factorials [k]!), only grow, by replacing the stored tuple, so evaluators are
-safe to share across threads.  The two module caches are thread-safe too:
-``functools.lru_cache`` keeps their structure coherent under concurrent
-calls, two threads that miss on one key at once each build the same values,
-and no caller can write a cached matrix.
+safe to share across threads.  So are the package's module caches:
+``theta._shift_table`` and ``theta._theta1_prime0`` here (256 entries each),
+``curve._edge_table`` (64), ``lame._E_free_M`` (the E-free residue matrix
+per (zeta, K, context), 32), ``lame._eye_mask`` (32), ``lame._halton_window``
+(one table), ``volterra._pair_index`` (one per pole count) and
+``cli.build_parser`` (one).  ``functools`` keeps their structure coherent
+under concurrent calls, two threads that miss on one key at once each build
+the same values, and no caller can write a cached array.
 """
 
 import cmath

@@ -1,10 +1,13 @@
 """CLI behaviour: parsing, JSON reports, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import io
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from lame_spectra import bloch, cli, curve
@@ -441,6 +444,16 @@ class TestVerifyCommand:
             "passed": False,
         }
 
+    @pytest.mark.parametrize("errors", [[1e-16, math.nan], [math.nan, 1e-16]], ids=["nan-last", "nan-first"])
+    def test_max_rel_error_is_nan_when_an_error_is(self, capsys, monkeypatch, errors):
+        # max() returns its first argument when a NaN follows it
+        monkeypatch.setitem(cli.SUITES, "schur", lambda cfg, ev, rng: (errors, 1e-10, "fixed"))
+        code, out = run_cli(capsys, "verify", "--suite", "schur")
+        r = json.loads(out)["suites"]["schur"]
+        assert code == 1
+        assert math.isnan(r["max_rel_error"])
+        assert not r["passed"]
+
     @pytest.mark.parametrize("ell", ["1", "2", "12"])
     def test_cj_limit_holds_the_eta_squared_rate(self, capsys, ell):
         code, out = run_cli(capsys, "verify", "--suite", "cj-limit", "--ell", ell)
@@ -654,6 +667,8 @@ DOCUMENTED_EXIT_CODES = [
     (EllipticError, 2),
     (ClusterAmbiguityError, 3),
     (ConvergenceError, 3),
+    (np.linalg.LinAlgError, 3),
+    (OverflowError, 3),
     (MarginViolationError, 4),
     (LocusError, 4),
 ]
@@ -694,6 +709,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: ValueError: --ell must be >= 1, got {argv[2]}\n"
 
+    def test_linalg_error_exits_3(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, the class of invalid parameters
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", boom)
+        assert main(["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: LinAlgError: SVD did not converge\n"
+
+    def test_bloch_multiplier_overflow_exits_3(self, capsys):
+        # B1 = K^(1/eta) at eta = 1e-6 is far outside the double range
+        code = main(["curve-point", "--ell", "8", "--eta", "1e-6", "--tau", "1.2i", "--fix-zeta", "0.31+0.07i"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert re.fullmatch(r"error: OverflowError: B1 = exp\(.+\) is outside the double range\n", captured.err)
+
     def test_unmapped_exception_propagates(self, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("bug")
@@ -701,6 +735,68 @@ class TestExitCodes:
         monkeypatch.setattr(cli.curve_mod, "curve_coeffs", boom)
         with pytest.raises(RuntimeError):
             main(["coeffs", "--ell", "2"])
+
+
+# one argv per command, and some with every kind of flag
+PARSE_ARGVS = [
+    ["edges", "--ell", "2"],
+    ["edges", "--ell=3", "--tau=-0.4+0.9i", "--eta", "1/31", "--tol", "1e-10", "--seed", "4"],
+    ["spectrum", "--ell", "1", "--eta", "1/31", "--kpoints", "5", "--format", "csv"],
+    ["verify"],
+    ["verify", "--suite", "cj-limit", "--ell", "4", "--config", "run.cfg"],
+    ["flow", "--poles", "0.21+0.05i", "--t-end", "0.3", "--dt", "0.1"],
+    ["curve-point", "--ell", "2", "--fix-E", "1.6+0.4i", "--seed-K", "0.5"],
+    ["coeffs", "--ell", "12", "--eta", "0.17"],
+]
+
+
+class TestArgvParsing:
+    """A command's own parser reads its arguments; the top-level parser is
+    left for usage, -h and unknown commands."""
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: argv[0])
+    def test_command_parser_reads_as_the_top_level_one(self, argv):
+        ap, commands = cli.build_parser()
+        got = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        assert vars(got) == vars(ap.parse_args(argv))
+
+    def test_argv_is_read_once(self, capsys, monkeypatch):
+        progs = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            progs.append(self.prog)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        code, _ = run_cli(capsys, "coeffs", "--ell", "2")
+        assert code == 0
+        assert progs == ["lame-spectra coeffs"]
+
+    @pytest.mark.parametrize("argv,prog,message", [
+        ([], "lame-spectra", "the following arguments are required: command"),
+        (["bogus"], "lame-spectra", "argument command: invalid choice: 'bogus'"),
+        (["--ell", "2", "edges"], "lame-spectra", "argument command: invalid choice: '2'"),
+        (["edges", "--ell", "2", "--foo"], "lame-spectra", "unrecognized arguments: --foo"),
+        (["edges", "--ell", "2", "extra", "--foo"], "lame-spectra", "unrecognized arguments: extra --foo"),
+        (["edges"], "lame-spectra edges", "the following arguments are required: --ell"),
+        (["edges", "--ell", "2", "--tau", "-0.4+0.9i"], "lame-spectra edges",
+         "argument --tau: expected one argument"),
+    ])
+    def test_errors_name_the_parser_that_reads_them(self, capsys, argv, prog, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert f"\n{prog}: error: {message}" in err
+
+    @pytest.mark.parametrize("argv,prog", [(["-h"], "lame-spectra"), (["edges", "--ell", "1", "-h"], "lame-spectra edges")])
+    def test_help(self, capsys, argv, prog):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")
 
 
 class TestConfigFile:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polymul, polytrim, polyval
 
-from _support import PARAMS_EV
+from _support import PARAMS_EV, count_E_free_builds
 from lame_spectra import CurvePoint, LameContext, scaled_residual
 from lame_spectra import curve, lame
 from lame_spectra.curve import (
@@ -420,19 +420,6 @@ FIX_E_GRID_K = (1.4 + 0.5j, 0.3, 3, 1j)
 CLI_SEED_BUILDS = 9
 
 
-def _count_builds(monkeypatch) -> list:
-    """The points of every residue matrix curve builds from here on."""
-    builds = []
-    real = lame._build_M_with_magnitudes
-
-    def counting(pt, ctx):
-        builds.append(pt)
-        return real(pt, ctx)
-
-    monkeypatch.setattr(curve, "_build_M_with_magnitudes", counting)
-    return builds
-
-
 def _backward_error(pt, ctx, s=None):
     """max_i |(M s)_i| / (||mag_i|| ||s||) at pt, by default for the smallest
     right singular vector of the row-scaled M, the solver's opening s."""
@@ -640,7 +627,7 @@ class TestCurveCoeffs:
             assert np.abs(C - weyl).max() <= 1e-10 * np.abs(weyl).max()
 
 
-def _reference_subset_sums(ell, ratio):
+def _reference_subset_loop(ell, ratio):
     """The per-subset loop the doubling kernel replaced: for every subset J,
     prod_{k in J, k' not in J} ratio(k, k'), added into C[sum(J)]."""
     items = range(1, ell + 1)
@@ -656,6 +643,33 @@ def _reference_subset_sums(ell, ratio):
                     p *= row[kp]
             C[sum(J)] += p
     return C
+
+
+def _reference_subset_sums(ell, ratio):
+    """The doubling with each item's factor vectors built afresh from [1]
+    over the earlier items, the kernel before they were carried along."""
+    R = np.ones((ell, ell), dtype=complex)
+    for k in range(ell):
+        for kp in range(ell):
+            if kp != k:
+                R[k, kp] = ratio(k + 1, kp + 1)
+    P = np.ones(1, dtype=complex)
+    S = np.zeros(1, dtype=np.intp)
+    for t in range(ell):
+        inside = np.ones(1, dtype=complex)
+        outside = np.ones(1, dtype=complex)
+        for k in range(t):
+            inside = np.concatenate([inside, inside * R[k, t]])
+            outside = np.concatenate([outside * R[t, k], outside])
+        P = np.concatenate([P * inside, P * outside])
+        S = np.concatenate([S, S + t + 1])
+    C = np.zeros(ell * (ell + 1) // 2 + 1, dtype=complex)
+    np.add.at(C, S, P)
+    return C
+
+
+# the (tau, eta) cells of the CI verify runs
+VERIFY_CELLS = [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)]
 
 
 class CountingRatio:
@@ -691,8 +705,18 @@ class TestSubsetSumKernel:
             C = _subset_sums(ell, ratio)
             assert ratio.calls == ell * (ell - 1)
             assert C[0] == 1 and C[-1] == 1
-            want = _reference_subset_sums(ell, ratio)
+            want = _reference_subset_loop(ell, ratio)
             assert np.abs(C - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tau,eta", VERIFY_CELLS)
+    def test_bit_for_bit_the_per_item_doubling(self, tau, eta):
+        # the factor vectors carried along form the same products in the
+        # same order as building each item's vectors afresh
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
+        theta1_multiples(28, ev_g)
+        for ell in range(1, 15):
+            ratio = CountingRatio(ev_g)
+            assert _subset_sums(ell, ratio).tobytes() == _reference_subset_sums(ell, ratio).tobytes()
 
     def test_small_ell(self):
         assert _subset_sums(0, _never_called).tolist() == [1 + 0j]
@@ -880,7 +904,7 @@ class TestSolveCurvePoint:
         # a step moves only the two free coordinates: adding a zero step to
         # the held one as well would turn its -0.0 into +0.0
         seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
-        builds = _count_builds(monkeypatch)
+        builds = count_E_free_builds(monkeypatch)
         pt = solve_curve_point(fix, seed, ctx2)
         assert len(builds) > 1
         ((name, held),) = fix.items()
@@ -910,8 +934,8 @@ class TestSolveCurvePoint:
     def test_converged_seed_builds_one_matrix(self, monkeypatch, curve_points, ctx2, fix):
         # a seed already on the curve returns after its first residue matrix;
         # the curve-point command's default seed at zeta = 0.31+0.07i takes
-        # Newton steps, and each iterate and trial step reads one matrix, all
-        # through curve's own build
+        # Newton steps, and each iterate and trial step builds one E-free
+        # matrix at its own (zeta, K)
         if fix == "cli-seed":
             seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
             fixed, want = {"zeta": seed.zeta}, CLI_SEED_BUILDS
@@ -919,7 +943,7 @@ class TestSolveCurvePoint:
             seed = curve_points[2][0]
             assert _backward_error(seed, ctx2) < curve.NEWTON_TOL
             fixed, want = {fix: getattr(seed, fix)}, 1
-        builds = _count_builds(monkeypatch)
+        builds = count_E_free_builds(monkeypatch)
         pt = solve_curve_point(fixed, seed, ctx2)
         assert len(builds) == want
         if want == 1:
@@ -930,12 +954,13 @@ class TestSolveCurvePoint:
     def test_branch_seed_builds_few_matrices(self, monkeypatch):
         # the seed of an analytic benchmark request, near a branch point of
         # its fixed-zeta fibre (K ~ 0.9993), where steps damped on ||F|| crept
-        # at lambda = 1/32 through 197 matrices; the scoring matrix, the
-        # seed's and two line searches of at most 9 builds make 20
+        # at lambda = 1/32 through 197 matrices; the scoring matrix, which
+        # the seed's state shares, and two line searches of at most 9 builds
+        # make 19
         ctx = LameContext(ell=4, ev=ThetaEvaluator(EllipticParams(tau=0.3 + 1.4j, eta=1 / 61)))
-        builds = _count_builds(monkeypatch)
+        builds = count_E_free_builds(monkeypatch)
         (pt,) = random_curve_points(ctx, 1, np.random.default_rng(953259061))
-        assert len(builds) <= 20
+        assert len(builds) <= 19
         assert _backward_error(pt, ctx) < curve.NEWTON_TOL
 
     def test_nonconvergence_reports(self, ctx2, monkeypatch):

@@ -4,11 +4,15 @@ and the commuting operator."""
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _support import PARAMS_EV
+from _support import PARAMS_EV, count_E_free_builds
 from lame_spectra import lame
 from lame_spectra import (
     CurvePoint,
@@ -554,13 +558,144 @@ class TestThetaCallCount:
             assert len(calls) == 1
 
     def test_build_M_one_call_after_first(self, calls):
+        # the E-free matrix is cached by (zeta, K, context): a build again at
+        # the same (zeta, K), at any E, makes no theta call, one at a new
+        # (zeta, K) makes one
+        lame._E_free_M.cache_clear()
         ctx = LameContext(ell=4, ev=PARAMS_EV)
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
         build_M(pt, ctx)
-        for _ in range(3):
+        assert len(calls) == 1
+        for E in (pt.E, pt.E, 0j, -1.5):
             calls.clear()
-            build_M(pt, ctx)
+            build_M(CurvePoint(zeta=pt.zeta, K=pt.K, E=E), ctx)
+            assert len(calls) == 0
+        for zeta, K in ((pt.zeta, 1.3 + 0j), (0.4 + 0j, pt.K)):
+            calls.clear()
+            build_M(CurvePoint(zeta=zeta, K=K, E=pt.E), ctx)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_unstepped_curve_request_builds_once(self, calls, monkeypatch, ell):
+        # a curve request whose seed is accepted without a Newton step: the
+        # seed's scoring matrix, Newton's first state, the null vector and the
+        # scaled residuals share one theta1(zeta - m*eta) call and one E-free
+        # build (four of each before the cache)
+        ctx = LameContext(ell=ell, ev=PARAMS_EV)
+        builds = count_E_free_builds(monkeypatch)
+        (pt,) = random_curve_points(ctx, 1, np.random.default_rng(ell))
+        c = solve_bloch_coeffs(pt, ctx)
+        w_eigenvalue(pt, c, ctx)
+        scaled_residual(pt, ctx)
+        assert builds == [(pt.zeta, pt.K)]
+        # the other call is w_eigenvalue's one table on its sample points
+        assert [np.shape(args[1]) for args in calls] == [(ell + 2,), (2 * lame.W_SAMPLES + 1,)]
+
+
+def _direct_build_M(pt, ctx):
+    """The residue matrix and its term magnitudes built at (zeta, K, E) in one
+    pass, E included: K P - E D + K^-1 B, plus the rows 0-1 correction."""
+    P, D, B, R, n, m_eta = ctx._M_parts
+    tz = theta(1, pt.zeta - m_eta, ctx.ev)
+    hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
+    M = pt.K * P - pt.E * D + hops
+    M[:2] += corr
+    mag = abs(pt.K) * P + abs(pt.E) * D + np.abs(hops)
+    mag[:2] += np.abs(corr)
+    return M, mag
+
+
+class TestEFreeCache:
+    @pytest.mark.parametrize("ell", [1, 2, 5, 8])
+    @pytest.mark.parametrize("tau,eta", [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)])
+    def test_cached_pair_is_read_only_and_a_fresh_build(self, ell, tau, eta):
+        # bit for bit, signed zeros included, whether the pair was cached
+        # before or not, at E = +-0.0 too
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        rng = np.random.default_rng(ell)
+        for _ in range(4):
+            zeta = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+            K = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            for E in (complex(rng.uniform(-3, 3), rng.uniform(-1, 1)), 0j, complex(-0.0, 0.0),
+                      complex(0.0, -0.0), complex(-0.0, -0.0), complex(1.5, -0.0)):
+                pt = CurvePoint(zeta=zeta, K=K, E=E)
+                got = lame._build_M_with_magnitudes(pt, ctx)
+                want = _direct_build_M(pt, ctx)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+                    assert g.flags.writeable
+            for arr in lame._E_free_M(zeta, K, ctx):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0
+
+    def test_cache_is_bounded(self):
+        lame._E_free_M.cache_clear()
+        ctx = LameContext(ell=2, ev=PARAMS_EV)
+        for k in range(2 * lame._E_FREE_MAX):
+            build_M(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
+        assert lame._E_free_M.cache_info().currsize == lame._E_FREE_MAX
+
+    def test_eye_mask_is_cached_and_read_only(self):
+        mask = lame._eye_mask(5)
+        assert mask is lame._eye_mask(5)
+        assert not mask.flags.writeable
+        assert (mask == np.eye(5, dtype=bool)).all()
+
+
+class TestWRatioMedians:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_equals_np_median(self, n):
+        rng = np.random.default_rng(n)
+        for a in (rng.normal(size=n), rng.normal(size=n) * 1e-12 - 3,
+                  rng.integers(-2, 3, size=n).astype(float),  # ties
+                  np.full(n, 0.7), np.abs(rng.normal(size=n))):
+            got, want = lame._median(a), np.median(a)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_w_eigenvalue_imports_no_numpy_ma(self):
+        # np.median's NaN check loads numpy.ma; one curve request in a fresh
+        # interpreter leaves it unloaded
+        probe = ("import sys, numpy as np; from lame_spectra import lame, curve; "
+                 "from lame_spectra.theta import EllipticParams, ThetaEvaluator; "
+                 "ctx = lame.LameContext(ell=3, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.17))); "
+                 "(pt,) = curve.random_curve_points(ctx, 1, np.random.default_rng(3)); "
+                 "c = lame.solve_bloch_coeffs(pt, ctx); lame.w_eigenvalue(pt, c, ctx); "
+                 "lame.scaled_residual(pt, ctx); print('numpy.ma' in sys.modules)")
+        src = str(Path(lame.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.split() == ["False"]
+
+    def test_nonfinite_ratio_raises(self, monkeypatch):
+        # a NaN ratio used to come back as w = nan
+        ctx, pt, c = _grid_point(2, 1.2j, 0.17)
+        real = lame._W_sum
+
+        def one_nan(*args):
+            out = real(*args)
+            out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(lame, "_W_sum", one_nan)
+        with pytest.raises(ConsistencyError, match="not finite"):
+            w_eigenvalue(pt, c, ctx)
+
+
+class TestBlochMultipliers:
+    def test_overflow_names_the_exponent(self):
+        # log K / eta and log K tau / eta both have real part about 4e5
+        ev_small = ThetaEvaluator(EllipticParams(tau=1.2j, eta=1e-6))
+        pt = CurvePoint(zeta=0.31 + 0.07j, K=1.4 - 0.5j, E=1.6 + 0.4j)
+        for name in ("B1", "Btau"):
+            with pytest.raises(OverflowError, match=rf"^{name} = exp\(.+\) is outside the double range$"):
+                getattr(pt, name)(ev_small)
+
+    def test_in_range_values_unchanged(self, ev):
+        pt = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        assert pt.B1(ev) == cmath.exp(cmath.log(pt.K) / ev.eta)
+        assert pt.Btau(ev) == cmath.exp(cmath.log(pt.K) * ev.tau / ev.eta) * cmath.exp(-2j * cmath.pi * pt.zeta)
 
 
 class TestEllZero:
