@@ -26,10 +26,10 @@ on the residue matrix M of ``lame`` instead, whose two minors are the same
 functions: det M0 = -[2] S1/theta1(zeta) and det M1 = -K S2/theta1(zeta).
 A point is a rank drop of M, and one Newton loop solves M s = 0, c^H s = 1
 for (zeta, K, E), zeta or E held, and the null vector s at once, with one
-exact Jacobian column rule per coordinate; one measure, the backward error
-of s with each row scaled by its term magnitudes, seeds, accepts and checks
-the points.  The sums (``curve_equations``) stay as the oracle of the minor
-identity.
+exact Jacobian column rule per coordinate.  Every on-curve decision reads M
+with each row scaled by its term magnitudes: its SVD seeds the points and
+accepts the edge points, the backward error of s accepts Newton's.  The
+sums (``curve_equations``) stay as the oracle of the minor identity.
 
 A polynomial in E is a 1-D complex coefficient array in increasing degree,
 the layout of ``numpy.polynomial.polynomial``; a stack of polynomials is a
@@ -47,8 +47,9 @@ import numpy as np
 
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
-# phi and residual are not called here, but perfbench/tracing.py rebinds them on this module
-from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, phi, residual, scaled_residual
+# phi, residual and scaled_residual are not called here, but perfbench/tracing.py rebinds them on this module
+from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, _row_scaled_svd, phi,
+                   residual, scaled_residual)
 from .theta import ThetaEvaluator, _nonzero, theta
 from .util import nearest_lattice_point
 
@@ -70,15 +71,13 @@ __all__ = [
     "random_curve_points",
 ]
 
-# a curve point is accepted once the row-scaled backward error of its null
-# vector, max_i |(M s)_i| / (||mag_i|| ||s||), is below NEWTON_TOL, within
-# NEWTON_MAX_ITER Newton steps
+# a Newton point is accepted once the row-scaled backward error of its null vector,
+# max_i |(M s)_i| / (||mag_i|| ||s||), is below NEWTON_TOL, within NEWTON_MAX_ITER
+# steps, and an edge point once sigma_min of its row-scaled M is
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 100
 # a fixed-E solve stops once its zeta is within this of a lattice point, a pole of M
 POLE_MARGIN = 1e-6
-# an edge point (zeta, K, +-E) is kept when its largest scaled residual is below this
-EDGE_ACCEPT_TOL = 1e-8
 # the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
 CJ_MAX_ELL = 20
 
@@ -542,7 +541,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     ``fix`` is {"zeta": value} or {"E": value}: that coordinate is held, read
     once and never written.  c and the first s are the smallest right
-    singular vector of the seed's row-scaled M_r (``_row_scaled``); the
+    singular vector of the seed's row-scaled M_r (``_row_scaled_svd``); the
     backward error is max_i |(M_r s)_i| / ||s||.  The Jacobian is exact,
     [[dM/da s, dM/db s, M], [0, 0, c^H]] for the free coordinates a, b, one
     column rule per coordinate of M = K P - E D + K^-1 (B + C(zeta)):
@@ -580,10 +579,9 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     def state(v, s=None):
         """v, M at v, s (by default M_r's smallest right singular vector) and its backward error."""
         M, mag = _build_M_with_magnitudes(CurvePoint(*v.tolist()), ctx)
-        Mr = _row_scaled(M, mag)
         if s is None:
-            s = np.linalg.svd(Mr)[2][-1].conj()
-        return v, M, s, np.abs(Mr @ s).max() / np.linalg.norm(s)
+            s = _row_scaled_svd(M, mag, vectors=True)[1]
+        return v, M, s, np.abs(_row_scaled(M, mag) @ s).max() / np.linalg.norm(s)
 
     v, M, s, berr = state(v)
     c = s
@@ -637,21 +635,16 @@ def edge_curve_points(ctx: LameContext) -> list:
 
     For each label a the fixed-point fibre has zeta = N eta + omega_a and
     K in {+-1} (a = 1, 2) or {+-exp(i pi eta)} (a = 3, 4); each computed
-    edge E is paired with every candidate (K, +-E) combination that passes
-    the scaled-residual test (EDGE_ACCEPT_TOL).
+    edge E is paired with every candidate (K, +-E) whose row-scaled residue
+    matrix has sigma_min below NEWTON_TOL, all from one stacked SVD.
     """
     ev = ctx.ev
     edges = band_edges(ctx.ell, ev)
-    out = []
-    for a in (1, 2, 3, 4):
-        zeta = ctx.N * ev.eta + half_period(a, ev.tau)
-        for E in edges.per_label[a]:
-            for K in edge_bloch_factors(a, ev):
-                for Es in (E, -E):
-                    pt = CurvePoint(zeta=zeta, K=K, E=Es)
-                    if max(scaled_residual(pt, ctx)) < EDGE_ACCEPT_TOL:
-                        out.append(pt)
-    return out
+    cands = [CurvePoint(zeta=ctx.N * ev.eta + half_period(a, ev.tau), K=K, E=Es)
+             for a in (1, 2, 3, 4) for E in edges.per_label[a]
+             for K in edge_bloch_factors(a, ev) for Es in (E, -E)]
+    M, mag = map(np.array, zip(*(_build_M_with_magnitudes(pt, ctx) for pt in cands)))
+    return [pt for pt, sv in zip(cands, _row_scaled_svd(M, mag)) if sv[-1] < NEWTON_TOL]
 
 
 def random_curve_points(ctx: LameContext, n: int, rng) -> list:

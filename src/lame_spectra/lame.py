@@ -19,12 +19,11 @@ elementary kernel Phi(x, zeta) = theta1(zeta + x)/(theta1(x) theta1(zeta)):
 
 Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
-second row cut out the spectral curve in (zeta, K, E).  Both minors, and
-their Hadamard-scaled values, come from one matrix in one stacked ``det``;
-curve points are solved and certified on the row-scaled matrix instead
-(``_row_scaled``), whose null vector is s.  E enters the matrix only on one
-diagonal, so one E-free matrix per (zeta, K), kept in a bounded module cache
-(``_E_free_M``), serves every request at that point.
+second row cut out the spectral curve in (zeta, K, E); they stay as the
+oracle of the minor identity.  Every on-curve decision reads the SVD of the
+row-scaled matrix instead (``_row_scaled_svd``), whose null vector is s.  E
+enters the matrix only on one diagonal, so one E-free matrix per (zeta, K),
+kept in a bounded module cache (``_E_free_M``), serves every request there.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -36,7 +35,7 @@ terms, not of w.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -67,7 +66,7 @@ __all__ = [
 ]
 
 
-# M is rank deficient when its smallest singular value is below this times its term scale
+# M is rank deficient when the smallest singular value of its row-scaled form is at most this
 RANK_TOL = 1e-6
 # w_eigenvalue samples W Psi/Psi at W_SAMPLES points at least W_MARGIN from every
 # theta1 zero the W formula hits, and accepts a spread up to W_REL_TOL * max(|w|, 1)
@@ -166,8 +165,7 @@ class BlochCoeffs:
     """Null vector s of the residue system, largest entry normalized to 1."""
 
     s: np.ndarray
-    smallest_sv: float = 0.0
-    second_sv: float = field(default=float("inf"))
+    second_sv: float
 
 
 def _guarded_t1(x, ev):
@@ -269,15 +267,14 @@ def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
 
 def _minors(M: np.ndarray, mag: np.ndarray):
     """Arrays (det M0, det M1) and (r0, r1) of a residue matrix M with its
-    term magnitudes, or of a stack of them along the leading axes (shape
-    stack + (2,)): M0 and M1 drop row 0 and row 1, all determinants come from
-    one stacked ``det``, and r is |det| over the Hadamard bound of the kept
-    rows of term magnitudes."""
-    l = M.shape[-1]
+    term magnitudes: M0 and M1 drop row 0 and row 1, both determinants come
+    from one stacked ``det``, and r is |det| over the Hadamard bound of the
+    kept rows of term magnitudes."""
+    l = M.shape[1]
     rows = np.array([range(1, l + 1), [0, *range(2, l + 1)]])
-    dets = np.linalg.det(M[..., rows, :])
-    bounds = np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., rows]
-    return dets, np.hypot(dets.real, dets.imag) / np.prod(bounds, axis=-1)
+    dets = np.linalg.det(M[rows])
+    bounds = np.maximum(np.linalg.norm(mag, axis=1), 1e-300)[rows]
+    return dets, np.hypot(dets.real, dets.imag) / np.prod(bounds, axis=1)
 
 
 def _row_scaled(M: np.ndarray, mag: np.ndarray) -> np.ndarray:
@@ -287,6 +284,16 @@ def _row_scaled(M: np.ndarray, mag: np.ndarray) -> np.ndarray:
     rank-deficient matrix: rows 0-1 carry C(zeta) ~ 1/theta1(zeta), which
     would swamp a norm of the whole matrix near a pole."""
     return M / np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., None]
+
+
+def _row_scaled_svd(M: np.ndarray, mag: np.ndarray, vectors: bool = False):
+    """The singular values of ``_row_scaled(M, mag)``, of one matrix or a stack,
+    and with ``vectors`` the unit right singular vector of the smallest.  The one
+    on-curve test: Newton's seed, the Bloch vector and the edge points read it."""
+    if not vectors:
+        return np.linalg.svd(_row_scaled(M, mag), compute_uv=False)
+    _, sv, vh = np.linalg.svd(_row_scaled(M, mag))
+    return sv, vh[..., -1, :].conj()
 
 
 def residual(pt: CurvePoint, ctx: LameContext):
@@ -308,27 +315,19 @@ def scaled_residual(pt: CurvePoint, ctx: LameContext):
 
 
 def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext) -> BlochCoeffs:
-    """Null vector of M via the smallest singular direction.
+    """Null vector of M via the smallest singular direction of the row-scaled
+    M_r (``_row_scaled_svd``).
 
-    Raises ConsistencyError if M has full numerical rank l (the point is not
-    on the curve); rank deficiency (RANK_TOL) is judged against the term-magnitude
-    scale of the matrix, which survives the on-curve cancellations.  The
-    returned vector is normalized so its largest entry is exactly 1; the gap
-    to the second singular value certifies uniqueness.
+    Raises ConsistencyError if sigma_min(M_r) exceeds RANK_TOL (the point is
+    not on the curve).  The returned vector is normalized so its largest
+    entry is exactly 1; the gap to the second singular value (inf at l = 1)
+    certifies uniqueness.
     """
-    M, mag = _build_M_with_magnitudes(pt, ctx)
-    _, sv, vh = np.linalg.svd(M)
-    scale = float(np.linalg.norm(mag, axis=1).max())
-    if sv[-1] > RANK_TOL * scale:
-        raise ConsistencyError(
-            f"no null space: smallest singular value {sv[-1]:.3e} vs scale {scale:.3e}"
-        )
-    if ctx.ell == 1:
-        return BlochCoeffs(s=np.array([1.0 + 0j]), smallest_sv=float(sv[-1]))
-    s = vh[-1].conj()
-    pivot = np.argmax(np.abs(s))
-    s = s / s[pivot]
-    return BlochCoeffs(s=s, smallest_sv=float(sv[-1]), second_sv=float(sv[-2]))
+    sv, s = _row_scaled_svd(*_build_M_with_magnitudes(pt, ctx), vectors=True)
+    if sv[-1] > RANK_TOL:
+        raise ConsistencyError(f"no null space: row-scaled sigma_min {sv[-1]:.3e} > {RANK_TOL:.0e}")
+    s = s / s[np.argmax(np.abs(s))]
+    return BlochCoeffs(s=s, second_sv=float(sv[-2]) if len(sv) > 1 else float("inf"))
 
 
 def build_psi(pt: CurvePoint, coeffs: BlochCoeffs, x: complex, ctx: LameContext) -> complex:

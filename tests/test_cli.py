@@ -141,6 +141,17 @@ class TestEdgesCommand:
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("ell,tau", [("2", "1e-3i"), ("1", "0.04i")])
+    def test_closed_form_deviation_above_its_pin_exits_3(self, capsys, ell, tau):
+        # the counts hold, but the edges stray from the closed forms by more
+        # than 1e-9: the report is printed and the exit code is 3, as for a
+        # wrong count
+        code, out = run_cli(capsys, "edges", "--ell", ell, "--eta", "0.17", "--tau", tau)
+        doc = json.loads(out)
+        assert code == 3
+        assert doc["counts_ok"] is True
+        assert max(doc["closed_form_deviation"].values()) > 1e-9
+
     def test_small_eta_counts_are_right(self, capsys):
         # each label's count is the dimension of its theta space, so this small
         # eta, where common roots of edge polynomials over-counted, exits 0
@@ -445,14 +456,16 @@ class TestVerifyCommand:
         }
 
     @pytest.mark.parametrize("errors", [[1e-16, math.nan], [math.nan, 1e-16]], ids=["nan-last", "nan-first"])
-    def test_max_rel_error_is_nan_when_an_error_is(self, capsys, monkeypatch, errors):
-        # max() returns its first argument when a NaN follows it
+    def test_nan_error_withholds_the_report(self, capsys, monkeypatch, errors):
+        # a NaN error is not a failed draw but a report that cannot be
+        # written: exit 3 and one line naming the draw
         monkeypatch.setitem(cli.SUITES, "schur", lambda cfg, ev, rng: (errors, 1e-10, "fixed"))
-        code, out = run_cli(capsys, "verify", "--suite", "schur")
-        r = json.loads(out)["suites"]["schur"]
-        assert code == 1
-        assert math.isnan(r["max_rel_error"])
-        assert not r["passed"]
+        code = main(["verify", "--suite", "schur"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (f"error: FloatingPointError: suites.schur.rel_errors[{errors.index(math.nan)}] "
+                                "is not finite; the report is withheld\n")
 
     @pytest.mark.parametrize("ell", ["1", "2", "12"])
     def test_cj_limit_holds_the_eta_squared_rate(self, capsys, ell):
@@ -484,6 +497,8 @@ class TestFlowCommand:
         doc = json.loads(out)
         assert doc["max_locus_gap"] == 0
         assert len(doc["trajectory"]) == 21
+        # one pole has no pair to hold a margin
+        assert doc["min_margin"] is None
 
     def test_degenerate_rejected(self, capsys):
         code, _ = run_cli(capsys, "flow", "--poles", "0.17,0,-0.17", "--eta", "0.17")
@@ -561,6 +576,16 @@ class TestCoeffsCommand:
         want = json.loads(report)["suites"]["cj-symmetry"]["max_rel_error"]
         assert json.loads(out)["symmetry_error"] == want > 0
 
+    # the subset sums overflow from C_7 on at this eta; the guard withholds the report
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_coefficient_is_one_error_line(self, capsys):
+        code = main(["coeffs", "--ell", "8", "--eta", "0.17+0.6i", "--tau", "1.2i"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: FloatingPointError: C[7] is not finite; the report is withheld\n"
+
     @pytest.mark.parametrize(
         "argv", [["coeffs", "--ell", "21"], ["verify", "--suite", "cj-symmetry", "--ell", "21"]],
         ids=lambda argv: argv[0],
@@ -604,6 +629,39 @@ class TestEmit:
         assert got.getvalue() == json.dumps(doc, sort_keys=True) + "\n"
         assert got.getvalue().count("\n") == 1
 
+    @pytest.mark.parametrize("report,field", [
+        ({"a": {"b": [1.0, math.inf]}}, "a.b[1]"),
+        ({"C": ["1.0", format_complex(complex(math.nan, math.nan))]}, "C[1]"),
+        ({"x": format_complex(complex(2.0, -math.inf))}, "x"),
+        ([["k", "E_1", "E_2"], ["0.0", "1.0", "2.0"], ["0.5", "1.0", repr(math.nan)]], "E_2[1]"),
+    ], ids=["float", "complex-nan", "complex-inf", "csv"])
+    def test_non_finite_value_is_refused_by_name(self, report, field):
+        got = _CountingStream()
+        with pytest.raises(FloatingPointError, match=rf"^{re.escape(field)} is not finite"):
+            cli._emit(report, got)
+        assert got.writes == 0
+
+    def test_words_that_only_look_non_finite_are_written(self):
+        # the text holds 'inf' and 'nan', but no number that is not finite
+        report = {"info": "nano", "confidence": ["1.0", "infinite?"]}
+        got = _CountingStream()
+        cli._emit(report, got)
+        assert got.getvalue() == json.dumps(report, sort_keys=True) + "\n"
+
+    def test_non_finite_csv_cell_exits_3(self, capsys, monkeypatch):
+        def sweep(*args):
+            out = real(*args)
+            out[2, 1] = math.inf
+            return out
+
+        real = cli.band_sweep
+        monkeypatch.setattr(cli, "band_sweep", sweep)
+        code = main(["spectrum", "--ell", "1", "--eta", "1/31", "--format", "csv", "--kpoints", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: FloatingPointError: E_2[2] is not finite; the report is withheld\n"
+
 
 # one cheap run of each command, before the flags the envelope test adds
 ENVELOPE_RUNS = {
@@ -644,6 +702,14 @@ class TestReportEnvelope:
             "seed": 5,
         }
 
+    @pytest.mark.parametrize("command,fmt", [(command, fmt) for command in ENVELOPE_RUNS for fmt in ("json", "csv")
+                                             if fmt == "json" or command in cli._CSV_COMMANDS])
+    def test_finite_report_is_not_walked(self, capsys, monkeypatch, command, fmt):
+        # the text scan passes every finite report, its provenance key
+        # included, so no report pays for the walk that names a field
+        monkeypatch.setattr(cli, "_non_finite_field", lambda report: pytest.fail("report walked"))
+        assert main(ENVELOPE_RUNS[command] + ["--eta", "2/41", "--format", fmt]) == 0
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["edges", "coeffs", "verify", "curve-point"])
     def test_csv_refused_without_csv_form(self, capsys, tmp_path, command, source):
@@ -669,6 +735,7 @@ DOCUMENTED_EXIT_CODES = [
     (ConvergenceError, 3),
     (np.linalg.LinAlgError, 3),
     (OverflowError, 3),
+    (FloatingPointError, 3),
     (MarginViolationError, 4),
     (LocusError, 4),
 ]

@@ -2,6 +2,7 @@
 Bloch-multiplier relation and the identity suites behind it."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import re
@@ -18,7 +19,7 @@ from lame_spectra import CurvePoint, LameContext, scaled_residual
 from lame_spectra import curve, lame
 from lame_spectra.curve import (
     CJ_MAX_ELL,
-    EDGE_ACCEPT_TOL,
+    NEWTON_TOL,
     BandEdgeSet,
     _subset_sums,
     a_polys_determinant,
@@ -305,7 +306,8 @@ EDGE_LIFT_GRID = [
 class TestEdgeLift:
     """Every analytic edge E of label a is the E of an on-curve point above
     zeta = N eta + omega_a, with K one of the label's Bloch factors and E or
-    -E, across a grid of (ell, eta, tau)."""
+    -E, across a grid of (ell, eta, tau): sigma_min of the row-scaled residue
+    matrix is below NEWTON_TOL, the rule ``edge_curve_points`` keeps it by."""
 
     @pytest.mark.parametrize("ell,eta,tau", EDGE_LIFT_GRID)
     def test_edges_lift_to_curve_points(self, ell, eta, tau):
@@ -317,7 +319,56 @@ class TestEdgeLift:
             for E in edges.per_label[a]:
                 lifts = [CurvePoint(zeta, K, s * E)
                          for K in edge_bloch_factors(a, ctx.ev) for s in (1, -1)]
-                assert min(max(scaled_residual(pt, ctx)) for pt in lifts) < EDGE_ACCEPT_TOL, (a, E)
+                sigma = [lame._row_scaled_svd(*lame._build_M_with_magnitudes(pt, ctx))[-1] for pt in lifts]
+                assert min(sigma) < NEWTON_TOL, (a, E)
+
+
+def _minor_rule_edge_points(ctx):
+    """Reference route, kept as a test oracle: ``edge_curve_points`` as it
+    was, a candidate kept when both Hadamard-scaled minors are below 1e-8."""
+    ev = ctx.ev
+    edges = band_edges(ctx.ell, ev)
+    out = []
+    for a in (1, 2, 3, 4):
+        zeta = ctx.N * ev.eta + half_period(a, ev.tau)
+        for E in edges.per_label[a]:
+            for K in edge_bloch_factors(a, ev):
+                for Es in (E, -E):
+                    pt = CurvePoint(zeta=zeta, K=K, E=Es)
+                    if max(scaled_residual(pt, ctx)) < 1e-8:
+                        out.append(pt)
+    return out
+
+
+class TestEdgePointRule:
+    """``edge_curve_points`` keeps a candidate by sigma_min of its row-scaled
+    residue matrix below NEWTON_TOL: on the grid it keeps what the minor rule
+    kept, and it refuses edges that rule let through."""
+
+    @pytest.mark.parametrize("ell,eta,tau", [
+        (ell, eta, tau) for eta, tau in ((0.17, 1.2j), (1 / 31, 1.2j), (0.11 + 0.05j, 0.3 + 1.4j),
+                                         (3 / 61, 1.2j), (0.21, 0.8j))
+        for ell in range(1, 9)
+    ])
+    def test_same_points_as_the_minor_rule(self, ell, eta, tau):
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        assert edge_curve_points(ctx) == _minor_rule_edge_points(ctx)
+
+    @pytest.mark.parametrize("ell", [2, 6, 12])
+    def test_planted_edge_error_is_rejected(self, ev, monkeypatch, ell):
+        # E x (1 + 1e-6): at ell 12 the scaled minors of every edge read
+        # 1.5e-10 to 2.6e-9, under the old 1e-8; sigma_min reads 4.5e-9 or more
+        ctx = LameContext(ell=ell, ev=ev)
+        assert len(edge_curve_points(ctx)) == 2 * (2 * ell + 1)
+        real = curve.band_edges
+
+        def planted(l, ev):
+            edges = real(l, ev)
+            return dataclasses.replace(edges, per_label={a: [E * (1 + 1e-6) for E in v]
+                                                         for a, v in edges.per_label.items()})
+
+        monkeypatch.setattr(curve, "band_edges", planted)
+        assert edge_curve_points(ctx) == []
 
 
 class TestEdgeLabelMap:

@@ -31,7 +31,8 @@ from lame_spectra import (
     w_eigenvalue,
     weierstrass_p,
 )
-from lame_spectra.curve import band_edges, random_curve_points
+from lame_spectra import curve
+from lame_spectra.curve import band_edges, edge_curve_points, random_curve_points, solve_curve_point
 from lame_spectra.enumbers import ebinom
 from lame_spectra.errors import ConsistencyError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
@@ -327,8 +328,31 @@ class TestBlochCoeffs:
 
     def test_off_curve_raises(self, ctx2):
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=r"^no null space: row-scaled sigma_min \S+ > 1e-06$"):
             solve_bloch_coeffs(pt, ctx2)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 6])
+    def test_same_vector_as_newton_at_an_unstepped_seed(self, ev, monkeypatch, ell):
+        # an edge point is on the curve to rounding, so Newton accepts it as
+        # its seed without a step: its s is the seed's singular vector, and
+        # solve_bloch_coeffs' s is that vector up to phase and scale
+        ctx = LameContext(ell=ell, ev=ev)
+        pts = edge_curve_points(ctx)[:4]
+        seen = []
+        real = curve._row_scaled_svd
+
+        def record(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(curve, "_row_scaled_svd", record)
+        for pt in pts:
+            seen.clear()
+            assert solve_curve_point({"E": pt.E}, pt, ctx) == pt
+            (s_newton,) = seen
+            s = solve_bloch_coeffs(pt, ctx).s
+            assert abs(np.vdot(s_newton, s)) == pytest.approx(np.linalg.norm(s), rel=1e-14)
 
 
 class TestEigenfunctions:
