@@ -49,7 +49,7 @@ from .errors import (
 )
 from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled_svd, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator, theta
-from .util import format_complex, parse_complex, parse_eta
+from .util import format_complex, format_complex_pm, parse_complex, parse_eta
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -189,16 +189,19 @@ def _emit(report, stream=None):
     """Write a JSON document (a dict) as one compact line with sorted keys, or CSV rows (a list),
     in one write; a NaN or an inf raises FloatingPointError naming its field (CSV: column[row])."""
     if isinstance(report, dict):
-        text = json.dumps(report, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:  # a float NaN or inf, which JSON cannot write: the walk names it
+            text = None
     else:
         import csv
 
         buf = io.StringIO()
         csv.writer(buf).writerows(report)
         text = buf.getvalue()
-    # json writes a non-finite float as NaN or Infinity, repr and format_complex as nan or inf;
-    # the key provenance holds nan too, and only a hit elsewhere walks the report
-    if text.count("nan") > text.count("provenance") or any(word in text for word in ("inf", "NaN", "Infinity")):
+    # repr and format_complex write a non-finite number as nan or inf; the key provenance
+    # holds nan too, and only a hit elsewhere walks the report
+    if text is None or text.count("nan") > text.count("provenance") or "inf" in text:
         # a CSV field is named by its column's header and its data row
         field = _non_finite_field(report if isinstance(report, dict) else dict(zip(report[0], zip(*report[1:]))))
         if field:
@@ -217,9 +220,13 @@ def cmd_edges(args, cfg: RunConfig, ev: ThetaEvaluator):
     edges = curve_mod.band_edges(cfg.ell, ev)
     counts = edges.counts()
     expected = curve_mod.BandEdgeSet.expected_counts(cfg.ell)
+    pm = {a: [format_complex_pm(e) for e in edges.per_label[a]] for a in (1, 2, 3, 4)}
+    # the strings of with_reflection(): the union's edges, then their negatives
+    strings = [p for a in pm for p, _ in pm[a]] + [m for a in pm for _, m in pm[a]]
     doc = {
-        "edges_per_label": {str(a): [_c(e) for e in edges.per_label[a]] for a in (1, 2, 3, 4)},
-        "full_edge_set": [_c(e) for e in sorted(edges.with_reflection(), key=lambda z: (z.real, z.imag))],
+        "edges_per_label": {str(a): [p for p, _ in pm[a]] for a in pm},
+        "full_edge_set": [text for _, text in sorted(zip(edges.with_reflection(), strings),
+                                                     key=lambda t: (t[0].real, t[0].imag))],
         "counts": {str(a): counts[a] for a in counts},
         "expected_counts": {str(a): expected[a] for a in expected},
         "counts_ok": counts == expected,

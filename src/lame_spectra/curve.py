@@ -48,8 +48,8 @@ import numpy as np
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 # phi, residual and scaled_residual are not called here, but perfbench/tracing.py rebinds them on this module
-from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled, _row_scaled_svd, phi,
-                   residual, scaled_residual)
+from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _point_svd, _row_scaled, _row_scaled_svd,
+                   phi, residual, scaled_residual)
 from .theta import ThetaEvaluator, _nonzero, theta
 from .util import nearest_lattice_point
 
@@ -541,7 +541,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     ``fix`` is {"zeta": value} or {"E": value}: that coordinate is held, read
     once and never written.  c and the first s are the smallest right
-    singular vector of the seed's row-scaled M_r (``_row_scaled_svd``); the
+    singular vector of the seed's row-scaled M_r (``_point_svd``); the
     backward error is max_i |(M_r s)_i| / ||s||.  The Jacobian is exact,
     [[dM/da s, dM/db s, M], [0, 0, c^H]] for the free coordinates a, b, one
     column rule per coordinate of M = K P - E D + K^-1 (B + C(zeta)):
@@ -578,9 +578,10 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     def state(v, s=None):
         """v, M at v, s (by default M_r's smallest right singular vector) and its backward error."""
-        M, mag = _build_M_with_magnitudes(CurvePoint(*v.tolist()), ctx)
+        pt = CurvePoint(*v.tolist())
+        M, mag = _build_M_with_magnitudes(pt, ctx)
         if s is None:
-            s = _row_scaled_svd(M, mag, vectors=True)[1]
+            s = _point_svd(pt, ctx)[1]
         return v, M, s, np.abs(_row_scaled(M, mag) @ s).max() / np.linalg.norm(s)
 
     v, M, s, berr = state(v)

@@ -4,16 +4,23 @@
 In the trigonometric limit Im tau -> +inf, [j] -> sin(pi*eta*j)/sin(pi*eta),
 the symmetric q-number with q = exp(2i*pi*eta).
 
-Each evaluator holds three eta-only tables, each a tuple indexed by k that
-grows only when a read needs a larger k, by replacing the stored tuple:
+Three eta-only tables belong to the parameters (tau, eta, tol): every
+evaluator built with equal parameters reads the one holder of
+``theta._eta_tables``.  Each is a tuple indexed by k that grows only when a
+read needs a larger k, by replacing the stored tuple:
 
     theta1(k*eta)  one batched theta call over the missing k;
     [k]            the Python division theta1(k*eta)/theta1(eta);
     [k]!           the left-to-right Python product [1][2]...[k].
 
 So ``ebracket`` and ``efactorial`` are lookups, ``ebinom`` is three lookups
-and one division, and each returns bit for bit what its direct sequential
-computation gives.  Callers that know their range ask for it first.
+and one division, and a request at parameters met before computes none of
+them again.  [k] and [k]! are bit for bit their direct sequential
+computation from the theta1 table.  A theta1 value can depend in its last
+bits on the batch it grew in, whose largest |Im k*eta| sets the theta call's
+cutoff; on real eta, and on the |Im eta| <= 0.06 of the verify cells and the
+benchmark, any order of growth gives the one-shot table bit for bit (tests
+pin this).  Callers that know their range ask for it first.
 
 Every division by a bracket is guarded, since a vanishing bracket means eta
 is a torsion point and all the curve formulas downstream become singular.
@@ -36,23 +43,23 @@ def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
     The table only grows, and by replacement: a stored tuple is never
     changed, so a reader always sees a consistent table.
     """
-    table = ev._theta1_multiples
+    tables = ev._tables
+    table = tables.theta1_multiples
     if len(table) <= n:
         k = np.arange(len(table), n + 1)
-        table = table + tuple(theta(1, k * ev.eta, ev).tolist())
-        object.__setattr__(ev, "_theta1_multiples", table)
+        table = tables.theta1_multiples = table + tuple(theta(1, k * ev.eta, ev).tolist())
     return table
 
 
 def _brackets(n: int, ev: ThetaEvaluator) -> tuple:
     """[k] for k = 0..n (the table may hold more entries); starts as ([0], [1])."""
-    table = ev._brackets
+    tables = ev._tables
+    table = tables.brackets
     if len(table) <= n:
         t = theta1_multiples(n, ev)
         if abs(t[1]) < ev.zero_threshold:
             raise TorsionEtaError(f"theta1(eta) ~ 0 for eta={ev.eta}: eta on the lattice")
-        table = table + tuple(t[k] / t[1] for k in range(len(table), n + 1))
-        object.__setattr__(ev, "_brackets", table)
+        table = tables.brackets = table + tuple(t[k] / t[1] for k in range(len(table), n + 1))
     return table
 
 
@@ -74,14 +81,14 @@ def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
 def _factorials(n: int, ev: ThetaEvaluator) -> tuple:
     """[k]! for k = 0..n (the table may hold more entries); starts as ([0]!, [1]!).
     A growth reads its brackets first, so the theta table grows by one call."""
-    table = ev._factorials
+    tables = ev._tables
+    table = tables.factorials
     if len(table) <= n:
         _brackets(n, ev)
         out = list(table)
         for j in range(len(out), n + 1):
             out.append(out[-1] * nonzero_bracket(j, ev))
-        table = tuple(out)
-        object.__setattr__(ev, "_factorials", table)
+        table = tables.factorials = tuple(out)
     return table
 
 

@@ -21,9 +21,11 @@ Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
 second row cut out the spectral curve in (zeta, K, E); they stay as the
 oracle of the minor identity.  Every on-curve decision reads the SVD of the
-row-scaled matrix instead (``_row_scaled_svd``), whose null vector is s.  E
-enters the matrix only on one diagonal, so one E-free matrix per (zeta, K),
-kept in a bounded module cache (``_E_free_M``), serves every request there.
+row-scaled matrix instead (``_row_scaled_svd``), whose null vector is s; the
+SVD with vectors of one point is kept in a bounded module cache
+(``_point_svd``), so Newton's seed and the Bloch vector share it.  E enters
+the matrix only on one diagonal, so one E-free matrix per (zeta, K), kept in
+a bounded module cache (``_E_free_M``), serves every request there.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -75,15 +77,21 @@ W_MARGIN = 1e-3
 W_REL_TOL = 1e-7
 # identity masks of _Psi_sum kept by _eye_mask, one per l, least recently used dropped first
 _EYE_MASKS_MAX = 32
+# eta-only parts of a context kept by _residue_parts, _w_weights and _sample_points, one per
+# (l, evaluator), least recently used dropped first
+_CONTEXT_PARTS_MAX = 64
 
 
 @dataclass(frozen=True)
 class LameContext:
-    """Degree l plus a theta evaluator; caches the eta-only parts of ``build_M``.
+    """Degree l plus a theta evaluator; holds the eta-only parts of ``build_M``
+    and of W.
 
     N = l(l+1)/2 is the genus-fixing count that recurs in every curve
     formula.  Construction fails with TorsionEtaError if any bracket
-    [1..2l+2] vanishes, since all residue formulas divide by them.
+    [1..2l+2] vanishes, since all residue formulas divide by them.  The parts
+    are built once per (l, evaluator parameters), in bounded module caches,
+    so contexts built anew per request share them.
     """
 
     ell: int
@@ -100,28 +108,42 @@ class LameContext:
 
     @cached_property
     def _M_parts(self) -> tuple:
-        """(P, D, B, R, n) of the residue matrix and zeta's offsets m*eta, m = 0..l+1,
-        read-only, from theta1(k*eta), k = 0..2l, of the evaluator's table and
-        theta1(-x) = -theta1(x); the divisors k = 1..l+1 are guarded."""
-        l = self.ell
-        t = theta1_multiples(2 * l, self.ev)
-        _nonzero(t[1:l + 2], self.ev, "theta1(n*eta) for some n in 1..{}", l + 1)
-        n = np.arange(2, l + 2) - np.arange(2)[:, None]
-        # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
-        R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
-        # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
-        hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
-        parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
-                 np.arange(l + 2) * self.ev.eta)
-        for a in parts:
-            a.flags.writeable = False
-        return parts
+        """(P, D, B, R, n, m*eta) of ``_residue_parts``."""
+        return _residue_parts(self)
 
     @cached_property
     def _w_coeffs(self) -> np.ndarray:
-        """(-1)^k ebinom(2l+1, k) for k = 0..2l+1, the weights of the shifts in W."""
-        n = 2 * self.ell + 1
-        return np.array([(-1) ** k * ebinom(n, k, self.ev) for k in range(n + 1)])
+        """The weights of the shifts in W, ``_w_weights``."""
+        return _w_weights(self)
+
+
+@lru_cache(maxsize=_CONTEXT_PARTS_MAX)
+def _residue_parts(ctx: LameContext) -> tuple:
+    """(P, D, B, R, n) of the residue matrix and zeta's offsets m*eta, m = 0..l+1,
+    read-only, from theta1(k*eta), k = 0..2l, of the evaluator's table and
+    theta1(-x) = -theta1(x); the divisors k = 1..l+1 are guarded."""
+    l = ctx.ell
+    t = theta1_multiples(2 * l, ctx.ev)
+    _nonzero(t[1:l + 2], ctx.ev, "theta1(n*eta) for some n in 1..{}", l + 1)
+    n = np.arange(2, l + 2) - np.arange(2)[:, None]
+    # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
+    R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
+    # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
+    hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
+    parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
+             np.arange(l + 2) * ctx.ev.eta)
+    for a in parts:
+        a.flags.writeable = False
+    return parts
+
+
+@lru_cache(maxsize=_CONTEXT_PARTS_MAX)
+def _w_weights(ctx: LameContext) -> np.ndarray:
+    """(-1)^k ebinom(2l+1, k) for k = 0..2l+1, the weights of the shifts in W, read-only."""
+    n = 2 * ctx.ell + 1
+    w = np.array([(-1) ** k * ebinom(n, k, ctx.ev) for k in range(n + 1)])
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -208,8 +230,10 @@ def gauge_factor(x: complex, ctx: LameContext) -> complex:
     return out
 
 
-# E-free residue matrices kept by _E_free_M, least recently used dropped first
+# E-free residue matrices kept by _E_free_M, and row-scaled SVDs by _point_svd, least
+# recently used dropped first
 _E_FREE_MAX = 32
+_POINT_SVD_MAX = 32
 
 
 @lru_cache(maxsize=_E_FREE_MAX)
@@ -296,6 +320,16 @@ def _row_scaled_svd(M: np.ndarray, mag: np.ndarray, vectors: bool = False):
     return sv, vh[..., -1, :].conj()
 
 
+@lru_cache(maxsize=_POINT_SVD_MAX)
+def _point_svd(pt: CurvePoint, ctx: LameContext):
+    """``_row_scaled_svd`` with vectors of the residue matrix at pt, read-only;
+    cached by value, so Newton's seed and ``solve_bloch_coeffs`` at an
+    unstepped point share one SVD."""
+    sv, s = _row_scaled_svd(*_build_M_with_magnitudes(pt, ctx), vectors=True)
+    sv.flags.writeable = s.flags.writeable = False
+    return sv, s
+
+
 def residual(pt: CurvePoint, ctx: LameContext):
     """(det M0, det M1): determinants after deleting row 0 and row 1.
 
@@ -316,14 +350,14 @@ def scaled_residual(pt: CurvePoint, ctx: LameContext):
 
 def solve_bloch_coeffs(pt: CurvePoint, ctx: LameContext) -> BlochCoeffs:
     """Null vector of M via the smallest singular direction of the row-scaled
-    M_r (``_row_scaled_svd``).
+    M_r (``_point_svd``, the one SVD of the point).
 
     Raises ConsistencyError if sigma_min(M_r) exceeds RANK_TOL (the point is
     not on the curve).  The returned vector is normalized so its largest
     entry is exactly 1; the gap to the second singular value (inf at l = 1)
     certifies uniqueness.
     """
-    sv, s = _row_scaled_svd(*_build_M_with_magnitudes(pt, ctx), vectors=True)
+    sv, s = _point_svd(pt, ctx)
     if sv[-1] > RANK_TOL:
         raise ConsistencyError(f"no null space: row-scaled sigma_min {sv[-1]:.3e} > {RANK_TOL:.0e}")
     s = s / s[np.argmax(np.abs(s))]
@@ -435,10 +469,11 @@ def _halton_window() -> np.ndarray:
     return window
 
 
+@lru_cache(maxsize=_CONTEXT_PARTS_MAX)
 def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
     """The first n Halton points of the window at least W_MARGIN from every
-    theta1 zero the W formula hits; the whole window is filtered only when
-    its first 2n points leave fewer than n."""
+    theta1 zero the W formula hits, read-only; the whole window is filtered
+    only when its first 2n points leave fewer than n."""
     ev = ctx.ev
     l = ctx.ell
     shifts = np.arange(-(2 * l + 2), 2 * l + 3) * ev.eta
@@ -447,6 +482,7 @@ def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
         x = cand[:, None] + shifts
         pts = cand[(np.abs(x - nearest_lattice_point(x, ev.tau)) >= W_MARGIN).all(axis=1)][:n]
         if len(pts) == n:
+            pts.flags.writeable = False
             return pts
     raise ConsistencyError("could not find enough pole-free sample points")
 

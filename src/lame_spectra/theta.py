@@ -29,17 +29,23 @@ exp per point and term, is left for points the split cannot hold and for
 theta1'(0), which is summed once per (tau, cutoff) and kept in a
 least-recently-used cache of _PRIME0_MAX (256) values (``_theta1_prime0``).
 
-An evaluator's parameters are fixed at construction; its caches, the eta-only
-tables of ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the
-factorials [k]!), only grow, by replacing the stored tuple, so evaluators are
-safe to share across threads.  So are the package's module caches:
-``theta._shift_table`` and ``theta._theta1_prime0`` here (256 entries each),
-``curve._edge_table`` (64), ``lame._E_free_M`` (the E-free residue matrix
-per (zeta, K, context), 32), ``lame._eye_mask`` (32), ``lame._halton_window``
-(one table), ``volterra._pair_index`` (one per pole count) and
-``cli.build_parser`` (one).  ``functools`` keeps their structure coherent
-under concurrent calls, two threads that miss on one key at once each build
-the same values, and no caller can write a cached array.
+An evaluator's parameters are fixed at construction.  The eta-only tables of
+``enumbers`` (theta1(k*eta), the elliptic integers [k] and the factorials
+[k]!) belong to the parameters, not to one evaluator: every evaluator built
+with equal ``EllipticParams`` reads one holder of the three tables, kept in a
+least-recently-used cache of _ETA_TABLES_MAX (64) holders (``_eta_tables``).
+A table only grows, by replacing the stored tuple, never by changing one, so
+evaluators are safe to share across threads.  So are the package's module
+caches: ``theta._shift_table`` and ``theta._theta1_prime0`` here (256 entries
+each), ``theta._eta_tables`` (64), ``curve._edge_table`` (64),
+``lame._E_free_M`` (the E-free residue matrix per (zeta, K, context), 32),
+``lame._point_svd`` (the row-scaled SVD with vectors per (point, context),
+32), ``lame._residue_parts``, ``lame._w_weights`` and ``lame._sample_points``
+(the eta-only parts of a context, 64 each), ``lame._eye_mask`` (32),
+``lame._halton_window`` (one table), ``volterra._pair_index`` (one per pole
+count) and ``cli.build_parser`` (one).  ``functools`` keeps their structure
+coherent under concurrent calls, two threads that miss on one key at once
+each build the same values, and no caller can write a cached array.
 """
 
 import cmath
@@ -90,14 +96,30 @@ class EllipticParams:
             raise ValueError("tol must be positive")
 
 
+class _EtaTables:
+    """The eta-only tables of one ``EllipticParams``: theta1(k*eta), [k] and
+    [k]!, each a tuple indexed by k.  ``enumbers`` grows a table by storing a
+    longer tuple in its place, never by changing one."""
+
+    __slots__ = ("theta1_multiples", "brackets", "factorials")
+
+    def __init__(self):
+        self.theta1_multiples = ()
+        self.brackets = (0j, 1 + 0j)
+        self.factorials = (1 + 0j, 1 + 0j)
+
+
 @dataclass(frozen=True)
 class ThetaEvaluator:
     """Caches the nome and a series cutoff guaranteeing tails below tol.
 
-    Its mutable caches are the eta-only tables read by ``enumbers``:
-    theta1(k*eta), [k] and [k]!, each indexed by k.  A table only grows, by
-    replacement, never by changing a stored entry, and each entry is bit for
-    bit what the direct sequential computation gives (see ``enumbers``).
+    Evaluators with equal parameters share their eta-only tables, read by
+    ``enumbers``: theta1(k*eta), [k] and [k]!, each indexed by k, in the one
+    holder of ``_eta_tables`` (a bounded module cache keyed by the
+    parameters), taken at construction.  So an evaluator built anew per
+    request reads what earlier requests at the same parameters computed.  A
+    table only grows, by replacement, never by changing a stored entry (see
+    ``enumbers``).
 
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so
@@ -119,9 +141,7 @@ class ThetaEvaluator:
     series_cutoff: int = field(init=False)
     theta1_prime0: complex = field(init=False)
     _cutoff_c: float = field(init=False, repr=False, compare=False)
-    _theta1_multiples: tuple = field(init=False, default=(), repr=False, compare=False)
-    _brackets: tuple = field(init=False, default=(0j, 1 + 0j), repr=False, compare=False)
-    _factorials: tuple = field(init=False, default=(1 + 0j, 1 + 0j), repr=False, compare=False)
+    _tables: _EtaTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = cmath.exp(1j * math.pi * self.params.tau)
@@ -132,6 +152,7 @@ class ThetaEvaluator:
         object.__setattr__(self, "series_cutoff", n + 1)
         object.__setattr__(self, "_cutoff_c", -target / math.pi)
         object.__setattr__(self, "theta1_prime0", _theta1_prime0(self.params.tau, self.series_cutoff))
+        object.__setattr__(self, "_tables", _eta_tables(self.params))
 
     @property
     def zero_threshold(self) -> float:
@@ -196,6 +217,9 @@ _SHIFT_TABLES_MAX = 256
 
 # theta1'(0) values kept by _theta1_prime0, least recently used dropped first
 _PRIME0_MAX = 256
+
+# eta-table holders kept by _eta_tables, least recently used dropped first
+_ETA_TABLES_MAX = 64
 
 
 def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
@@ -283,6 +307,12 @@ def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
 def _theta1_prime0(tau: complex, n: int) -> complex:
     """theta1'(0 | tau), the ``_series`` sum with cutoff n."""
     return complex(_series(1, 0.0, tau, n, 1))
+
+
+@functools.lru_cache(maxsize=_ETA_TABLES_MAX)
+def _eta_tables(params: EllipticParams) -> _EtaTables:
+    """The one table holder of ``params``, read by every evaluator built with them."""
+    return _EtaTables()
 
 
 def theta1_prime(x, ev: ThetaEvaluator):

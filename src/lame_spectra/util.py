@@ -1,5 +1,6 @@
 """Small shared helpers: quasi-random sampling, complex and eta parsing, the nearest lattice point."""
 
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ __all__ = [
     "halton",
     "parse_complex",
     "format_complex",
+    "format_complex_pm",
     "parse_eta",
 ]
 
@@ -50,6 +52,27 @@ def format_complex(z: complex) -> str:
         return f"{im!r}i"
     sign = "+" if im >= 0 else "-"
     return f"{re_!r}{sign}{abs(im)!r}i"
+
+
+def _signed_reprs(x: float) -> tuple:
+    """(repr(x), repr(-x)) from one repr: the sign flips, and a NaN is written with none."""
+    text = repr(abs(x))
+    if x != x:
+        return text, text
+    return ("-" + text, text) if math.copysign(1.0, x) < 0 else (text, "-" + text)
+
+
+def format_complex_pm(z: complex) -> tuple:
+    """(format_complex(z), format_complex(-z)) from one repr of |Re z| and one of |Im z|."""
+    re_, im = z.real, z.imag
+    r, neg_r = _signed_reprs(re_)
+    if im == 0:
+        return r, neg_r
+    if re_ == 0:
+        i, neg_i = _signed_reprs(im)
+        return i + "i", neg_i + "i"
+    text = repr(abs(im))
+    return f"{r}{'+' if im >= 0 else '-'}{text}i", f"{neg_r}{'+' if im <= 0 else '-'}{text}i"
 
 
 def parse_eta(text: str):

@@ -22,7 +22,9 @@ from lame_spectra.errors import (
 )
 from lame_spectra.lame import CurvePoint
 from lame_spectra.theta import EllipticParams, ThetaEvaluator
-from lame_spectra.util import format_complex, parse_complex, parse_eta
+from lame_spectra.util import format_complex, format_complex_pm, parse_complex, parse_eta
+
+from _support import empty_caches
 
 
 class TestComplexParsing:
@@ -63,6 +65,13 @@ class TestComplexParsing:
             assert same(got.real, z.real) and same(got.imag, z.imag), (z, format_complex(z))
         got = parse_complex("nan-nani")
         assert math.isnan(got.real) and math.isnan(got.imag)
+
+    def test_pm_strings_are_format_complex_of_pm_z(self):
+        # signed zeros, zero real or imaginary parts, infinities and NaNs of
+        # either sign bit
+        parts = (0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 5e-324, -1e300, math.inf, -math.inf, math.nan, -math.nan)
+        for z in (complex(a, b) for a in parts for b in parts):
+            assert format_complex_pm(z) == (format_complex(z), format_complex(-z)), z
 
     def test_rational_eta(self):
         val, frac = parse_eta("2/41")
@@ -152,6 +161,19 @@ class TestEdgesCommand:
         assert doc["counts_ok"] is True
         assert max(doc["closed_form_deviation"].values()) > 1e-9
 
+    def test_report_strings_with_ties_and_signed_zeros(self, capsys, monkeypatch):
+        # the edge strings and their order are those of format_complex over the
+        # sorted reflected set: equal keys keep their order, 0.0 and -0.0 too
+        per_label = {1: [0j, complex(-0.0, 0.0)], 2: [1.5 + 0j, complex(1.5, -0.0), 1.5 + 0j],
+                     3: [2j, complex(-0.0, -2.0)], 4: [-1.5 + 0.5j, 1.5 - 0.5j, complex(0.0, -0.0)]}
+        edges = curve.BandEdgeSet(ell=3, per_label=per_label)
+        monkeypatch.setattr(cli.curve_mod, "band_edges", lambda ell, ev: edges)
+        main(["edges", "--ell", "3"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["edges_per_label"] == {str(a): [format_complex(e) for e in per_label[a]] for a in per_label}
+        assert doc["full_edge_set"] == [
+            format_complex(e) for e in sorted(edges.with_reflection(), key=lambda z: (z.real, z.imag))]
+
     def test_small_eta_counts_are_right(self, capsys):
         # each label's count is the dimension of its theta space, so this small
         # eta, where common roots of edge polynomials over-counted, exits 0
@@ -161,6 +183,51 @@ class TestEdgesCommand:
         assert doc["counts_ok"] is True
         assert doc["counts"] == doc["expected_counts"]
         assert "multiplicities" not in doc
+
+
+# the (eta, tau) cells of the CI verify runs
+VERIFY_CELLS = [("0.17", "1.2i"), ("0.11+0.05i", "0.3+1.4i"), ("1/31", "1.2i")]
+
+
+class TestSharedTables:
+    """Requests at equal parameters share the eta-only tables and context parts:
+    no output may depend on what ran before it in the process."""
+
+    @pytest.mark.parametrize("eta,tau", VERIFY_CELLS)
+    def test_same_bytes_in_any_request_order(self, capsys, monkeypatch, eta, tau):
+        argvs = [["edges", "--ell", str(ell), "--eta", eta, "--tau", tau] for ell in range(1, 11)]
+        argvs += [["coeffs", "--ell", str(ell), "--eta", eta, "--tau", tau] for ell in range(2, 13)]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        ascending = [run(argv) for argv in argvs]
+        descending = [run(argv) for argv in argvs[::-1]][::-1]
+        cleared = []
+        for argv in argvs:
+            empty_caches(monkeypatch)
+            cleared.append(run(argv))
+        assert descending == ascending
+        assert cleared == ascending
+
+    def test_torsion_eta_exits_2_on_every_request(self, capsys, monkeypatch):
+        # a factorial growth that meets [3] = 0 stores nothing, so each request
+        # that needs it raises again, also after an ell 1 request filled the
+        # tables below [3]
+        argv = ["edges", "--ell", "2", "--eta", "1/3"]
+        empty_caches(monkeypatch)
+        codes = [main(argv), main(argv)]
+        errors = capsys.readouterr().err.splitlines()
+        empty_caches(monkeypatch)
+        assert main(["edges", "--ell", "1", "--eta", "1/3"]) == 0
+        capsys.readouterr()
+        codes.append(main(argv))
+        errors += capsys.readouterr().err.splitlines()
+        assert codes == [2, 2, 2]
+        assert errors == ["error: TorsionEtaError: [3] ~ 0 for eta=(0.3333333333333333+0j): "
+                          "torsion point of order 3"] * 3
 
 
 class TestSpectrumCommand:
@@ -777,10 +844,12 @@ class TestExitCodes:
         assert captured.err == f"error: ValueError: --ell must be >= 1, got {argv[2]}\n"
 
     def test_linalg_error_exits_3(self, capsys, monkeypatch):
-        # LinAlgError subclasses ValueError, the class of invalid parameters
+        # LinAlgError subclasses ValueError, the class of invalid parameters;
+        # the empty point-SVD cache makes the request reach the SVD
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        empty_caches(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", boom)
         assert main(["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"]) == 3
         captured = capsys.readouterr()

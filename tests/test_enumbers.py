@@ -2,6 +2,8 @@
 q-number product as the independent oracle."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from lame_spectra import (
 )
 from lame_spectra.enumbers import theta1_multiples
 from lame_spectra.errors import TorsionEtaError
+
+from _support import empty_caches
 
 
 @pytest.fixture
@@ -111,6 +115,7 @@ class TestTable:
         assert ebracket(-1, ev) == -1
 
     def test_grows_by_replacement(self, monkeypatch):
+        empty_caches(monkeypatch)
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)
         short = theta1_multiples(4, ev)
@@ -130,6 +135,7 @@ class TestTable:
         (lambda ell, ev: efactorial(2 * ell, ev), lambda ell: 2 * ell),
     ], ids=["LameContext", "band_edges", "curve_coeffs", "a_polys_recurrence", "efactorial"])
     def test_one_theta_call_per_entry_point(self, monkeypatch, ell, entry, top):
+        empty_caches(monkeypatch)
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)
         entry(ell, ev)
@@ -168,6 +174,95 @@ class TestTable:
         monkeypatch.setattr(enumbers, "nonzero_bracket", counting)
         band_edges(ell, _fresh(1.2j, 0.17))
         assert len(calls) <= 2 * ell
+
+
+def _bits(values) -> bytes:
+    """The bytes of complex values: signed zeros told apart."""
+    return np.array(values, dtype=complex).tobytes()
+
+
+def _one_shot(n, ev):
+    """theta1(k*eta), [k] and [k]!, k = 0..n, from one theta call and the
+    direct sequential formulas, with no table."""
+    t = theta(1, np.arange(n + 1) * ev.eta, ev).tolist()
+    brackets = [0j, 1 + 0j] + [t[k] / t[1] for k in range(2, n + 1)]
+    factorials = [1 + 0j, 1 + 0j]
+    for k in range(2, n + 1):
+        factorials.append(factorials[-1] * brackets[k])
+    return t, brackets, factorials
+
+
+def _tables(ev):
+    tables = ev._tables
+    return tables.theta1_multiples, tables.brackets, tables.factorials
+
+
+class TestSharedTables:
+    TOP = 24
+
+    def test_equal_parameters_share_one_holder(self, monkeypatch):
+        empty_caches(monkeypatch)
+        a, b = _fresh(1.2j, 0.17), _fresh(1.2j, 0.17 + 0j)
+        assert a._tables is b._tables
+        assert _fresh(1.2j, 0.18)._tables is not a._tables
+        efactorial(6, a)
+        assert len(b._tables.factorials) == 7
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [1 / 31, 3 / 61, 0.17, 0.23 + 0.04j])
+    def test_any_growth_order_gives_the_one_shot_table(self, monkeypatch, tau, eta):
+        # each read on a new evaluator, as a request makes it: one-entry
+        # growths first, then reads of the three tables at random sizes
+        want = _one_shot(self.TOP, _fresh(tau, eta))
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            empty_caches(monkeypatch)
+            for n in [1, 2, 3, 4, 5] + rng.permutation(np.arange(6, self.TOP + 1)).tolist():
+                read = (theta1_multiples, ebracket, efactorial)[rng.integers(3)]
+                read(n, _fresh(tau, eta))
+            ev = _fresh(tau, eta)
+            efactorial(self.TOP, ev)
+            for got, w in zip(_tables(ev), want):
+                assert _bits(got[:self.TOP + 1]) == _bits(w)
+
+    def test_threads_grow_one_table(self, monkeypatch):
+        # four threads grow the one table of (tau, eta) to different sizes, one
+        # entry at a time; every read and the final table are the one-shot values
+        tau, eta = 0.3 + 1.4j, 0.23 + 0.04j
+        want = _one_shot(self.TOP, _fresh(tau, eta))
+        empty_caches(monkeypatch)
+        sizes = (6, 12, 18, self.TOP)
+        start = threading.Barrier(len(sizes))
+        reads = {}
+
+        def grow(size):
+            ev = _fresh(tau, eta)
+            start.wait()
+            for n in range(1, size + 1):
+                efactorial(n, ev)
+            reads[size] = (theta1_multiples(size, ev)[:size + 1], [ebracket(k, ev) for k in range(size + 1)],
+                           [efactorial(k, ev) for k in range(size + 1)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(size,)) for size in sizes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(reads) == list(sizes)
+        for size, got in reads.items():
+            for g, w in zip(got, want):
+                assert _bits(g) == _bits(w[:size + 1])
+        ev = _fresh(tau, eta)
+        for got, w in zip(_tables(ev), want):
+            assert _bits(got) == _bits(w[:len(got)])
+        efactorial(self.TOP, ev)
+        for got, w in zip(_tables(ev), want):
+            assert _bits(got[:self.TOP + 1]) == _bits(w)
 
 
 class TestFactorial:

@@ -3,6 +3,7 @@ and the commuting operator."""
 
 import cmath
 import functools
+import importlib
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import PARAMS_EV, count_E_free_builds
+from _support import PARAMS_EV, count_E_free_builds, empty_caches
 from lame_spectra import lame
 from lame_spectra import (
     CurvePoint,
@@ -31,12 +32,13 @@ from lame_spectra import (
     w_eigenvalue,
     weierstrass_p,
 )
-from lame_spectra import curve
 from lame_spectra.curve import band_edges, edge_curve_points, random_curve_points, solve_curve_point
 from lame_spectra.enumbers import ebinom
 from lame_spectra.errors import ConsistencyError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.util import halton
+
+theta_module = importlib.import_module("lame_spectra.theta")  # the package binds the function
 
 
 # -- reference route: the scalar loops the batched code replaced --------------
@@ -335,23 +337,27 @@ class TestBlochCoeffs:
     def test_same_vector_as_newton_at_an_unstepped_seed(self, ev, monkeypatch, ell):
         # an edge point is on the curve to rounding, so Newton accepts it as
         # its seed without a step: its s is the seed's singular vector, and
-        # solve_bloch_coeffs' s is that vector up to phase and scale
+        # solve_bloch_coeffs reads the same SVD, so its s is that vector
+        # normalised, with no second SVD
         ctx = LameContext(ell=ell, ev=ev)
         pts = edge_curve_points(ctx)[:4]
+        empty_caches(monkeypatch)
         seen = []
-        real = curve._row_scaled_svd
+        real = lame._row_scaled_svd
 
         def record(*args, **kwargs):
             out = real(*args, **kwargs)
             seen.append(out[1])
             return out
 
-        monkeypatch.setattr(curve, "_row_scaled_svd", record)
+        monkeypatch.setattr(lame, "_row_scaled_svd", record)
         for pt in pts:
             seen.clear()
             assert solve_curve_point({"E": pt.E}, pt, ctx) == pt
             (s_newton,) = seen
             s = solve_bloch_coeffs(pt, ctx).s
+            assert len(seen) == 1
+            assert np.array_equal(s, s_newton / s_newton[np.argmax(np.abs(s_newton))])
             assert abs(np.vdot(s_newton, s)) == pytest.approx(np.linalg.norm(s), rel=1e-14)
 
 
@@ -665,6 +671,46 @@ class TestEFreeCache:
         assert mask is lame._eye_mask(5)
         assert not mask.flags.writeable
         assert (mask == np.eye(5, dtype=bool)).all()
+
+
+class TestSharedCaches:
+    def _contexts(self, count):
+        return [LameContext(ell=1, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.1 + 0.001 * k)))
+                for k in range(count)]
+
+    def test_eta_tables_are_bounded(self, monkeypatch):
+        assert theta_module._eta_tables.cache_info().maxsize == theta_module._ETA_TABLES_MAX
+        empty_caches(monkeypatch)
+        self._contexts(theta_module._ETA_TABLES_MAX + 5)
+        info = theta_module._eta_tables.cache_info()
+        assert info.maxsize == info.currsize == theta_module._ETA_TABLES_MAX
+
+    @pytest.mark.parametrize("name", ["_residue_parts", "_w_weights", "_sample_points"])
+    def test_context_parts_are_bounded_and_read_only(self, monkeypatch, name):
+        cache = getattr(lame, name)
+        assert cache.cache_info().maxsize == lame._CONTEXT_PARTS_MAX
+        monkeypatch.setattr(lame, name, functools.lru_cache(lame._CONTEXT_PARTS_MAX)(cache.__wrapped__))
+        read = {"_residue_parts": lambda ctx: ctx._M_parts,
+                "_w_weights": lambda ctx: (ctx._w_coeffs,),
+                "_sample_points": lambda ctx: (lame._sample_points(ctx, lame.W_SAMPLES),)}[name]
+        contexts = self._contexts(lame._CONTEXT_PARTS_MAX + 5)
+        for ctx in contexts:
+            assert not any(a.flags.writeable for a in read(ctx))
+        info = getattr(lame, name).cache_info()
+        assert info.maxsize == info.currsize == lame._CONTEXT_PARTS_MAX
+        # a context built again at equal parameters reads the cached parts
+        again = LameContext(ell=1, ev=ThetaEvaluator(contexts[-1].ev.params))
+        assert all(a is b for a, b in zip(read(again), read(contexts[-1])))
+
+    def test_point_svd_is_bounded_and_read_only(self, monkeypatch):
+        assert lame._point_svd.cache_info().maxsize == lame._POINT_SVD_MAX
+        empty_caches(monkeypatch)
+        ctx = LameContext(ell=2, ev=PARAMS_EV)
+        for k in range(lame._POINT_SVD_MAX + 5):
+            sv, s = lame._point_svd(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
+            assert not sv.flags.writeable and not s.flags.writeable
+        info = lame._point_svd.cache_info()
+        assert info.maxsize == info.currsize == lame._POINT_SVD_MAX
 
 
 class TestWRatioMedians:
