@@ -35,6 +35,11 @@ Each spectrum keeps the solver's order: by (Re, Im), with real parts that
 tie to rounding (as a conjugate pair's do) counted equal, so a complex double
 is never interleaved with its conjugate.  Edge clusters are runs along a
 spectrum and bands are merged column spans, each read in one array pass.
+Around its solve the general route makes a fixed, small number of array
+passes: the gauge test reads a_n c_{n+1} from one concatenation (no
+``np.roll``) and ``periodic_matrix`` writes the two off-diagonals through
+strided slices of the flat matrix.  At Q 31-41 the ``eigvals`` call is most
+of the route's time.
 
 This module is the independent numerical oracle against which the closed
 curve formulas are checked; it never imports from ``curve``.
@@ -70,6 +75,10 @@ NONREAL_TOL = 1e-4
 # Re(a_n c_{n+1}) > 0, and prod a_n/b_n within GAUGE_SIGN_TOL of +1 or -1
 GAUGE_IMAG_TOL = 1e-12
 GAUGE_SIGN_TOL = 1e-8
+# real parts within 64 ulps of max|E| are one tie group on the eigvals route
+_TIE_ULPS = 64 * np.finfo(float).eps
+# run ids along the two rows of the edge spectra: each row starts a run
+_ROW_STARTS = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -104,9 +113,10 @@ def periodic_matrix(a_vals: np.ndarray, c_vals: np.ndarray, phase: complex) -> n
     """
     Q = len(a_vals)
     M = np.zeros((Q, Q), dtype=complex)
-    n = np.arange(Q - 1)
-    M[n, n + 1] = a_vals[:-1]
-    M[n + 1, n] = c_vals[1:]
+    # the super- and subdiagonal as strided slices of the flat matrix
+    flat = M.reshape(-1)
+    flat[1::Q + 1] = a_vals[:-1]
+    flat[Q::Q + 1] = c_vals[1:]
     # += so that at Q = 1 and 2 a corner adds to the entry it shares
     M[Q - 1, 0] += a_vals[Q - 1] * phase
     M[0, Q - 1] += c_vals[0] * (1.0 / phase)
@@ -119,8 +129,8 @@ def _symmetric_gauge(a_vals: np.ndarray, c_vals: np.ndarray):
     b_n = sqrt(a_n c_{n+1}) > 0 and sigma = prod a_n/b_n = +-1; the matrix at
     phase phi is then similar to ``periodic_matrix(b, roll(b, 1), sigma*phi)``.
     """
-    ac = a_vals * np.roll(c_vals, -1)
-    if not (np.all(np.abs(ac.imag) <= GAUGE_IMAG_TOL * np.abs(ac)) and np.all(ac.real > 0)):
+    ac = a_vals * np.concatenate((c_vals[1:], c_vals[:1]))
+    if not ((ac.real > 0).all() and (np.abs(ac.imag) <= GAUGE_IMAG_TOL * np.abs(ac)).all()):
         return None
     b = np.sqrt(ac.real)
     prod = complex(np.prod(a_vals / b))
@@ -148,11 +158,12 @@ def _spectrum_solver(a_vals: np.ndarray, c_vals: np.ndarray):
             # rounding (up to 28 ulps of max|E| on random 7 x 7 periodic
             # matrices): real parts within 64 ulps form one group, ordered
             # by Im, so that equal spectra sort alike
-            tol = 64 * np.finfo(float).eps * np.abs(eigs).max(initial=0.0)
-            group = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > tol)))
+            tol = _TIE_ULPS * np.abs(eigs).max(initial=0.0)
+            re = eigs.real
+            group = np.concatenate(([0], np.cumsum(re[1:] - re[:-1] > tol)))
             return eigs[np.lexsort((eigs.imag, group))]
         b, sigma = gauge
-        M = periodic_matrix(b, np.roll(b, 1), sigma * phase)
+        M = periodic_matrix(b, np.concatenate((b[-1:], b[:-1])), sigma * phase)
         # eigvalsh returns the real eigenvalues in ascending order
         return np.linalg.eigvalsh(M if M.imag.any() else M.real).astype(complex)
 
@@ -221,10 +232,10 @@ def numeric_band_edges_from_coefficients(a_vals, c_vals) -> EdgeCandidates:
     # odd Q: diag((-1)^n) maps the matrix at phase phi to minus it at -phi;
     # negation reverses the solver's order
     spectra = np.array([plus, -plus[::-1] if len(plus) % 2 else solve(-1.0)])
-    d = np.diff(spectra, axis=1)
+    d = spectra[:, 1:] - spectra[:, :-1]
     # hypot, as abs of a scalar: np.abs of a complex array rounds differently
     split = np.hypot(d.real, d.imag) > CLUSTER_TOL * np.abs(spectra).max(axis=1, keepdims=True)
-    run = np.cumsum(np.concatenate((np.ones((2, 1), bool), split), axis=1)) - 1
+    run = np.cumsum(np.concatenate((_ROW_STARTS, split), axis=1))
     size = np.bincount(run)
     values = (np.bincount(run, spectra.real.ravel())
               + 1j * np.bincount(run, spectra.imag.ravel())) / size

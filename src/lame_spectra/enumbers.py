@@ -9,7 +9,7 @@ evaluator built with equal parameters reads the one holder of
 ``theta._eta_tables``.  Each is a tuple indexed by k that grows only when a
 read needs a larger k, by replacing the stored tuple:
 
-    theta1(k*eta)  one batched theta call over the missing k;
+    theta1(k*eta)  one batched theta call per fixed chunk of THETA_CHUNK k;
     [k]            the Python division theta1(k*eta)/theta1(eta);
     [k]!           the left-to-right Python product [1][2]...[k].
 
@@ -17,10 +17,12 @@ So ``ebracket`` and ``efactorial`` are lookups, ``ebinom`` is three lookups
 and one division, and a request at parameters met before computes none of
 them again.  [k] and [k]! are bit for bit their direct sequential
 computation from the theta1 table.  A theta1 value can depend in its last
-bits on the batch it grew in, whose largest |Im k*eta| sets the theta call's
-cutoff; on real eta, and on the |Im eta| <= 0.06 of the verify cells and the
-benchmark, any order of growth gives the one-shot table bit for bit (tests
-pin this).  Callers that know their range ask for it first.
+bits on the call it is summed in, whose largest |Im k*eta| sets the
+cutoff; the chunks are fixed ranges of k, so every entry comes from the same
+call whatever the order of the reads, and the tables do not depend on the
+requests served before.  On real eta, and on the |Im eta| <= 0.06 of the
+verify cells and the benchmark, the chunked table is the one-shot table bit
+for bit (tests pin this).
 
 Every division by a bracket is guarded, since a vanishing bracket means eta
 is a torsion point and all the curve formulas downstream become singular.
@@ -36,17 +38,24 @@ from .theta import ThetaEvaluator, theta
 
 __all__ = ["theta1_multiples", "ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
 
+# entries per growth of the theta1(k*eta) table: k = 0..23 covers the 2l + 2
+# that a curve context reads, for every l <= 10, in one theta call
+THETA_CHUNK = 24
+
 
 def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
     """theta1(k*eta) for k = 0..n (the table may hold more entries).
 
-    The table only grows, and by replacement: a stored tuple is never
-    changed, so a reader always sees a consistent table.
+    The table grows by whole chunks of THETA_CHUNK entries, k = c*THETA_CHUNK
+    up to (c + 1)*THETA_CHUNK - 1, one theta call per chunk, so each entry
+    comes from the same call whatever was read before.  It only grows, and by
+    replacement: a stored tuple is never changed, so a reader always sees a
+    consistent table.
     """
     tables = ev._tables
     table = tables.theta1_multiples
-    if len(table) <= n:
-        k = np.arange(len(table), n + 1)
+    while len(table) <= n:
+        k = np.arange(len(table), len(table) + THETA_CHUNK)
         table = tables.theta1_multiples = table + tuple(theta(1, k * ev.eta, ev).tolist())
     return table
 

@@ -24,7 +24,10 @@ per shift.  The shift factor depends only on (a, cutoff, tau, shifts, d), so
 it is built once per such key and kept in a module-level least-recently-used
 cache of _SHIFT_TABLES_MAX (256) read-only matrices (``_shift_table``): a
 Volterra flow, whose shifts are always the same multiples of eta, builds one
-per cutoff it meets (one on every flow of the benchmark).  ``_series``, one
+per cutoff it meets (one on every flow of the benchmark), and
+``volterra.c_from_poles``, which passes its evaluation points as the shifts,
+one per point set and cutoff (a Bloch orbit sampled for every pole set of a
+drift check builds one; a new pole set adds none).  ``_series``, one
 exp per point and term, is left for points the split cannot hold and for
 theta1'(0), which is summed once per (tau, cutoff) and kept in a
 least-recently-used cache of _PRIME0_MAX (256) values (``_theta1_prime0``).
@@ -34,18 +37,20 @@ An evaluator's parameters are fixed at construction.  The eta-only tables of
 [k]!) belong to the parameters, not to one evaluator: every evaluator built
 with equal ``EllipticParams`` reads one holder of the three tables, kept in a
 least-recently-used cache of _ETA_TABLES_MAX (64) holders (``_eta_tables``).
-A table only grows, by replacing the stored tuple, never by changing one, so
-evaluators are safe to share across threads.  So are the package's module
+A table only grows, by replacing the stored tuple, never by changing one
+(theta1(k*eta) by fixed chunks of k, so an entry does not depend on the
+reads before it), so evaluators are safe to share across threads.  So are the package's module
 caches: ``theta._shift_table`` and ``theta._theta1_prime0`` here (256 entries
 each), ``theta._eta_tables`` (64), ``curve._edge_table`` (64),
 ``lame._E_free_M`` (the E-free residue matrix per (zeta, K, context), 32),
 ``lame._point_svd`` (the row-scaled SVD with vectors per (point, context),
 32), ``lame._residue_parts``, ``lame._w_weights`` and ``lame._sample_points``
 (the eta-only parts of a context, 64 each), ``lame._eye_mask`` (32),
-``lame._halton_window`` (one table), ``volterra._pair_index`` (one per pole
-count) and ``cli.build_parser`` (one).  ``functools`` keeps their structure
-coherent under concurrent calls, two threads that miss on one key at once
-each build the same values, and no caller can write a cached array.
+``lame._halton_window`` (one table), ``volterra._pair_index`` (the pair
+and gather indices, one entry per pole count) and ``cli.build_parser``
+(one).  ``functools`` keeps their structure coherent under concurrent calls,
+two threads that miss on one key at once each build the same values, and no
+caller can write a cached array.
 """
 
 import cmath

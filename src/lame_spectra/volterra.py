@@ -81,8 +81,9 @@ FLOW_TOL = 1e-12
 
 # the Dormand-Prince 5(4) pair: stage rows (the last one is the fifth-order
 # weights, FSAL), the error weights b5 - b4 and the dense-output weights of
-# Hairer, Norsett and Wanner's DOPRI5 (the zeros are k2's)
-_DP_A = tuple(np.array(row) for row in (
+# Hairer, Norsett and Wanner's DOPRI5 (the zeros are k2's); complex, as the
+# stages they multiply are (a float operand would be cast on every product)
+_DP_A = tuple(np.array(row, dtype=complex) for row in (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -90,22 +91,29 @@ _DP_A = tuple(np.array(row) for row in (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ))
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40], dtype=complex
+)
 _DP_D = np.array([
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-])
+], dtype=complex)
 
 
 @dataclass(frozen=True)
 class PoleConfig:
-    """M = l(l+1)/2 pole positions at a flow time."""
+    """M = l(l+1)/2 pole positions at a flow time.
+
+    ``xs`` is stored as a tuple of Python complex numbers, whatever sequence
+    it is given as; built from a row of ``ndarray.tolist()``, whose entries
+    already are, the conversion costs one ``complex`` call per pole.
+    """
 
     xs: tuple
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(complex(x) for x in self.xs))
+        object.__setattr__(self, "xs", tuple(map(complex, self.xs)))
 
     @property
     def M(self) -> int:
@@ -140,13 +148,27 @@ def degenerate_poles(ell: int, ev: ThetaEvaluator) -> PoleConfig:
 # are (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
 _SHIFTS = np.array([2.0, -2.0, -1.0, 1.0, 0.0])
 
+# the shifts of c_from_poles' factors, in units of eta: rho(x), rho(x - eta),
+# rho(x + eta) and rho(x - 2 eta)
+_C_SHIFTS = np.array([0.0, -1.0, 1.0, -2.0])
+
 
 @functools.lru_cache(maxsize=None)
 def _pair_index(M: int):
-    """The pairs j < k of M poles, as two read-only index arrays."""
+    """The pairs j < k of M poles as two index arrays, and two gathers that
+    lay the flattened (pairs, 2) table of r1 and r2 out as the off-diagonal
+    entries of R (see ``_pair_thetas``): (M, M-1), row j in column order, and
+    (M-1, M), column k in row order.  All four are read-only."""
     j, k = np.triu_indices(M, 1)
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
+    pair = np.zeros((M, M), dtype=np.intp)
+    pair[j, k] = 2 * np.arange(len(j))
+    pair[k, j] = 2 * np.arange(len(j)) + 1
+    off = ~np.eye(M, dtype=bool)
+    rows = pair[off].reshape(M, max(M - 1, 0))
+    cols = pair.T[off].reshape(M, max(M - 1, 0)).T.copy()
+    for a in (j, k, rows, cols):
+        a.flags.writeable = False
+    return j, k, rows, cols
 
 
 def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
@@ -160,31 +182,37 @@ def _pair_thetas(xs: np.ndarray, ev: ThetaEvaluator):
 
     and r2 is r1 with eta -> -eta, returns the products of the rows of R (the
     first system's factors of each pole) and of its columns (the second's):
-    theta1 is odd, so r1(-D) = r2(D).  Also returns the margin of
-    ``check_margins``, raising as it does.  The table over j < k covers j > k
-    too: |theta1(-D + s eta)| = |theta1(D - s eta)| and the shifts are
-    symmetric.
+    theta1 is odd, so r1(-D) = r2(D).  The off-diagonal entries are gathered
+    from the pair table, the factors of a row along the last axis and those
+    of a column along the one before it, as they lie in R: each product is
+    bit for bit R's (the factor 1 changes no bit, and numpy reduces along
+    and across the last axis by different loops; the tests keep R as the
+    oracle).  Also returns the margin of ``check_margins``, raising as it
+    does.  The table over j < k covers j > k too: |theta1(-D + s eta)| =
+    |theta1(D - s eta)| and the shifts are symmetric.
 
     ``xs`` of shape (..., M) is a batch of pole sets, still read by one theta
     call: the products have shape (..., M), the margins shape (...), and the
     guard raises if any set violates it.  A 1-D ``xs`` returns a float margin.
     """
-    M = xs.shape[-1]
-    j, k = _pair_index(M)
-    T = theta(1, xs[..., j] - xs[..., k], ev, shifts=_SHIFTS * ev.eta)
+    j, k, rows, cols = _pair_index(xs.shape[-1])
+    T = theta(1, xs.take(j, axis=-1) - xs.take(k, axis=-1), ev, shifts=_SHIFTS * ev.eta)
     # no pair (M < 2): nothing near the singular set, margin inf
     worst = np.abs(T).min(axis=(-2, -1), initial=np.inf) / abs(ev.theta1_prime0)
-    if (worst < MARGIN_TOL).any():
+    if xs.ndim == 1:
+        worst = least = float(worst)
+    else:
+        least = worst.min(initial=np.inf)
+    if least < MARGIN_TOL:
         raise MarginViolationError(
             f"pole differences within {MARGIN_TOL:g} of the singular set "
-            f"(min |theta1| = {worst.min():.3e}); boundary of the locus"
+            f"(min |theta1| = {least:.3e}); boundary of the locus"
         )
     r = (T[..., 0:2] * T[..., 2:4]) / (T[..., 3:1:-1] * T[..., 4:])
-    R = np.ones(xs.shape + (M,), dtype=complex)
-    R[..., j, k] = r[..., 0]
-    R[..., k, j] = r[..., 1]
-    worst = float(worst) if xs.ndim == 1 else worst
-    return R.prod(axis=-1), R.prod(axis=-2), worst
+    r = r.reshape(r.shape[:-2] + (2 * len(j),))
+    # take, not r[..., rows]: its result is C-ordered as R is, so numpy
+    # reduces it by the same loops
+    return r.take(rows, axis=-1).prod(axis=-1), r.take(cols, axis=-1).prod(axis=-2), worst
 
 
 def _flow_state(xs: np.ndarray, ev: ThetaEvaluator):
@@ -201,28 +229,35 @@ def c_from_poles(cfg: PoleConfig, x, ev: ThetaEvaluator):
     """rho(x+eta) rho(x-2eta) / (rho(x) rho(x-eta)); elliptic in x.
 
     ``x`` is a complex scalar (``complex`` out) or an ndarray (array of the
-    same shape out), evaluated with one theta call.
+    same shape out), evaluated with one theta call.  The factors
+    theta1(x - x_j + s), s in {0, -eta, eta, -2eta}, are read separably: the
+    call's points are the 4M offsets s - x_j and its shifts are the x, so each
+    series term exp(2i*pi*(x - x_j + s)*m) is the product of a point factor
+    over the offsets and theta's shift factor over the x.  A call makes 4M
+    exponentials per term, not one per (x, pole) pair; the shift factors are
+    theta's cached table of the x, so a Bloch orbit sampled again for another
+    pole set finds its table built.  A call at a new x adds one such table.
     """
     eta = ev.eta
     xs = np.array(cfg.xs, dtype=complex)
     xa = np.asarray(x, dtype=complex)
-    # axis -2: poles; axis -1: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta)
-    f = theta(1, xa[..., None] - xs, ev, shifts=[0, -eta, eta, -2 * eta])
-    near = np.abs(f[..., :2]) < ev.zero_threshold
+    # axis 0: rho(x), rho(x - eta), rho(x + eta), rho(x - 2 eta); axis 1: poles
+    f = theta(1, (_C_SHIFTS * eta)[:, None] - xs, ev, shifts=xa)
+    near = np.abs(f[:2]) < ev.zero_threshold
     if near.any():
-        *at, j, _ = np.argwhere(near)[0]
+        *at, j, _ = np.argwhere(np.moveaxis(near, (0, 1), (-1, -2)))[0]
         raise PoleProximityError(
             f"x={complex(xa[tuple(at)])} within tol of the pole lattice of x_j={xs[j]}"
         )
-    rho = np.prod(f, axis=-2)
-    c = rho[..., 2] * rho[..., 3] / (rho[..., 0] * rho[..., 1])
+    rho = f.prod(axis=1)
+    c = rho[2] * rho[3] / (rho[0] * rho[1])
     return complex(c) if xa.ndim == 0 else c
 
 
 def volterra_rhs_c(cfg: PoleConfig, x: complex, ev: ThetaEvaluator) -> complex:
     """-c(x) (c(x+eta) - c(x-eta)), the flow derivative of the coefficient."""
-    c0 = c_from_poles(cfg, x, ev)
-    return -c0 * (c_from_poles(cfg, x + ev.eta, ev) - c_from_poles(cfg, x - ev.eta, ev))
+    c0, cp, cm = c_from_poles(cfg, np.array([x, x + ev.eta, x - ev.eta], dtype=complex), ev)
+    return complex(-c0 * (cp - cm))
 
 
 def check_margins(cfg: PoleConfig, ev: ThetaEvaluator) -> float:
@@ -270,8 +305,11 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     shortened so that equal steps end on t_end; the first step tries the
     whole span.  The trajectory holds one PoleConfig per grid time
     t = cfg0.t + t_end*i/n, n = round(|t_end/dt|) (at least 1 unless t_end
-    is 0).  Every grid time after the start, a step's own end included, is
-    read from its step's fourth-order dense output, one batch per step.
+    is 0), ``cfg0`` itself first.  Every grid time after the start, a step's
+    own end included, is read from its step's fourth-order dense output, one
+    batch per step; the pole sets, gaps and margins of the batches are kept
+    as arrays and turned into PoleConfigs (from ``tolist`` rows) once, at
+    the end.
 
     ``t_end``, ``dt`` and their ratio must be finite and ``dt`` nonzero
     (ValueError).
@@ -304,20 +342,21 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
 
     def checked_gaps(v1, v2, ts):
         gaps = np.abs(v1 - v2).max(axis=-1, initial=0.0)
-        bound = GAP_FACTOR * LOCUS_TOL * np.maximum(1.0, np.abs(v1).max(axis=-1, initial=0.0))
-        bad = np.flatnonzero(gaps > bound) if cfg0.M > 1 else ()
-        if len(bad):
-            gap = float(gaps.flat[bad[0]])
-            t = float(np.ravel(ts)[bad[0]])
+        # max(1, max|v1|): the initial value takes part in the max
+        bad = gaps > GAP_FACTOR * LOCUS_TOL * np.abs(v1).max(axis=-1, initial=1.0)
+        if cfg0.M > 1 and bad.any():
+            first = int(np.argmax(bad))
+            gap = float(gaps.flat[first])
+            t = float(np.ravel(ts)[first])
             raise LocusError(f"locus consistency degraded to {gap:.3e} at t={t:.6g}", gap=gap)
         return gaps
 
     n_out = max(1, round(span)) if t_end != 0 else 0
     # grid times relative to cfg0.t; linspace ends exactly on t_end
-    grid = np.linspace(0.0, t_end, n_out + 1).tolist()
-    traj = [PoleConfig(xs=tuple(xs), t=cfg0.t)]
-    gaps = [gap0]
-    margins = [margin]
+    grid = np.linspace(0.0, t_end, n_out + 1)
+    grid_t = grid.tolist()
+    # the grid points after the start, one (points, M) batch per step
+    batches, gaps, margins = [], [np.array([gap0])], [np.array([margin])]
     K = np.empty((7, cfg0.M), dtype=complex)
     K[0] = v1
     s, h, i = 0.0, t_end, 1
@@ -346,26 +385,29 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
         s_new = t_end if h == left else s + h
         checked_gaps(K[6], w2, cfg0.t + s_new)
         j = i
-        while j <= n_out and (grid[j] - s_new) * t_end <= 0:
+        while j <= n_out and (grid_t[j] - s_new) * t_end <= 0:
             j += 1
         if j > i:
             # the step's grid points from its dense output, checked in one batch
-            th = ((np.array(grid[i:j]) - s) / h)[:, None]
+            th = ((grid[i:j] - s) / h)[:, None]
+            u = 1 - th
             d = y - xs
             bspl = h * K[0] - d
             r5 = h * (_DP_D @ K)
-            y_grid = xs + th * (d + (1 - th) * (bspl + th * (d - h * K[6] - bspl + (1 - th) * r5)))
+            y_grid = xs + th * (d + u * (bspl + th * (d - h * K[6] - bspl + u * r5)))
             m1, m2, m_margin = _flow_state(y_grid, ev)
-            m_gaps = checked_gaps(m1, m2, [cfg0.t + g for g in grid[i:j]])
-            for row, t_i, g, mg in zip(y_grid, grid[i:j], m_gaps, m_margin):
-                traj.append(PoleConfig(xs=tuple(row), t=cfg0.t + t_i))
-                gaps.append(float(g))
-                margins.append(float(mg))
+            gaps.append(checked_gaps(m1, m2, cfg0.t + grid[i:j]))
+            batches.append(y_grid)
+            margins.append(m_margin)
             i = j
         xs, s = y, s_new
         K[0] = K[6]
         h *= min(5.0, 0.9 * err**-0.2) if err > 0 else 5.0
-    return FlowResult(trajectory=traj, locus_gaps=np.array(gaps), margins=np.array(margins))
+    traj = [cfg0]
+    if batches:
+        times = (cfg0.t + grid[1:]).tolist()
+        traj += [PoleConfig(xs=row, t=t) for row, t in zip(np.concatenate(batches).tolist(), times)]
+    return FlowResult(trajectory=traj, locus_gaps=np.concatenate(gaps), margins=np.concatenate(margins))
 
 
 def find_locus_config(ell: int, ev: ThetaEvaluator, rng):

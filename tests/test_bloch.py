@@ -352,6 +352,93 @@ class TestSymmetricGauge:
                               _reference_spectra(a, c))
 
 
+def _reference_edge_candidates(a_vals, c_vals):
+    """The general (eigvals) route of ``numeric_band_edges_from_coefficients``
+    as it was written before its array passes were cut: fancy-indexed
+    matrix, a tie grouping and lexsort on every spectrum, and run ids from a
+    ones column.  Returns (values, confident, spectra)."""
+    Q = len(a_vals)
+
+    def solve(phase):
+        M = np.zeros((Q, Q), dtype=complex)
+        n = np.arange(Q - 1)
+        M[n, n + 1] = a_vals[:-1]
+        M[n + 1, n] = c_vals[1:]
+        M[Q - 1, 0] += a_vals[Q - 1] * phase
+        M[0, Q - 1] += c_vals[0] * (1.0 / phase)
+        eigs = np.sort_complex(np.linalg.eigvals(M))
+        tol = 64 * np.finfo(float).eps * np.abs(eigs).max(initial=0.0)
+        group = np.concatenate(([0], np.cumsum(np.diff(eigs.real) > tol)))
+        return eigs[np.lexsort((eigs.imag, group))]
+
+    plus = solve(1.0)
+    spectra = np.array([plus, -plus[::-1] if Q % 2 else solve(-1.0)])
+    d = np.diff(spectra, axis=1)
+    split = np.hypot(d.real, d.imag) > bloch.CLUSTER_TOL * np.abs(spectra).max(axis=1, keepdims=True)
+    run = np.cumsum(np.concatenate((np.ones((2, 1), bool), split), axis=1)) - 1
+    size = np.bincount(run)
+    values = (np.bincount(run, spectra.real.ravel()) + 1j * np.bincount(run, spectra.imag.ravel())) / size
+    keep = size != 2
+    values, confident = values[keep], size[keep] == 1
+    order = np.lexsort((values.imag, values.real))
+    return values[order], confident[order], spectra
+
+
+class TestGeneralRouteMatchesReference:
+    """The general route's candidates equal the reference's exactly: the same
+    spectra in the same order, the same clusters, centers and flags."""
+
+    @staticmethod
+    def _assert_same(a, c):
+        assert bloch._symmetric_gauge(a, c) is None
+        got = numeric_band_edges_from_coefficients(a, c)
+        values, confident, spectra = _reference_edge_candidates(a, c)
+        assert np.array_equal(got.spectra, spectra)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.confident, confident)
+        return got
+
+    @pytest.mark.parametrize("Q", [1, 2, 5, 6, 30, 31, 41])
+    def test_random_complex_hops(self, Q):
+        rng = np.random.default_rng(Q)
+        for _ in range(5):
+            a = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+            c = rng.standard_normal(Q) + 1j * rng.standard_normal(Q)
+            self._assert_same(a, c)
+
+    @pytest.mark.parametrize("Q", [7, 30, 31, 41])
+    def test_conjugate_pairs_whose_real_parts_tie(self, Q):
+        # real hops with some c_n < 0: a real matrix, whose complex
+        # eigenvalues come in pairs with real parts equal only to rounding
+        rng = np.random.default_rng(100 + Q)
+        ties = 0
+        for _ in range(5):
+            a = rng.uniform(0.5, 1.5, Q).astype(complex)
+            c = (rng.uniform(0.5, 1.5, Q) * np.where(rng.random(Q) < 0.5, -1, 1)).astype(complex)
+            got = self._assert_same(a, c)
+            row = got.spectra[0]
+            ties += int((np.abs(np.diff(row.real)) <= 1e-12 * np.abs(row).max()).sum())
+        assert ties > 0
+
+    @pytest.mark.parametrize("Q", [4, 5, 6, 31])
+    def test_closed_gaps_and_larger_clusters(self, Q):
+        # decoupled dimers: every eigenvalue is a double or a triple at one
+        # phase or the other
+        a, c = _dimers(Q)
+        self._assert_same(a, c)
+        rng = np.random.default_rng(Q)
+        self._assert_same(a * (1 + 1e-3j), c * rng.uniform(0.9, 1.1, Q))
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_flow_samples_with_closed_gaps(self, ev31, re31, ell):
+        cfg = find_locus_config(ell, ev31, np.random.default_rng(0))
+        c = coefficient_samples(lambda x: c_from_poles(cfg, x, ev31), re31, X0)
+        got = self._assert_same(np.ones(re31.Q, dtype=complex), c)
+        # the samples of a finite-gap coefficient close most gaps: doubles
+        # are dropped, so fewer candidates than eigenvalues remain
+        assert len(got.values) < 2 * re31.Q
+
+
 class TestConjugatePairOrder:
     """On the general (``eigvals``) route the two members of a complex-conjugate
     pair have real parts equal only to rounding; they sort by Im whichever

@@ -212,6 +212,19 @@ class TestSharedTables:
         assert descending == ascending
         assert cleared == ascending
 
+    def test_large_imaginary_eta_prints_the_same_bytes_after_smaller_ell(self, capsys, monkeypatch):
+        # the theta1(k eta) table grows in fixed chunks of k: at |Im eta| =
+        # 0.6, where a theta call's cutoff follows its largest |Im k eta|,
+        # ell 6 prints the same bytes cold and after ell 1..5
+        grid = ["--eta", "0.17+0.6i", "--tau", "1.2i"]
+        empty_caches(monkeypatch)
+        cold = run_cli(capsys, "coeffs", "--ell", "6", *grid)
+        empty_caches(monkeypatch)
+        for ell in range(1, 6):
+            run_cli(capsys, "coeffs", "--ell", str(ell), *grid)
+        assert cold[0] == 0
+        assert run_cli(capsys, "coeffs", "--ell", "6", *grid) == cold
+
     def test_torsion_eta_exits_2_on_every_request(self, capsys, monkeypatch):
         # a factorial growth that meets [3] = 0 stores nothing, so each request
         # that needs it raises again, also after an ell 1 request filled the

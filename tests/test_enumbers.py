@@ -118,12 +118,17 @@ class TestTable:
         empty_caches(monkeypatch)
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)
+        chunk = enumbers.THETA_CHUNK
         short = theta1_multiples(4, ev)
-        assert len(short) == 5
+        assert len(short) == chunk
         assert theta1_multiples(3, ev) is short
-        longer = theta1_multiples(9, ev)
-        assert len(short) == 5 and longer[:5] == short
-        assert len(calls) == 2 and len(calls[1]) == 5  # the missing k = 5..9 only
+        assert theta1_multiples(chunk - 1, ev) is short
+        longer = theta1_multiples(chunk + 4, ev)
+        assert len(short) == chunk and longer[:chunk] == short and len(longer) == 2 * chunk
+        # one call per chunk, each over its fixed range of k
+        assert len(calls) == 2
+        for c, x in enumerate(calls):
+            np.testing.assert_array_equal(x, np.arange(c * chunk, (c + 1) * chunk) * ev.eta)
 
     @pytest.mark.parametrize("ell", [1, 10])
     @pytest.mark.parametrize("entry,top", [
@@ -259,7 +264,8 @@ class TestSharedTables:
                 assert _bits(g) == _bits(w[:size + 1])
         ev = _fresh(tau, eta)
         for got, w in zip(_tables(ev), want):
-            assert _bits(got) == _bits(w[:len(got)])
+            n = min(len(got), self.TOP + 1)  # the theta1 table holds whole chunks
+            assert _bits(got[:n]) == _bits(w[:n])
         efactorial(self.TOP, ev)
         for got, w in zip(_tables(ev), want):
             assert _bits(got[:self.TOP + 1]) == _bits(w)

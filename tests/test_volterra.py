@@ -107,24 +107,35 @@ def _reference_c_from_poles(cfg, x, ev):
 
 def _reference_pair_thetas(xs, ev):
     """The pair table as the formula: R scattered into a ones matrix, and
-    theta1(2 eta) from the evaluator's theta1(k eta) table."""
-    M = len(xs)
+    theta1(2 eta) from the evaluator's theta1(k eta) table.  ``xs`` of shape
+    (..., M) gives R of shape (..., M, M) and margins of shape (...), a
+    float for a 1-D ``xs``."""
+    M = xs.shape[-1]
     j, k = np.triu_indices(M, 1)
-    T = theta(1, xs[j] - xs[k], ev, shifts=volterra._SHIFTS * ev.eta)
-    worst = float(np.abs(T).min()) / abs(ev.theta1_prime0) if M > 1 else float("inf")
-    if worst < MARGIN_TOL:
-        raise MarginViolationError(f"reference margin {worst:.3e}")
-    r = (T[:, 0:2] * T[:, 2:4]) / (T[:, 3:1:-1] * T[:, 4:])
-    R = np.ones((M, M), dtype=complex)
-    R[j, k] = r[:, 0]
-    R[k, j] = r[:, 1]
-    return R, theta1_multiples(2, ev)[2], worst
+    T = theta(1, xs[..., j] - xs[..., k], ev, shifts=volterra._SHIFTS * ev.eta)
+    worst = np.abs(T).min(axis=(-2, -1), initial=np.inf) / abs(ev.theta1_prime0)
+    if (worst < MARGIN_TOL).any():
+        raise MarginViolationError(f"reference margin {worst.min():.3e}")
+    r = (T[..., 0:2] * T[..., 2:4]) / (T[..., 3:1:-1] * T[..., 4:])
+    R = np.ones(xs.shape + (M,), dtype=complex)
+    R[..., j, k] = r[..., 0]
+    R[..., k, j] = r[..., 1]
+    return R, theta1_multiples(2, ev)[2], float(worst) if xs.ndim == 1 else worst
 
 
 def _reference_flow_state(xs, ev):
     R, theta1_2eta, margin = _reference_pair_thetas(xs, ev)
     scale = theta1_2eta / ev.theta1_prime0
-    return scale * R.prod(axis=1), scale * R.prod(axis=0), margin
+    return scale * R.prod(axis=-1), scale * R.prod(axis=-2), margin
+
+
+def _reference_c_table(cfg, x, ev):
+    """c on an array x from the per-pair table theta1(x - x_j + s): one exp
+    row per (x, pole) pair, the route the separable table replaced."""
+    eta = ev.eta
+    f = theta(1, x[..., None] - np.array(cfg.xs, dtype=complex), ev, shifts=[0, -eta, eta, -2 * eta])
+    rho = np.prod(f, axis=-2)
+    return rho[..., 2] * rho[..., 3] / (rho[..., 0] * rho[..., 1])
 
 
 def _random_poles(M, ev, seed):
@@ -186,6 +197,22 @@ class TestBatchedRouteMatchesReference:
         want = np.vectorize(lambda y: _reference_c_from_poles(cfg, y, ev_g))(x)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert type(c_from_poles(cfg, complex(x[1, 2]), ev_g)) is complex
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("M", [3, 6])
+    @pytest.mark.parametrize("P,Q", [(1, 31), (2, 31), (3, 41)])
+    def test_separable_table_matches_the_per_pair_table(self, tau, M, P, Q):
+        # the Bloch orbit samples of the drift check: the offsets s - x_j as
+        # points and the orbit as shifts, against one exp row per (x, pole).
+        # Relative to max|c| over the orbit: near a zero of c both routes
+        # carry the rounding of theta1's scale, not of the small value
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=P / Q, tol=1e-12))
+        for seed in range(3):
+            cfg = _random_poles(M, ev_g, seed=seed)
+            for x0 in (0.123456, 0.123456 + 0.6j):
+                x = x0 + np.arange(Q) * (P / Q)
+                got, want = c_from_poles(cfg, x, ev_g), _reference_c_table(cfg, x, ev_g)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_array_pole_proximity_names_the_x(self, ev):
         cfg = PoleConfig(xs=(0.1 + 0.05j, -0.3 + 0.2j))
@@ -550,6 +577,33 @@ class TestFlowMatchesReference:
             assert g.shape == w.shape == (M,)
             assert (g == w).all()
         assert got[2] == want[2]
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [1 / 31, 0.17, 0.11 + 0.05j])
+    @pytest.mark.parametrize("batch", [(), (4,), (2, 3), (20,)], ids=["1d", "4", "2x3", "20"])
+    def test_pair_products_are_R_bit_for_bit(self, tau, eta, batch):
+        # the products gathered from the pair table against the rows and
+        # columns of the ones matrix R, at M 1-10, one pole set or a batch
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        rng = np.random.default_rng(len(batch) + 7)
+        checked = 0
+        for M in range(1, 11):
+            shape = batch + (M,)
+            xs = rng.uniform(-0.5, 0.5, shape) + 1j * tau.imag * rng.uniform(-0.5, 0.5, shape)
+            try:
+                R, _, want_margin = _reference_pair_thetas(xs, ev_g)
+            except MarginViolationError:
+                with pytest.raises(MarginViolationError):
+                    volterra._pair_thetas(xs, ev_g)
+                continue
+            p1, p2, margin = volterra._pair_thetas(xs, ev_g)
+            for got, want in ((p1, R.prod(axis=-1)), (p2, R.prod(axis=-2))):
+                assert got.shape == want.shape == shape
+                assert got.tobytes() == want.tobytes()
+            assert type(margin) is type(want_margin)
+            assert np.array_equal(margin, want_margin)
+            checked += 1
+        assert checked >= 8
 
     @pytest.mark.parametrize("M,tau,eta", [p for p in FLOW_GRID if p.values[0] == 1])
     def test_single_pole_moves_at_the_table_scale(self, M, tau, eta):
