@@ -563,7 +563,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     free = np.arange(3) != held
     v = np.array([seed.zeta, seed.K, seed.E], dtype=complex)
     v[held] = value
-    P, D, _, R, n, m_eta = ctx._M_parts
+    P, D, _, R, n, m_eta = ctx._parts.M
     period = max(1.0, abs(ctx.ev.tau))
 
     def dM_dzeta(zeta, K, E, M, s):

@@ -39,6 +39,7 @@ terms, not of w.
 import cmath
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,10 +76,8 @@ RANK_TOL = 1e-6
 W_SAMPLES = 10
 W_MARGIN = 1e-3
 W_REL_TOL = 1e-7
-# identity masks of _Psi_sum kept by _eye_mask, one per l, least recently used dropped first
-_EYE_MASKS_MAX = 32
-# eta-only parts of a context kept by _residue_parts, _w_weights and _sample_points, one per
-# (l, evaluator), least recently used dropped first
+# eta-only bundles kept by _context_parts, one per (l, evaluator parameters), least recently
+# used dropped first
 _CONTEXT_PARTS_MAX = 64
 
 
@@ -90,8 +89,9 @@ class LameContext:
     N = l(l+1)/2 is the genus-fixing count that recurs in every curve
     formula.  Construction fails with TorsionEtaError if any bracket
     [1..2l+2] vanishes, since all residue formulas divide by them.  The parts
-    are built once per (l, evaluator parameters), in bounded module caches,
-    so contexts built anew per request share them.
+    are built once per (l, evaluator parameters), as one bundle in a bounded
+    module cache (``_context_parts``), so contexts built anew per request
+    share them.
     """
 
     ell: int
@@ -107,21 +107,29 @@ class LameContext:
         return self.ell * (self.ell + 1) // 2
 
     @cached_property
-    def _M_parts(self) -> tuple:
-        """(P, D, B, R, n, m*eta) of ``_residue_parts``."""
-        return _residue_parts(self)
+    def _parts(self) -> "_ContextParts":
+        """The eta-only bundle of ``_context_parts``."""
+        return _context_parts(self)
 
-    @cached_property
-    def _w_coeffs(self) -> np.ndarray:
-        """The weights of the shifts in W, ``_w_weights``."""
-        return _w_weights(self)
+
+class _ContextParts(NamedTuple):
+    """The eta-only parts of a context, read-only: ``M`` = (P, D, B, R, n, m*eta)
+    of the residue matrix, ``w`` the weights of the shifts in W and ``samples``
+    the W_SAMPLES points of ``w_eigenvalue``.  A NamedTuple, not a dataclass:
+    a frozen dataclass takes ~0.9 ms to define at import."""
+
+    M: tuple
+    w: np.ndarray
+    samples: np.ndarray
 
 
 @lru_cache(maxsize=_CONTEXT_PARTS_MAX)
-def _residue_parts(ctx: LameContext) -> tuple:
-    """(P, D, B, R, n) of the residue matrix and zeta's offsets m*eta, m = 0..l+1,
-    read-only, from theta1(k*eta), k = 0..2l, of the evaluator's table and
-    theta1(-x) = -theta1(x); the divisors k = 1..l+1 are guarded."""
+def _context_parts(ctx: LameContext) -> _ContextParts:
+    """The bundle of ``ctx``: (P, D, B, R, n) of the residue matrix and zeta's
+    offsets m*eta, m = 0..l+1, from theta1(k*eta), k = 0..2l, of the
+    evaluator's table and theta1(-x) = -theta1(x), the divisors k = 1..l+1
+    guarded; the W weights (-1)^k ebinom(2l+1, k), k = 0..2l+1; and
+    ``_sample_points(ctx, W_SAMPLES)``."""
     l = ctx.ell
     t = theta1_multiples(2 * l, ctx.ev)
     _nonzero(t[1:l + 2], ctx.ev, "theta1(n*eta) for some n in 1..{}", l + 1)
@@ -130,20 +138,12 @@ def _residue_parts(ctx: LameContext) -> tuple:
     R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
     # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
     hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
-    parts = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
-             np.arange(l + 2) * ctx.ev.eta)
-    for a in parts:
+    M = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
+         np.arange(l + 2) * ctx.ev.eta)
+    w = np.array([(-1) ** k * ebinom(2 * l + 1, k, ctx.ev) for k in range(2 * l + 2)])
+    for a in (*M, w):
         a.flags.writeable = False
-    return parts
-
-
-@lru_cache(maxsize=_CONTEXT_PARTS_MAX)
-def _w_weights(ctx: LameContext) -> np.ndarray:
-    """(-1)^k ebinom(2l+1, k) for k = 0..2l+1, the weights of the shifts in W, read-only."""
-    n = 2 * ctx.ell + 1
-    w = np.array([(-1) ** k * ebinom(n, k, ctx.ev) for k in range(n + 1)])
-    w.flags.writeable = False
-    return w
+    return _ContextParts(M, w, _sample_points(ctx, W_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -230,13 +230,12 @@ def gauge_factor(x: complex, ctx: LameContext) -> complex:
     return out
 
 
-# E-free residue matrices kept by _E_free_M, and row-scaled SVDs by _point_svd, least
-# recently used dropped first
-_E_FREE_MAX = 32
-_POINT_SVD_MAX = 32
+# E-free residue matrices kept by _E_free_M, and row-scaled SVDs by _point_svd, each
+# holding one request's curve points; least recently used dropped first
+_POINTS_MAX = 32
 
 
-@lru_cache(maxsize=_E_FREE_MAX)
+@lru_cache(maxsize=_POINTS_MAX)
 def _E_free_M(zeta: complex, K: complex, ctx: LameContext):
     """The residue matrix at (zeta, K, E = 0) and its term magnitudes,
     read-only, from one theta1(zeta - m*eta) call; cached by value."""
@@ -244,7 +243,7 @@ def _E_free_M(zeta: complex, K: complex, ctx: LameContext):
     if l < 1:
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
-    P, D, B, R, n, m_eta = ctx._M_parts
+    P, D, B, R, n, m_eta = ctx._parts.M
     # theta1(zeta - m*eta) for m = 0..l+1 in one call
     tz = theta(1, zeta - m_eta, ev)
     _nonzero(tz[0], ev, "theta1({})", zeta)
@@ -264,7 +263,7 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
     plus |E| D: every entry as a direct build rounds it.  The pair is kept in
     a bounded module cache, so the requests of one point share one build."""
     M0, mag0 = _E_free_M(pt.zeta, pt.K, ctx)
-    D = ctx._M_parts[1]
+    D = ctx._parts.M[1]
     return M0 - pt.E * D, mag0 + abs(pt.E) * D
 
 
@@ -320,7 +319,7 @@ def _row_scaled_svd(M: np.ndarray, mag: np.ndarray, vectors: bool = False):
     return sv, vh[..., -1, :].conj()
 
 
-@lru_cache(maxsize=_POINT_SVD_MAX)
+@lru_cache(maxsize=_POINTS_MAX)
 def _point_svd(pt: CurvePoint, ctx: LameContext):
     """``_row_scaled_svd`` with vectors of the residue matrix at pt, read-only;
     cached by value, so Newton's seed and ``solve_bloch_coeffs`` at an
@@ -384,21 +383,13 @@ def _progressions(zeta: complex, xs: np.ndarray, n: np.ndarray, ev: ThetaEvaluat
     return t[:flat.size].reshape(shape), t[flat.size:-1].reshape(shape), t1z
 
 
-@lru_cache(maxsize=_EYE_MASKS_MAX)
-def _eye_mask(l: int) -> np.ndarray:
-    """The read-only l x l boolean identity that masks ``_Psi_sum``'s own factors."""
-    mask = np.eye(l, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 def _Psi_sum(pt: CurvePoint, coeffs: BlochCoeffs, ys, cols, tx, tz, t1z, ev: ThetaEvaluator):
     """Psi(y) from the tables of ``_progressions``, whose columns cols[..., k-1]
     hold theta1(y - k*eta) and theta1(zeta + y - k*eta), k = 1..l."""
     t = tx[..., cols]
     # the k = m factor is masked to 1, never divided out: theta1(y - m*eta)
     # vanishes at y = m*eta, where Psi is finite
-    others = np.where(_eye_mask(t.shape[-1]), 1, t[..., None, :]).prod(axis=-1)
+    others = np.where(np.eye(t.shape[-1], dtype=bool), 1, t[..., None, :]).prod(axis=-1)
     return np.exp(pt.log_K * ys / ev.eta) * (coeffs.s * (tz[..., cols] / t1z) * others).sum(axis=-1)
 
 
@@ -431,7 +422,7 @@ def _W_sum(t, Psi_shifted, ctx: LameContext):
     # the k-th denominator is the window j = -k..2l-k+1 of the table
     den = sliding_window_view(t, 2 * l + 2, axis=-1)[..., ::-1, :].prod(axis=-1)
     # the k-th shift is j = 2l-2k+1: every other entry, from the top down
-    return pref * (ctx._w_coeffs * t[..., ::-2] / den * Psi_shifted).sum(axis=-1)
+    return pref * (ctx._parts.w * t[..., ::-2] / den * Psi_shifted).sum(axis=-1)
 
 
 def _W_guard(t, x, l: int, ev: ThetaEvaluator):
@@ -469,7 +460,6 @@ def _halton_window() -> np.ndarray:
     return window
 
 
-@lru_cache(maxsize=_CONTEXT_PARTS_MAX)
 def _sample_points(ctx: LameContext, n: int) -> np.ndarray:
     """The first n Halton points of the window at least W_MARGIN from every
     theta1 zero the W formula hits, read-only; the whole window is filtered
@@ -506,7 +496,9 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
     cancels to the scale of its terms (near a band edge |w| is tiny).  A
     larger spread means Psi is not a joint eigenfunction and raises
     ConsistencyError, as does a ratio that is not finite at some point.  The
-    medians are ``_median``'s, np.median's values from one sort each.
+    medians are ``_median``'s, np.median's values from one sort each.  The
+    check reads zeta, K and s, never E: it certifies the Bloch vector, and a
+    wrong E passes it.
 
     Every theta1 value comes from one shifted table on the progressions
     x + n*eta and zeta + x + n*eta, n = -(3l+1)..2l+1, plus theta1(zeta):
@@ -515,7 +507,7 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
     """
     l = ctx.ell
     lo = -(3 * l + 1)
-    xs = _sample_points(ctx, W_SAMPLES)
+    xs = ctx._parts.samples
     tx, tz, t1z = _progressions(pt.zeta, xs, np.arange(lo, 2 * l + 2), ctx.ev)
     js = np.append(np.arange(2 * l + 1, -(2 * l + 2), -2), 0)
     Psi = _Psi_sum(pt, coeffs, xs[:, None] + js * ctx.ev.eta,

@@ -20,37 +20,28 @@ All evaluations are truncated sums with tail below ``tol``; derivatives are
 term-wise.  Every call is a table theta_a(x + s) over points x and shifts s
 (a plain call has the one shift 0), each term split as exp(2i*pi*x*m) *
 (2i*pi*m)^d exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m): one exp row per point, one
-per shift.  The shift factor depends only on (a, cutoff, tau, shifts, d), so
-it is built once per such key and kept in a module-level least-recently-used
-cache of _SHIFT_TABLES_MAX (256) read-only matrices (``_shift_table``): a
-Volterra flow, whose shifts are always the same multiples of eta, builds one
-per cutoff it meets (one on every flow of the benchmark), and
-``volterra.c_from_poles``, which passes its evaluation points as the shifts,
-one per point set and cutoff (a Bloch orbit sampled for every pole set of a
-drift check builds one; a new pole set adds none).  ``_series``, one
-exp per point and term, is left for points the split cannot hold and for
-theta1'(0), which is summed once per (tau, cutoff) and kept in a
-least-recently-used cache of _PRIME0_MAX (256) values (``_theta1_prime0``).
+per shift.  The shift factor depends only on (a, cutoff, tau, shifts, d),
+so it is built once per such key and kept in a bounded module cache of
+read-only matrices (``_shift_table``): a Volterra flow, whose shifts are
+always the same multiples of eta, builds one per cutoff it meets, and
+``volterra.c_from_poles``, which passes its evaluation points as the
+shifts, one per point set and cutoff.  ``_series``, one exp per point and
+term, is left for points the split cannot hold and for theta1'(0), which is
+summed once per (tau, cutoff) and kept in a bounded module cache too
+(``_theta1_prime0``).
 
 An evaluator's parameters are fixed at construction.  The eta-only tables of
 ``enumbers`` (theta1(k*eta), the elliptic integers [k] and the factorials
 [k]!) belong to the parameters, not to one evaluator: every evaluator built
 with equal ``EllipticParams`` reads one holder of the three tables, kept in a
-least-recently-used cache of _ETA_TABLES_MAX (64) holders (``_eta_tables``).
-A table only grows, by replacing the stored tuple, never by changing one
-(theta1(k*eta) by fixed chunks of k, so an entry does not depend on the
-reads before it), so evaluators are safe to share across threads.  So are the package's module
-caches: ``theta._shift_table`` and ``theta._theta1_prime0`` here (256 entries
-each), ``theta._eta_tables`` (64), ``curve._edge_table`` (64),
-``lame._E_free_M`` (the E-free residue matrix per (zeta, K, context), 32),
-``lame._point_svd`` (the row-scaled SVD with vectors per (point, context),
-32), ``lame._residue_parts``, ``lame._w_weights`` and ``lame._sample_points``
-(the eta-only parts of a context, 64 each), ``lame._eye_mask`` (32),
-``lame._halton_window`` (one table), ``volterra._pair_index`` (the pair
-and gather indices, one entry per pole count) and ``cli.build_parser``
-(one).  ``functools`` keeps their structure coherent under concurrent calls,
-two threads that miss on one key at once each build the same values, and no
-caller can write a cached array.
+bounded module cache of holders (``_eta_tables``).  A table only grows, by
+replacing the stored tuple, never by changing one (theta1(k*eta) by fixed
+chunks of k, so an entry does not depend on the reads before it), so
+evaluators are safe to share across threads.  So are the three caches:
+``functools`` keeps their structure coherent under concurrent calls, two
+threads that miss on one key at once each build the same values, and no
+caller can write a cached array.  The README's cache table gives every
+module cache of the package with its key, bound and traffic.
 """
 
 import cmath
@@ -116,7 +107,7 @@ class _EtaTables:
 
 @dataclass(frozen=True)
 class ThetaEvaluator:
-    """Caches the nome and a series cutoff guaranteeing tails below tol.
+    """Caches a series cutoff guaranteeing tails below tol.
 
     Evaluators with equal parameters share their eta-only tables, read by
     ``enumbers``: theta1(k*eta), [k] and [k]!, each indexed by k, in the one
@@ -132,7 +123,7 @@ class ThetaEvaluator:
     The constant -log(tol/100)/pi of that extension is computed once, here.
 
     The shift factors of ``theta`` are cached in the module, not here (see
-    the module docstring: 256 read-only matrices, thread-safe), keyed by tau,
+    the module docstring: read-only matrices, thread-safe), keyed by tau,
     so evaluators built anew per request share them.  ``theta1_prime0`` is
     summed by ``_series``, not through a table: that sum comes out real on
     the imaginary tau axis, where the table's leaves an imaginary part of
@@ -142,15 +133,12 @@ class ThetaEvaluator:
     """
 
     params: EllipticParams
-    nome: complex = field(init=False)
     series_cutoff: int = field(init=False)
     theta1_prime0: complex = field(init=False)
     _cutoff_c: float = field(init=False, repr=False, compare=False)
     _tables: _EtaTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = cmath.exp(1j * math.pi * self.params.tau)
-        object.__setattr__(self, "nome", q)
         lq = -math.pi * self.params.tau.imag  # log|q|
         target = math.log(self.params.tol) + math.log(1e-2)
         n = max(4, math.ceil(math.sqrt(target / lq)))
@@ -226,6 +214,10 @@ _PRIME0_MAX = 256
 # eta-table holders kept by _eta_tables, least recently used dropped first
 _ETA_TABLES_MAX = 64
 
+# the shifts of a plain call
+_NO_SHIFT = np.zeros(1, dtype=complex)
+_NO_SHIFT.flags.writeable = False
+
 
 def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
     """theta_a(x | tau), or its ``deriv``-th derivative in x.
@@ -245,7 +237,7 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
     if a not in _CHAR:
         raise ValueError(f"theta index must be 1..4, got {a}")
     xs = np.asarray(x, dtype=complex)
-    s = np.zeros(1, dtype=complex) if shifts is None else np.asarray(shifts, dtype=complex)
+    s = _NO_SHIFT if shifts is None else np.asarray(shifts, dtype=complex)
     shape = xs.shape if shifts is None else xs.shape + s.shape
     if xs.size == 0 or s.size == 0:
         return np.empty(shape, dtype=complex)
@@ -269,6 +261,7 @@ def theta(a: int, x, ev: ThetaEvaluator, deriv: int = 0, shifts=None):
         else:
             out = point_exp @ shift_exp
         if a == 1:
+            # negated after the sum, not in the table: a sum that cancels to +0 must read -0
             out = -out
     else:
         out = _series(a, xs[:, None] + s, tau, n, deriv)
@@ -295,7 +288,7 @@ def _to_cell(a: int, xs: np.ndarray, tau: complex):
 
 @functools.lru_cache(maxsize=_SHIFT_TABLES_MAX)
 def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
-    """The term indices m and the matrix (2i*pi*m)^deriv *
+    """The term indices m, as complex numbers, and the matrix (2i*pi*m)^deriv *
     exp(i*pi*tau*m^2 + 2i*pi*(s+beta)*m) of a shift table, rows m and
     columns s (read-only, shared by every caller)."""
     alpha, beta = _CHAR[a]
@@ -304,6 +297,7 @@ def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
     shift_exp = np.exp((1j * math.pi * tau) * (m * m)[:, None] + (2j * math.pi) * np.outer(m, s + beta))
     if deriv:
         shift_exp = shift_exp * ((2j * math.pi * m) ** deriv)[:, None]
+    m = m.astype(complex)
     m.flags.writeable = shift_exp.flags.writeable = False
     return m, shift_exp
 

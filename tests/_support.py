@@ -22,7 +22,7 @@ def count_E_free_builds(monkeypatch) -> list:
         builds.append((zeta, K))
         return build(zeta, K, ctx)
 
-    monkeypatch.setattr(lame, "_E_free_M", functools.lru_cache(lame._E_FREE_MAX)(counting))
+    monkeypatch.setattr(lame, "_E_free_M", functools.lru_cache(lame._POINTS_MAX)(counting))
     return builds
 
 
@@ -32,6 +32,6 @@ def empty_caches(monkeypatch):
     empty tables, and every curve point's SVD is computed again."""
     tables = functools.lru_cache(theta_module._ETA_TABLES_MAX)(theta_module._eta_tables.__wrapped__)
     monkeypatch.setattr(theta_module, "_eta_tables", tables)
-    svd = functools.lru_cache(lame._POINT_SVD_MAX)(lame._point_svd.__wrapped__)
+    svd = functools.lru_cache(lame._POINTS_MAX)(lame._point_svd.__wrapped__)
     for module in (lame, curve):
         monkeypatch.setattr(module, "_point_svd", svd)

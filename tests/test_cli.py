@@ -1,11 +1,14 @@
 """CLI behaviour: parsing, JSON reports, exit codes, determinism."""
 
 import argparse
+import cmath
 import dataclasses
 import io
 import json
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -1009,3 +1012,87 @@ class TestConfigFile:
             f"error: ValueError: unknown key 'etta' in config file {str(cfg)!r}; "
             "accepted keys: eta, tau, tol, seed, format\n"
         )
+
+
+# The fuzz grid of ROADMAP item 26: edges and coeffs at every cell, curve-point
+# at ell 1 and 3, spectrum at the P/Q etas only.
+FUZZ_ELLS = (1, 3, 8)
+FUZZ_TAUS = ("1.2i", "0.3+1.4i", "0.15i", "3i", "1e-3i")
+FUZZ_ETAS = ("0.17", "1/31", "0.11+0.05i", "1/3", "1e-6", "0.17+0.6i", "0.1+1.1i")
+# Every command overflows in theta's exp, with a RuntimeWarning, at these
+# (tau, eta), and coeffs at ell 8 also at the three cells below; item 25's
+# reduction to the fundamental domain is the planned mend.  With the warning
+# ignored, 29 of the 59 cells exit 0, such as edges --ell 1 --eta 0.1+1.1i at
+# tau 1.2i.
+FUZZ_OVERFLOWS = {("1.2i", "0.1+1.1i"), ("0.3+1.4i", "0.1+1.1i"), ("0.15i", "0.17+0.6i"),
+                  ("0.15i", "0.1+1.1i"), ("1e-3i", "0.11+0.05i"), ("1e-3i", "0.17+0.6i"),
+                  ("1e-3i", "0.1+1.1i")}
+FUZZ_COEFFS_8_OVERFLOWS = {("1.2i", "0.17+0.6i"), ("0.3+1.4i", "0.17+0.6i"), ("3i", "0.1+1.1i")}
+
+
+def _fuzz_cells():
+    for cmd, ells, etas in (("edges", FUZZ_ELLS, FUZZ_ETAS), ("coeffs", FUZZ_ELLS, FUZZ_ETAS),
+                            ("curve-point", (1, 3), FUZZ_ETAS),
+                            ("spectrum", FUZZ_ELLS, [e for e in FUZZ_ETAS if "/" in e])):
+        for ell in ells:
+            for tau in FUZZ_TAUS:
+                for eta in etas:
+                    marks = ()
+                    if (tau, eta) in FUZZ_OVERFLOWS or (
+                            cmd == "coeffs" and ell == 8 and (tau, eta) in FUZZ_COEFFS_8_OVERFLOWS):
+                        marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                                                  reason="theta overflows off the fundamental domain (ROADMAP item 25)")
+                    yield pytest.param(cmd, ell, tau, eta, marks=marks)
+
+
+def _report_numbers(value):
+    """Every number of a parsed report: its floats and ints, and its strings that parse as complex."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _report_numbers(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+    elif isinstance(value, str):
+        try:
+            yield parse_complex(value)
+        except ValueError:  # not a number
+            pass
+
+
+def _clear_module_caches():
+    """Empty every functools cache of the package, as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lame_spectra."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()
+
+
+class TestFuzzGrid:
+    """Each cell runs on empty module caches, as one lame-spectra process: a
+    table filled by an earlier cell would hide the warning of its own build."""
+
+    def test_grid_size(self):
+        cells = list(_fuzz_cells())
+        assert len(cells) == 310
+        assert sum(bool(c.marks) for c in cells) == 59
+
+    @pytest.mark.parametrize("cmd,ell,tau,eta", _fuzz_cells())
+    def test_no_traceback_warning_or_non_finite_output(self, capsys, cmd, ell, tau, eta):
+        _clear_module_caches()
+        argv = [cmd, "--ell", str(ell), "--eta", eta, "--tau", tau]
+        if cmd == "curve-point":
+            argv += ["--fix-zeta", "0.31+0.07i"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code, out = run_cli(capsys, *argv)
+            except RuntimeWarning as warning:
+                # raised again from here: reporting the full traceback takes ~0.15 s a cell
+                raise RuntimeWarning(f"{' '.join(argv)}: {warning}") from None
+        assert 0 <= code <= 4
+        if code == 0:
+            numbers = list(_report_numbers(json.loads(out)))
+            assert numbers and all(cmath.isfinite(v) for v in numbers)

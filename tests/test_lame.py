@@ -2,6 +2,7 @@
 and the commuting operator."""
 
 import cmath
+import dataclasses
 import functools
 import importlib
 import math
@@ -573,11 +574,17 @@ class TestThetaCallCount:
     @pytest.mark.parametrize("ell", [1, 4])
     def test_w_eigenvalue_independent_of_samples(self, calls, monkeypatch, ell):
         ctx, pt, c = _grid_point(ell, 1.2j, 0.17)
+        monkeypatch.setattr(lame, "_context_parts",
+                            functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__))
         for n in (10, 20):
             monkeypatch.setattr(lame, "W_SAMPLES", n)
+            # the sample points are part of the bundle: a fresh one per W_SAMPLES
+            lame._context_parts.cache_clear()
+            fresh = LameContext(ell=ell, ev=ctx.ev)
             calls.clear()
-            w_eigenvalue(pt, c, ctx)
+            w_eigenvalue(pt, c, fresh)
             assert len(calls) == 1
+            assert len(fresh._parts.samples) == n
 
     @pytest.mark.parametrize("ell", [1, 4])
     def test_build_Psi_one_call(self, calls, ell):
@@ -625,7 +632,7 @@ class TestThetaCallCount:
 def _direct_build_M(pt, ctx):
     """The residue matrix and its term magnitudes built at (zeta, K, E) in one
     pass, E included: K P - E D + K^-1 B, plus the rows 0-1 correction."""
-    P, D, B, R, n, m_eta = ctx._M_parts
+    P, D, B, R, n, m_eta = ctx._parts.M
     tz = theta(1, pt.zeta - m_eta, ctx.ev)
     hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
     M = pt.K * P - pt.E * D + hops
@@ -662,15 +669,9 @@ class TestEFreeCache:
     def test_cache_is_bounded(self):
         lame._E_free_M.cache_clear()
         ctx = LameContext(ell=2, ev=PARAMS_EV)
-        for k in range(2 * lame._E_FREE_MAX):
+        for k in range(2 * lame._POINTS_MAX):
             build_M(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
-        assert lame._E_free_M.cache_info().currsize == lame._E_FREE_MAX
-
-    def test_eye_mask_is_cached_and_read_only(self):
-        mask = lame._eye_mask(5)
-        assert mask is lame._eye_mask(5)
-        assert not mask.flags.writeable
-        assert (mask == np.eye(5, dtype=bool)).all()
+        assert lame._E_free_M.cache_info().currsize == lame._POINTS_MAX
 
 
 class TestSharedCaches:
@@ -685,32 +686,32 @@ class TestSharedCaches:
         info = theta_module._eta_tables.cache_info()
         assert info.maxsize == info.currsize == theta_module._ETA_TABLES_MAX
 
-    @pytest.mark.parametrize("name", ["_residue_parts", "_w_weights", "_sample_points"])
-    def test_context_parts_are_bounded_and_read_only(self, monkeypatch, name):
-        cache = getattr(lame, name)
-        assert cache.cache_info().maxsize == lame._CONTEXT_PARTS_MAX
-        monkeypatch.setattr(lame, name, functools.lru_cache(lame._CONTEXT_PARTS_MAX)(cache.__wrapped__))
-        read = {"_residue_parts": lambda ctx: ctx._M_parts,
-                "_w_weights": lambda ctx: (ctx._w_coeffs,),
-                "_sample_points": lambda ctx: (lame._sample_points(ctx, lame.W_SAMPLES),)}[name]
+    def test_context_parts_are_bounded_read_only_and_shared(self, monkeypatch):
+        assert lame._context_parts.cache_info().maxsize == lame._CONTEXT_PARTS_MAX
+        monkeypatch.setattr(lame, "_context_parts",
+                            functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__))
         contexts = self._contexts(lame._CONTEXT_PARTS_MAX + 5)
         for ctx in contexts:
-            assert not any(a.flags.writeable for a in read(ctx))
-        info = getattr(lame, name).cache_info()
+            parts = ctx._parts
+            assert not any(a.flags.writeable for a in (*parts.M, parts.w, parts.samples))
+            with pytest.raises(AttributeError):
+                parts.w = None
+            assert parts.samples.tolist() == lame._sample_points(ctx, lame.W_SAMPLES).tolist()
+        info = lame._context_parts.cache_info()
         assert info.maxsize == info.currsize == lame._CONTEXT_PARTS_MAX
-        # a context built again at equal parameters reads the cached parts
+        # a context built again at equal parameters reads the cached bundle
         again = LameContext(ell=1, ev=ThetaEvaluator(contexts[-1].ev.params))
-        assert all(a is b for a, b in zip(read(again), read(contexts[-1])))
+        assert again._parts is contexts[-1]._parts
 
     def test_point_svd_is_bounded_and_read_only(self, monkeypatch):
-        assert lame._point_svd.cache_info().maxsize == lame._POINT_SVD_MAX
+        assert lame._point_svd.cache_info().maxsize == lame._POINTS_MAX
         empty_caches(monkeypatch)
         ctx = LameContext(ell=2, ev=PARAMS_EV)
-        for k in range(lame._POINT_SVD_MAX + 5):
+        for k in range(lame._POINTS_MAX + 5):
             sv, s = lame._point_svd(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
             assert not sv.flags.writeable and not s.flags.writeable
         info = lame._point_svd.cache_info()
-        assert info.maxsize == info.currsize == lame._POINT_SVD_MAX
+        assert info.maxsize == info.currsize == lame._POINTS_MAX
 
 
 class TestWRatioMedians:
@@ -751,6 +752,22 @@ class TestWRatioMedians:
         monkeypatch.setattr(lame, "_W_sum", one_nan)
         with pytest.raises(ConsistencyError, match="not finite"):
             w_eigenvalue(pt, c, ctx)
+
+    @pytest.mark.parametrize("ell", [2, 3, 4])
+    @pytest.mark.parametrize("eta", [0.17, 1 / 31])
+    def test_spread_refuses_a_rescaled_bloch_vector(self, ell, eta):
+        # s_1 x (1 + 1e-6) leaves Psi no eigenfunction of W: the ratio spreads
+        # (at l = 1 s has one entry, and no rescaling of it can fail)
+        ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=eta)))
+        (pt,) = random_curve_points(ctx, 1, np.random.default_rng(ell))
+        c = solve_bloch_coeffs(pt, ctx)
+        w = w_eigenvalue(pt, c, ctx)
+        s = c.s.copy()
+        s[0] *= 1 + 1e-6
+        with pytest.raises(ConsistencyError, match="not a joint eigenfunction"):
+            w_eigenvalue(pt, dataclasses.replace(c, s=s), ctx)
+        # the check reads zeta, K and s, never E
+        assert w_eigenvalue(CurvePoint(zeta=pt.zeta, K=pt.K, E=pt.E * (1 + 1e-6)), c, ctx) == w
 
 
 class TestBlochMultipliers:
