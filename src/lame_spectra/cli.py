@@ -33,7 +33,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +47,7 @@ from .errors import (
     LocusError,
     MarginViolationError,
 )
-from .lame import CurvePoint, LameContext, _build_M_with_magnitudes, _row_scaled_svd, scaled_residual
+from .lame import CurvePoint, LameContext, _sigma_min, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator, theta
 from .util import format_complex, format_complex_pm, parse_complex, parse_eta
 
@@ -73,7 +73,7 @@ EXIT_CODES = {
 
 @dataclass
 class RunConfig:
-    ell: int
+    ell: "int | None"
     eta: complex
     eta_fraction: "Fraction | None"
     tau: complex
@@ -138,9 +138,15 @@ def _build_config(args) -> RunConfig:
     if fmt == "csv" and args.command not in _CSV_COMMANDS:
         raise ValueError(f"{args.command} has no CSV form; "
                          f"--format csv is offered by {' and '.join(_CSV_COMMANDS)} only")
-    ell = getattr(args, "ell", 1)
-    if ell < 1:
-        raise ValueError(f"--ell must be >= 1, got {ell}")
+    if args.command == "flow":
+        # no --ell: the l with l(l+1)/2 = M, the pole count, or None where M has none
+        M = args.poles.count(",") + 1
+        ell = isqrt(2 * M)
+        ell = ell if ell * (ell + 1) // 2 == M else None
+    elif args.ell < 1:
+        raise ValueError(f"--ell must be >= 1, got {args.ell}")
+    else:
+        ell = args.ell
     eta, frac = setting("eta", parse_eta)
     tau = setting("tau", parse_complex)
     if tau.imag <= 0:
@@ -358,8 +364,7 @@ def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
             CurvePoint(zeta=pt.zeta, K=-pt.K, E=-pt.E),
             CurvePoint(zeta=2 * ctx.N * ev.eta - pt.zeta, K=1 / pt.K, E=pt.E),
         )
-        M, mag = map(np.array, zip(*(_build_M_with_magnitudes(m, ctx) for m in mapped)))
-        errors.append(_row_scaled_svd(M, mag)[:, -1].max())
+        errors.append(_sigma_min(mapped, ctx).max())
     return errors, 1e-8, "fixed"
 
 
@@ -379,12 +384,15 @@ def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
 
 def _cj_limit(cfg: RunConfig, ev: ThetaEvaluator, rng):
     """C_j -> binom(N, j) as eta -> 0 at the eta^2 rate: while N^2 eta^2 is
-    small, halving eta divides d = max_j |C_j / binom(N, j) - 1| by 4."""
+    small, halving eta divides d = max_j |C_j / binom(N, j) - 1| by 4.  The
+    ladder eta_k = 0.1 min(1, Im tau)^2 / N / 2^k starts lower at small Im tau,
+    where the eta^2 term dominates only at smaller eta; the cell's eta is not read."""
     N = cfg.ell * (cfg.ell + 1) // 2
     binom = np.array([comb(N, j) for j in range(N + 1)], dtype=float)
+    top = 0.1 * min(1.0, cfg.tau.imag) ** 2
     d = np.empty(3)
     for k in range(3):
-        ev_k = ThetaEvaluator(EllipticParams(tau=cfg.tau, eta=0.1 / N / 2**k, tol=cfg.tol))
+        ev_k = ThetaEvaluator(EllipticParams(tau=cfg.tau, eta=top / N / 2**k, tol=cfg.tol))
         d[k] = np.abs(curve_mod.curve_coeffs(cfg.ell, ev_k).C / binom - 1).max()
     return np.abs(4 * d[1:] - d[:-1]), 0.05 * d[:-1] + 64 * np.finfo(float).eps, "eta^2 rate"
 
@@ -513,7 +521,6 @@ def build_parser():
     p.add_argument("--poles", required=True, help="comma-separated complex pole list")
     p.add_argument("--t-end", dest="t_end", type=float, default=0.3)
     p.add_argument("--dt", type=float, default=0.01)
-    p.add_argument("--ell", type=int, default=1)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("curve-point", parents=[common],

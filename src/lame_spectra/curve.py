@@ -48,7 +48,7 @@ import numpy as np
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 # phi, residual and scaled_residual are not called here, but perfbench/tracing.py rebinds them on this module
-from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _point_svd, _row_scaled, _row_scaled_svd,
+from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _point_svd, _row_scaled, _sigma_min,
                    phi, residual, scaled_residual)
 from .theta import ThetaEvaluator, _nonzero, theta
 from .util import nearest_lattice_point
@@ -380,9 +380,10 @@ class CurveCoeffs:
         return self.ell * (self.ell + 1) // 2
 
 
-def _subset_sums(ell: int, ratio) -> np.ndarray:
-    """sum over subsets J of {1..l} of prod_{k in J, k' not in J} ratio(k, k'),
-    binned by sum(J).  Each of the l(l-1) ratios is evaluated once.
+def _subset_sums(f) -> np.ndarray:
+    """sum over subsets J of {1..l} of prod_{k in J, k' not in J} f(k+k') / f(|k-k'|),
+    binned by sum(J), for the sequence f = (f(0), .., f(2l)).  Each of the l(l-1)
+    ratios is one Python division; the caller guards f(1) .. f(l-1).
 
     Subsets are bit masks (bit k-1 for item k), and the products P[mask] over
     the subsets of {1..t} are extended to {1..t+1} by one doubling: a mask
@@ -394,16 +395,15 @@ def _subset_sums(ell: int, ratio) -> np.ndarray:
     memory are O(2^l), so ell above CJ_MAX_ELL raises ValueError before
     anything is allocated.
     """
+    ell = (len(f) - 1) // 2
     if ell > CJ_MAX_ELL:
         raise ValueError(
             f"C_j subset sums need ell <= {CJ_MAX_ELL}, got ell={ell} "
             f"(2^{ell} = {2 ** ell} subsets, about {60 * 2 ** ell / 1e6:.0f} MB)"
         )
-    R = np.ones((ell, ell), dtype=complex)
-    for k in range(ell):
-        for kp in range(ell):
-            if kp != k:
-                R[k, kp] = ratio(k + 1, kp + 1)
+    items = range(1, ell + 1)
+    R = np.array([[f[k + kp] / f[abs(k - kp)] if kp != k else 1 for kp in items] for k in items],
+                 dtype=complex).reshape(ell, ell)
     P = np.ones(1, dtype=complex)
     S = np.zeros(1, dtype=np.intp)
     # at step t, row r holds the factor vectors of item t + r + 1 over the subsets of {1..t}
@@ -426,12 +426,10 @@ def curve_coeffs(ell: int, ev: ThetaEvaluator) -> CurveCoeffs:
     C_0 = C_N = 1 (empty products) and C_j = C_{N-j}; as eta -> 0 the C_j
     tend to the binomial coefficients binom(N, j).
     """
-    theta1_multiples(2 * ell, ev)
-    # each bracket is read once: [k + k'] for k + k' = 0..2l, [|k - k'|] for 1..l-1
-    num = [ebracket(j, ev) for j in range(2 * ell + 1)]
-    den = {d: nonzero_bracket(d, ev) for d in range(1, ell)}
-    C = _subset_sums(ell, lambda k, kp: num[k + kp] / den[abs(k - kp)])
-    return CurveCoeffs(ell=ell, C=C)
+    brackets = [ebracket(j, ev) for j in range(2 * ell + 1)]
+    for d in range(1, ell):  # the divisors [|k - k'|]
+        nonzero_bracket(d, ev)
+    return CurveCoeffs(ell=ell, C=_subset_sums(brackets))
 
 
 def _bloch_terms(zeta: complex, K: complex, cc: CurveCoeffs, ev: ThetaEvaluator) -> np.ndarray:
@@ -517,13 +515,11 @@ def weyl_denominator_check(ell: int, z: complex, q: complex):
     Here (j)_q is the symmetric q-number; q should be on (or near) the unit
     circle away from low-order roots of unity.
     """
-    def ratio(k, kp):
-        den = qnumber(abs(k - kp), q)
-        if abs(den) < 1e-12:
-            raise ZeroDivisionError(f"({abs(k-kp)})_q ~ 0 for q={q}")
-        return qnumber(k + kp, q) / den
-
-    lhs = complex(polyval(z, _subset_sums(ell, ratio)))
+    qnumbers = [qnumber(j, q) for j in range(2 * ell + 1)]
+    for d in range(1, ell):  # the divisors (|k - k'|)_q
+        if abs(qnumbers[d]) < 1e-12:
+            raise ZeroDivisionError(f"({d})_q ~ 0 for q={q}")
+    lhs = complex(polyval(z, _subset_sums(qnumbers)))
     rhs = 1 + 0j
     for j in range(1, ell + 1):
         for k in range(j, ell + 1):
@@ -644,8 +640,7 @@ def edge_curve_points(ctx: LameContext) -> list:
     cands = [CurvePoint(zeta=ctx.N * ev.eta + half_period(a, ev.tau), K=K, E=Es)
              for a in (1, 2, 3, 4) for E in edges.per_label[a]
              for K in edge_bloch_factors(a, ev) for Es in (E, -E)]
-    M, mag = map(np.array, zip(*(_build_M_with_magnitudes(pt, ctx) for pt in cands)))
-    return [pt for pt, sv in zip(cands, _row_scaled_svd(M, mag)) if sv[-1] < NEWTON_TOL]
+    return [pt for pt, sv in zip(cands, _sigma_min(cands, ctx)) if sv < NEWTON_TOL]
 
 
 def random_curve_points(ctx: LameContext, n: int, rng) -> list:

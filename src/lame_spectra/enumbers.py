@@ -22,7 +22,9 @@ cutoff; the chunks are fixed ranges of k, so every entry comes from the same
 call whatever the order of the reads, and the tables do not depend on the
 requests served before.  On real eta, and on the |Im eta| <= 0.06 of the
 verify cells and the benchmark, the chunked table is the one-shot table bit
-for bit (tests pin this).
+for bit (tests pin this).  A chunk with a non-finite entry (a large Im eta
+against Im tau, such as eta = 0.1+1.1i at tau = 1.2i from k = 15) is
+refused, not stored, so no request reads a table that overflowed.
 
 Every division by a bracket is guarded, since a vanishing bracket means eta
 is a torsion point and all the curve formulas downstream become singular.
@@ -35,6 +37,7 @@ import numpy as np
 
 from .errors import TorsionEtaError
 from .theta import ThetaEvaluator, theta
+from .util import format_complex
 
 __all__ = ["theta1_multiples", "ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
 
@@ -50,13 +53,21 @@ def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
     up to (c + 1)*THETA_CHUNK - 1, one theta call per chunk, so each entry
     comes from the same call whatever was read before.  It only grows, and by
     replacement: a stored tuple is never changed, so a reader always sees a
-    consistent table.
+    consistent table.  A chunk with an entry outside the double range raises
+    OverflowError, naming its first such k, instead of a RuntimeWarning, and
+    is not stored, so every read that needs it raises again.
     """
     tables = ev._tables
     table = tables.theta1_multiples
     while len(table) <= n:
         k = np.arange(len(table), len(table) + THETA_CHUNK)
-        table = tables.theta1_multiples = table + tuple(theta(1, k * ev.eta, ev).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            chunk = theta(1, k * ev.eta, ev)
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            raise OverflowError(f"theta1(k*eta) is outside the double range from k = {k[~finite][0]} "
+                                f"at eta = {format_complex(ev.eta)}, tau = {format_complex(ev.tau)}")
+        table = tables.theta1_multiples = table + tuple(chunk.tolist())
     return table
 
 

@@ -21,11 +21,12 @@ Matching residues of (Lt - E) psi at x = 0..l*eta gives an (l+1) x l linear
 system M s = 0; the two determinants obtained by deleting the first or the
 second row cut out the spectral curve in (zeta, K, E); they stay as the
 oracle of the minor identity.  Every on-curve decision reads the SVD of the
-row-scaled matrix instead (``_row_scaled_svd``), whose null vector is s; the
-SVD with vectors of one point is kept in a bounded module cache
-(``_point_svd``), so Newton's seed and the Bloch vector share it.  E enters
-the matrix only on one diagonal, so one E-free matrix per (zeta, K), kept in
-a bounded module cache (``_E_free_M``), serves every request there.
+row-scaled matrix instead, whose null vector is s: ``_sigma_min`` stacks the
+points it tests, and the SVD with vectors of one point is kept in a bounded
+module cache (``_point_svd``), so Newton's seed and the Bloch vector share
+it.  E enters the matrix only on one diagonal, so one E-free matrix per
+(zeta, K), kept in a bounded module cache (``_E_free_M``), serves every
+request there.
 
 The commuting operator W certifies a point: ``w_eigenvalue`` samples W Psi/Psi
 at Halton points x.  Every theta1 value it needs lies on the two progressions
@@ -309,22 +310,21 @@ def _row_scaled(M: np.ndarray, mag: np.ndarray) -> np.ndarray:
     return M / np.maximum(np.linalg.norm(mag, axis=-1), 1e-300)[..., None]
 
 
-def _row_scaled_svd(M: np.ndarray, mag: np.ndarray, vectors: bool = False):
-    """The singular values of ``_row_scaled(M, mag)``, of one matrix or a stack,
-    and with ``vectors`` the unit right singular vector of the smallest.  The one
-    on-curve test: Newton's seed, the Bloch vector and the edge points read it."""
-    if not vectors:
-        return np.linalg.svd(_row_scaled(M, mag), compute_uv=False)
-    _, sv, vh = np.linalg.svd(_row_scaled(M, mag))
-    return sv, vh[..., -1, :].conj()
+def _sigma_min(points, ctx: LameContext) -> np.ndarray:
+    """sigma_min of the row-scaled residue matrix at each of ``points``, from one
+    stacked SVD: the on-curve test of the edge points and of a point's images."""
+    M, mag = map(np.array, zip(*(_build_M_with_magnitudes(pt, ctx) for pt in points)))
+    return np.linalg.svd(_row_scaled(M, mag), compute_uv=False)[:, -1]
 
 
 @lru_cache(maxsize=_POINTS_MAX)
 def _point_svd(pt: CurvePoint, ctx: LameContext):
-    """``_row_scaled_svd`` with vectors of the residue matrix at pt, read-only;
-    cached by value, so Newton's seed and ``solve_bloch_coeffs`` at an
-    unstepped point share one SVD."""
-    sv, s = _row_scaled_svd(*_build_M_with_magnitudes(pt, ctx), vectors=True)
+    """The singular values of the row-scaled residue matrix at pt and the unit
+    right singular vector of the smallest, read-only; cached by value, so
+    Newton's seed and ``solve_bloch_coeffs`` at an unstepped point share one
+    SVD."""
+    _, sv, vh = np.linalg.svd(_row_scaled(*_build_M_with_magnitudes(pt, ctx)))
+    s = vh[-1].conj()
     sv.flags.writeable = s.flags.writeable = False
     return sv, s
 

@@ -115,7 +115,8 @@ class ThetaEvaluator:
     parameters), taken at construction.  So an evaluator built anew per
     request reads what earlier requests at the same parameters computed.  A
     table only grows, by replacement, never by changing a stored entry (see
-    ``enumbers``).
+    ``enumbers``); a theta1(k*eta) chunk with a non-finite entry is refused
+    with OverflowError and not stored, so every read that needs it raises.
 
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so

@@ -1,5 +1,6 @@
-"""Shared evaluator instance for the default test parameters, a counter
-of residue-matrix builds, and empty module caches for one test."""
+"""Shared evaluator instance for the default test parameters, counters
+of residue-matrix builds and point SVDs, and empty module caches for one
+test."""
 
 import functools
 import importlib
@@ -24,6 +25,24 @@ def count_E_free_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(lame, "_E_free_M", functools.lru_cache(lame._POINTS_MAX)(counting))
     return builds
+
+
+def record_point_svds(monkeypatch) -> list:
+    """The singular vector of every point SVD computed from here on: the
+    misses of a fresh cache, of lame's size, put in place of the one lame
+    and curve read."""
+    vectors = []
+    compute = lame._point_svd.__wrapped__
+
+    def recording(pt, ctx):
+        out = compute(pt, ctx)
+        vectors.append(out[1])
+        return out
+
+    svd = functools.lru_cache(lame._POINTS_MAX)(recording)
+    for module in (lame, curve):
+        monkeypatch.setattr(module, "_point_svd", svd)
+    return vectors
 
 
 def empty_caches(monkeypatch):

@@ -560,6 +560,23 @@ class TestVerifyCommand:
         if ell == "1":  # the C_j are the binomials [1, 1] exactly
             assert r["rel_errors"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("tau", ["0.15i", "0.08i", "0.5+0.1i"])
+    def test_cj_limit_passes_at_small_im_tau(self, capsys, tau):
+        # the ladder starts at 0.1 (Im tau)^2 / N, where the eta^2 term dominates
+        for ell in range(1, 13):
+            code, _ = run_cli(capsys, "verify", "--suite", "cj-limit", "--ell", str(ell), "--tau", tau)
+            assert code == 0, ell
+
+    @pytest.mark.parametrize("tau", ["0.15i", "0.08i", "0.5+0.1i"])
+    @pytest.mark.parametrize("ell", [2, 6, 12])
+    def test_cj_limit_plant_fails_at_small_im_tau(self, capsys, monkeypatch, tau, ell):
+        # the lower ladder still halves an O(eta) error where an eta^2 one
+        # quarters (test_planted_defect_fails holds it at tau 1.2i)
+        PLANTS["cj-limit"](monkeypatch)
+        code, out = run_cli(capsys, "verify", "--suite", "cj-limit", "--ell", str(ell), "--tau", tau)
+        assert code == 1
+        assert not json.loads(out)["suites"]["cj-limit"]["passed"]
+
     def test_cj_symmetry_l6(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "cj-symmetry", "--ell", "6")
         assert code == 0
@@ -607,6 +624,19 @@ class TestFlowCommand:
         assert captured.err.startswith(f"error: ValueError: {name} must be finite")
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("poles,ell", [
+        ("0.21+0.05i", 1),
+        # half a period apart: two poles on the locus, but 2 is no l(l+1)/2
+        ("0.25,-0.25", None),
+        # the on-locus three-pole set of the CI smoke run
+        ("0.16872746398623609+0.99464370409188785i,-0.33737964779659291-1.1981880545449302i,"
+         "0.16865218381035685+0.20354435045304228i", 2),
+    ], ids=["M1", "M2", "M3"])
+    def test_provenance_ell_from_the_pole_count(self, capsys, poles, ell):
+        code, out = run_cli(capsys, "flow", "--eta", "1/31", "--poles", poles, "--t-end", "0.02")
+        assert code == 0
+        assert json.loads(out)["provenance"]["ell"] == ell
 
     def test_csv_trajectory(self, capsys):
         code, out = run_cli(
@@ -751,7 +781,7 @@ ENVELOPE_RUNS = {
     "edges": ["edges", "--ell", "1"],
     "spectrum": ["spectrum", "--ell", "1"],
     "verify": ["verify", "--suite", "schur", "--ell", "2"],
-    "flow": ["flow", "--ell", "1", "--poles", "0.21+0.05i", "--t-end", "0.02"],
+    "flow": ["flow", "--poles", "0.21+0.05i", "--t-end", "0.02"],
     "curve-point": ["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"],
     "coeffs": ["coeffs", "--ell", "2"],
 }
@@ -776,7 +806,8 @@ class TestReportEnvelope:
         ev = ThetaEvaluator(EllipticParams(tau=0.9j, eta=value, tol=1e-11))
         assert json.loads(out)["provenance"] == {
             "schema": cli.SCHEMA,
-            "ell": int(argv[argv.index("--ell") + 1]),
+            # flow has no --ell: its one pole is the l = 1 locus
+            "ell": int(argv[argv.index("--ell") + 1]) if "--ell" in argv else 1,
             "eta": format_complex(value),
             "eta_rational": "2/41" if frac is not None else None,
             "tau": "0.9i",
@@ -846,7 +877,6 @@ class TestExitCodes:
             ["edges", "--ell", "-1"],
             ["spectrum", "--ell", "0", "--eta", "1/31"],
             ["verify", "--ell", "-1"],
-            ["flow", "--ell", "0", "--poles", "0.21+0.05i"],
             ["curve-point", "--ell", "0", "--fix-E", "1.0"],
             ["coeffs", "--ell", "-1"],
         ],
@@ -931,6 +961,7 @@ class TestArgvParsing:
         (["--ell", "2", "edges"], "lame-spectra", "argument command: invalid choice: '2'"),
         (["edges", "--ell", "2", "--foo"], "lame-spectra", "unrecognized arguments: --foo"),
         (["edges", "--ell", "2", "extra", "--foo"], "lame-spectra", "unrecognized arguments: extra --foo"),
+        (["flow", "--ell", "1", "--poles", "0.21+0.05i"], "lame-spectra", "unrecognized arguments: --ell 1"),
         (["edges"], "lame-spectra edges", "the following arguments are required: --ell"),
         (["edges", "--ell", "2", "--tau", "-0.4+0.9i"], "lame-spectra edges",
          "argument --tau: expected one argument"),
@@ -1019,14 +1050,15 @@ class TestConfigFile:
 FUZZ_ELLS = (1, 3, 8)
 FUZZ_TAUS = ("1.2i", "0.3+1.4i", "0.15i", "3i", "1e-3i")
 FUZZ_ETAS = ("0.17", "1/31", "0.11+0.05i", "1/3", "1e-6", "0.17+0.6i", "0.1+1.1i")
-# Every command overflows in theta's exp, with a RuntimeWarning, at these
-# (tau, eta), and coeffs at ell 8 also at the three cells below; item 25's
-# reduction to the fundamental domain is the planned mend.  With the warning
-# ignored, 29 of the 59 cells exit 0, such as edges --ell 1 --eta 0.1+1.1i at
-# tau 1.2i.
+# At these (tau, eta) the theta1(k*eta) table leaves the double range in its
+# first chunk (k <= 23), so every command is refused with OverflowError, exit
+# 3 and no warning, ell 1-3 cells whose answers were right included; item 25's
+# reduction to the fundamental domain is the planned mend.
 FUZZ_OVERFLOWS = {("1.2i", "0.1+1.1i"), ("0.3+1.4i", "0.1+1.1i"), ("0.15i", "0.17+0.6i"),
                   ("0.15i", "0.1+1.1i"), ("1e-3i", "0.11+0.05i"), ("1e-3i", "0.17+0.6i"),
                   ("1e-3i", "0.1+1.1i")}
+# At these the C_j of coeffs --ell 8 lie beyond the double range, and the
+# subset sums overflow with a RuntimeWarning (item 28).
 FUZZ_COEFFS_8_OVERFLOWS = {("1.2i", "0.17+0.6i"), ("0.3+1.4i", "0.17+0.6i"), ("3i", "0.1+1.1i")}
 
 
@@ -1038,10 +1070,9 @@ def _fuzz_cells():
             for tau in FUZZ_TAUS:
                 for eta in etas:
                     marks = ()
-                    if (tau, eta) in FUZZ_OVERFLOWS or (
-                            cmd == "coeffs" and ell == 8 and (tau, eta) in FUZZ_COEFFS_8_OVERFLOWS):
+                    if cmd == "coeffs" and ell == 8 and (tau, eta) in FUZZ_COEFFS_8_OVERFLOWS:
                         marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                                                  reason="theta overflows off the fundamental domain (ROADMAP item 25)")
+                                                  reason="C_j beyond the double range (ROADMAP item 28)")
                     yield pytest.param(cmd, ell, tau, eta, marks=marks)
 
 
@@ -1077,7 +1108,7 @@ class TestFuzzGrid:
     def test_grid_size(self):
         cells = list(_fuzz_cells())
         assert len(cells) == 310
-        assert sum(bool(c.marks) for c in cells) == 59
+        assert sum(bool(c.marks) for c in cells) == 3
 
     @pytest.mark.parametrize("cmd,ell,tau,eta", _fuzz_cells())
     def test_no_traceback_warning_or_non_finite_output(self, capsys, cmd, ell, tau, eta):
@@ -1088,11 +1119,16 @@ class TestFuzzGrid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                code, out = run_cli(capsys, *argv)
+                code = main(argv)
             except RuntimeWarning as warning:
                 # raised again from here: reporting the full traceback takes ~0.15 s a cell
                 raise RuntimeWarning(f"{' '.join(argv)}: {warning}") from None
+        captured = capsys.readouterr()
         assert 0 <= code <= 4
+        if (tau, eta) in FUZZ_OVERFLOWS:
+            assert code == 3 and captured.out == ""
+            assert re.fullmatch(r"error: OverflowError: theta1\(k\*eta\) is outside the double range "
+                                r"from k = \d+ at eta = \S+, tau = \S+\n", captured.err)
         if code == 0:
-            numbers = list(_report_numbers(json.loads(out)))
+            numbers = list(_report_numbers(json.loads(captured.out)))
             assert numbers and all(cmath.isfinite(v) for v in numbers)

@@ -41,8 +41,8 @@ from lame_spectra.curve import (
     solve_curve_point,
     weyl_denominator_check,
 )
-from lame_spectra.enumbers import ebracket, nonzero_bracket, theta1_multiples
-from lame_spectra.errors import ConvergenceError, PoleProximityError
+from lame_spectra.enumbers import ebracket, theta1_multiples
+from lame_spectra.errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.util import nearest_lattice_point
 
@@ -320,8 +320,7 @@ class TestEdgeLift:
             for E in edges.per_label[a]:
                 lifts = [CurvePoint(zeta, K, s * E)
                          for K in edge_bloch_factors(a, ctx.ev) for s in (1, -1)]
-                sigma = [lame._row_scaled_svd(*lame._build_M_with_magnitudes(pt, ctx))[-1] for pt in lifts]
-                assert min(sigma) < NEWTON_TOL, (a, E)
+                assert lame._sigma_min(lifts, ctx).min() < NEWTON_TOL, (a, E)
 
 
 def _minor_rule_edge_points(ctx):
@@ -727,16 +726,14 @@ def _reference_subset_sums(ell, ratio):
 VERIFY_CELLS = [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)]
 
 
-class CountingRatio:
-    """[k+k'] / [|k-k'|] at one evaluator, counting its calls."""
+def _ratio(f):
+    """f(k+k') / f(|k-k'|), the ratio ``_subset_sums`` forms from f, as a callback."""
+    return lambda k, kp: f[k + kp] / f[abs(k - kp)]
 
-    def __init__(self, ev):
-        self.ev = ev
-        self.calls = 0
 
-    def __call__(self, k, kp):
-        self.calls += 1
-        return ebracket(k + kp, self.ev) / nonzero_bracket(abs(k - kp), self.ev)
+def _brackets(ell, ev):
+    """[0] .. [2l], the sequence ``curve_coeffs`` passes."""
+    return [ebracket(j, ev) for j in range(2 * ell + 1)]
 
 
 KERNEL_GRID = [
@@ -746,21 +743,28 @@ KERNEL_GRID = [
 ]
 
 
-def _never_called(k, kp):
-    raise AssertionError(f"ratio({k}, {kp}) called")
+class _NeverRead:
+    """A sequence f(0..2l) whose entries raise when read."""
+
+    def __init__(self, ell):
+        self.n = 2 * ell + 1
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, j):
+        raise AssertionError(f"f({j}) read")
 
 
 class TestSubsetSumKernel:
     @pytest.mark.parametrize("tau,eta", KERNEL_GRID)
     def test_matches_reference_loop(self, tau, eta):
         ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
-        theta1_multiples(24, ev_g)
         for ell in range(1, 13):
-            ratio = CountingRatio(ev_g)
-            C = _subset_sums(ell, ratio)
-            assert ratio.calls == ell * (ell - 1)
+            f = _brackets(ell, ev_g)
+            C = _subset_sums(f)
             assert C[0] == 1 and C[-1] == 1
-            want = _reference_subset_loop(ell, ratio)
+            want = _reference_subset_loop(ell, _ratio(f))
             assert np.abs(C - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("tau,eta", VERIFY_CELLS)
@@ -768,21 +772,21 @@ class TestSubsetSumKernel:
         # the factor vectors carried along form the same products in the
         # same order as building each item's vectors afresh
         ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
-        theta1_multiples(28, ev_g)
         for ell in range(1, 15):
-            ratio = CountingRatio(ev_g)
-            assert _subset_sums(ell, ratio).tobytes() == _reference_subset_sums(ell, ratio).tobytes()
+            f = _brackets(ell, ev_g)
+            assert _subset_sums(f).tobytes() == _reference_subset_sums(ell, _ratio(f)).tobytes()
 
     def test_small_ell(self):
-        assert _subset_sums(0, _never_called).tolist() == [1 + 0j]
-        assert _subset_sums(1, _never_called).tolist() == [1 + 0j, 1 + 0j]
+        assert _subset_sums(_NeverRead(0)).tolist() == [1 + 0j]
+        assert _subset_sums(_NeverRead(1)).tolist() == [1 + 0j, 1 + 0j]
 
     def test_ell_above_limit_raises_before_allocating(self):
         ell = CJ_MAX_ELL + 1
+        f = _NeverRead(ell)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=rf"ell={ell}\b.*2\^{ell} = {2 ** ell}"):
-                _subset_sums(ell, _never_called)
+                _subset_sums(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -790,9 +794,9 @@ class TestSubsetSumKernel:
 
     def test_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(curve, "CJ_MAX_ELL", 5)
-        assert len(_subset_sums(5, lambda k, kp: 1.0)) == 16
+        assert len(_subset_sums([1.0] * 11)) == 16
         with pytest.raises(ValueError):
-            _subset_sums(6, _never_called)
+            _subset_sums(_NeverRead(6))
 
 
 class TestBlochRelation:
@@ -1037,3 +1041,87 @@ class TestSolveCurvePoint:
         assert len(pts) == 2 * (2 * ell + 1)
         for pt in pts:
             assert max(scaled_residual(pt, ctx)) < 1e-10
+
+
+class TestSingularJacobianStop:
+    """A Newton step that ``np.linalg.solve`` refuses, or that is not finite,
+    stops the solve with reason 'singular-jacobian'."""
+
+    @pytest.mark.parametrize("step", ["raises", "nan"])
+    def test_stops_with_its_reason(self, monkeypatch, ctx2, step):
+        def planted(J, rhs):
+            if step == "raises":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.full(len(rhs), np.nan, dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "solve", planted)
+        # the curve-point command's default seed, which takes Newton steps
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        with pytest.raises(ConvergenceError, match=r"^Jacobian singular") as info:
+            solve_curve_point({"zeta": seed.zeta}, seed, ctx2)
+        assert info.value.reason == "singular-jacobian"
+
+
+def _first_call_planted(monkeypatch, name, first):
+    """Put a wrapper of ``curve.<name>`` in its place whose first call returns
+    ``first(*args)`` and whose later calls are the real function's; returns
+    the list of the arguments of every call."""
+    real = getattr(curve, name)
+    calls = []
+
+    def planted(*args):
+        calls.append(args)
+        return first(*args) if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(curve, name, planted)
+    return calls
+
+
+def _certified(points, ctx):
+    return all(_backward_error(pt, ctx) < curve.NEWTON_TOL for pt in points)
+
+
+class TestRandomCurvePointDiscards:
+    """``random_curve_points`` discards a root u = K^2 at 0, a seed whose
+    score is above 1e-4 and a Newton solve that fails, and draws again; it
+    raises ClusterAmbiguityError when 40 n attempts give fewer than n points.
+    Each plant below spoils the first attempt only (or every solve)."""
+
+    def test_zero_root_is_skipped(self, monkeypatch, ctx2):
+        # the relation u = 0: K = 0 is no Bloch factor, and no point is built there
+        calls = _first_call_planted(monkeypatch, "_bloch_terms", lambda *args: np.array([1, 0j]))
+        points = random_curve_points(ctx2, 2, np.random.default_rng(3))
+        assert len(calls) >= 3 and len(points) == 2 and _certified(points, ctx2)
+
+    def test_poor_seed_is_not_solved(self, monkeypatch, ctx2):
+        # the relation u = 2+0.5i, off the curve at the attempt's zeta: no E
+        # candidate scores below 1e-4, so that zeta is never handed to Newton
+        terms = _first_call_planted(monkeypatch, "_bloch_terms", lambda *args: np.array([1, -2 - 0.5j]))
+        solves = _first_call_planted(monkeypatch, "solve_curve_point", curve.solve_curve_point)
+        points = random_curve_points(ctx2, 2, np.random.default_rng(3))
+        planted_zeta = terms[0][0]
+        assert all(fix["zeta"] != planted_zeta for fix, _, _ in solves)
+        assert len(points) == 2 and _certified(points, ctx2)
+
+    def test_failed_solve_is_discarded(self, monkeypatch, ctx2):
+        def fails(*args):
+            raise ConvergenceError("planted", reason="max-iter")
+
+        solves = _first_call_planted(monkeypatch, "solve_curve_point", fails)
+        points = random_curve_points(ctx2, 2, np.random.default_rng(3))
+        # the failed seed's root is dropped and the next root of its zeta is tried
+        assert len(solves) == 3 and len(points) == 2 and _certified(points, ctx2)
+        assert solves[1][1].zeta == solves[0][1].zeta and solves[1][1].K != solves[0][1].K
+
+    def test_too_few_points_raise(self, monkeypatch, ctx2):
+        attempts = []
+
+        def fails(fix, seed, ctx):
+            attempts.append(fix["zeta"])
+            raise ConvergenceError("planted", reason="max-iter")
+
+        monkeypatch.setattr(curve, "solve_curve_point", fails)
+        with pytest.raises(ClusterAmbiguityError, match=r"^only found 0 of 2 requested curve points$"):
+            random_curve_points(ctx2, 2, np.random.default_rng(3))
+        # 40 n attempts, each a new zeta whose every root is handed to Newton
+        assert len(set(attempts)) == 80 and len(attempts) == 80 * ctx2.N

@@ -181,6 +181,35 @@ class TestTable:
         assert len(calls) <= 2 * ell
 
 
+class TestOverflowRefused:
+    """A theta1(k*eta) chunk with a non-finite entry raises OverflowError, with
+    no RuntimeWarning (pytest turns one into an error), and is not stored."""
+
+    @pytest.mark.parametrize("tau,eta,k", [(1.2j, 0.1 + 1.1j, 15), (0.15j, 0.17 + 0.6j, 10)])
+    def test_refused_cold_after_a_small_read_and_again(self, monkeypatch, tau, eta, k):
+        empty_caches(monkeypatch)
+        ev = _fresh(tau, eta)
+        message = rf"^theta1\(k\*eta\) is outside the double range from k = {k} at eta = \S+, tau = \S+$"
+        # cold at small k, then at a k past the bad entry, then at small k again
+        for n in (2, 30, 2):
+            with pytest.raises(OverflowError, match=message):
+                theta1_multiples(n, ev)
+            assert ev._tables.theta1_multiples == ()
+        for read in (lambda: ebracket(2, ev), lambda: efactorial(3, ev), lambda: LameContext(ell=1, ev=ev)):
+            with pytest.raises(OverflowError, match=message):
+                read()
+        assert ev._tables.brackets == (0j, 1 + 0j)
+
+    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
+    @pytest.mark.parametrize("eta", [1 / 31, 0.17, 0.23 + 0.06j, 0.1 - 0.06j])
+    def test_benchmark_range_table_is_unchanged(self, monkeypatch, tau, eta):
+        empty_caches(monkeypatch)
+        ev = _fresh(tau, eta)
+        chunk = enumbers.THETA_CHUNK
+        want = [v for c in range(2) for v in theta(1, np.arange(c * chunk, (c + 1) * chunk) * ev.eta, ev).tolist()]
+        assert _bits(theta1_multiples(2 * chunk - 1, ev)) == _bits(want)
+
+
 def _bits(values) -> bytes:
     """The bytes of complex values: signed zeros told apart."""
     return np.array(values, dtype=complex).tobytes()

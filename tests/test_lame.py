@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import PARAMS_EV, count_E_free_builds, empty_caches
+from _support import PARAMS_EV, count_E_free_builds, empty_caches, record_point_svds
 from lame_spectra import lame
 from lame_spectra import (
     CurvePoint,
@@ -343,15 +343,7 @@ class TestBlochCoeffs:
         ctx = LameContext(ell=ell, ev=ev)
         pts = edge_curve_points(ctx)[:4]
         empty_caches(monkeypatch)
-        seen = []
-        real = lame._row_scaled_svd
-
-        def record(*args, **kwargs):
-            out = real(*args, **kwargs)
-            seen.append(out[1])
-            return out
-
-        monkeypatch.setattr(lame, "_row_scaled_svd", record)
+        seen = record_point_svds(monkeypatch)
         for pt in pts:
             seen.clear()
             assert solve_curve_point({"E": pt.E}, pt, ctx) == pt

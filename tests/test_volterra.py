@@ -15,7 +15,7 @@ from lame_spectra.bloch import (
     numeric_band_edges_from_coefficients,
 )
 from lame_spectra.enumbers import theta1_multiples
-from lame_spectra.errors import LocusError, MarginViolationError, PoleProximityError
+from lame_spectra.errors import ConvergenceError, LocusError, MarginViolationError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta, theta1_prime, weierstrass_p
 from lame_spectra.volterra import (
     MARGIN_TOL,
@@ -741,3 +741,91 @@ class TestFlowAccuracy:
         monkeypatch.setattr(volterra, "_flow_state", flipped)
         res = integrate_flow(cfg, t_end=0.2, dt=0.01, ev=ev17)
         assert _edge_drift(res.trajectory[0], res.trajectory[-1], ev17, RationalEta(17, 100)) > 1e-6
+
+
+def _planted_stages(monkeypatch, infinite):
+    """``volterra._flow_state`` with an infinite velocity on the calls whose
+    index i (0 the start, then the stages and grid batches in order)
+    satisfies ``infinite(i)``; a call at a non-finite pole set fails the
+    test.  Returns the indices of the planted calls."""
+    real = volterra._flow_state
+    planted = []
+
+    def stage(xs, ev):
+        assert np.isfinite(xs).all(), "a stage was evaluated at a non-finite pole set"
+        i = stage.calls
+        stage.calls += 1
+        v1, v2, margin = real(xs, ev)
+        if infinite(i):
+            planted.append(i)
+            v1 = np.full_like(v1, np.inf)
+        return v1, v2, margin
+
+    stage.calls = 0
+    monkeypatch.setattr(volterra, "_flow_state", stage)
+    return planted
+
+
+class TestFlowStops:
+    """A trial step whose stages leave the double range is rejected before
+    any stage is evaluated there, and a step size below 1e-14 of the span
+    raises ConvergenceError."""
+
+    def test_non_finite_trial_is_rejected(self, monkeypatch, ev, onlocus_cfg):
+        want = integrate_flow(onlocus_cfg, t_end=0.05, dt=0.01, ev=ev)
+        # the first stage of the first trial step
+        planted = _planted_stages(monkeypatch, lambda i: i == 1)
+        got = integrate_flow(onlocus_cfg, t_end=0.05, dt=0.01, ev=ev)
+        assert planted == [1]
+        assert [s.t for s in got.trajectory] == [s.t for s in want.trajectory]
+        np.testing.assert_allclose(np.array([s.xs for s in got.trajectory]),
+                                   np.array([s.xs for s in want.trajectory]), rtol=0, atol=1e-10)
+        assert got.locus_gaps.max() < 1e-8
+
+    def test_step_size_underflow_raises(self, monkeypatch, ev, onlocus_cfg):
+        # every trial step is rejected, so h shrinks by 5 each time
+        planted = _planted_stages(monkeypatch, lambda i: i > 0)
+        with pytest.raises(ConvergenceError, match=r"^flow step size underflow at t=0$"):
+            integrate_flow(onlocus_cfg, t_end=0.05, dt=0.01, ev=ev)
+        # 0.05 * 0.2^k <= 1e-14 * 0.05 from k = 21 on
+        assert len(planted) == 21
+
+
+def _planted_margins(monkeypatch, violates):
+    """``volterra.locus_residual`` raising MarginViolationError on the calls
+    whose index i (from 0) satisfies ``violates(i)``; returns those indices."""
+    real = volterra.locus_residual
+    raised = []
+
+    def residual(cfg, ev):
+        i = residual.calls
+        residual.calls += 1
+        if violates(i):
+            raised.append(i)
+            raise MarginViolationError("planted margin violation")
+        return real(cfg, ev)
+
+    residual.calls = 0
+    monkeypatch.setattr(volterra, "locus_residual", residual)
+    return raised
+
+
+class TestLocusSearchSkips:
+    """A margin violation at a seed ends its attempt, in a Jacobian column
+    ends the attempt too, and in the line search halves the step; when every
+    attempt fails the search returns None.  At ell 2 (M = 3) an attempt reads
+    its seed (call 0), then three Jacobian columns (1-3), then line-search
+    trials (4 on)."""
+
+    @pytest.mark.parametrize("where,call", [("seed", 0), ("jacobian", 1), ("line-search", 4)])
+    def test_violation_is_skipped(self, monkeypatch, ev, where, call):
+        raised = _planted_margins(monkeypatch, lambda i: i == call)
+        cfg = find_locus_config(2, ev, np.random.default_rng(7))
+        assert raised == [call]
+        assert cfg is not None and cfg.M == 3
+        assert locus_residual(cfg, ev).max_norm < 1e-10
+
+    def test_every_attempt_failing_returns_none(self, monkeypatch, ev):
+        raised = _planted_margins(monkeypatch, lambda i: True)
+        assert find_locus_config(2, ev, np.random.default_rng(7)) is None
+        assert len(raised) == volterra.LOCUS_ATTEMPTS
