@@ -5,9 +5,11 @@ Default output is a single JSON document (schema 1) carrying the tolerance
 and series cutoff used, written compact on one line with sorted keys (pipe it
 into ``python -m json.tool`` to read it by eye); ``spectrum`` sweeps and
 ``flow`` trajectories can be dumped as CSV instead (``--format csv``
-elsewhere exits 2).  ``main`` reads the settings and builds the evaluator;
-each ``cmd_*`` returns its exit code and document or CSV rows, which ``main``
-prints (a document under ``provenance``).
+elsewhere exits 2).  ``main`` reads the settings, a flag's and a config
+file's through one conversion and one check, into the evaluator ``ev``, the
+one record of eta, tau and tol.  Each ``cmd_*(args, ev)`` returns its exit
+code and document or CSV rows, which ``main`` prints (a document under
+``provenance``); each verify suite is ``suite(ell, ev, rng)``.
 
 Exit codes: 0 success; 1 a verify suite failed; 2 invalid parameters or
 torsion eta (ValueError, EllipticError); 3 ambiguous clustering, a wrong edge
@@ -32,9 +34,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 from math import comb, isqrt
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .lame import CurvePoint, LameContext, _sigma_min, scaled_residual
 from .theta import EllipticParams, ThetaEvaluator, theta
 from .util import format_complex, format_complex_pm, parse_complex, parse_eta
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 SCHEMA = 1
 
 # looked up along type(exc).__mro__, so the most specific class wins
@@ -69,20 +66,6 @@ EXIT_CODES = {
     MarginViolationError: 4,
     LocusError: 4,
 }
-
-
-@dataclass
-class RunConfig:
-    ell: "int | None"
-    eta: complex
-    eta_fraction: "Fraction | None"
-    tau: complex
-    tol: float
-    seed: int
-    fmt: str
-
-    def evaluator(self) -> ThetaEvaluator:
-        return ThetaEvaluator(EllipticParams(tau=self.tau, eta=self.eta, tol=self.tol))
 
 
 # the keys a --config file may set, with their values when neither it nor a flag does
@@ -114,9 +97,15 @@ def _read_config_file(path):
     return out
 
 
-def _build_config(args) -> RunConfig:
-    path = getattr(args, "config", None)
-    from_file = _read_config_file(path) if path else {}
+def _build_config(args) -> ThetaEvaluator:
+    """Resolve the run's settings and return its evaluator, the one record of eta, tau and tol.
+
+    Each of eta, tau, tol, seed and format comes from its flag, else the config
+    file, else ``_CONFIG_DEFAULTS``, through one converter; ``EllipticParams``
+    checks eta, tau and tol.  ``args`` is given the resolved ``ell`` (for flow,
+    from the pole count), ``seed``, ``format`` and ``eta_fraction``, the exact
+    P/Q of a rational eta or None."""
+    from_file = _read_config_file(args.config) if args.config else {}
 
     def setting(key, convert):
         """The flag's value, else the config file's, else the default, converted."""
@@ -127,53 +116,39 @@ def _build_config(args) -> RunConfig:
             return convert(from_file[key])
         except ValueError as exc:
             raise ValueError(
-                f"bad value {from_file[key]!r} for key {key!r} in config file {path!r}: {exc}"
+                f"bad value {from_file[key]!r} for key {key!r} in config file {args.config!r}: {exc}"
             ) from None
 
     tol = setting("tol", float)
-    seed = setting("seed", int)
-    fmt = setting("format", str)
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
-    if fmt == "csv" and args.command not in _CSV_COMMANDS:
+    args.seed = setting("seed", int)
+    args.format = setting("format", str)
+    if args.format not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {args.format!r}")
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
         raise ValueError(f"{args.command} has no CSV form; "
                          f"--format csv is offered by {' and '.join(_CSV_COMMANDS)} only")
     if args.command == "flow":
         # no --ell: the l with l(l+1)/2 = M, the pole count, or None where M has none
         M = args.poles.count(",") + 1
         ell = isqrt(2 * M)
-        ell = ell if ell * (ell + 1) // 2 == M else None
+        args.ell = ell if ell * (ell + 1) // 2 == M else None
     elif args.ell < 1:
         raise ValueError(f"--ell must be >= 1, got {args.ell}")
-    else:
-        ell = args.ell
-    eta, frac = setting("eta", parse_eta)
-    tau = setting("tau", parse_complex)
-    if tau.imag <= 0:
-        raise ValueError(f"Im(tau) must be positive, got {format_complex(tau)!r}")
-    return RunConfig(
-        ell=ell,
-        eta=eta,
-        eta_fraction=frac,
-        tau=tau,
-        tol=tol,
-        seed=seed,
-        fmt=fmt,
-    )
+    eta, args.eta_fraction = setting("eta", parse_eta)
+    return ThetaEvaluator(EllipticParams(tau=setting("tau", parse_complex), eta=eta, tol=tol))
 
 
-def _provenance(cfg: RunConfig, ev: ThetaEvaluator) -> dict:
+def _provenance(args, ev: ThetaEvaluator) -> dict:
+    frac = args.eta_fraction
     return {
         "schema": SCHEMA,
-        "ell": cfg.ell,
-        "eta": format_complex(cfg.eta),
-        "eta_rational": f"{cfg.eta_fraction.numerator}/{cfg.eta_fraction.denominator}"
-        if cfg.eta_fraction
-        else None,
-        "tau": format_complex(cfg.tau),
-        "tol": cfg.tol,
+        "ell": args.ell,
+        "eta": format_complex(ev.eta),
+        "eta_rational": f"{frac.numerator}/{frac.denominator}" if frac else None,
+        "tau": format_complex(ev.tau),
+        "tol": ev.tol,
         "series_cutoff": ev.series_cutoff,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
 
@@ -222,10 +197,10 @@ def _c(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_edges(args, cfg: RunConfig, ev: ThetaEvaluator):
-    edges = curve_mod.band_edges(cfg.ell, ev)
+def cmd_edges(args, ev: ThetaEvaluator):
+    edges = curve_mod.band_edges(args.ell, ev)
     counts = edges.counts()
-    expected = curve_mod.BandEdgeSet.expected_counts(cfg.ell)
+    expected = curve_mod.BandEdgeSet.expected_counts(args.ell)
     pm = {a: [format_complex_pm(e) for e in edges.per_label[a]] for a in (1, 2, 3, 4)}
     # the strings of with_reflection(): the union's edges, then their negatives
     strings = [p for a in pm for p, _ in pm[a]] + [m for a in pm for _, m in pm[a]]
@@ -238,8 +213,8 @@ def cmd_edges(args, cfg: RunConfig, ev: ThetaEvaluator):
         "counts_ok": counts == expected,
     }
     ok = doc["counts_ok"]
-    if cfg.ell in (1, 2):
-        closed = curve_mod.closed_form_edges(cfg.ell, ev)
+    if args.ell in (1, 2):
+        closed = curve_mod.closed_form_edges(args.ell, ev)
         dev = {}
         for a in (1, 2, 3, 4):
             got, want = edges.per_label[a], sorted(closed[a], key=lambda z: (z.real, z.imag))
@@ -251,18 +226,18 @@ def cmd_edges(args, cfg: RunConfig, ev: ThetaEvaluator):
     return (0 if ok else 3), doc
 
 
-def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
-    if cfg.eta_fraction is None:
+def cmd_spectrum(args, ev: ThetaEvaluator):
+    if args.eta_fraction is None:
         raise ValueError("spectrum needs rational eta, pass --eta P/Q")
     if args.kpoints < 1:
         raise ValueError("--kpoints must be >= 1")
-    P, Q = cfg.eta_fraction.numerator, cfg.eta_fraction.denominator
+    P, Q = args.eta_fraction.numerator, args.eta_fraction.denominator
     re = RationalEta(P=P, Q=Q)
     # theta1 vanishes only at m + n*tau, so the line Im x0 = Im tau/2 keeps the
     # orbit Im tau/2 away from every zero
-    x0 = 0.123456 + cfg.tau / 2
-    cand = numeric_band_edges(cfg.ell, re, x0, ev)
-    analytic = curve_mod.band_edges(cfg.ell, ev).with_reflection()
+    x0 = 0.123456 + ev.tau / 2
+    cand = numeric_band_edges(args.ell, re, x0, ev)
+    analytic = curve_mod.band_edges(args.ell, ev).with_reflection()
     num = cand.confident_values()
     max_dev = None
     if len(num) and len(analytic):
@@ -278,14 +253,14 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
         "analytic_edges": [_c(v) for v in sorted(analytic, key=lambda z: (z.real, z.imag))],
         "max_deviation": max_dev,
         "bands": [[lo, hi] for lo, hi in bands],
-        "counts_ok": len(num) == 2 * (2 * cfg.ell + 1) and len(bands) == 2 * cfg.ell + 1,
+        "counts_ok": len(num) == 2 * (2 * args.ell + 1) and len(bands) == 2 * args.ell + 1,
     }
     code = 0 if doc["counts_ok"] else 3
-    if Q <= 2 * cfg.ell + 2:
-        doc["warning"] = f"Q={Q} <= 2*ell+2={2*cfg.ell+2}: gaps may be unresolved"
-    if cfg.fmt == "csv":
+    if Q <= 2 * args.ell + 2:
+        doc["warning"] = f"Q={Q} <= 2*ell+2={2*args.ell+2}: gaps may be unresolved"
+    if args.format == "csv":
         ks = np.linspace(0.0, re.brillouin_width(), args.kpoints)
-        sweep = band_sweep(cfg.ell, re, x0, ks, ev)
+        sweep = band_sweep(args.ell, re, x0, ks, ev)
         rows = [["k"] + [f"E_{i+1}" for i in range(sweep.shape[1])]]
         for k, energies in zip(ks, sweep.real):
             rows.append([repr(float(k))] + [repr(float(v)) for v in energies])
@@ -293,12 +268,13 @@ def cmd_spectrum(args, cfg: RunConfig, ev: ThetaEvaluator):
     return code, doc
 
 
-# Each verify suite draws from the run's one rng and returns one relative error
-# per draw (the largest where a draw checks several), each draw's bound (a
-# scalar holds for all) and where the bound comes from.  It passes when every
-# error is at most its bound, and fails with no draw (no curve point found).
+# Each verify suite(ell, ev, rng) draws from the run's one rng and returns one
+# relative error per draw (the largest where a draw checks several), each
+# draw's bound (a scalar holds for all) and where the bound comes from.  It
+# passes when every error is at most its bound, and fails with no draw (no
+# curve point found).
 
-def _theta_monodromy(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _theta_monodromy(ell: int, ev: ThetaEvaluator, rng):
     errors = []
     for a in (1, 2, 3, 4):
         for _ in range(20):
@@ -313,14 +289,14 @@ def _theta_monodromy(cfg: RunConfig, ev: ThetaEvaluator, rng):
     return errors, 1e-10, "fixed"
 
 
-def _cauchy(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _cauchy(ell: int, ev: ThetaEvaluator, rng):
     """One draw per i = 1..ell+1 of n = min(i, 10) points, LU's relative error
     being about n eps kappa(A).  Re x lies in (0.05, 0.45) and Im x in one of
     n equal bands of |Im x| < 0.45 Im tau, one point per band: the sums x_i +
     x_j keep off the lattice and the points do not cluster.  kappa(A) still
     grows about threefold per point; at n <= 10 the bounds stay below 1e-7."""
     errors, bounds = [], []
-    for i in range(1, cfg.ell + 2):
+    for i in range(1, ell + 2):
         n = min(i, 10)
         im = np.linspace(-0.45, 0.45, n + 1) * ev.tau.imag
         xs = [complex(rng.uniform(0.05, 0.45), rng.uniform(lo, hi)) for lo, hi in zip(im[:-1], im[1:])]
@@ -332,31 +308,31 @@ def _cauchy(cfg: RunConfig, ev: ThetaEvaluator, rng):
     return errors, bounds, "10 n eps kappa(A)"
 
 
-def _schur(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _schur(ell: int, ev: ThetaEvaluator, rng):
     errors = []
     for _ in range(5):
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
         q = np.exp(1j * rng.uniform(0.2, 1.2))
-        lhs, rhs = curve_mod.weyl_denominator_check(cfg.ell, z, complex(q))
+        lhs, rhs = curve_mod.weyl_denominator_check(ell, z, complex(q))
         errors.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return errors, 1e-10, "fixed"
 
 
-def _apoly(cfg: RunConfig, ev: ThetaEvaluator, rng):
-    A = curve_mod.a_polys_recurrence(cfg.ell, ev)
+def _apoly(ell: int, ev: ThetaEvaluator, rng):
+    A = curve_mod.a_polys_recurrence(ell, ev)
     errors = []
     for _ in range(20):
         E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        dets = [curve_mod.a_polys_determinant(cfg.ell, s, E, ev) for s in range(cfg.ell + 1)]
-        recs = [curve_mod.polyval(E, A[cfg.ell - s]) for s in range(cfg.ell + 1)]
+        dets = [curve_mod.a_polys_determinant(ell, s, E, ev) for s in range(ell + 1)]
+        recs = [curve_mod.polyval(E, A[ell - s]) for s in range(ell + 1)]
         errors.append(max(abs(d - r) / max(abs(r), 1.0) for d, r in zip(dets, recs)))
     return errors, 1e-10, "fixed"
 
 
-def _curve_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _curve_symmetry(ell: int, ev: ThetaEvaluator, rng):
     """Each image of a point reads sigma_min of its row-scaled residue matrix,
     its distance to a rank-deficient matrix in units of each row's terms."""
-    ctx = LameContext(ell=cfg.ell, ev=ev)
+    ctx = LameContext(ell=ell, ev=ev)
     errors = []
     for pt in curve_mod.random_curve_points(ctx, 3, rng):
         mapped = (
@@ -377,23 +353,23 @@ def _cj_pair_errors(C: np.ndarray) -> np.ndarray:
     return errors
 
 
-def _cj_symmetry(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _cj_symmetry(ell: int, ev: ThetaEvaluator, rng):
     """The palindrome C_j = C_{N-j} and C_0 = 1, one error per j (``_cj_pair_errors``)."""
-    return _cj_pair_errors(curve_mod.curve_coeffs(cfg.ell, ev).C), 1e-10, "fixed"
+    return _cj_pair_errors(curve_mod.curve_coeffs(ell, ev).C), 1e-10, "fixed"
 
 
-def _cj_limit(cfg: RunConfig, ev: ThetaEvaluator, rng):
+def _cj_limit(ell: int, ev: ThetaEvaluator, rng):
     """C_j -> binom(N, j) as eta -> 0 at the eta^2 rate: while N^2 eta^2 is
     small, halving eta divides d = max_j |C_j / binom(N, j) - 1| by 4.  The
     ladder eta_k = 0.1 min(1, Im tau)^2 / N / 2^k starts lower at small Im tau,
     where the eta^2 term dominates only at smaller eta; the cell's eta is not read."""
-    N = cfg.ell * (cfg.ell + 1) // 2
+    N = ell * (ell + 1) // 2
     binom = np.array([comb(N, j) for j in range(N + 1)], dtype=float)
-    top = 0.1 * min(1.0, cfg.tau.imag) ** 2
+    top = 0.1 * min(1.0, ev.tau.imag) ** 2
     d = np.empty(3)
     for k in range(3):
-        ev_k = ThetaEvaluator(EllipticParams(tau=cfg.tau, eta=top / N / 2**k, tol=cfg.tol))
-        d[k] = np.abs(curve_mod.curve_coeffs(cfg.ell, ev_k).C / binom - 1).max()
+        ev_k = ThetaEvaluator(EllipticParams(tau=ev.tau, eta=top / N / 2**k, tol=ev.tol))
+        d[k] = np.abs(curve_mod.curve_coeffs(ell, ev_k).C / binom - 1).max()
     return np.abs(4 * d[1:] - d[:-1]), 0.05 * d[:-1] + 64 * np.finfo(float).eps, "eta^2 rate"
 
 
@@ -409,11 +385,11 @@ SUITES = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig, ev: ThetaEvaluator):
-    rng = np.random.default_rng(cfg.seed)
+def cmd_verify(args, ev: ThetaEvaluator):
+    rng = np.random.default_rng(args.seed)
     results = {}
     for name in SUITES if args.suite == "all" else [args.suite]:
-        errors, bounds, source = SUITES[name](cfg, ev, rng)
+        errors, bounds, source = SUITES[name](args.ell, ev, rng)
         errors = [float(e) for e in errors]
         bounds = [float(b) for b in np.broadcast_to(bounds, len(errors))]
         results[name] = {"rel_errors": errors, "bounds": bounds, "bound_source": source,
@@ -423,15 +399,14 @@ def cmd_verify(args, cfg: RunConfig, ev: ThetaEvaluator):
     return (0 if passed else 1), {"suites": results, "all_passed": passed}
 
 
-def cmd_flow(args, cfg: RunConfig, ev: ThetaEvaluator):
+def cmd_flow(args, ev: ThetaEvaluator):
     from . import volterra
 
-    poles = [parse_complex(tok) for tok in args.poles.split(",")]
-    cfg0 = volterra.PoleConfig(xs=tuple(poles))
-    result = volterra.integrate_flow(cfg0, args.t_end, args.dt, ev)
-    if cfg.fmt == "csv":
+    cfg = volterra.PoleConfig(xs=tuple(parse_complex(tok) for tok in args.poles.split(",")))
+    result = volterra.integrate_flow(cfg, args.t_end, args.dt, ev)
+    if args.format == "csv":
         head = ["t"]
-        for j in range(cfg0.M):
+        for j in range(cfg.M):
             head += [f"re_x{j+1}", f"im_x{j+1}"]
         rows = [head + ["locus_gap"]]
         for snap, gap in zip(result.trajectory, result.locus_gaps):
@@ -446,14 +421,14 @@ def cmd_flow(args, cfg: RunConfig, ev: ThetaEvaluator):
             for snap, gap in zip(result.trajectory, result.locus_gaps)
         ],
         "max_locus_gap": float(result.locus_gaps.max()),
-        "min_margin": float(result.margins.min()) if cfg0.M > 1 else None,  # one pole: no pair, no margin
+        "min_margin": float(result.margins.min()) if cfg.M > 1 else None,  # one pole: no pair, no margin
     }
 
 
-def cmd_curve_point(args, cfg: RunConfig, ev: ThetaEvaluator):
+def cmd_curve_point(args, ev: ThetaEvaluator):
     if (args.fix_zeta is None) == (args.fix_E is None):
         raise ValueError("pass exactly one of --fix-zeta / --fix-E")
-    ctx = LameContext(ell=cfg.ell, ev=ev)
+    ctx = LameContext(ell=args.ell, ev=ev)
     seed = CurvePoint(
         zeta=parse_complex(args.seed_zeta),
         K=parse_complex(args.seed_K),
@@ -473,8 +448,8 @@ def cmd_curve_point(args, cfg: RunConfig, ev: ThetaEvaluator):
     }
 
 
-def cmd_coeffs(args, cfg: RunConfig, ev: ThetaEvaluator):
-    cc = curve_mod.curve_coeffs(cfg.ell, ev)
+def cmd_coeffs(args, ev: ThetaEvaluator):
+    cc = curve_mod.curve_coeffs(args.ell, ev)
     N = cc.N
     return 0, {
         "N": N,
@@ -492,10 +467,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eta", help="lattice spacing: 'a+bi' or exact 'P/Q'")
     common.add_argument("--tau", help="modular parameter 'a+bi', Im > 0")
-    common.add_argument("--tol", type=float, help="evaluation tolerance")
-    common.add_argument("--seed", type=int, help="seed for randomized suites")
-    common.add_argument("--format", choices=_FORMATS,
-                        help="output format; csv for spectrum and flow only")
+    common.add_argument("--tol", help="evaluation tolerance")
+    common.add_argument("--seed", help="seed for randomized suites")
+    common.add_argument("--format", help="output format, json or csv; csv for spectrum and flow only")
     common.add_argument("--config", help="key=value config file setting eta, tau, tol, seed "
                                          "or format; flags win")
     ap = argparse.ArgumentParser(prog="lame-spectra", description=__doc__.splitlines()[0])
@@ -553,10 +527,9 @@ def main(argv=None) -> int:
     else:
         args = ap.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        ev = cfg.evaluator()
-        code, out = args.func(args, cfg, ev)
-        _emit(out if cfg.fmt == "csv" else {"provenance": _provenance(cfg, ev), **out})
+        ev = _build_config(args)
+        code, out = args.func(args, ev)
+        _emit(out if args.format == "csv" else {"provenance": _provenance(args, ev), **out})
     except tuple(EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)

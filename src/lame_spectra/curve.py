@@ -339,10 +339,15 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
 
     ell = 1: label 1 empty; label a in {2,3,4} holds
         2 theta_b(eta) theta_c(eta) / (theta_b(0) theta_c(0)),
-    {b, c} the two other even labels.  ell = 2: label 1 holds the roots of
-        [2] E^2 - [2]^3 E + 2 [4] = 0
-    and label a in {2,3,4} holds theta1(2 eta) theta_a(2 eta) /
-    (theta1(eta) theta_a(eta)).
+    {b, c} the two other even labels.  ell = 2: label 1 holds the roots
+    [2]^2 (1 +- x) / 2 of
+        [2] E^2 - [2]^3 E + 2 [4] = 0,
+    whose discriminant over [2]^4 is, by the duplication formulas and
+    theta1^4 + theta3^4 = theta2^4 + theta4^4 (DLMF 20.7),
+        x^2 = 1 - 8 [4]/[2]^5 = theta1^4 (theta2^-4 + theta4^-4 - theta3^-4)(eta),
+    which does not cancel as eta -> 0; the root of smaller modulus is the
+    product of the roots, 2 [4]/[2], over the other.  Label a in {2,3,4}
+    holds theta1(2 eta) theta_a(2 eta) / (theta1(eta) theta_a(eta)).
     """
     if ell == 1:
         out = {1: []}
@@ -353,12 +358,12 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
             out[a] = [2 * t[b][0] * t[c][0] / (t[b][1] * t[c][1])]
         return out
     if ell == 2:
-        b2 = ebracket(2, ev)
-        b4 = ebracket(4, ev)
-        disc = cmath.sqrt(b2**4 - 8 * b4 / b2)
-        out = {1: [(b2**2 + disc) / 2, (b2**2 - disc) / 2]}
         # theta_a at (2 eta, eta), one call per characteristic
         t = {a: theta(a, np.array([2 * ev.eta, ev.eta]), ev).tolist() for a in (1, 2, 3, 4)}
+        b2 = ebracket(2, ev)
+        x = t[1][1] ** 2 * cmath.sqrt(t[2][1] ** -4 + t[4][1] ** -4 - t[3][1] ** -4)
+        big = b2**2 * (1 + x if abs(1 + x) >= abs(1 - x) else 1 - x) / 2
+        out = {1: [big, 2 * ebracket(4, ev) / (b2 * big)]}
         for a in (2, 3, 4):
             out[a] = [t[1][0] * t[a][0] / (t[1][1] * t[a][1])]
         return out

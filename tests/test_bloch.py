@@ -70,6 +70,11 @@ class TestRationalEta:
         with pytest.raises(ValueError):
             RationalEta(P=1, Q=0)
 
+    def test_nonzero_p(self):
+        # 0/1 is in lowest terms: only the P guard refuses it
+        with pytest.raises(ValueError, match="^P must be nonzero$"):
+            RationalEta(P=0, Q=1)
+
     def test_brillouin(self):
         assert RationalEta(P=2, Q=41).brillouin_width() == pytest.approx(math.pi)
 

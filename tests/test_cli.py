@@ -118,6 +118,14 @@ class TestEdgesCommand:
         assert doc["counts"] == {"1": 2, "2": 1, "3": 1, "4": 1}
         assert all(v is not None and v < 1e-9 for v in doc["closed_form_deviation"].values())
 
+    @pytest.mark.parametrize("eta", ["1/101", "1/61", "1/31"])
+    def test_l2_closed_form_does_not_cancel_at_small_eta(self, capsys, eta):
+        # the discriminant [2]^4 - 8[4]/[2] cancels as eta -> 0 (2.0e-12 off at 1/101);
+        # its theta-quotient form does not
+        code, out = run_cli(capsys, "edges", "--ell", "2", "--eta", eta, "--tau", "1.2i")
+        assert code == 0
+        assert json.loads(out)["closed_form_deviation"]["1"] <= 1e-14
+
     def test_l0_rejected(self, capsys):
         code, _ = run_cli(capsys, "edges", "--ell", "0", "--eta", "0.17")
         assert code == 2
@@ -136,15 +144,23 @@ class TestEdgesCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--eta", "3/0"], ["--eta", "nan"], ["--eta", "0.17", "--tau", "1e400i"]],
-        ids=["zero-denominator", "eta-nan", "tau-inf"],
+        [["--eta", "3/0"], ["--eta", "nan"], ["--eta", "0.17", "--tau", "1e400i"], ["--tau", "1"],
+         ["--tau", "nan"], ["--format", "xml"], ["--tol", "abc"], ["--seed", "x"], ["--config", "format = xml"]],
+        ids=["zero-denominator", "eta-nan", "tau-inf", "tau-real", "tau-nan", "format-flag", "tol-flag",
+             "seed-flag", "format-config"],
     )
-    def test_bad_parameter_is_one_error_line(self, capsys, flags):
+    def test_bad_parameter_is_one_error_line(self, capsys, tmp_path, flags):
+        # a flag's value and a config file's are converted and checked alike
+        if flags[0] == "--config":  # the file's text stands in its place
+            path = tmp_path / "run.cfg"
+            path.write_text(flags[1] + "\n")
+            flags = ["--config", str(path)]
         code = main(["edges", "--ell", "1", *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ValueError: ")
         assert len(err.splitlines()) == 1
+        assert "usage:" not in err
         assert "Traceback" not in err
 
     def test_determinism(self, capsys):
@@ -659,6 +675,13 @@ class TestCurvePointCommand:
         doc = json.loads(out)
         assert max(doc["scaled_residual"]) < 1e-10
         assert "B1" in doc["bloch_multipliers"]
+
+    def test_solve_with_E_fixed(self, capsys):
+        code, out = run_cli(capsys, "curve-point", "--ell", "2", "--fix-E", "1.6+0.4i")
+        assert code == 0
+        doc = json.loads(out)
+        assert max(doc["scaled_residual"]) < 1e-11
+        assert doc["point"]["E"] == "1.6+0.4i"
 
     @pytest.mark.parametrize("fixes", [[], ["--fix-zeta", "0.31+0.07i", "--fix-E", "1.6+0.4i"]],
                              ids=["neither", "both"])

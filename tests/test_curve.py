@@ -42,7 +42,7 @@ from lame_spectra.curve import (
     weyl_denominator_check,
 )
 from lame_spectra.enumbers import ebracket, theta1_multiples
-from lame_spectra.errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError
+from lame_spectra.errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.util import nearest_lattice_point
 
@@ -91,6 +91,19 @@ class TestAPolynomials:
 
     def test_s_zero_is_one(self, ev):
         assert a_polys_determinant(3, 0, 1.7 + 0.2j, ev) == 1
+
+    @pytest.mark.parametrize("s", [-1, 3])
+    def test_determinant_s_out_of_range(self, ev, s):
+        with pytest.raises(ValueError, match=rf"^need 0 <= s <= ell, got s={s}$"):
+            a_polys_determinant(2, s, 0.5, ev)
+
+    def test_determinant_near_torsion_binomial_refused(self):
+        # near eta = 1/4, |[4]| = 1.2e-8 clears the bracket guard at tol 1e-8,
+        # but ebinom(4, 2) = [4][3]/[2] = 8.5e-9 does not clear the divisor's
+        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.25 + 6.7e-10, tol=1e-8))
+        assert abs(ebracket(4, ev)) > ev.tol
+        with pytest.raises(TorsionEtaError, match=r"^ebinom\(4,2\) ~ 0 at eta="):
+            a_polys_determinant(2, 2, 0.5, ev)
 
 
 class TestCurveEquations:
@@ -197,6 +210,10 @@ class TestBandEdges:
         for a in (2, 3, 4):
             assert abs(edges.per_label[a][0] - closed[a][0]) < 1e-9 * abs(closed[a][0])
 
+    def test_no_closed_form_at_l3(self, ev):
+        with pytest.raises(ValueError, match="^closed forms are only known for ell = 1, 2, got 3$"):
+            closed_form_edges(3, ev)
+
 
 
 def _scalar_closed_form_edges(ell, ev):
@@ -208,9 +225,11 @@ def _scalar_closed_form_edges(ell, ev):
             out[a] = [2 * theta(b, ev.eta, ev) * theta(c, ev.eta, ev)
                       / (theta(b, 0.0, ev) * theta(c, 0.0, ev))]
         return out
-    b2, b4 = ebracket(2, ev), ebracket(4, ev)
-    disc = cmath.sqrt(b2**4 - 8 * b4 / b2)
-    out = {1: [(b2**2 + disc) / 2, (b2**2 - disc) / 2]}
+    b2 = ebracket(2, ev)
+    x = theta(1, ev.eta, ev) ** 2 * cmath.sqrt(
+        theta(2, ev.eta, ev) ** -4 + theta(4, ev.eta, ev) ** -4 - theta(3, ev.eta, ev) ** -4)
+    big = b2**2 * (1 + x if abs(1 + x) >= abs(1 - x) else 1 - x) / 2
+    out = {1: [big, 2 * ebracket(4, ev) / (b2 * big)]}
     for a in (2, 3, 4):
         out[a] = [theta(1, 2 * ev.eta, ev) * theta(a, 2 * ev.eta, ev)
                   / (theta(1, ev.eta, ev) * theta(a, ev.eta, ev))]
@@ -891,6 +910,11 @@ class TestWeylDenominator:
         lhs, rhs = weyl_denominator_check(ell, 0.7 + 0.2j, cmath.exp(0.46j))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
+    def test_vanishing_divisor_refused(self):
+        # (2)_q = q^(1/2) + q^(-1/2) vanishes at q = -1, a divisor at l = 3
+        with pytest.raises(ZeroDivisionError, match=r"^\(2\)_q ~ 0 for q="):
+            weyl_denominator_check(3, 0.7 + 0.2j, -1 + 0j)
+
 
 class TestSolveCurvePoint:
     def test_half_period_fix_recovers_edge(self, ctx1):
@@ -921,6 +945,13 @@ class TestSolveCurvePoint:
             val = bloch_relation(pt.zeta, pt.K, 2, PARAMS_EV)
             scale = bloch_relation_scale(pt.zeta, pt.K, 2, PARAMS_EV)
             assert abs(val) < 1e-8 * scale
+
+    @pytest.mark.parametrize("fix", [{}, {"K": 1.4 + 0.5j}, {"zeta": 0.31 + 0.07j, "E": 1.6 + 0.4j}],
+                             ids=["none", "K", "both"])
+    def test_fix_must_hold_zeta_or_E(self, ctx2, fix):
+        seed = CurvePoint(zeta=0.31 + 0.07j, K=1.4 + 0.5j, E=1.6 + 0.4j)
+        with pytest.raises(ValueError, match="^fix must be exactly"):
+            solve_curve_point(fix, seed, ctx2)
 
     def test_fix_E_mode(self, ctx2, curve_points):
         base = curve_points[2][0]

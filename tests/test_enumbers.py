@@ -54,6 +54,12 @@ class TestBracket:
     def test_odd(self, ev):
         assert ebracket(-3, ev) == pytest.approx(-ebracket(3, ev), rel=1e-13)
 
+    def test_lattice_eta_refused(self):
+        # theta1(1) ~ 1e-16: every [k] would be a ratio of rounding errors
+        ev1 = ThetaEvaluator(EllipticParams(tau=1.2j, eta=1.0))
+        with pytest.raises(TorsionEtaError, match=r"^theta1\(eta\) ~ 0 for eta=1\.0: eta on the lattice$"):
+            ebracket(2, ev1)
+
     def test_trig_limit(self):
         ev40 = ThetaEvaluator(EllipticParams(tau=40j, eta=0.2, tol=1e-12))
         want = math.sin(3 * 0.2 * math.pi) / math.sin(0.2 * math.pi)
@@ -347,3 +353,7 @@ class TestQNumber:
         for j in range(1, 7):
             want = math.sin(math.pi * eta * j) / math.sin(math.pi * eta)
             assert qnumber(j, q) == pytest.approx(want, rel=1e-12)
+
+    def test_q_one_refused(self):
+        with pytest.raises(ZeroDivisionError, match="^q = 1 has no symmetric q-numbers$"):
+            qnumber(2, 1 + 0j)

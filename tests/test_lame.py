@@ -784,3 +784,44 @@ class TestEllZero:
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
         with pytest.raises(ValueError, match="ell >= 1"):
             fn(pt, ctx0)
+
+
+class TestGuards:
+    def test_negative_ell_refused(self, ev):
+        with pytest.raises(ValueError, match="^ell must be a non-negative integer, got -1$"):
+            LameContext(ell=-1, ev=ev)
+
+    def test_zero_bloch_factor_refused(self):
+        with pytest.raises(ValueError, match="^K must be nonzero$"):
+            CurvePoint(zeta=0.3 + 0.1j, K=0j, E=0.7)
+
+    def test_sample_points_run_out(self, ev, monkeypatch):
+        # no point of the window lies 10 away from every theta1 zero
+        monkeypatch.setattr(lame, "W_MARGIN", 10.0)
+        with pytest.raises(ConsistencyError, match="^could not find enough pole-free sample points$"):
+            lame._sample_points(LameContext(ell=1, ev=ev), lame.W_SAMPLES)
+
+    def test_w_ratio_needs_three_usable_samples(self, monkeypatch):
+        ctx, pt, c = _grid_point(2, 1.2j, 0.17)
+        real = lame._Psi_sum
+        monkeypatch.setattr(lame, "_Psi_sum", lambda *args: real(*args) * 0)
+        with pytest.raises(ConsistencyError, match="^too few usable sample points for the W ratio$"):
+            w_eigenvalue(pt, c, ctx)
+
+    def test_w_ratio_keeps_every_sample_when_the_cut_leaves_too_few(self, monkeypatch):
+        # three usable samples with ratios 0, 0, 1: the cut at 5x the median
+        # deviation keeps two, too few, so all three are kept; their mean 1/3
+        # spreads by 2/3 (the two alone would give w = 0 with no spread)
+        ctx, pt, c = _grid_point(2, 1.2j, 0.17)
+        real = lame._Psi_sum
+
+        def three_usable(*args):
+            out = real(*args)
+            out[:, -1] = 0
+            out[:3, -1] = 1
+            return out
+
+        monkeypatch.setattr(lame, "_Psi_sum", three_usable)
+        monkeypatch.setattr(lame, "_W_sum", lambda *args: np.array([0, 0, 1], dtype=complex))
+        with pytest.raises(ConsistencyError, match=r"^W ratio spread 6\.667e-01 exceeds"):
+            w_eigenvalue(pt, c, ctx)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lame_spectra import EllipticParams, ThetaEvaluator, theta, theta1_prime, theta_halfshift, weierstrass_p
-from lame_spectra.errors import PoleProximityError
+from lame_spectra.errors import ConsistencyError, PoleProximityError
 from lame_spectra.theta import _CHAR, _SPLIT_LOG_MAX, _to_cell
 
 # the package binds the function ``theta`` over its submodule's name
@@ -54,6 +54,11 @@ def ev():
 
 
 class TestSeries:
+    @pytest.mark.parametrize("a", [0, 5])
+    def test_bad_index(self, ev, a):
+        with pytest.raises(ValueError, match=rf"^theta index must be 1\.\.4, got {a}$"):
+            theta(a, 0.1, ev)
+
     def test_theta1_odd_at_zero(self, ev):
         assert abs(theta(1, 0.0, ev)) < 1e-12
 
@@ -216,6 +221,18 @@ class TestHalfShifts:
     def test_bad_label(self, ev):
         with pytest.raises(ValueError):
             theta_halfshift(0.1, "1/3", ev)
+
+    def test_bad_sign(self, ev):
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            theta_halfshift(0.1, "1/2", ev, sign=2)
+
+    def test_violated_identity_raises(self, ev, monkeypatch):
+        # theta2 off by 1e-6: the identity theta1(x + 1/2) = theta2(x) no longer holds to 10 tol
+        real = theta_module.theta
+        monkeypatch.setattr(theta_module, "theta",
+                            lambda a, x, ev, *args, **kwargs: real(a, x, ev, *args, **kwargs) * (1 + 1e-6 * (a == 2)))
+        with pytest.raises(ConsistencyError, match="^half-period identity violated at x=0.1, shift=1/2"):
+            theta_halfshift(0.1, "1/2", ev)
 
 
 class TestWeierstrass:
