@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lame_spectra import bloch, cli, curve
+from lame_spectra import bloch, cli, curve, verify
 from lame_spectra.bloch import periodic_matrix
 from lame_spectra.cli import EXIT_CODES, main
 from lame_spectra.errors import (
@@ -409,8 +409,8 @@ class TestSpectrumCommand:
 
 def _plant_monodromy(monkeypatch):
     """Add a term that is not periodic to the theta the suite reads."""
-    real = cli.theta
-    monkeypatch.setattr(cli, "theta", lambda a, x, ev: real(a, x, ev) + 1e-8 * x)
+    real = verify.theta
+    monkeypatch.setattr(verify, "theta", lambda a, x, ev: real(a, x, ev) + 1e-8 * x)
 
 
 def _plant_cauchy(monkeypatch):
@@ -482,11 +482,11 @@ def _verify_report(capsys, ell):
     verdicts that follow the errors and bounds."""
     code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", ell)
     doc = json.loads(out)
-    assert set(doc["suites"]) == set(cli.SUITES)
-    for r in doc["suites"].values():
+    assert set(doc["suites"]) == set(verify.SUITES)
+    for name, r in doc["suites"].items():
         assert set(r) == {"rel_errors", "bounds", "bound_source", "max_rel_error", "passed"}
         assert len(r["rel_errors"]) == len(r["bounds"]) > 0
-        assert r["bound_source"] in ("fixed", "10 n eps kappa(A)", "eta^2 rate")
+        assert r["bound_source"] == verify.SUITES[name][1]
         assert r["max_rel_error"] == max(r["rel_errors"])
         assert r["passed"] == all(e <= b for e, b in zip(r["rel_errors"], r["bounds"]))
     assert doc["all_passed"] == all(r["passed"] for r in doc["suites"].values())
@@ -518,7 +518,10 @@ class TestVerifyCommand:
         assert len(doc["rel_errors"]) == len(doc["bounds"]) == int(args[3]) + 1
         assert max(doc["bounds"]) <= 1e-6
 
-    @pytest.mark.parametrize("suite,ell", [(suite, ell) for suite in cli.SUITES for ell in (2, 6, 12)])
+    def test_every_suite_has_a_plant(self):
+        assert set(PLANTS) == set(verify.SUITES)
+
+    @pytest.mark.parametrize("suite,ell", [(suite, ell) for suite in verify.SUITES for ell in (2, 6, 12)])
     def test_planted_defect_fails(self, capsys, monkeypatch, suite, ell):
         PLANTS[suite](monkeypatch)
         code, out = run_cli(capsys, "verify", "--suite", suite, "--ell", str(ell))
@@ -535,6 +538,49 @@ class TestVerifyCommand:
                             "--eta", eta, "--tau", tau)
         suites = json.loads(out)["suites"]
         assert [name for name, r in suites.items() if not r["passed"]] == []
+        assert code == 0
+
+    @pytest.mark.parametrize("eta,tau", VERIFY_CELLS)
+    def test_suite_alone_reports_as_inside_all(self, capsys, eta, tau):
+        # each suite draws from its own generator of (seed, suite name)
+        _, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "3", "--eta", eta, "--tau", tau)
+        inside = json.loads(out)["suites"]
+        for suite in verify.SUITES:
+            _, out = run_cli(capsys, "verify", "--suite", suite, "--ell", "3", "--eta", eta, "--tau", tau)
+            assert json.loads(out)["suites"] == {suite: inside[suite]}
+
+    def test_suite_added_first_moves_no_other_draws(self, capsys, monkeypatch):
+        _, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "3")
+        before = json.loads(out)["suites"]
+        dummy = (lambda ell, ev, rng: (rng.uniform(0, 1e-12, 100), 1e-10), "fixed")
+        monkeypatch.setattr(verify, "SUITES", {"dummy": dummy, **verify.SUITES})
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "3")
+        after = json.loads(out)["suites"]
+        assert code == 0
+        assert set(after) == {"dummy", *before}
+        assert {name: r for name, r in after.items() if name != "dummy"} == before
+
+    @pytest.mark.parametrize("seed,ell", [(seed, ell) for seed in range(20) for ell in (6, 9, 12)])
+    def test_schur_passes_where_rhs_is_small(self, capsys, seed, ell):
+        # the zeros of the product rhs lie on |z| = 1 and draws reach |z| 0.94:
+        # an error relative to |rhs| failed 11 of these 60 runs, one relative
+        # to the terms the lhs sum rounds against fails none
+        code, _ = run_cli(capsys, "verify", "--suite", "schur", "--ell", str(ell), "--seed", str(seed))
+        assert code == 0
+
+    def test_all_suites_pass_at_ell_7_seed_1(self, capsys):
+        # a run whose draws all pass, schur's too: it reads its errors against
+        # the terms of the lhs sum, not |rhs|
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "7", "--seed", "1")
+        assert [name for name, r in json.loads(out)["suites"].items() if not r["passed"]] == []
+        assert code == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 21: curve points stop at NEWTON_TOL, not at the rounding floor, so at small "
+        "eta and large ell an image of a sound point can miss the 1e-8 bound (29.5 times it here)"))
+    def test_curve_symmetry_at_small_eta_and_ell_12(self, capsys):
+        code, _ = run_cli(capsys, "verify", "--suite", "curve-symmetry", "--ell", "12",
+                          "--eta", "1/31", "--seed", "6")
         assert code == 0
 
     @pytest.mark.parametrize("ell", ["3", "9"])
@@ -558,7 +604,7 @@ class TestVerifyCommand:
     def test_nan_error_withholds_the_report(self, capsys, monkeypatch, errors):
         # a NaN error is not a failed draw but a report that cannot be
         # written: exit 3 and one line naming the draw
-        monkeypatch.setitem(cli.SUITES, "schur", lambda cfg, ev, rng: (errors, 1e-10, "fixed"))
+        monkeypatch.setitem(verify.SUITES, "schur", (lambda ell, ev, rng: (errors, 1e-10), "fixed"))
         code = main(["verify", "--suite", "schur"])
         captured = capsys.readouterr()
         assert code == 3
