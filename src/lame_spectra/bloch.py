@@ -42,17 +42,20 @@ strided slices of the flat matrix.  At Q 31-41 the ``eigvals`` call is most
 of the route's time.
 
 This module is the independent numerical oracle against which the closed
-curve formulas are checked; it never imports from ``curve``.
+curve formulas are checked; it never imports from ``curve``.  Its records
+are NamedTuples, as every record of the package is (see ``theta``):
+``EdgeCandidates`` a plain one, ``RationalEta`` one that checks P/Q in
+``__new__``.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ClusterAmbiguityError, PoleProximityError
-from .theta import ThetaEvaluator, theta
+from .theta import ThetaEvaluator, _checked_make, theta
 
 __all__ = [
     "RationalEta",
@@ -81,20 +84,26 @@ _TIE_ULPS = 64 * np.finfo(float).eps
 _ROW_STARTS = np.array([[False], [True]])
 
 
-@dataclass(frozen=True)
-class RationalEta:
-    """Exact lattice spacing P/Q; the coefficient period in n is Q."""
-
+class _RationalEtaFields(NamedTuple):
     P: int
     Q: int
 
-    def __post_init__(self):
-        if self.Q <= 0:
+
+class RationalEta(_RationalEtaFields):
+    """Exact lattice spacing P/Q; the coefficient period in n is Q."""
+
+    __slots__ = ()
+
+    def __new__(cls, P: int, Q: int):
+        if Q <= 0:
             raise ValueError("Q must be positive")
-        if self.P == 0:
+        if P == 0:
             raise ValueError("P must be nonzero")
-        if math.gcd(abs(self.P), self.Q) != 1:
-            raise ValueError(f"P/Q = {self.P}/{self.Q} must be in lowest terms")
+        if math.gcd(abs(P), Q) != 1:
+            raise ValueError(f"P/Q = {P}/{Q} must be in lowest terms")
+        return super().__new__(cls, P, Q)
+
+    _make = classmethod(_checked_make)
 
     @property
     def eta(self) -> float:
@@ -193,8 +202,7 @@ def lame_coefficients(ell: int, re: RationalEta, x0: complex, ev: ThetaEvaluator
     return t[:, 1] / den, t[:, 2] / den, x0
 
 
-@dataclass(frozen=True)
-class EdgeCandidates:
+class EdgeCandidates(NamedTuple):
     """Candidate edges from the periodic/antiperiodic spectra.
 
     ``values[i]`` is a cluster center and ``confident[i]`` is True for clean

@@ -36,12 +36,15 @@ the layout of ``numpy.polynomial.polynomial``; a stack of polynomials is a
 2-D array, one per row.  ``polyval`` is numpy's with ``tensor=False``, value
 for value, so that importing this module does not load the
 ``numpy.polynomial`` package.
+
+``BandEdgeSet`` and ``CurveCoeffs`` are plain NamedTuples, as every record of
+the package is (see ``theta``).
 """
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,8 +205,7 @@ def half_period(a: int, tau: complex) -> complex:
     return {1: 0.0 + 0j, 2: 0.5 + 0j, 3: (1 + tau) / 2, 4: tau / 2}[a]
 
 
-@dataclass(frozen=True)
-class BandEdgeSet:
+class BandEdgeSet(NamedTuple):
     """Band edges per half-period label."""
 
     ell: int
@@ -373,8 +375,7 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
 # ---------------------------------------------------------------------------
 # Bloch-multiplier relation
 
-@dataclass(frozen=True)
-class CurveCoeffs:
+class CurveCoeffs(NamedTuple):
     """Subset-sum coefficients C_0..C_N of the Bloch-multiplier relation."""
 
     ell: int

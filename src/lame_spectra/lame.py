@@ -35,10 +35,16 @@ theta1(zeta), from one shifted theta table (``build_Psi`` reads its n = -l..0
 the same way).  Its spread check is relative above |w| = 1 and absolute
 below: near a band edge w is tiny and the W sum cancels to the scale of its
 terms, not of w.
+
+The records here (``LameContext``, ``CurvePoint``, ``BlochCoeffs`` and the
+context's bundle ``_ContextParts``) are NamedTuples, as every record of the
+package is (see ``theta``): a frozen dataclass takes about 1 ms to define at
+import.  ``LameContext`` and ``CurvePoint`` check their fields in
+``__new__``; a context caches its bundle off the tuple, in its
+``__dict__``, outside equality and hash.
 """
 
 import cmath
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
@@ -48,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
 from .enumbers import ebracket, ebinom, efactorial, theta1_multiples
 from .errors import ConsistencyError
-from .theta import ThetaEvaluator, _nonzero, theta
+from .theta import ThetaEvaluator, _checked_make, _nonzero, _read_only, theta
 from .util import halton, nearest_lattice_point
 
 __all__ = [
@@ -82,8 +88,12 @@ W_REL_TOL = 1e-7
 _CONTEXT_PARTS_MAX = 64
 
 
-@dataclass(frozen=True)
-class LameContext:
+class _LameContextFields(NamedTuple):
+    ell: int
+    ev: ThetaEvaluator
+
+
+class LameContext(_LameContextFields):
     """Degree l plus a theta evaluator; holds the eta-only parts of ``build_M``
     and of W.
 
@@ -92,16 +102,18 @@ class LameContext:
     [1..2l+2] vanishes, since all residue formulas divide by them.  The parts
     are built once per (l, evaluator parameters), as one bundle in a bounded
     module cache (``_context_parts``), so contexts built anew per request
-    share them.
+    share them; the bundle is also cached on the context, off the tuple.
     """
 
-    ell: int
-    ev: ThetaEvaluator
+    def __new__(cls, ell: int, ev: ThetaEvaluator):
+        if ell < 0:
+            raise ValueError(f"ell must be a non-negative integer, got {ell}")
+        efactorial(2 * ell + 2, ev)
+        return super().__new__(cls, ell, ev)
 
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"ell must be a non-negative integer, got {self.ell}")
-        efactorial(2 * self.ell + 2, self.ev)
+    _make = classmethod(_checked_make)
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def N(self) -> int:
@@ -116,8 +128,7 @@ class LameContext:
 class _ContextParts(NamedTuple):
     """The eta-only parts of a context, read-only: ``M`` = (P, D, B, R, n, m*eta)
     of the residue matrix, ``w`` the weights of the shifts in W and ``samples``
-    the W_SAMPLES points of ``w_eigenvalue``.  A NamedTuple, not a dataclass:
-    a frozen dataclass takes ~0.9 ms to define at import."""
+    the W_SAMPLES points of ``w_eigenvalue``."""
 
     M: tuple
     w: np.ndarray
@@ -147,8 +158,13 @@ def _context_parts(ctx: LameContext) -> _ContextParts:
     return _ContextParts(M, w, _sample_points(ctx, W_SAMPLES))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class _CurvePointFields(NamedTuple):
+    zeta: complex
+    K: complex
+    E: complex
+
+
+class CurvePoint(_CurvePointFields):
     """Spectral parameters (zeta, K, E) with derived Bloch multipliers.
 
     K^(x/eta) always uses the principal logarithm of K; the multipliers
@@ -156,13 +172,14 @@ class CurvePoint:
     raise OverflowError, naming the exponent, beyond the double range.
     """
 
-    zeta: complex
-    K: complex
-    E: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.K == 0:
+    def __new__(cls, zeta: complex, K: complex, E: complex):
+        if K == 0:
             raise ValueError("K must be nonzero")
+        return super().__new__(cls, zeta, K, E)
+
+    _make = classmethod(_checked_make)
 
     @property
     def log_K(self) -> complex:
@@ -183,8 +200,7 @@ def _exp(name: str, z: complex) -> complex:
         raise OverflowError(f"{name} = exp({z:.1e}) is outside the double range") from None
 
 
-@dataclass(frozen=True)
-class BlochCoeffs:
+class BlochCoeffs(NamedTuple):
     """Null vector s of the residue system, largest entry normalized to 1."""
 
     s: np.ndarray

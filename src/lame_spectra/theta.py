@@ -42,12 +42,26 @@ evaluators are safe to share across threads.  So are the three caches:
 threads that miss on one key at once each build the same values, and no
 caller can write a cached array.  The README's cache table gives every
 module cache of the package with its key, bound and traffic.
+
+The package's value records (``EllipticParams`` and ``ThetaEvaluator`` here,
+and those of ``lame``, ``curve``, ``bloch`` and ``volterra``) are
+NamedTuples, not dataclasses: a frozen dataclass writes and compiles its
+methods when its module is imported, about 1 ms per class, and every CLI
+call is a fresh process.  A record that checks or derives its fields is a
+NamedTuple of its fields plus a subclass whose ``__new__`` does the work;
+its ``_make``, and so ``_replace``, goes through that constructor
+(``_checked_make``).  What an evaluator derives besides its fields (the
+cutoff constant and the eta tables) lives off the tuple, in its
+``__dict__``, outside equality, hash and repr, and a copy or an unpickled
+evaluator is built anew from its parameters.  A record is a tuple:
+iterable, indexable, and equal to any tuple of equal fields.
 """
 
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,25 +85,47 @@ _SIGN_TAU = {1: -1.0, 2: 1.0, 3: 1.0, 4: -1.0}
 
 HALF_PERIOD_LABELS = ("1/2", "tau/2", "(1+tau)/2")
 
+# an evaluator refuses parameters whose series needs more than this many terms N
+SERIES_CUTOFF_MAX = 1000
 
-@dataclass(frozen=True)
-class EllipticParams:
-    """Global context: modular parameter, lattice spacing, tolerance."""
 
+def _checked_make(cls, fields):
+    """``_make`` of a record that checks or derives its fields: through the
+    constructor, so that ``_replace``, which calls ``_make``, checks the new
+    fields too (NamedTuple's own ``_make`` calls ``tuple.__new__``)."""
+    return cls(*fields)
+
+
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a record that keeps derived
+    values off the tuple, in its ``__dict__``."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
+class _EllipticParamsFields(NamedTuple):
     tau: complex
     eta: complex
-    tol: float = 1e-12
+    tol: float
 
-    def __post_init__(self):
-        for name in ("tau", "eta", "tol"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
-        if not (self.tau.imag > 0):
-            raise ValueError(f"Im(tau) must be positive, got tau={self.tau}")
-        if self.eta == 0:
+
+class EllipticParams(_EllipticParamsFields):
+    """Global context: modular parameter, lattice spacing, tolerance."""
+
+    __slots__ = ()
+
+    def __new__(cls, tau: complex, eta: complex, tol: float = 1e-12):
+        for name, value in (("tau", tau), ("eta", eta), ("tol", tol)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value}")
+        if not (tau.imag > 0):
+            raise ValueError(f"Im(tau) must be positive, got tau={tau}")
+        if eta == 0:
             raise ValueError("eta must be nonzero")
-        if not (self.tol > 0):
+        if not (tol > 0):
             raise ValueError("tol must be positive")
+        return super().__new__(cls, tau, eta, tol)
+
+    _make = classmethod(_checked_make)
 
 
 class _EtaTables:
@@ -105,8 +141,13 @@ class _EtaTables:
         self.factorials = (1 + 0j, 1 + 0j)
 
 
-@dataclass(frozen=True)
-class ThetaEvaluator:
+class _ThetaEvaluatorFields(NamedTuple):
+    params: EllipticParams
+    series_cutoff: int
+    theta1_prime0: complex
+
+
+class ThetaEvaluator(_ThetaEvaluatorFields):
     """Caches a series cutoff guaranteeing tails below tol.
 
     Evaluators with equal parameters share their eta-only tables, read by
@@ -123,6 +164,12 @@ class ThetaEvaluator:
     increasing it by hand never changes a returned value by more than tol.
     The constant -log(tol/100)/pi of that extension is computed once, here.
 
+    Construction refuses, with ValueError and before any table is built,
+    parameters whose series it cannot sum: a tol of 100 or more (the tail
+    target tol/100 is not below 1), an N above ``SERIES_CUTOFF_MAX`` (Im tau
+    below about 1e-5 at tol 1e-12), and a theta1'(0) that is not a normal
+    double (Im tau above about 900, where it underflows).
+
     The shift factors of ``theta`` are cached in the module, not here (see
     the module docstring: read-only matrices, thread-safe), keyed by tau,
     so evaluators built anew per request share them.  ``theta1_prime0`` is
@@ -133,20 +180,45 @@ class ThetaEvaluator:
     an evaluator built again for the same tau and tol does not repeat it.
     """
 
-    params: EllipticParams
-    series_cutoff: int = field(init=False)
-    theta1_prime0: complex = field(init=False)
-    _cutoff_c: float = field(init=False, repr=False, compare=False)
-    _tables: _EtaTables = field(init=False, repr=False, compare=False)
+    def __new__(cls, params: EllipticParams):
+        tau, tol = params.tau, params.tol
+        if not tol < 100:
+            raise ValueError(f"tol must be below 100, so that the series tail target tol/100 is below 1, "
+                             f"got tol={tol}")
+        lq = -math.pi * tau.imag  # log|q|
+        target = math.log(tol) + math.log(1e-2)
+        terms = math.sqrt(target / lq)  # the N with |q|^(N^2) = tol/100
+        if not terms <= SERIES_CUTOFF_MAX:
+            raise ValueError(
+                f"the theta series at tau={tau}, tol={tol} needs {terms:.3g} terms, above the ceiling of "
+                f"{SERIES_CUTOFF_MAX}: Im(tau) must be at least {-target / (math.pi * SERIES_CUTOFF_MAX**2):.3g}"
+            )
+        cutoff = max(4, math.ceil(terms)) + 1
+        prime0 = _theta1_prime0(tau, cutoff)
+        if not sys.float_info.min <= abs(prime0) <= sys.float_info.max:
+            raise ValueError(f"theta1'(0) = {prime0} at tau={tau} is not a normal double: "
+                             f"it underflows for Im(tau) above about 900")
+        self = super().__new__(cls, params, cutoff, prime0)
+        self.__dict__.update(_cutoff_c=-target / math.pi, _tables=_eta_tables(params))
+        return self
 
-    def __post_init__(self):
-        lq = -math.pi * self.params.tau.imag  # log|q|
-        target = math.log(self.params.tol) + math.log(1e-2)
-        n = max(4, math.ceil(math.sqrt(target / lq)))
-        object.__setattr__(self, "series_cutoff", n + 1)
-        object.__setattr__(self, "_cutoff_c", -target / math.pi)
-        object.__setattr__(self, "theta1_prime0", _theta1_prime0(self.params.tau, self.series_cutoff))
-        object.__setattr__(self, "_tables", _eta_tables(self.params))
+    def _replace(self, **changes):
+        """A new evaluator at the replaced ``params``; the other fields derive from it."""
+        params = changes.pop("params", self.params)
+        if changes:
+            raise ValueError(f"{', '.join(changes)} derive from params and cannot be replaced")
+        return type(self)(params)
+
+    @classmethod
+    def _make(cls, fields):
+        """The evaluator of the first field, ``params``."""
+        return cls(next(iter(fields)))
+
+    def __reduce__(self):
+        # a copy or unpickled evaluator is built anew, and so shares the tables of its params
+        return type(self), (self.params,)
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def zero_threshold(self) -> float:

@@ -36,18 +36,23 @@ The special configuration with rho zeros at -(j+k-l-1)*eta, 1<=j<=k<=l,
 collapses c(x) to the elliptic-coefficient gauge of the difference Lame
 operator; its pairwise differences sit exactly on the singular set, so it is
 a boundary point of the locus and is rejected by the margin guard.
+
+The records are NamedTuples, as every record of the package is (see
+``theta``): ``LocusReport`` and ``FlowResult`` plain ones, ``PoleConfig`` one
+whose ``__new__`` stores its poles as a tuple of complex numbers, so a
+flow's trajectory of pole sets is a list of tuples.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .enumbers import theta1_multiples
 from .errors import ConvergenceError, LocusError, MarginViolationError, PoleProximityError
 # theta1_prime is not called here, but perfbench/tracing.py rebinds it on this module
-from .theta import ThetaEvaluator, theta, theta1_prime
+from .theta import ThetaEvaluator, _checked_make, theta, theta1_prime
 
 __all__ = [
     "PoleConfig",
@@ -100,8 +105,12 @@ _DP_D = np.array([
 ], dtype=complex)
 
 
-@dataclass(frozen=True)
-class PoleConfig:
+class _PoleConfigFields(NamedTuple):
+    xs: tuple
+    t: float
+
+
+class PoleConfig(_PoleConfigFields):
     """M = l(l+1)/2 pole positions at a flow time.
 
     ``xs`` is stored as a tuple of Python complex numbers, whatever sequence
@@ -109,11 +118,12 @@ class PoleConfig:
     already are, the conversion costs one ``complex`` call per pole.
     """
 
-    xs: tuple
-    t: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(map(complex, self.xs)))
+    def __new__(cls, xs, t: float = 0.0):
+        return super().__new__(cls, tuple(map(complex, xs)), t)
+
+    _make = classmethod(_checked_make)
 
     @property
     def M(self) -> int:
@@ -123,16 +133,14 @@ class PoleConfig:
         return PoleConfig(xs=tuple(x + c for x in self.xs), t=self.t)
 
 
-@dataclass(frozen=True)
-class LocusReport:
+class LocusReport(NamedTuple):
     """Per-pole deviation of the consistency products from 1."""
 
     residuals: np.ndarray
     max_norm: float
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     trajectory: list
     locus_gaps: np.ndarray
     margins: np.ndarray

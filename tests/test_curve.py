@@ -2,7 +2,6 @@
 Bloch-multiplier relation and the identity suites behind it."""
 
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
@@ -383,8 +382,8 @@ class TestEdgePointRule:
 
         def planted(l, ev):
             edges = real(l, ev)
-            return dataclasses.replace(edges, per_label={a: [E * (1 + 1e-6) for E in v]
-                                                         for a, v in edges.per_label.items()})
+            return edges._replace(per_label={a: [E * (1 + 1e-6) for E in v]
+                                              for a, v in edges.per_label.items()})
 
         monkeypatch.setattr(curve, "band_edges", planted)
         assert edge_curve_points(ctx) == []

@@ -2,7 +2,6 @@
 and the commuting operator."""
 
 import cmath
-import dataclasses
 import functools
 import importlib
 import math
@@ -757,7 +756,7 @@ class TestWRatioMedians:
         s = c.s.copy()
         s[0] *= 1 + 1e-6
         with pytest.raises(ConsistencyError, match="not a joint eigenfunction"):
-            w_eigenvalue(pt, dataclasses.replace(c, s=s), ctx)
+            w_eigenvalue(pt, c._replace(s=s), ctx)
         # the check reads zeta, K and s, never E
         assert w_eigenvalue(CurvePoint(zeta=pt.zeta, K=pt.K, E=pt.E * (1 + 1e-6)), c, ctx) == w
 

@@ -17,7 +17,7 @@ import pytest
 
 from lame_spectra import EllipticParams, ThetaEvaluator, theta, theta1_prime, theta_halfshift, weierstrass_p
 from lame_spectra.errors import ConsistencyError, PoleProximityError
-from lame_spectra.theta import _CHAR, _SPLIT_LOG_MAX, _to_cell
+from lame_spectra.theta import _CHAR, _SPLIT_LOG_MAX, SERIES_CUTOFF_MAX, _to_cell
 
 # the package binds the function ``theta`` over its submodule's name
 theta_module = importlib.import_module("lame_spectra.theta")
@@ -125,6 +125,29 @@ class TestSeries:
     def test_params_guard(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             EllipticParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "tau,tol,message",
+        [
+            pytest.param(1.2j, 100.0, "tol must be below 100", id="tol-100"),
+            pytest.param(1.2j, 1e300, "tol must be below 100", id="tol-1e300"),
+            pytest.param(1e-20j, 1e-12, "needs 3.2e\\+10 terms, above the ceiling of 1000", id="tau-1e-20i"),
+            pytest.param(1e-320j, 1e-12, "needs inf terms, above the ceiling of 1000", id="tau-1e-320i"),
+            pytest.param(1000j, 1e-12, "theta1'\\(0\\) = .* is not a normal double", id="tau-1000i"),
+        ],
+    )
+    def test_evaluator_refuses_what_it_cannot_sum(self, tau, tol, message):
+        with pytest.raises(ValueError, match=message):
+            ThetaEvaluator(EllipticParams(tau=tau, eta=0.17, tol=tol))
+
+    @pytest.mark.parametrize("tol", [1e-14, 1e-12, 1e-8])
+    def test_cutoff_ceiling_is_sharp(self, tol):
+        # the smallest Im tau served needs SERIES_CUTOFF_MAX terms; a hair below it is refused
+        im_tau = -(math.log(tol) + math.log(1e-2)) / (math.pi * SERIES_CUTOFF_MAX**2)
+        assert ThetaEvaluator(EllipticParams(tau=im_tau * (1 + 1e-9) * 1j, eta=0.17, tol=tol)).series_cutoff \
+            == SERIES_CUTOFF_MAX + 1
+        with pytest.raises(ValueError, match=f"Im\\(tau\\) must be at least {im_tau:.3g}"):
+            ThetaEvaluator(EllipticParams(tau=im_tau * (1 - 1e-9) * 1j, eta=0.17, tol=tol))
 
     def test_cutoff_stability(self, ev):
         from lame_spectra.theta import _series
