@@ -44,6 +44,7 @@ the package is (see ``theta``).
 import cmath
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -175,26 +176,10 @@ def _curve_sum_terms(pt: CurvePoint, ctx: LameContext):
     return polyval(pt.E, rows1.T), polyval(pt.E, rows2.T)
 
 
-def _scaled_sum(terms: np.ndarray):
-    """|sum of the terms| over the sum of their magnitudes, along the last
-    axis; a sum whose terms all vanish scores 0.  The modulus of the sum is
-    ``hypot``, as ``abs`` of a scalar: ``np.abs`` of a complex array rounds
-    differently in about a third of its values."""
-    mag = np.abs(terms).sum(axis=-1)
-    s = terms.sum(axis=-1)
-    return np.hypot(s.real, s.imag) / np.where(mag == 0, 1.0, mag)
-
-
 def curve_equations(pt: CurvePoint, ctx: LameContext):
     """Values (S1, S2) of the two defining sums; both vanish on the curve."""
     t1, t2 = _curve_sum_terms(pt, ctx)
     return complex(t1.sum()), complex(t2.sum())
-
-
-def curve_equations_scaled(pt: CurvePoint, ctx: LameContext):
-    """(|S1|, |S2|) divided by the sums of term magnitudes (conditioning-aware)."""
-    t1, t2 = _curve_sum_terms(pt, ctx)
-    return float(_scaled_sum(t1)), float(_scaled_sum(t2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +295,11 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     """
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
+    # the weakest column's largest weight is exp(-pi Im tau l/4): its square, in the
+    # column norms, must be a normal double
+    if math.pi * ev.tau.imag * ell / 2 > -math.log(sys.float_info.min):
+        raise ValueError(f"the edge basis underflows where pi Im(tau) ell/2 > -ln(DBL_MIN), that is "
+                         f"Im(tau) ell > 450.98; got Im(tau) ell = {ev.tau.imag * ell:.6g}")
     # [2]..[2l] in increasing order: a torsion eta is named by its smallest order
     efactorial(2 * ell, ev)
     tau, eta = ev.tau, ev.eta
@@ -449,11 +439,6 @@ def bloch_relation(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> c
     """sum_j (-1)^j C_j theta1(zeta - 2j eta) K^(2(N-j)); zero on the curve's
     (zeta, K) projection."""
     return complex(_bloch_terms(zeta, K, curve_coeffs(ell, ev), ev).sum())
-
-
-def bloch_relation_scale(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> float:
-    """The sum of the magnitudes of the terms of ``bloch_relation``."""
-    return float(np.abs(_bloch_terms(zeta, K, curve_coeffs(ell, ev), ev)).sum())
 
 
 def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) -> complex:

@@ -65,7 +65,6 @@ __all__ = [
     "apply_L",
     "apply_Ltilde",
     "gauge_factor",
-    "build_M",
     "residual",
     "scaled_residual",
     "solve_bloch_coeffs",
@@ -94,8 +93,8 @@ class _LameContextFields(NamedTuple):
 
 
 class LameContext(_LameContextFields):
-    """Degree l plus a theta evaluator; holds the eta-only parts of ``build_M``
-    and of W.
+    """Degree l plus a theta evaluator; holds the eta-only parts of the
+    residue matrix and of W.
 
     N = l(l+1)/2 is the genus-fixing count that recurs in every curve
     formula.  Construction fails with TorsionEtaError if any bracket
@@ -148,8 +147,9 @@ def _context_parts(ctx: LameContext) -> _ContextParts:
     n = np.arange(2, l + 2) - np.arange(2)[:, None]
     # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
     R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
-    # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
-    hops = [-t[j + l + 1] * t[l - j] / (t[j + 1] * t[j]) for j in range(1, l)]
+    # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1; two ratios, as
+    # the product theta1((j+1) eta) theta1(j eta) underflows at large Im tau
+    hops = [-(t[j + l + 1] / t[j + 1]) * (t[l - j] / t[j]) for j in range(1, l)]
     M = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
          np.arange(l + 2) * ctx.ev.eta)
     w = np.array([(-1) ** k * ebinom(2 * l + 1, k, ctx.ev) for k in range(2 * l + 2)])
@@ -274,18 +274,8 @@ def _E_free_M(zeta: complex, K: complex, ctx: LameContext):
 
 
 def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
-    """The residue matrix M at pt and the magnitudes of its terms, entry by
-    entry.  E enters M only as -E D, and P, D and B have disjoint patterns,
-    so both are the E-free pair of ``_E_free_M`` at (zeta, K), minus E D and
-    plus |E| D: every entry as a direct build rounds it.  The pair is kept in
-    a bounded module cache, so the requests of one point share one build."""
-    M0, mag0 = _E_free_M(pt.zeta, pt.K, ctx)
-    D = ctx._parts.M[1]
-    return M0 - pt.E * D, mag0 + abs(pt.E) * D
-
-
-def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
-    """The (l+1) x l residue-matching matrix at (zeta, K, E).
+    """The (l+1) x l residue-matching matrix M at pt = (zeta, K, E) and the
+    magnitudes of its terms, entry by entry.
 
     Rows i = 0..l, columns j = 1..l:
 
@@ -300,9 +290,15 @@ def build_M(pt: CurvePoint, ctx: LameContext) -> np.ndarray:
     So M = K P - E D + K^-1 (B + C(zeta)): P and D are the 0/1 patterns
     d(i, j-1) and d(i, j), B the hops, and C = R theta1(zeta - n eta)/theta1(zeta)
     on rows 0-1, n = j-i+1; (P, D, B, R, n) is cached per context.
+
+    E enters M only as -E D, and P, D and B have disjoint patterns, so both
+    are the E-free pair of ``_E_free_M`` at (zeta, K), minus E D and plus
+    |E| D: every entry as a direct build rounds it.  The pair is kept in a
+    bounded module cache, so the requests of one point share one build.
     """
-    M, _ = _build_M_with_magnitudes(pt, ctx)
-    return M
+    M0, mag0 = _E_free_M(pt.zeta, pt.K, ctx)
+    D = ctx._parts.M[1]
+    return M0 - pt.E * D, mag0 + abs(pt.E) * D
 
 
 def _minors(M: np.ndarray, mag: np.ndarray):

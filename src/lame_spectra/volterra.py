@@ -129,9 +129,6 @@ class PoleConfig(_PoleConfigFields):
     def M(self) -> int:
         return len(self.xs)
 
-    def translated(self, c: complex) -> "PoleConfig":
-        return PoleConfig(xs=tuple(x + c for x in self.xs), t=self.t)
-
 
 class LocusReport(NamedTuple):
     """Per-pole deviation of the consistency products from 1."""

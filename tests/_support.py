@@ -1,9 +1,11 @@
-"""Shared evaluator instance for the default test parameters, counters
-of residue-matrix builds and point SVDs, and empty module caches for one
-test."""
+"""Shared evaluator instance for the default test parameters, the scales
+of the curve sums and of the Bloch relation, counters of residue-matrix
+builds and point SVDs, and empty module caches for one test."""
 
 import functools
 import importlib
+
+import numpy as np
 
 from lame_spectra import EllipticParams, ThetaEvaluator, curve, lame
 
@@ -11,6 +13,17 @@ theta_module = importlib.import_module("lame_spectra.theta")  # the package bind
 
 PARAMS = EllipticParams(tau=1.2j, eta=0.17, tol=1e-12)
 PARAMS_EV = ThetaEvaluator(PARAMS)
+
+
+def scaled_curve_sums(pt, ctx) -> tuple:
+    """(|S1|, |S2|) of ``curve.curve_equations``, each over the sum of its
+    terms' magnitudes; a sum whose terms all vanish scores 0."""
+    return tuple(float(abs(t.sum()) / (np.abs(t).sum() or 1.0)) for t in curve._curve_sum_terms(pt, ctx))
+
+
+def bloch_terms_scale(zeta, K, ell, ev) -> float:
+    """The sum of the magnitudes of the terms of ``curve.bloch_relation``."""
+    return float(np.abs(curve._bloch_terms(zeta, K, curve.curve_coeffs(ell, ev), ev)).sum())
 
 
 def count_E_free_builds(monkeypatch) -> list:

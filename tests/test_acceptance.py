@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
+from _support import bloch_terms_scale, scaled_curve_sums
 from lame_spectra import (
     CurvePoint,
     LameContext,
@@ -39,11 +40,9 @@ from lame_spectra.curve import (
     a_polys_recurrence,
     band_edges,
     bloch_relation,
-    bloch_relation_scale,
     cauchy_det,
     closed_form_edges,
     curve_coeffs,
-    curve_equations_scaled,
     random_curve_points,
     weyl_denominator_check,
 )
@@ -199,9 +198,9 @@ def test_criterion_6_curve_formulation_equivalence(solved_points):
     worst_det = worst_sum = worst_rel = 0.0
     for ctx, pt in solved_points:
         worst_det = max(worst_det, max(scaled_residual(pt, ctx)))
-        worst_sum = max(worst_sum, max(curve_equations_scaled(pt, ctx)))
+        worst_sum = max(worst_sum, max(scaled_curve_sums(pt, ctx)))
         val = bloch_relation(pt.zeta, pt.K, ctx.ell, ctx.ev)
-        scale = bloch_relation_scale(pt.zeta, pt.K, ctx.ell, ctx.ev)
+        scale = bloch_terms_scale(pt.zeta, pt.K, ctx.ell, ctx.ev)
         worst_rel = max(worst_rel, abs(val) / scale)
     report(
         "criterion-6 (determinants, curve sums, Bloch relation at 20 points)",

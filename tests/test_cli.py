@@ -129,6 +129,24 @@ class TestEdgesCommand:
         code, _ = run_cli(capsys, "edges", "--ell", "0", "--eta", "0.17")
         assert code == 2
 
+    @pytest.mark.parametrize("ell,tau", [(12, "37i"), (1, "450i")])
+    def test_edge_basis_served_to_its_underflow(self, capsys, ell, tau):
+        code, out = run_cli(capsys, "edges", "--ell", str(ell), "--tau", tau)
+        assert code == 0
+        assert json.loads(out)["counts_ok"] is True
+
+    @pytest.mark.parametrize("argv", [["edges", "--ell", "12", "--tau", "38i"], ["edges", "--ell", "1", "--tau", "800i"],
+                                      ["spectrum", "--ell", "4", "--eta", "1/31", "--tau", "120i"]],
+                             ids=["edges-12-38i", "edges-1-800i", "spectrum-4-120i"])
+    def test_edge_basis_underflow_refused(self, capsys, argv):
+        # beyond Im(tau) ell = 450.98 the weakest basis column's squared weight,
+        # exp(-pi Im(tau) ell/2), is not a normal double: one error line, exit 2
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert re.fullmatch(r"error: ValueError: the edge basis underflows where pi Im\(tau\) ell/2 > -ln\(DBL_MIN\), "
+                            r"that is Im\(tau\) ell > 450\.98; got Im\(tau\) ell = \d+\n", captured.err)
+
     def test_torsion_eta_rejected(self, capsys):
         code, _ = run_cli(capsys, "edges", "--ell", "1", "--eta", "0.5", "--tau", "1.2i")
         assert code == 2
@@ -730,6 +748,24 @@ class TestCurvePointCommand:
         doc = json.loads(out)
         assert max(doc["scaled_residual"]) < 1e-11
         assert doc["point"]["E"] == "1.6+0.4i"
+
+    @pytest.mark.parametrize("tau", ["500i", "700i", "890i"])
+    @pytest.mark.parametrize("ell", [2, 3, 6])
+    @pytest.mark.parametrize("fix", [["--fix-zeta", "0.31+0.07i"], ["--fix-E", "1.6+0.4i"]], ids=["zeta", "E"])
+    def test_large_im_tau_ends_without_traceback(self, capsys, fix, ell, tau):
+        # a hop of the residue matrix is two theta1(k eta) ratios: the product
+        # theta1((j+1) eta) theta1(j eta) it was divided by underflows to 0 here.
+        # At 890i the fix-zeta Newton steps at ell 2 and 3 overflow the
+        # residue matrix (a RuntimeWarning) before they stop as singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["curve-point", "--ell", str(ell), "--tau", tau, *fix])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert max(json.loads(captured.out)["scaled_residual"]) < 1e-11
+        else:
+            assert code == 3 and captured.out == ""
+            assert re.fullmatch(r"error: ConvergenceError: [^\n]*\n", captured.err)
 
     @pytest.mark.parametrize("fixes", [[], ["--fix-zeta", "0.31+0.07i", "--fix-E", "1.6+0.4i"]],
                              ids=["neither", "both"])

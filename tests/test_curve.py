@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polymul, polytrim, polyval
 
-from _support import PARAMS_EV, count_E_free_builds
+from _support import PARAMS_EV, bloch_terms_scale, count_E_free_builds, scaled_curve_sums
 from lame_spectra import CurvePoint, LameContext, scaled_residual
 from lame_spectra import curve, lame
 from lame_spectra.curve import (
@@ -27,12 +27,10 @@ from lame_spectra.curve import (
     band_edges,
     bloch_relation,
     bloch_relation_det,
-    bloch_relation_scale,
     cauchy_det,
     closed_form_edges,
     curve_coeffs,
     curve_equations,
-    curve_equations_scaled,
     edge_bloch_factors,
     edge_curve_points,
     half_period,
@@ -110,7 +108,7 @@ class TestCurveEquations:
         for ell, pts in curve_points.items():
             ctx = LameContext(ell=ell, ev=PARAMS_EV)
             for pt in pts:
-                s1, s2 = curve_equations_scaled(pt, ctx)
+                s1, s2 = scaled_curve_sums(pt, ctx)
                 assert max(s1, s2) < 1e-9
 
     def test_joint_vanishing_with_residual(self, ctx2):
@@ -122,7 +120,7 @@ class TestCurveEquations:
                 K=complex(rng.uniform(0.5, 2), rng.uniform(-0.5, 0.5)),
                 E=complex(rng.uniform(-2, 2), rng.uniform(-1, 1)),
             )
-            s = max(curve_equations_scaled(pt, ctx2))
+            s = max(scaled_curve_sums(pt, ctx2))
             r = max(scaled_residual(pt, ctx2))
             assert (s < 1e-8) == (r < 1e-8)
 
@@ -195,6 +193,17 @@ class TestBandEdges:
     def test_ell_below_one_rejected(self, ev, ell):
         with pytest.raises(ValueError, match="ell >= 1"):
             band_edges(ell, ev)
+
+    @pytest.mark.parametrize("ell,im_tau", [(1, 450.9), (1, 451.1), (12, 37.5), (12, 37.6)])
+    def test_edge_basis_refused_where_it_underflows(self, ell, im_tau):
+        # pi Im(tau) ell/2 = -ln(DBL_MIN) at Im(tau) ell = 450.98: below it the
+        # counts hold, beyond it the call is refused before any table is built
+        ev_big = ThetaEvaluator(EllipticParams(tau=1j * im_tau, eta=0.17))
+        if im_tau * ell < 450.98:
+            assert band_edges(ell, ev_big).counts() == BandEdgeSet.expected_counts(ell)
+        else:
+            with pytest.raises(ValueError, match=r"Im\(tau\) ell > 450\.98; got Im\(tau\) ell = 45[12]"):
+                band_edges(ell, ev_big)
 
     def test_reflection_closure(self, ev):
         edges = band_edges(2, ev)
@@ -517,7 +526,7 @@ def _per_candidate_curve_points(ctx, n, rng):
                 continue
             K = cmath.sqrt(complex(u))
             best = None
-            cands, vecs = np.linalg.eig(lame.build_M(CurvePoint(zeta, K, 0j), ctx)[1:])
+            cands, vecs = np.linalg.eig(lame._build_M_with_magnitudes(CurvePoint(zeta, K, 0j), ctx)[0][1:])
             for E, y in zip(cands, vecs.T):
                 pt = CurvePoint(zeta=zeta, K=K, E=complex(E))
                 score = _backward_error(pt, ctx, y)
@@ -548,20 +557,6 @@ class TestCurvePointScoring:
             got = random_curve_points(ctx, 2, np.random.default_rng(seed))
             assert got == _per_candidate_curve_points(ctx, 2, np.random.default_rng(seed)), seed
 
-    @pytest.mark.parametrize("eta", [0.17, 1 / 31, 0.11 + 0.05j])
-    def test_scaled_sums_match_scalar_measure(self, eta):
-        # |S| / sum|terms| with the modulus of the sum taken as a scalar abs
-        rng = np.random.default_rng(11)
-        for ell in range(1, 11):
-            ctx = LameContext(ell=ell, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=eta)))
-            for _ in range(10):
-                pt = CurvePoint(zeta=complex(*rng.uniform(0.1, 0.8, 2)),
-                                K=complex(*rng.uniform(0.5, 1.5, 2)),
-                                E=complex(*rng.uniform(-3, 3, 2)))
-                terms = curve._curve_sum_terms(pt, ctx)
-                want = tuple(float(abs(t.sum()) / (np.abs(t).sum() or 1.0)) for t in terms)
-                assert curve_equations_scaled(pt, ctx) == want, (ell, pt)
-
 
 # the worst mismatch of E candidates and S1 roots over the grid below, relative to
 # max(|E|, 1), is 2.8e-14 at ell 1-3, 3.7e-11 at ell 4-6 and 2.0e-10 at ell 7-8
@@ -586,7 +581,7 @@ class TestSeedMatchesCurveSums:
                 zeta = complex(0.1 + 0.8 * rng.random(), 0.05 + 0.3 * rng.random())
                 for u in np.roots(curve._bloch_terms(zeta, 1, cc, ev_g)):
                     K = cmath.sqrt(complex(u))
-                    cands = np.linalg.eigvals(lame.build_M(CurvePoint(zeta, K, 0j), ctx)[1:])
+                    cands = np.linalg.eigvals(lame._build_M_with_magnitudes(CurvePoint(zeta, K, 0j), ctx)[0][1:])
                     rows1, _ = curve._curve_rows(A, curve._point_weights(zeta, K, ell, ev_g), ev_g)
                     roots = list(np.roots(rows1.sum(axis=0)[::-1]))
                     assert len(roots) == len(cands) == ell
@@ -829,10 +824,10 @@ class TestBlochRelation:
         for ell in (1, 2):
             for pt in curve_points[ell]:
                 val = bloch_relation(pt.zeta, pt.K, ell, PARAMS_EV)
-                scale = bloch_relation_scale(pt.zeta, pt.K, ell, PARAMS_EV)
+                scale = bloch_terms_scale(pt.zeta, pt.K, ell, PARAMS_EV)
                 assert abs(val) < 1e-8 * scale
 
-    # the worst |det route - C_j sum| over bloch_relation_scale on the grid below
+    # the worst |det route - C_j sum| over bloch_terms_scale on the grid below
     # is 2.0e-13 at ell 1-6, 9.3e-12 at ell 7-10 and 1.4e-10 at ell 11-12
     @pytest.mark.parametrize("eta", [0.17, 1 / 31, 0.11 + 0.05j])
     @pytest.mark.parametrize("ell", range(1, 13))
@@ -846,7 +841,7 @@ class TestBlochRelation:
                 K = complex(rng.uniform(0.5, 1.8), rng.uniform(-0.8, 0.8))
                 lhs = bloch_relation_det(zeta, K, ell, ev_g) * theta(1, zeta, ev_g)
                 rhs = bloch_relation(zeta, K, ell, ev_g)
-                assert abs(lhs - rhs) <= tol * bloch_relation_scale(zeta, K, ell, ev_g), (tau, zeta, K)
+                assert abs(lhs - rhs) <= tol * bloch_terms_scale(zeta, K, ell, ev_g), (tau, zeta, K)
 
 
     def test_det_route_guards_its_divisors(self, ev):
@@ -942,7 +937,7 @@ class TestSolveCurvePoint:
     def test_solved_points_satisfy_relation(self, curve_points):
         for pt in curve_points[2]:
             val = bloch_relation(pt.zeta, pt.K, 2, PARAMS_EV)
-            scale = bloch_relation_scale(pt.zeta, pt.K, 2, PARAMS_EV)
+            scale = bloch_terms_scale(pt.zeta, pt.K, 2, PARAMS_EV)
             assert abs(val) < 1e-8 * scale
 
     @pytest.mark.parametrize("fix", [{}, {"K": 1.4 + 0.5j}, {"zeta": 0.31 + 0.07j, "E": 1.6 + 0.4j}],

@@ -64,7 +64,7 @@ PACKAGE_NAMES = {
     "EllipticParams", "LameContext", "RationalEta", "ThetaEvaluator",
     "a_polys_determinant", "a_polys_recurrence", "apply_L", "apply_Ltilde", "apply_W",
     "band_edges", "band_intervals", "band_sweep", "bloch_relation", "bloch_relation_det",
-    "build_M", "build_Psi", "build_psi", "cauchy_det", "closed_form_edges",
+    "build_Psi", "build_psi", "cauchy_det", "closed_form_edges",
     "coefficient_samples", "curve_coeffs", "curve_equations", "ebinom", "ebracket",
     "edge_curve_points", "efactorial", "errors", "gauge_factor", "lame_coefficients",
     "nonzero_bracket", "numeric_band_edges", "numeric_band_edges_from_coefficients",

@@ -21,7 +21,6 @@ from lame_spectra import (
     apply_L,
     apply_Ltilde,
     apply_W,
-    build_M,
     build_psi,
     build_Psi,
     gauge_factor,
@@ -244,12 +243,12 @@ class TestOperators:
 class TestResidueMatrix:
     def test_shape(self, ctx2):
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
-        assert build_M(pt, ctx2).shape == (3, 2)
+        assert lame._build_M_with_magnitudes(pt, ctx2)[0].shape == (3, 2)
 
     def test_banded_below_row_two(self, ev):
         ctx4 = LameContext(ell=4, ev=ev)
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
-        M = build_M(pt, ctx4)
+        M = lame._build_M_with_magnitudes(pt, ctx4)[0]
         for i in range(2, 5):
             for j in range(1, 5):
                 if abs(i - j) > 1:
@@ -261,7 +260,7 @@ class TestResidueMatrix:
         ctx3 = LameContext(ell=3, ev=ev)
         pt1 = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
         pt2 = CurvePoint(zeta=0.3 + 0.1j, K=2 * (1.2 + 0.4j), E=0.7 - 0.2j)
-        M1, M2 = build_M(pt1, ctx3), build_M(pt2, ctx3)
+        M1, M2 = (lame._build_M_with_magnitudes(p, ctx3)[0] for p in (pt1, pt2))
         row1 = M1[3] + np.array([0, 0, pt1.E])
         row2 = M2[3] + np.array([0, 0, pt2.E])
         np.testing.assert_allclose(row1 * pt1.K, row2 * pt2.K, rtol=1e-12)
@@ -318,7 +317,7 @@ class TestBlochCoeffs:
             ctx = LameContext(ell=ell, ev=PARAMS_EV)
             for pt in curve_points[ell]:
                 c = solve_bloch_coeffs(pt, ctx)
-                M = build_M(pt, ctx)
+                M = lame._build_M_with_magnitudes(pt, ctx)[0]
                 assert np.linalg.norm(M @ c.s) < 1e-8 * np.linalg.norm(M)
 
     def test_null_space_is_one_dimensional(self, curve_points):
@@ -529,7 +528,7 @@ class TestBatchedMatchesReference:
         Psi = lambda y: build_Psi(pt, c, y, ctx2)
         x_hit = 1 + 2 * ctx2.ev.eta  # x - 2 eta is a theta1 zero
         for run in (
-            lambda: build_M(on_zero, ctx2),
+            lambda: lame._build_M_with_magnitudes(on_zero, ctx2),
             lambda: _reference_build_M(on_zero, ctx2),
             lambda: build_Psi(on_zero, c, 0.3, ctx2),
             lambda: _reference_build_Psi(on_zero, c, 0.3, ctx2),
@@ -592,15 +591,15 @@ class TestThetaCallCount:
         lame._E_free_M.cache_clear()
         ctx = LameContext(ell=4, ev=PARAMS_EV)
         pt = CurvePoint(zeta=0.3 + 0.1j, K=1.2 + 0.4j, E=0.7 - 0.2j)
-        build_M(pt, ctx)
+        lame._build_M_with_magnitudes(pt, ctx)
         assert len(calls) == 1
         for E in (pt.E, pt.E, 0j, -1.5):
             calls.clear()
-            build_M(CurvePoint(zeta=pt.zeta, K=pt.K, E=E), ctx)
+            lame._build_M_with_magnitudes(CurvePoint(zeta=pt.zeta, K=pt.K, E=E), ctx)
             assert len(calls) == 0
         for zeta, K in ((pt.zeta, 1.3 + 0j), (0.4 + 0j, pt.K)):
             calls.clear()
-            build_M(CurvePoint(zeta=zeta, K=K, E=pt.E), ctx)
+            lame._build_M_with_magnitudes(CurvePoint(zeta=zeta, K=K, E=pt.E), ctx)
             assert len(calls) == 1
 
     @pytest.mark.parametrize("ell", [2, 4])
@@ -661,7 +660,7 @@ class TestEFreeCache:
         lame._E_free_M.cache_clear()
         ctx = LameContext(ell=2, ev=PARAMS_EV)
         for k in range(2 * lame._POINTS_MAX):
-            build_M(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
+            lame._build_M_with_magnitudes(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
         assert lame._E_free_M.cache_info().currsize == lame._POINTS_MAX
 
 

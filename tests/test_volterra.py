@@ -394,7 +394,7 @@ class TestPoleRhs:
 
     def test_translation_covariance(self, ev, onlocus_cfg):
         v1, v2 = pole_rhs(onlocus_cfg, ev)
-        w1, w2 = pole_rhs(onlocus_cfg.translated(0.21 - 0.13j), ev)
+        w1, w2 = pole_rhs(PoleConfig([x + 0.21 - 0.13j for x in onlocus_cfg.xs], onlocus_cfg.t), ev)
         np.testing.assert_allclose(v1, w1, rtol=1e-10)
         np.testing.assert_allclose(v2, w2, rtol=1e-10)
 
@@ -410,7 +410,7 @@ class TestLocusResidual:
 
     def test_translation_invariance(self, ev, onlocus_cfg):
         r1 = locus_residual(onlocus_cfg, ev)
-        r2 = locus_residual(onlocus_cfg.translated(1.7 + 0.4j), ev)
+        r2 = locus_residual(PoleConfig([x + 1.7 + 0.4j for x in onlocus_cfg.xs], onlocus_cfg.t), ev)
         np.testing.assert_allclose(r1.residuals, r2.residuals, atol=1e-9)
 
     def test_degenerate_config_rejected_as_boundary(self, ev):
