@@ -44,7 +44,6 @@ the package is (see ``theta``).
 import cmath
 import functools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +83,10 @@ NEWTON_MAX_ITER = 100
 POLE_MARGIN = 1e-6
 # the C_j subset sums take O(2^l) time and memory (~60 B * 2^l at peak)
 CJ_MAX_ELL = 20
+# the weakest edge-basis column's largest weight is exp(-pi Im tau l/4): its square,
+# in the column norms, is a normal double (above DBL_MIN = 2^-1022) while Im(tau) l
+# is at most this, about 450.98
+EDGE_BASIS_MAX_IM_TAU_ELL = 2 * 1022 * math.log(2) / math.pi
 
 
 def polyval(x, c):
@@ -295,11 +298,9 @@ def band_edges(ell: int, ev: ThetaEvaluator) -> BandEdgeSet:
     """
     if ell < 1:
         raise ValueError(f"band edges need ell >= 1, got {ell}")
-    # the weakest column's largest weight is exp(-pi Im tau l/4): its square, in the
-    # column norms, must be a normal double
-    if math.pi * ev.tau.imag * ell / 2 > -math.log(sys.float_info.min):
+    if ev.tau.imag * ell > EDGE_BASIS_MAX_IM_TAU_ELL:
         raise ValueError(f"the edge basis underflows where pi Im(tau) ell/2 > -ln(DBL_MIN), that is "
-                         f"Im(tau) ell > 450.98; got Im(tau) ell = {ev.tau.imag * ell:.6g}")
+                         f"Im(tau) ell > {EDGE_BASIS_MAX_IM_TAU_ELL:.2f}; got Im(tau) ell = {ev.tau.imag * ell:.6g}")
     # [2]..[2l] in increasing order: a torsion eta is named by its smallest order
     efactorial(2 * ell, ev)
     tau, eta = ev.tau, ev.eta
@@ -555,7 +556,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
 
     def dM_dzeta(zeta, K, E, M, s):
         t, dt = (theta(1, zeta - m_eta, ctx.ev, deriv=d) for d in (0, 1))
-        return (R * (dt[n] - t[n] * dt[0] / t[0]) / (K * t[0])) @ s
+        return (R * (dt[n] - t[n] * (dt[0] / t[0])) / (K * t[0])) @ s
 
     # dM/dv_i s at the point (zeta, K, E) of M, for v = (zeta, K, E); that of zeta is rows 0-1 only
     rules = (dM_dzeta,

@@ -145,10 +145,11 @@ def _context_parts(ctx: LameContext) -> _ContextParts:
     t = theta1_multiples(2 * l, ctx.ev)
     _nonzero(t[1:l + 2], ctx.ev, "theta1(n*eta) for some n in 1..{}", l + 1)
     n = np.arange(2, l + 2) - np.arange(2)[:, None]
-    # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1
-    R = np.array([[-1], [1]]) * (t[l] * t[l + 1] / t[1]) / np.array(t)[n]
-    # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1; two ratios, as
-    # the product theta1((j+1) eta) theta1(j eta) underflows at large Im tau
+    # theta1((i+l) eta) theta1((i-l-1) eta) = -theta1(l eta) theta1((l+1) eta); row 1 is signed -1.
+    # R and the hops are products of theta1 ratios: a product of two theta1(k eta), each
+    # about exp(-pi Im tau/4), leaves the normal doubles from Im tau about 451
+    R = np.array([[-1], [1]]) * (t[l] / t[1]) * (t[l + 1] / np.array(t)[n])
+    # hop j = 1..l-1 sits at (j+1, j-1), the diagonal -2 of column j-1
     hops = [-(t[j + l + 1] / t[j + 1]) * (t[l - j] / t[j]) for j in range(1, l)]
     M = (np.eye(l + 1, l), np.eye(l + 1, l, -1), np.eye(l + 1, l, -2) * (hops + [0]), R, n,
          np.arange(l + 2) * ctx.ev.eta)

@@ -199,10 +199,13 @@ class TestBandEdges:
         # pi Im(tau) ell/2 = -ln(DBL_MIN) at Im(tau) ell = 450.98: below it the
         # counts hold, beyond it the call is refused before any table is built
         ev_big = ThetaEvaluator(EllipticParams(tau=1j * im_tau, eta=0.17))
-        if im_tau * ell < 450.98:
+        bound = curve.EDGE_BASIS_MAX_IM_TAU_ELL
+        assert abs(im_tau * ell - bound) < 1.3
+        if im_tau * ell < bound:
             assert band_edges(ell, ev_big).counts() == BandEdgeSet.expected_counts(ell)
         else:
-            with pytest.raises(ValueError, match=r"Im\(tau\) ell > 450\.98; got Im\(tau\) ell = 45[12]"):
+            want = rf"Im\(tau\) ell > {re.escape(f'{bound:.2f}')}; got Im\(tau\) ell = 45[12]"
+            with pytest.raises(ValueError, match=want):
                 band_edges(ell, ev_big)
 
     def test_reflection_closure(self, ev):

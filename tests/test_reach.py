@@ -4,9 +4,9 @@ on ``ALLOWED`` with its reason.
 
 The production pass serves block 0 of each benchmark workload (calls and
 checks), runs ``verify --suite all`` at ell 1, 3, 7 and 12, the commands of
-``COMMANDS`` (every subcommand, the CSV forms and the error exits of the CI
-smoke run) and one ``--config`` file run.  The paper pass calls each name of
-the README's "Fifteen exported names" paragraph once.  Both run in a fresh
+``COMMANDS`` (every subcommand, the CSV forms and the error exits, each a
+command of the CI smoke run) and one ``--config`` file run.  The paper pass
+calls each name of the README's "Fifteen exported names" paragraph once.  Both run in a fresh
 interpreter under ``sys.setprofile``, with this file as its script, so that
 no cache warmed by an earlier test hides a function.  The gate reads every
 module-level def and every method of a module-level class; nested defs,
@@ -19,9 +19,11 @@ this checkout's ``src``).
 """
 
 import ast
+import itertools
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -46,10 +48,11 @@ ALLOWED = {
     "__init__.__dir__": "dir(lame_spectra), which no command calls; test_imports.py reads it",
 }
 
-# the production commands besides the workloads, from the CI smoke run: each
-# subcommand, the CSV forms and every error exit
+# the production commands besides the workloads, each a command of the CI smoke run
+# (``ci_commands``): every subcommand, the CSV forms and every error exit
 COMMANDS = [
-    *(["verify", "--suite", "all", "--ell", ell] for ell in ("1", "3", "7", "12")),
+    *(["verify", "--suite", "all", "--ell", ell] for ell in ("1", "3", "7")),
+    ["verify", "--suite", "all", "--ell", "12", "--tau", "0.3+1.4i", "--eta", "0.11+0.05i"],
     ["verify", "--suite", "cauchy", "--ell", "6", "--tau", "0.3+1.4i", "--eta", "0.11+0.05i"],
     ["verify", "--suite", "cj-limit", "--ell", "3", "--tau", "0.15i"],
     ["verify", "--suite", "cj-symmetry", "--ell", "12", "--eta", "0.17"],
@@ -81,9 +84,9 @@ COMMANDS = [
     # the non-real guard off the tau axis (exit 3)
     ["spectrum", "--ell", "1", "--eta", "1/31", "--tau", "0.3+1.4i"],
     ["flow", "--poles", "0.21+0.05i", "--t-end", "0.3", "--dt", "0.1"],
-    ["flow", "--eta", "1/31", "--tau", "1.2i", "--t-end", "0.2", "--dt", "0.01", "--format", "csv", "--poles",
+    ["flow", "--eta", "1/31", "--tau", "1.2i", "--t-end", "0.2", "--dt", "0.001", "--poles",
      "0.16872746398623609+0.99464370409188785i,-0.33737964779659291-1.1981880545449302i,"
-     "0.16865218381035685+0.20354435045304228i"],
+     "0.16865218381035685+0.20354435045304228i", "--format", "csv"],
     # the degenerate flow (exit 4)
     ["flow", "--poles", "0.17,0,-0.17", "--eta", "0.17"],
 ]
@@ -106,6 +109,30 @@ PAPER_CALLS = {
     "weierstrass_p": lambda f, a: f(a.x, a.ev),
     "volterra_rhs_c": lambda f, a: f(a.poles, a.x, a.ev),
 }
+
+
+def ci_commands() -> list:
+    """The argv of each ``lame-spectra`` command of the CI smoke run, with its
+    for loops and plain variable assignments expanded; a loop over a
+    command's output is left out."""
+    step = (ROOT / ".github" / "workflows" / "tests.yml").read_text().split("- name: CLI smoke run")[1]
+    found, loops, env = [], [], {}
+    for line in step.split("\n      - name:")[0].splitlines():
+        line = line.strip()
+        if loop := re.fullmatch(r"for (\w+) in (.*); do", line):
+            loops.append([] if "$(" in loop[2] else [(loop[1], item) for item in shlex.split(loop[2])])
+        elif line == "done":
+            loops.pop()
+        elif assignment := re.fullmatch(r"(\w+)=([^\s$;]+)", line):
+            env[assignment[1]] = assignment[2]
+        elif not line.startswith("#") and "lame-spectra " in line:
+            for values in itertools.product(*loops):
+                command = line.partition("lame-spectra ")[2]
+                for name, value in [*values, *env.items()]:
+                    command = command.replace(f"${name}", value)
+                words = shlex.split(command)
+                found.append(list(itertools.takewhile(lambda w: not re.match(r"\d?>|\|", w), words)))
+    return found
 
 
 def readme_paper_names() -> list:
@@ -244,6 +271,10 @@ class TestReachGate:
         reached = {functions.get(tuple(key)) for key in report["reached"]}
         assert set(ALLOWED) <= set(functions.values())
         assert not set(ALLOWED) & reached
+
+    def test_commands_are_ci_smoke_commands(self):
+        ci = ci_commands()
+        assert [argv for argv in COMMANDS if argv not in ci] == []
 
     def test_paper_calls_are_the_readme_names(self):
         names = readme_paper_names()
