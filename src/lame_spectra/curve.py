@@ -337,10 +337,12 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
         [2] E^2 - [2]^3 E + 2 [4] = 0,
     whose discriminant over [2]^4 is, by the duplication formulas and
     theta1^4 + theta3^4 = theta2^4 + theta4^4 (DLMF 20.7),
-        x^2 = 1 - 8 [4]/[2]^5 = theta1^4 (theta2^-4 + theta4^-4 - theta3^-4)(eta),
+        x^2 = 1 - 8 [4]/[2]^5 = ((th1/th2)^4 + (th1/th4)^4 - (th1/th3)^4)(eta),
     which does not cancel as eta -> 0; the root of smaller modulus is the
     product of the roots, 2 [4]/[2], over the other.  Label a in {2,3,4}
-    holds theta1(2 eta) theta_a(2 eta) / (theta1(eta) theta_a(eta)).
+    holds (theta1(2 eta)/theta1(eta)) (theta_a(2 eta)/theta_a(eta)).  Each
+    factor is a ratio of two theta values, so no power or product of one
+    leaves the double range at large Im(tau).
     """
     if ell == 1:
         out = {1: []}
@@ -354,11 +356,12 @@ def closed_form_edges(ell: int, ev: ThetaEvaluator) -> dict:
         # theta_a at (2 eta, eta), one call per characteristic
         t = {a: theta(a, np.array([2 * ev.eta, ev.eta]), ev).tolist() for a in (1, 2, 3, 4)}
         b2 = ebracket(2, ev)
-        x = t[1][1] ** 2 * cmath.sqrt(t[2][1] ** -4 + t[4][1] ** -4 - t[3][1] ** -4)
+        t1 = t[1][1]
+        x = cmath.sqrt((t1 / t[2][1]) ** 4 + (t1 / t[4][1]) ** 4 - (t1 / t[3][1]) ** 4)
         big = b2**2 * (1 + x if abs(1 + x) >= abs(1 - x) else 1 - x) / 2
         out = {1: [big, 2 * ebracket(4, ev) / (b2 * big)]}
         for a in (2, 3, 4):
-            out[a] = [t[1][0] * t[a][0] / (t[1][1] * t[a][1])]
+            out[a] = [t[1][0] / t1 * (t[a][0] / t[a][1])]
         return out
     raise ValueError(f"closed forms are only known for ell = 1, 2, got {ell}")
 

@@ -12,6 +12,9 @@ from lame_spectra.curve import edge_curve_points, random_curve_points
 
 from _support import PARAMS_EV
 
+# the smoke table's checks report their operands on failure, as a test's asserts do
+pytest.register_assert_rewrite("_smoke")
+
 
 @pytest.fixture(scope="session")
 def ev():

@@ -2,6 +2,7 @@
 
 import argparse
 import cmath
+import csv
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from lame_spectra.lame import CurvePoint, LameContext
 from lame_spectra.theta import EllipticParams, ThetaEvaluator
 from lame_spectra.util import format_complex, format_complex_pm, parse_complex, parse_eta
 
+import _smoke
 from _support import bloch_terms_scale, empty_caches, scaled_curve_sums
 
 
@@ -117,10 +119,10 @@ class TestEdgesCommand:
         assert doc["counts"] == {"1": 2, "2": 1, "3": 1, "4": 1}
         assert all(v is not None and v < 1e-9 for v in doc["closed_form_deviation"].values())
 
-    @pytest.mark.parametrize("eta", ["1/101", "1/61", "1/31"])
+    @pytest.mark.parametrize("eta", ["1/61", "1/31"])
     def test_l2_closed_form_does_not_cancel_at_small_eta(self, capsys, eta):
-        # the discriminant [2]^4 - 8[4]/[2] cancels as eta -> 0 (2.0e-12 off at 1/101);
-        # its theta-quotient form does not
+        # the discriminant [2]^4 - 8[4]/[2] cancels as eta -> 0 (2.0e-12 off at
+        # 1/101, the smoke table's edges-2-1/101); its theta-quotient form does not
         code, out = run_cli(capsys, "edges", "--ell", "2", "--eta", eta, "--tau", "1.2i")
         assert code == 0
         assert json.loads(out)["closed_form_deviation"]["1"] <= 1e-14
@@ -129,18 +131,12 @@ class TestEdgesCommand:
         code, _ = run_cli(capsys, "edges", "--ell", "0", "--eta", "0.17")
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [["edges", "--ell", "12", "--tau", "38i"],
-                                      ["spectrum", "--ell", "4", "--eta", "1/31", "--tau", "120i"]],
-                             ids=["edges-12-38i", "spectrum-4-120i"])
-    def test_edge_basis_underflow_refused(self, capsys, argv):
-        # beyond Im(tau) ell = 450.98 the weakest basis column's squared weight,
-        # exp(-pi Im(tau) ell/2), is not a normal double: one error line, exit 2
-        code = main(argv)
+    def test_edge_basis_underflow_refused_by_spectrum(self, capsys):
+        # the smoke table's edges-12-38i refusal, through spectrum's analytic edges
+        code = main(["spectrum", "--ell", "4", "--eta", "1/31", "--tau", "120i"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        bound = re.escape(f"{curve.EDGE_BASIS_MAX_IM_TAU_ELL:.2f}")
-        assert re.fullmatch(r"error: ValueError: the edge basis underflows where pi Im\(tau\) ell/2 > -ln\(DBL_MIN\), "
-                            rf"that is Im\(tau\) ell > {bound}; got Im\(tau\) ell = \d+\n", captured.err)
+        assert code == 2
+        _smoke.edge_basis_underflow(captured.out, captured.err)
 
     def test_torsion_eta_rejected(self, capsys):
         code, _ = run_cli(capsys, "edges", "--ell", "1", "--eta", "0.5", "--tau", "1.2i")
@@ -187,16 +183,14 @@ class TestEdgesCommand:
         _, out2 = run_cli(capsys, *argv)
         assert out1 == out2
 
-    @pytest.mark.parametrize("ell,tau", [("2", "1e-3i"), ("1", "0.04i")])
-    def test_closed_form_deviation_above_its_pin_exits_3(self, capsys, ell, tau):
+    def test_closed_form_deviation_above_its_pin_exits_3(self, capsys):
         # the counts hold, but the edges stray from the closed forms by more
         # than 1e-9: the report is printed and the exit code is 3, as for a
-        # wrong count
-        code, out = run_cli(capsys, "edges", "--ell", ell, "--eta", "0.17", "--tau", tau)
-        doc = json.loads(out)
+        # wrong count (ell 2 is the smoke table's edges-2-1e-3i)
+        code = main(["edges", "--ell", "1", "--eta", "0.17", "--tau", "0.04i"])
+        captured = capsys.readouterr()
         assert code == 3
-        assert doc["counts_ok"] is True
-        assert max(doc["closed_form_deviation"].values()) > 1e-9
+        _smoke.closed_forms_missed(captured.out, captured.err)
 
     def test_report_strings_with_ties_and_signed_zeros(self, capsys, monkeypatch):
         # the edge strings and their order are those of format_complex over the
@@ -222,7 +216,7 @@ class TestEdgesCommand:
         assert "multiplicities" not in doc
 
 
-# the (eta, tau) cells of the CI verify runs
+# the (eta, tau) cells of the smoke table's verify runs
 VERIFY_CELLS = [("0.17", "1.2i"), ("0.11+0.05i", "0.3+1.4i"), ("1/31", "1.2i")]
 
 
@@ -500,14 +494,7 @@ def _verify_report(capsys, ell):
     verdicts that follow the errors and bounds."""
     code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", ell)
     doc = json.loads(out)
-    assert set(doc["suites"]) == set(verify.SUITES)
-    for name, r in doc["suites"].items():
-        assert set(r) == {"rel_errors", "bounds", "bound_source", "max_rel_error", "passed"}
-        assert len(r["rel_errors"]) == len(r["bounds"]) > 0
-        assert r["bound_source"] == verify.SUITES[name][1]
-        assert r["max_rel_error"] == max(r["rel_errors"])
-        assert r["passed"] == all(e <= b for e, b in zip(r["rel_errors"], r["bounds"]))
-    assert doc["all_passed"] == all(r["passed"] for r in doc["suites"].values())
+    _smoke.verify_report_shape(doc)
     assert code == (0 if doc["all_passed"] else 1)
     return doc
 
@@ -521,15 +508,15 @@ class TestVerifyCommand:
         assert doc["all_passed"]
 
     @pytest.mark.parametrize("args", [
-        ("--suite", "all", "--ell", "7"),
-        *(("--suite", "cauchy", "--ell", str(ell), "--eta", eta, "--tau", tau)
-          for eta, tau in (("0.17", "1.2i"), ("0.11+0.05i", "0.3+1.4i"), ("1/31", "1.2i"))
-          for ell in range(1, 13)),
+        ("--suite", "cauchy", "--ell", str(ell), "--eta", eta, "--tau", tau)
+        for eta, tau in (("0.17", "1.2i"), ("0.11+0.05i", "0.3+1.4i"), ("1/31", "1.2i"))
+        for ell in range(1, 13)
     ])
     def test_cauchy_rounding_within_its_bound(self, capsys, args):
         # kappa(A) grows with n, so the check allows each draw 10 n eps
         # kappa(A), not a fixed 1e-9; stratified draws of at most 10 points
-        # keep that far below the 1e-2 a wrong identity shows
+        # keep that far below the 1e-2 a wrong identity shows (the smoke
+        # table's verify-all-7 holds --suite all at ell 7 to the same bounds)
         code, out = run_cli(capsys, "verify", *args)
         assert code == 0
         doc = json.loads(out)["suites"]["cauchy"]
@@ -561,10 +548,12 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("eta,tau", VERIFY_CELLS)
     def test_suite_alone_reports_as_inside_all(self, capsys, eta, tau):
         # each suite draws from its own generator of (seed, suite name)
-        _, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "3", "--eta", eta, "--tau", tau)
+        code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "3", "--eta", eta, "--tau", tau)
+        assert code == 0
         inside = json.loads(out)["suites"]
         for suite in verify.SUITES:
-            _, out = run_cli(capsys, "verify", "--suite", suite, "--ell", "3", "--eta", eta, "--tau", tau)
+            code, out = run_cli(capsys, "verify", "--suite", suite, "--ell", "3", "--eta", eta, "--tau", tau)
+            assert code == 0
             assert json.loads(out)["suites"] == {suite: inside[suite]}
 
     def test_suite_added_first_moves_no_other_draws(self, capsys, monkeypatch):
@@ -586,13 +575,6 @@ class TestVerifyCommand:
         code, _ = run_cli(capsys, "verify", "--suite", "schur", "--ell", str(ell), "--seed", str(seed))
         assert code == 0
 
-    def test_all_suites_pass_at_ell_7_seed_1(self, capsys):
-        # a run whose draws all pass, schur's too: it reads its errors against
-        # the terms of the lhs sum, not |rhs|
-        code, out = run_cli(capsys, "verify", "--suite", "all", "--ell", "7", "--seed", "1")
-        assert [name for name, r in json.loads(out)["suites"].items() if not r["passed"]] == []
-        assert code == 0
-
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 21: curve points stop at NEWTON_TOL, not at the rounding floor, so at small "
         "eta and large ell an image of a sound point can miss the 1e-8 bound (29.5 times it here)"))
@@ -601,9 +583,9 @@ class TestVerifyCommand:
                           "--eta", "1/31", "--seed", "6")
         assert code == 0
 
-    @pytest.mark.parametrize("ell", ["3", "9"])
-    def test_one_report_shape_and_verdict(self, capsys, ell):
-        assert _verify_report(capsys, ell)["all_passed"]
+    def test_one_report_shape_and_verdict(self, capsys):
+        # at ell 9; the smoke table holds ell 1, 3, 7 and 12 to the same shape
+        assert _verify_report(capsys, "9")["all_passed"]
 
     def test_one_report_shape_and_verdict_on_a_failing_suite(self, capsys, monkeypatch):
         _plant_curve_symmetry(monkeypatch)
@@ -680,16 +662,6 @@ class TestFlowCommand:
         # one pole has no pair to hold a margin
         assert doc["min_margin"] is None
 
-    def test_degenerate_rejected(self, capsys):
-        code, _ = run_cli(capsys, "flow", "--poles", "0.17,0,-0.17", "--eta", "0.17")
-        assert code == 4
-
-    def test_off_locus_rejected(self, capsys):
-        code, _ = run_cli(
-            capsys, "flow", "--poles", "0.1,0.47+0.21i,-0.29+0.4i", "--eta", "0.17"
-        )
-        assert code == 4
-
     @pytest.mark.parametrize(
         "flags,name",
         [(["--dt", "0"], "dt"), (["--t-end", "inf"], "t_end"), (["--dt", "nan"], "dt"),
@@ -709,9 +681,8 @@ class TestFlowCommand:
         ("0.21+0.05i", 1),
         # half a period apart: two poles on the locus, but 2 is no l(l+1)/2
         ("0.25,-0.25", None),
-        # the on-locus three-pole set of the CI smoke run
-        ("0.16872746398623609+0.99464370409188785i,-0.33737964779659291-1.1981880545449302i,"
-         "0.16865218381035685+0.20354435045304228i", 2),
+        # the on-locus three-pole set of the smoke table
+        (_smoke.M3, 2),
     ], ids=["M1", "M2", "M3"])
     def test_provenance_ell_from_the_pole_count(self, capsys, poles, ell):
         code, out = run_cli(capsys, "flow", "--eta", "1/31", "--poles", poles, "--t-end", "0.02")
@@ -729,24 +700,21 @@ class TestFlowCommand:
         assert lines[0] == "t,re_x1,im_x1,locus_gap"
         assert len(lines) == 7
 
+    def test_csv_ends_on_the_json_report(self, capsys):
+        # a t_end/dt 200 grid: the CSV holds one row per grid time (201), and
+        # its last row is the JSON report's last pole set, digit for digit
+        code, out = run_cli(capsys, *_smoke.CELLS["flow-M3-grid200-csv"].argv.split())
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        code, out = run_cli(capsys, *_smoke.CELLS["flow-M3-grid200"].argv.split())
+        assert code == 0
+        last = json.loads(out)["trajectory"][-1]
+        got = [complex(float(a), float(b)) for a, b in zip(rows[-1][1:-1:2], rows[-1][2:-1:2])]
+        assert len(rows) == 201 and float(rows[-1][0]) == last["t"]
+        assert got == [parse_complex(p) for p in last["poles"]]
+
 
 class TestCurvePointCommand:
-    def test_solve_and_report(self, capsys):
-        code, out = run_cli(
-            capsys, "curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert max(doc["scaled_residual"]) < 1e-10
-        assert "B1" in doc["bloch_multipliers"]
-
-    def test_solve_with_E_fixed(self, capsys):
-        code, out = run_cli(capsys, "curve-point", "--ell", "2", "--fix-E", "1.6+0.4i")
-        assert code == 0
-        doc = json.loads(out)
-        assert max(doc["scaled_residual"]) < 1e-11
-        assert doc["point"]["E"] == "1.6+0.4i"
-
     @pytest.mark.parametrize("tau", ["500i", "700i", "890i"])
     @pytest.mark.parametrize("ell", [2, 3, 6])
     @pytest.mark.parametrize("fix", [["--fix-zeta", "0.31+0.07i"], ["--fix-E", "1.6+0.4i"]], ids=["zeta", "E"])
@@ -804,27 +772,12 @@ class TestCoeffsCommand:
         want = json.loads(report)["suites"]["cj-symmetry"]["max_rel_error"]
         assert json.loads(out)["symmetry_error"] == want > 0
 
-    # the subset sums overflow from C_7 on at this eta; the guard withholds the report
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_coefficient_is_one_error_line(self, capsys):
-        code = main(["coeffs", "--ell", "8", "--eta", "0.17+0.6i", "--tau", "1.2i"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == "error: FloatingPointError: C[7] is not finite; the report is withheld\n"
-
-    @pytest.mark.parametrize(
-        "argv", [["coeffs", "--ell", "21"], ["verify", "--suite", "cj-symmetry", "--ell", "21"]],
-        ids=lambda argv: argv[0],
-    )
-    def test_ell_above_subset_sum_limit_is_one_error_line(self, capsys, argv):
-        code = main(argv)
+    def test_ell_above_subset_sum_limit_is_one_error_line(self, capsys):
+        # verify's cj-symmetry suite refuses it as coeffs does (the smoke table's coeffs-21)
+        code = main(["verify", "--suite", "cj-symmetry", "--ell", "21"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: ValueError: C_j subset sums need ell <= 20, got ell=21")
-        assert captured.err.count("\n") == 1
+        _smoke.CELLS["coeffs-21"].check(captured.out, captured.err)
 
 
 class _CountingStream(io.StringIO):
@@ -1016,14 +969,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: LinAlgError: SVD did not converge\n"
-
-    def test_bloch_multiplier_overflow_exits_3(self, capsys):
-        # B1 = K^(1/eta) at eta = 1e-6 is far outside the double range
-        code = main(["curve-point", "--ell", "8", "--eta", "1e-6", "--tau", "1.2i", "--fix-zeta", "0.31+0.07i"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert re.fullmatch(r"error: OverflowError: B1 = exp\(.+\) is outside the double range\n", captured.err)
 
     def test_unmapped_exception_propagates(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -1247,3 +1192,22 @@ class TestFuzzGrid:
         if code == 0:
             numbers = list(_report_numbers(json.loads(captured.out)))
             assert numbers and all(cmath.isfinite(v) for v in numbers)
+
+
+class TestSmokeTable:
+    """Each cell of ``_smoke.CELLS`` runs as one lame-spectra process: on
+    empty module caches, with every warning an error but those the cell names."""
+
+    @pytest.mark.parametrize("name", _smoke.CELLS)
+    def test_cell(self, capsys, name):
+        cell = _smoke.CELLS[name]
+        _clear_module_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for message in cell.warns:
+                warnings.filterwarnings("ignore", message, RuntimeWarning)
+            code = main(cell.argv.split())
+        captured = capsys.readouterr()
+        assert code == cell.code, captured.err
+        if cell.check is not None:
+            cell.check(captured.out, captured.err)

@@ -225,6 +225,21 @@ class TestBandEdges:
         with pytest.raises(ValueError, match="^closed forms are only known for ell = 1, 2, got 3$"):
             closed_form_edges(3, ev)
 
+    @pytest.mark.parametrize("tau", [300j, 600j, 890j])
+    @pytest.mark.parametrize("eta", [0.17, 1 / 31, 0.11 + 0.05j, 1 / 101])
+    def test_l2_closed_form_meets_its_trigonometric_limit(self, eta, tau):
+        # q = exp(i pi tau) underflows here, so each theta ratio is its
+        # trigonometric limit: label 1 is {2, 2 cos 2 pi eta}, label 2 is
+        # 2 cos 2 pi eta and labels 3, 4 are 2 cos pi eta. A power or product
+        # of theta values, each about q^(1/4), leaves the double range first
+        closed = closed_form_edges(2, ThetaEvaluator(EllipticParams(tau=tau, eta=eta)))
+        c1, c2 = 2 * cmath.cos(cmath.pi * eta), 2 * cmath.cos(2 * cmath.pi * eta)
+        want = {1: [c2, 2], 2: [c2], 3: [c1], 4: [c1]}
+        for a in want:
+            got = sorted(closed[a], key=abs)
+            assert len(got) == len(want[a])
+            assert all(abs(g - w) <= 4e-15 * abs(w) for g, w in zip(got, want[a])), (a, got, want[a])
+
 
 
 def _scalar_closed_form_edges(ell, ev):
@@ -237,13 +252,13 @@ def _scalar_closed_form_edges(ell, ev):
                       / (theta(b, 0.0, ev) * theta(c, 0.0, ev))]
         return out
     b2 = ebracket(2, ev)
-    x = theta(1, ev.eta, ev) ** 2 * cmath.sqrt(
-        theta(2, ev.eta, ev) ** -4 + theta(4, ev.eta, ev) ** -4 - theta(3, ev.eta, ev) ** -4)
+    t1 = theta(1, ev.eta, ev)
+    x = cmath.sqrt((t1 / theta(2, ev.eta, ev)) ** 4 + (t1 / theta(4, ev.eta, ev)) ** 4
+                   - (t1 / theta(3, ev.eta, ev)) ** 4)
     big = b2**2 * (1 + x if abs(1 + x) >= abs(1 - x) else 1 - x) / 2
     out = {1: [big, 2 * ebracket(4, ev) / (b2 * big)]}
     for a in (2, 3, 4):
-        out[a] = [theta(1, 2 * ev.eta, ev) * theta(a, 2 * ev.eta, ev)
-                  / (theta(1, ev.eta, ev) * theta(a, ev.eta, ev))]
+        out[a] = [theta(1, 2 * ev.eta, ev) / t1 * (theta(a, 2 * ev.eta, ev) / theta(a, ev.eta, ev))]
     return out
 
 
@@ -738,7 +753,7 @@ def _reference_subset_sums(ell, ratio):
     return C
 
 
-# the (tau, eta) cells of the CI verify runs
+# the (tau, eta) cells of the smoke table's verify runs
 VERIFY_CELLS = [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)]
 
 

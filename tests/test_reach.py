@@ -3,9 +3,9 @@ production path or by one call of a paper object the README names, or it is
 on ``ALLOWED`` with its reason.
 
 The production pass serves block 0 of each benchmark workload (calls and
-checks), runs ``verify --suite all`` at ell 1, 3, 7 and 12, the commands of
-``COMMANDS`` (every subcommand, the CSV forms and the error exits, each a
-command of the CI smoke run) and one ``--config`` file run.  The paper pass
+checks), runs the argv of every cell of the smoke table ``_smoke.CELLS``
+(every subcommand, ``verify --suite all`` at ell 1, 3, 7 and 12, the CSV
+forms and the error exits) and one ``--config`` file run.  The paper pass
 calls each name of the README's "Fifteen exported names" paragraph once.  Both run in a fresh
 interpreter under ``sys.setprofile``, with this file as its script, so that
 no cache warmed by an earlier test hides a function.  The gate reads every
@@ -19,17 +19,17 @@ this checkout's ``src``).
 """
 
 import ast
-import itertools
 import json
 import os
 import re
-import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from _smoke import CELLS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -43,53 +43,8 @@ ALLOWED = {
     "theta.ThetaEvaluator._replace": _RECORDS,
     "theta.ThetaEvaluator._make": _RECORDS,
     "theta.ThetaEvaluator.__reduce__": _RECORDS,
-    "errors.LocusError.__init__": "flow's off-locus refusal (exit 4), which no smoke command makes; "
-                                  "test_volterra.py raises it",
     "__init__.__dir__": "dir(lame_spectra), which no command calls; test_imports.py reads it",
 }
-
-# the production commands besides the workloads, each a command of the CI smoke run
-# (``ci_commands``): every subcommand, the CSV forms and every error exit
-COMMANDS = [
-    *(["verify", "--suite", "all", "--ell", ell] for ell in ("1", "3", "7")),
-    ["verify", "--suite", "all", "--ell", "12", "--tau", "0.3+1.4i", "--eta", "0.11+0.05i"],
-    ["verify", "--suite", "cauchy", "--ell", "6", "--tau", "0.3+1.4i", "--eta", "0.11+0.05i"],
-    ["verify", "--suite", "cj-limit", "--ell", "3", "--tau", "0.15i"],
-    ["verify", "--suite", "cj-symmetry", "--ell", "12", "--eta", "0.17"],
-    ["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"],
-    ["curve-point", "--ell", "2", "--fix-E", "1.6+0.4i"],
-    # the pole stop (exit 3), a B1 beyond the double range (exit 3), a large Im tau
-    ["curve-point", "--ell", "2", "--fix-E", "2", "--seed-zeta", "0.05+0.02i", "--seed-K", "0.5"],
-    ["curve-point", "--ell", "8", "--eta", "1e-6", "--tau", "1.2i", "--fix-zeta", "0.31+0.07i"],
-    ["curve-point", "--ell", "3", "--fix-zeta", "0.31+0.07i", "--tau", "800i"],
-    # the NaN-report refusal (exit 3), ell above CJ_MAX_ELL (exit 2)
-    ["coeffs", "--ell", "8", "--eta", "0.17+0.6i", "--tau", "1.2i"],
-    ["coeffs", "--ell", "12", "--eta", "0.17"],
-    ["coeffs", "--ell", "21"],
-    # a theta1(k eta) overflow, closed forms missed, a torsion eta, the edge basis's underflow
-    ["edges", "--ell", "8", "--eta", "0.1+1.1i", "--tau", "1.2i"],
-    ["edges", "--ell", "2", "--eta", "0.17", "--tau", "1e-3i"],
-    ["edges", "--ell", "2", "--eta", "1/3"],
-    ["edges", "--ell", "3", "--eta", "0.17"],
-    ["edges", "--ell", "12", "--tau", "37i"],
-    ["edges", "--ell", "12", "--tau", "38i"],
-    ["edges", "--ell", "7", "--eta", "0.11+0.05i", "--tau", "0.3+1.4i"],
-    # bad flag values and unsummable series (exit 2)
-    *(["edges", "--ell", "2", *flag.split()] for flag in (
-        "--tau 1", "--tau nan", "--format xml", "--tol abc", "--tau 1e-20i", "--tau 1000i", "--tol 1e300")),
-    ["spectrum", "--ell", "1", "--eta", "1/31"],
-    ["spectrum", "--ell", "4", "--eta", "1/61", "--tau", "1.2i"],
-    ["spectrum", "--ell", "2", "--eta", "1/60"],
-    ["spectrum", "--ell", "1", "--eta", "1/31", "--format", "csv", "--kpoints", "5"],
-    # the non-real guard off the tau axis (exit 3)
-    ["spectrum", "--ell", "1", "--eta", "1/31", "--tau", "0.3+1.4i"],
-    ["flow", "--poles", "0.21+0.05i", "--t-end", "0.3", "--dt", "0.1"],
-    ["flow", "--eta", "1/31", "--tau", "1.2i", "--t-end", "0.2", "--dt", "0.001", "--poles",
-     "0.16872746398623609+0.99464370409188785i,-0.33737964779659291-1.1981880545449302i,"
-     "0.16865218381035685+0.20354435045304228i", "--format", "csv"],
-    # the degenerate flow (exit 4)
-    ["flow", "--poles", "0.17,0,-0.17", "--eta", "0.17"],
-]
 
 # one call of each paper object, on the objects of ``_paper_inputs``
 PAPER_CALLS = {
@@ -109,30 +64,6 @@ PAPER_CALLS = {
     "weierstrass_p": lambda f, a: f(a.x, a.ev),
     "volterra_rhs_c": lambda f, a: f(a.poles, a.x, a.ev),
 }
-
-
-def ci_commands() -> list:
-    """The argv of each ``lame-spectra`` command of the CI smoke run, with its
-    for loops and plain variable assignments expanded; a loop over a
-    command's output is left out."""
-    step = (ROOT / ".github" / "workflows" / "tests.yml").read_text().split("- name: CLI smoke run")[1]
-    found, loops, env = [], [], {}
-    for line in step.split("\n      - name:")[0].splitlines():
-        line = line.strip()
-        if loop := re.fullmatch(r"for (\w+) in (.*); do", line):
-            loops.append([] if "$(" in loop[2] else [(loop[1], item) for item in shlex.split(loop[2])])
-        elif line == "done":
-            loops.pop()
-        elif assignment := re.fullmatch(r"(\w+)=([^\s$;]+)", line):
-            env[assignment[1]] = assignment[2]
-        elif not line.startswith("#") and "lame-spectra " in line:
-            for values in itertools.product(*loops):
-                command = line.partition("lame-spectra ")[2]
-                for name, value in [*values, *env.items()]:
-                    command = command.replace(f"${name}", value)
-                words = shlex.split(command)
-                found.append(list(itertools.takewhile(lambda w: not re.match(r"\d?>|\|", w), words)))
-    return found
 
 
 def readme_paper_names() -> list:
@@ -181,7 +112,8 @@ def _passes(errors: list):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "run.cfg")
         config.write_text("# a comment\n\neta = 1/31\ntau = 1.2i\n")
-        for argv in [*COMMANDS, ["spectrum", "--ell", "1", "--config", str(config)]]:
+        argvs = [cell.argv.split() for cell in CELLS.values()]
+        for argv in [*argvs, ["spectrum", "--ell", "1", "--config", str(config)]]:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 try:
                     cli.main(argv)
@@ -271,10 +203,6 @@ class TestReachGate:
         reached = {functions.get(tuple(key)) for key in report["reached"]}
         assert set(ALLOWED) <= set(functions.values())
         assert not set(ALLOWED) & reached
-
-    def test_commands_are_ci_smoke_commands(self):
-        ci = ci_commands()
-        assert [argv for argv in COMMANDS if argv not in ci] == []
 
     def test_paper_calls_are_the_readme_names(self):
         names = readme_paper_names()
