@@ -35,7 +35,8 @@ def _theta_monodromy(ell: int, ev: ThetaEvaluator, rng):
             e1 = abs(theta(a, x + 1, ev) - s1 * v) / max(abs(v), 1.0)
             ratio = st * np.exp(-1j * np.pi * ev.tau - 2j * np.pi * x)
             e2 = abs(theta(a, x + ev.tau, ev) - ratio * v) / max(abs(ratio * v), 1.0)
-            errors.append(max(e1, e2))
+            # np.maximum keeps a NaN, which the report then refuses; max(e1, nan) is e1
+            errors.append(np.maximum(e1, e2))
     return errors, 1e-10
 
 

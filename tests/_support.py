@@ -1,15 +1,13 @@
 """Shared evaluator instance for the default test parameters, the scales
 of the curve sums and of the Bloch relation, counters of residue-matrix
-builds and point SVDs, and empty module caches for one test."""
+builds and point SVDs, and empty module caches."""
 
 import functools
-import importlib
+import sys
 
 import numpy as np
 
 from lame_spectra import EllipticParams, ThetaEvaluator, curve, lame
-
-theta_module = importlib.import_module("lame_spectra.theta")  # the package binds the function
 
 PARAMS = EllipticParams(tau=1.2j, eta=0.17, tol=1e-12)
 PARAMS_EV = ThetaEvaluator(PARAMS)
@@ -58,12 +56,12 @@ def record_point_svds(monkeypatch) -> list:
     return vectors
 
 
-def empty_caches(monkeypatch):
-    """Fresh eta-table and point-SVD caches, of the package's sizes, in place
-    of the package's for one test: evaluators built from here on start with
-    empty tables, and every curve point's SVD is computed again."""
-    tables = functools.lru_cache(theta_module._ETA_TABLES_MAX)(theta_module._eta_tables.__wrapped__)
-    monkeypatch.setattr(theta_module, "_eta_tables", tables)
-    svd = functools.lru_cache(lame._POINTS_MAX)(lame._point_svd.__wrapped__)
-    for module in (lame, curve):
-        monkeypatch.setattr(module, "_point_svd", svd)
+def empty_caches():
+    """Empty every module-level functools cache of the package, as a new
+    process starts: evaluators built from here on start with empty tables,
+    and every curve point's SVD is computed again."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lame_spectra."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                    obj.cache_clear()

@@ -1,14 +1,13 @@
 """CLI behaviour: parsing, JSON reports, exit codes, determinism."""
 
 import argparse
-import cmath
 import csv
 import io
 import json
 import math
 import re
-import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +28,8 @@ from lame_spectra.util import format_complex, format_complex_pm, parse_complex, 
 
 import _smoke
 from _support import bloch_terms_scale, empty_caches, scaled_curve_sums
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestComplexParsing:
@@ -225,7 +226,7 @@ class TestSharedTables:
     no output may depend on what ran before it in the process."""
 
     @pytest.mark.parametrize("eta,tau", VERIFY_CELLS)
-    def test_same_bytes_in_any_request_order(self, capsys, monkeypatch, eta, tau):
+    def test_same_bytes_in_any_request_order(self, capsys, eta, tau):
         argvs = [["edges", "--ell", str(ell), "--eta", eta, "--tau", tau] for ell in range(1, 11)]
         argvs += [["coeffs", "--ell", str(ell), "--eta", eta, "--tau", tau] for ell in range(2, 13)]
 
@@ -238,33 +239,33 @@ class TestSharedTables:
         descending = [run(argv) for argv in argvs[::-1]][::-1]
         cleared = []
         for argv in argvs:
-            empty_caches(monkeypatch)
+            empty_caches()
             cleared.append(run(argv))
         assert descending == ascending
         assert cleared == ascending
 
-    def test_large_imaginary_eta_prints_the_same_bytes_after_smaller_ell(self, capsys, monkeypatch):
+    def test_large_imaginary_eta_prints_the_same_bytes_after_smaller_ell(self, capsys):
         # the theta1(k eta) table grows in fixed chunks of k: at |Im eta| =
         # 0.6, where a theta call's cutoff follows its largest |Im k eta|,
         # ell 6 prints the same bytes cold and after ell 1..5
         grid = ["--eta", "0.17+0.6i", "--tau", "1.2i"]
-        empty_caches(monkeypatch)
+        empty_caches()
         cold = run_cli(capsys, "coeffs", "--ell", "6", *grid)
-        empty_caches(monkeypatch)
+        empty_caches()
         for ell in range(1, 6):
             run_cli(capsys, "coeffs", "--ell", str(ell), *grid)
         assert cold[0] == 0
         assert run_cli(capsys, "coeffs", "--ell", "6", *grid) == cold
 
-    def test_torsion_eta_exits_2_on_every_request(self, capsys, monkeypatch):
+    def test_torsion_eta_exits_2_on_every_request(self, capsys):
         # a factorial growth that meets [3] = 0 stores nothing, so each request
         # that needs it raises again, also after an ell 1 request filled the
         # tables below [3]
         argv = ["edges", "--ell", "2", "--eta", "1/3"]
-        empty_caches(monkeypatch)
+        empty_caches()
         codes = [main(argv), main(argv)]
         errors = capsys.readouterr().err.splitlines()
-        empty_caches(monkeypatch)
+        empty_caches()
         assert main(["edges", "--ell", "1", "--eta", "1/3"]) == 0
         capsys.readouterr()
         codes.append(main(argv))
@@ -610,6 +611,20 @@ class TestVerifyCommand:
         assert code == 3
         assert captured.out == ""
         assert captured.err == (f"error: FloatingPointError: suites.schur.rel_errors[{errors.index(math.nan)}] "
+                                "is not finite; the report is withheld\n")
+
+    def test_nan_monodromy_error_fails_the_suite(self, capsys, monkeypatch):
+        # theta(x + tau) planted NaN, as the quasi-period factor's overflow
+        # makes the error from Im tau about 226: the draw keeps the NaN, not
+        # its finite x + 1 error, and the report is withheld
+        real = verify.theta
+        monkeypatch.setattr(verify, "theta",
+                            lambda a, x, ev: math.nan if x.imag > ev.tau.imag / 2 else real(a, x, ev))
+        code = main(["verify", "--suite", "theta-monodromy"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: FloatingPointError: suites.theta-monodromy.rel_errors[0] "
                                 "is not finite; the report is withheld\n")
 
     @pytest.mark.parametrize("ell", ["1", "2", "12"])
@@ -963,7 +978,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        empty_caches(monkeypatch)
+        empty_caches()
         monkeypatch.setattr(np.linalg, "svd", boom)
         assert main(["curve-point", "--ell", "2", "--fix-zeta", "0.31+0.07i"]) == 3
         captured = capsys.readouterr()
@@ -1105,109 +1120,62 @@ class TestConfigFile:
         )
 
 
-# The fuzz grid of ROADMAP item 26: edges and coeffs at every cell, curve-point
-# at ell 1 and 3, spectrum at the P/Q etas only.
-FUZZ_ELLS = (1, 3, 8)
-FUZZ_TAUS = ("1.2i", "0.3+1.4i", "0.15i", "3i", "1e-3i")
-FUZZ_ETAS = ("0.17", "1/31", "0.11+0.05i", "1/3", "1e-6", "0.17+0.6i", "0.1+1.1i")
-# At these (tau, eta) the theta1(k*eta) table leaves the double range in its
-# first chunk (k <= 23), so every command is refused with OverflowError, exit
-# 3 and no warning, ell 1-3 cells whose answers were right included; item 25's
-# reduction to the fundamental domain is the planned mend.
-FUZZ_OVERFLOWS = {("1.2i", "0.1+1.1i"), ("0.3+1.4i", "0.1+1.1i"), ("0.15i", "0.17+0.6i"),
-                  ("0.15i", "0.1+1.1i"), ("1e-3i", "0.11+0.05i"), ("1e-3i", "0.17+0.6i"),
-                  ("1e-3i", "0.1+1.1i")}
-# At these the C_j of coeffs --ell 8 lie beyond the double range, and the
-# subset sums overflow with a RuntimeWarning (item 28).
-FUZZ_COEFFS_8_OVERFLOWS = {("1.2i", "0.17+0.6i"), ("0.3+1.4i", "0.17+0.6i"), ("3i", "0.1+1.1i")}
+SERVED_DOMAIN = _smoke.served_domain(README.read_text())
+CELLS = {**_smoke.CELLS, **SERVED_DOMAIN}
+UNNAMED_WARNING = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                                    reason="README marker w: C_j beyond the double range (ROADMAP item 28)")
 
 
-def _fuzz_cells():
-    for cmd, ells, etas in (("edges", FUZZ_ELLS, FUZZ_ETAS), ("coeffs", FUZZ_ELLS, FUZZ_ETAS),
-                            ("curve-point", (1, 3), FUZZ_ETAS),
-                            ("spectrum", FUZZ_ELLS, [e for e in FUZZ_ETAS if "/" in e])):
-        for ell in ells:
-            for tau in FUZZ_TAUS:
-                for eta in etas:
-                    marks = ()
-                    if cmd == "coeffs" and ell == 8 and (tau, eta) in FUZZ_COEFFS_8_OVERFLOWS:
-                        marks = pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                                                  reason="C_j beyond the double range (ROADMAP item 28)")
-                    yield pytest.param(cmd, ell, tau, eta, marks=marks)
-
-
-def _report_numbers(value):
-    """Every number of a parsed report: its floats and ints, and its strings that parse as complex."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        for v in value:
-            yield from _report_numbers(v)
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield value
-    elif isinstance(value, str):
+def run_cell(capsys, cell):
+    """Run one cell as one lame-spectra process: on empty module caches, with
+    every warning an error but those the cell names; then assert its exit
+    code and its check."""
+    empty_caches()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for message in cell.warns:
+            warnings.filterwarnings("ignore", message, RuntimeWarning)
         try:
-            yield parse_complex(value)
-        except ValueError:  # not a number
-            pass
-
-
-def _clear_module_caches():
-    """Empty every functools cache of the package, as a fresh process starts."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lame_spectra."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
-                    obj.cache_clear()
-
-
-class TestFuzzGrid:
-    """Each cell runs on empty module caches, as one lame-spectra process: a
-    table filled by an earlier cell would hide the warning of its own build."""
-
-    def test_grid_size(self):
-        cells = list(_fuzz_cells())
-        assert len(cells) == 310
-        assert sum(bool(c.marks) for c in cells) == 3
-
-    @pytest.mark.parametrize("cmd,ell,tau,eta", _fuzz_cells())
-    def test_no_traceback_warning_or_non_finite_output(self, capsys, cmd, ell, tau, eta):
-        _clear_module_caches()
-        argv = [cmd, "--ell", str(ell), "--eta", eta, "--tau", tau]
-        if cmd == "curve-point":
-            argv += ["--fix-zeta", "0.31+0.07i"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = main(argv)
-            except RuntimeWarning as warning:
-                # raised again from here: reporting the full traceback takes ~0.15 s a cell
-                raise RuntimeWarning(f"{' '.join(argv)}: {warning}") from None
-        captured = capsys.readouterr()
-        assert 0 <= code <= 4
-        if (tau, eta) in FUZZ_OVERFLOWS:
-            assert code == 3 and captured.out == ""
-            assert re.fullmatch(r"error: OverflowError: theta1\(k\*eta\) is outside the double range "
-                                r"from k = \d+ at eta = \S+, tau = \S+\n", captured.err)
-        if code == 0:
-            numbers = list(_report_numbers(json.loads(captured.out)))
-            assert numbers and all(cmath.isfinite(v) for v in numbers)
+            code = main(cell.argv.split())
+        except RuntimeWarning as warning:
+            # raised again from here: reporting the full traceback takes ~0.15 s a cell
+            raise RuntimeWarning(f"{cell.argv}: {warning}") from None
+    captured = capsys.readouterr()
+    assert code == cell.code, captured.err
+    if cell.check is not None:
+        cell.check(captured.out, captured.err)
 
 
 class TestSmokeTable:
-    """Each cell of ``_smoke.CELLS`` runs as one lame-spectra process: on
-    empty module caches, with every warning an error but those the cell names."""
+    """Each cell of ``_smoke.CELLS`` and of the README's served-domain table
+    runs through ``run_cell``."""
 
-    @pytest.mark.parametrize("name", _smoke.CELLS)
+    @pytest.mark.parametrize("name", [pytest.param(name, marks=UNNAMED_WARNING if cell.marked else ())
+                                      for name, cell in CELLS.items()])
     def test_cell(self, capsys, name):
-        cell = _smoke.CELLS[name]
-        _clear_module_caches()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for message in cell.warns:
-                warnings.filterwarnings("ignore", message, RuntimeWarning)
-            code = main(cell.argv.split())
-        captured = capsys.readouterr()
-        assert code == cell.code, captured.err
-        if cell.check is not None:
-            cell.check(captured.out, captured.err)
+        run_cell(capsys, CELLS[name])
+
+    def test_served_domain_size(self):
+        # a parser that silently reads fewer rows or columns fails here
+        commands = [cell.argv.split()[0] for cell in SERVED_DOMAIN.values()]
+        assert {c: commands.count(c) for c in set(commands)} == {
+            "edges": 105, "coeffs": 105, "curve-point": 70, "spectrum": 30, "verify": 70}
+        assert len({cell.argv.split(" --eta ")[1] for cell in SERVED_DOMAIN.values()}) == 35
+        assert len(SERVED_DOMAIN) == 380 and len(CELLS) == len(_smoke.CELLS) + 380
+        assert sum(cell.marked for cell in SERVED_DOMAIN.values()) == 3
+
+    @pytest.mark.parametrize("old,new,name", [
+        ("| 1.2i | 1/3 | 0/2/2 |", "| 1.2i | 1/3 | 0/0/2 |", "edges-3-1.2i-1/3"),
+        ("| 0.15i | 0.17 | 0/0/0 | 0/0/0 | 0/0 | - | 1: 2 (cauchy) |",
+         "| 0.15i | 0.17 | 0/0/0 | 0/0/0 | 0/0 | - | 1: 2 (schur) |", "verify-1-0.15i-0.17"),
+        ("| 0.15i | 0.17 | 0/0/0 | 0/0/0 | 0/0 | - | 1: 2 (cauchy) |",
+         "| 0.15i | 0.17 | 0/0/0 | 0/0/0 | 0/0 | - | 1: 0.2 (cauchy) |", "verify-1-0.15i-0.17"),
+        ("| 3i | 1/3 | 0/2/2 | 0/0/2 | 2/2 | 0/2/2 | 2: TorsionEtaError |",
+         "| 3i | 1/3 | 0/2/2 | 0/0/2 | 2/2 | 0/2/2 | 2: ValueError |", "verify-1-3i-1/3"),
+    ], ids=["code", "suite", "ratio", "error-class"])
+    def test_a_changed_entry_fails(self, capsys, old, new, name):
+        # the README with one entry changed: the cell it names fails
+        text = README.read_text()
+        assert text.count(old) == 1
+        with pytest.raises(AssertionError):
+            run_cell(capsys, _smoke.served_domain(text.replace(old, new))[name])

@@ -121,7 +121,7 @@ class TestTable:
         assert ebracket(-1, ev) == -1
 
     def test_grows_by_replacement(self, monkeypatch):
-        empty_caches(monkeypatch)
+        empty_caches()
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)
         chunk = enumbers.THETA_CHUNK
@@ -146,7 +146,7 @@ class TestTable:
         (lambda ell, ev: efactorial(2 * ell, ev), lambda ell: 2 * ell),
     ], ids=["LameContext", "band_edges", "curve_coeffs", "a_polys_recurrence", "efactorial"])
     def test_one_theta_call_per_entry_point(self, monkeypatch, ell, entry, top):
-        empty_caches(monkeypatch)
+        empty_caches()
         calls = _count_theta(monkeypatch)
         ev = _fresh(1.2j, 0.17)
         entry(ell, ev)
@@ -192,8 +192,8 @@ class TestOverflowRefused:
     no RuntimeWarning (pytest turns one into an error), and is not stored."""
 
     @pytest.mark.parametrize("tau,eta,k", [(1.2j, 0.1 + 1.1j, 15), (0.15j, 0.17 + 0.6j, 10)])
-    def test_refused_cold_after_a_small_read_and_again(self, monkeypatch, tau, eta, k):
-        empty_caches(monkeypatch)
+    def test_refused_cold_after_a_small_read_and_again(self, tau, eta, k):
+        empty_caches()
         ev = _fresh(tau, eta)
         message = rf"^theta1\(k\*eta\) is outside the double range from k = {k} at eta = \S+, tau = \S+$"
         # cold at small k, then at a k past the bad entry, then at small k again
@@ -208,8 +208,8 @@ class TestOverflowRefused:
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", [1 / 31, 0.17, 0.23 + 0.06j, 0.1 - 0.06j])
-    def test_benchmark_range_table_is_unchanged(self, monkeypatch, tau, eta):
-        empty_caches(monkeypatch)
+    def test_benchmark_range_table_is_unchanged(self, tau, eta):
+        empty_caches()
         ev = _fresh(tau, eta)
         chunk = enumbers.THETA_CHUNK
         want = [v for c in range(2) for v in theta(1, np.arange(c * chunk, (c + 1) * chunk) * ev.eta, ev).tolist()]
@@ -240,8 +240,8 @@ def _tables(ev):
 class TestSharedTables:
     TOP = 24
 
-    def test_equal_parameters_share_one_holder(self, monkeypatch):
-        empty_caches(monkeypatch)
+    def test_equal_parameters_share_one_holder(self):
+        empty_caches()
         a, b = _fresh(1.2j, 0.17), _fresh(1.2j, 0.17 + 0j)
         assert a._tables is b._tables
         assert _fresh(1.2j, 0.18)._tables is not a._tables
@@ -250,13 +250,13 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", [1 / 31, 3 / 61, 0.17, 0.23 + 0.04j])
-    def test_any_growth_order_gives_the_one_shot_table(self, monkeypatch, tau, eta):
+    def test_any_growth_order_gives_the_one_shot_table(self, tau, eta):
         # each read on a new evaluator, as a request makes it: one-entry
         # growths first, then reads of the three tables at random sizes
         want = _one_shot(self.TOP, _fresh(tau, eta))
         rng = np.random.default_rng(43)
         for _ in range(3):
-            empty_caches(monkeypatch)
+            empty_caches()
             for n in [1, 2, 3, 4, 5] + rng.permutation(np.arange(6, self.TOP + 1)).tolist():
                 read = (theta1_multiples, ebracket, efactorial)[rng.integers(3)]
                 read(n, _fresh(tau, eta))
@@ -265,12 +265,12 @@ class TestSharedTables:
             for got, w in zip(_tables(ev), want):
                 assert _bits(got[:self.TOP + 1]) == _bits(w)
 
-    def test_threads_grow_one_table(self, monkeypatch):
+    def test_threads_grow_one_table(self):
         # four threads grow the one table of (tau, eta) to different sizes, one
         # entry at a time; every read and the final table are the one-shot values
         tau, eta = 0.3 + 1.4j, 0.23 + 0.04j
         want = _one_shot(self.TOP, _fresh(tau, eta))
-        empty_caches(monkeypatch)
+        empty_caches()
         sizes = (6, 12, 18, self.TOP)
         start = threading.Barrier(len(sizes))
         reads = {}

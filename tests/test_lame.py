@@ -340,7 +340,7 @@ class TestBlochCoeffs:
         # normalised, with no second SVD
         ctx = LameContext(ell=ell, ev=ev)
         pts = edge_curve_points(ctx)[:4]
-        empty_caches(monkeypatch)
+        empty_caches()
         seen = record_point_svds(monkeypatch)
         for pt in pts:
             seen.clear()
@@ -669,9 +669,9 @@ class TestSharedCaches:
         return [LameContext(ell=1, ev=ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.1 + 0.001 * k)))
                 for k in range(count)]
 
-    def test_eta_tables_are_bounded(self, monkeypatch):
+    def test_eta_tables_are_bounded(self):
         assert theta_module._eta_tables.cache_info().maxsize == theta_module._ETA_TABLES_MAX
-        empty_caches(monkeypatch)
+        empty_caches()
         self._contexts(theta_module._ETA_TABLES_MAX + 5)
         info = theta_module._eta_tables.cache_info()
         assert info.maxsize == info.currsize == theta_module._ETA_TABLES_MAX
@@ -693,9 +693,9 @@ class TestSharedCaches:
         again = LameContext(ell=1, ev=ThetaEvaluator(contexts[-1].ev.params))
         assert again._parts is contexts[-1]._parts
 
-    def test_point_svd_is_bounded_and_read_only(self, monkeypatch):
+    def test_point_svd_is_bounded_and_read_only(self):
         assert lame._point_svd.cache_info().maxsize == lame._POINTS_MAX
-        empty_caches(monkeypatch)
+        empty_caches()
         ctx = LameContext(ell=2, ev=PARAMS_EV)
         for k in range(lame._POINTS_MAX + 5):
             sv, s = lame._point_svd(CurvePoint(zeta=0.3 + 0.1j, K=1 + 0.01j * k, E=0.5), ctx)
