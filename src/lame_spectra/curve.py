@@ -51,8 +51,8 @@ import numpy as np
 from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
 from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 # phi, residual and scaled_residual are not called here, but perfbench/tracing.py rebinds them on this module
-from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _point_svd, _row_scaled, _sigma_min,
-                   phi, residual, scaled_residual)
+from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _context_parts, _point_svd, _row_scaled,
+                   _sigma_min, phi, residual, scaled_residual)
 from .theta import ThetaEvaluator, _nonzero, theta
 from .util import nearest_lattice_point
 
@@ -554,7 +554,7 @@ def solve_curve_point(fix: dict, seed: CurvePoint, ctx: LameContext) -> CurvePoi
     free = np.arange(3) != held
     v = np.array([seed.zeta, seed.K, seed.E], dtype=complex)
     v[held] = value
-    P, D, _, R, n, m_eta = ctx._parts.M
+    P, D, _, R, n, m_eta = _context_parts(ctx).M
     period = max(1.0, abs(ctx.ev.tau))
 
     def dM_dzeta(zeta, K, E, M, s):

@@ -6,8 +6,10 @@ the symmetric q-number with q = exp(2i*pi*eta).
 
 Three eta-only tables belong to the parameters (tau, eta, tol): every
 evaluator built with equal parameters reads the one holder of
-``theta._eta_tables``.  Each is a tuple indexed by k that grows only when a
-read needs a larger k, by replacing the stored tuple:
+``_eta_tables``, a bounded module cache keyed by ``EllipticParams``.  Each
+is a tuple indexed by k that grows only when a read needs a larger k, by
+replacing the stored tuple, never by changing one (so threads can share a
+holder):
 
     theta1(k*eta)  one batched theta call per fixed chunk of THETA_CHUNK k;
     [k]            the Python division theta1(k*eta)/theta1(eta);
@@ -33,10 +35,12 @@ as it is added; a growth that meets a vanishing bracket raises and stores
 nothing, so every read that needs that entry raises again.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import TorsionEtaError
-from .theta import ThetaEvaluator, theta
+from .theta import EllipticParams, ThetaEvaluator, theta
 from .util import format_complex
 
 __all__ = ["theta1_multiples", "ebracket", "nonzero_bracket", "efactorial", "ebinom", "qnumber"]
@@ -44,6 +48,28 @@ __all__ = ["theta1_multiples", "ebracket", "nonzero_bracket", "efactorial", "ebi
 # entries per growth of the theta1(k*eta) table: k = 0..23 covers the 2l + 2
 # that a curve context reads, for every l <= 10, in one theta call
 THETA_CHUNK = 24
+
+# eta-table holders kept by _eta_tables, least recently used dropped first
+_ETA_TABLES_MAX = 64
+
+
+class _EtaTables:
+    """The eta-only tables of one ``EllipticParams``: theta1(k*eta), [k] and
+    [k]!, each a tuple indexed by k, grown by storing a longer tuple in its
+    place."""
+
+    __slots__ = ("theta1_multiples", "brackets", "factorials")
+
+    def __init__(self):
+        self.theta1_multiples = ()
+        self.brackets = (0j, 1 + 0j)
+        self.factorials = (1 + 0j, 1 + 0j)
+
+
+@functools.lru_cache(maxsize=_ETA_TABLES_MAX)
+def _eta_tables(params: EllipticParams) -> _EtaTables:
+    """The one table holder of ``params``, read by every evaluator built with them."""
+    return _EtaTables()
 
 
 def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
@@ -57,7 +83,7 @@ def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
     OverflowError, naming its first such k, instead of a RuntimeWarning, and
     is not stored, so every read that needs it raises again.
     """
-    tables = ev._tables
+    tables = _eta_tables(ev.params)
     table = tables.theta1_multiples
     while len(table) <= n:
         k = np.arange(len(table), len(table) + THETA_CHUNK)
@@ -73,7 +99,7 @@ def theta1_multiples(n: int, ev: ThetaEvaluator) -> tuple:
 
 def _brackets(n: int, ev: ThetaEvaluator) -> tuple:
     """[k] for k = 0..n (the table may hold more entries); starts as ([0], [1])."""
-    tables = ev._tables
+    tables = _eta_tables(ev.params)
     table = tables.brackets
     if len(table) <= n:
         t = theta1_multiples(n, ev)
@@ -101,7 +127,7 @@ def nonzero_bracket(n: int, ev: ThetaEvaluator) -> complex:
 def _factorials(n: int, ev: ThetaEvaluator) -> tuple:
     """[k]! for k = 0..n (the table may hold more entries); starts as ([0]!, [1]!).
     A growth reads its brackets first, so the theta table grows by one call."""
-    tables = ev._tables
+    tables = _eta_tables(ev.params)
     table = tables.factorials
     if len(table) <= n:
         _brackets(n, ev)

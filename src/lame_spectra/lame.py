@@ -40,12 +40,12 @@ The records here (``LameContext``, ``CurvePoint``, ``BlochCoeffs`` and the
 context's bundle ``_ContextParts``) are NamedTuples, as every record of the
 package is (see ``theta``): a frozen dataclass takes about 1 ms to define at
 import.  ``LameContext`` and ``CurvePoint`` check their fields in
-``__new__``; a context caches its bundle off the tuple, in its
-``__dict__``, outside equality and hash.
+``__new__``; a context's bundle lives in the bounded module cache
+``_context_parts``, keyed by the context.
 """
 
 import cmath
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # ebracket is not called here, but perfbench/tracing.py rebinds it on this module
 from .enumbers import ebracket, ebinom, efactorial, theta1_multiples
 from .errors import ConsistencyError
-from .theta import ThetaEvaluator, _checked_make, _nonzero, _read_only, theta
+from .theta import ThetaEvaluator, _checked_make, _nonzero, theta
 from .util import halton, nearest_lattice_point
 
 __all__ = [
@@ -101,8 +101,10 @@ class LameContext(_LameContextFields):
     [1..2l+2] vanishes, since all residue formulas divide by them.  The parts
     are built once per (l, evaluator parameters), as one bundle in a bounded
     module cache (``_context_parts``), so contexts built anew per request
-    share them; the bundle is also cached on the context, off the tuple.
+    share them.
     """
+
+    __slots__ = ()
 
     def __new__(cls, ell: int, ev: ThetaEvaluator):
         if ell < 0:
@@ -112,16 +114,9 @@ class LameContext(_LameContextFields):
 
     _make = classmethod(_checked_make)
 
-    __setattr__ = __delattr__ = _read_only
-
     @property
     def N(self) -> int:
         return self.ell * (self.ell + 1) // 2
-
-    @cached_property
-    def _parts(self) -> "_ContextParts":
-        """The eta-only bundle of ``_context_parts``."""
-        return _context_parts(self)
 
 
 class _ContextParts(NamedTuple):
@@ -261,7 +256,7 @@ def _E_free_M(zeta: complex, K: complex, ctx: LameContext):
     if l < 1:
         raise ValueError(f"the residue system needs ell >= 1, got ell={l}")
     ev = ctx.ev
-    P, D, B, R, n, m_eta = ctx._parts.M
+    P, D, B, R, n, m_eta = _context_parts(ctx).M
     # theta1(zeta - m*eta) for m = 0..l+1 in one call
     tz = theta(1, zeta - m_eta, ev)
     _nonzero(tz[0], ev, "theta1({})", zeta)
@@ -298,7 +293,7 @@ def _build_M_with_magnitudes(pt: CurvePoint, ctx: LameContext):
     bounded module cache, so the requests of one point share one build.
     """
     M0, mag0 = _E_free_M(pt.zeta, pt.K, ctx)
-    D = ctx._parts.M[1]
+    D = _context_parts(ctx).M[1]
     return M0 - pt.E * D, mag0 + abs(pt.E) * D
 
 
@@ -435,7 +430,7 @@ def _W_sum(t, Psi_shifted, ctx: LameContext):
     # the k-th denominator is the window j = -k..2l-k+1 of the table
     den = sliding_window_view(t, 2 * l + 2, axis=-1)[..., ::-1, :].prod(axis=-1)
     # the k-th shift is j = 2l-2k+1: every other entry, from the top down
-    return pref * (ctx._parts.w * t[..., ::-2] / den * Psi_shifted).sum(axis=-1)
+    return pref * (_context_parts(ctx).w * t[..., ::-2] / den * Psi_shifted).sum(axis=-1)
 
 
 def _W_guard(t, x, l: int, ev: ThetaEvaluator):
@@ -520,7 +515,7 @@ def w_eigenvalue(pt: CurvePoint, coeffs: BlochCoeffs, ctx: LameContext) -> compl
     """
     l = ctx.ell
     lo = -(3 * l + 1)
-    xs = ctx._parts.samples
+    xs = _context_parts(ctx).samples
     tx, tz, t1z = _progressions(pt.zeta, xs, np.arange(lo, 2 * l + 2), ctx.ev)
     js = np.append(np.arange(2 * l + 1, -(2 * l + 2), -2), 0)
     Psi = _Psi_sum(pt, coeffs, xs[:, None] + js * ctx.ev.eta,

@@ -30,18 +30,12 @@ term, is left for points the split cannot hold and for theta1'(0), which is
 summed once per (tau, cutoff) and kept in a bounded module cache too
 (``_theta1_prime0``).
 
-An evaluator's parameters are fixed at construction.  The eta-only tables of
-``enumbers`` (theta1(k*eta), the elliptic integers [k] and the factorials
-[k]!) belong to the parameters, not to one evaluator: every evaluator built
-with equal ``EllipticParams`` reads one holder of the three tables, kept in a
-bounded module cache of holders (``_eta_tables``).  A table only grows, by
-replacing the stored tuple, never by changing one (theta1(k*eta) by fixed
-chunks of k, so an entry does not depend on the reads before it), so
-evaluators are safe to share across threads.  So are the three caches:
-``functools`` keeps their structure coherent under concurrent calls, two
-threads that miss on one key at once each build the same values, and no
-caller can write a cached array.  The README's cache table gives every
-module cache of the package with its key, bound and traffic.
+An evaluator's parameters are fixed at construction, and evaluators are
+safe to share across threads.  So are both caches: ``functools`` keeps
+their structure coherent under concurrent calls, two threads that miss on
+one key at once each build the same values, and no caller can write a
+cached array.  The README's cache table gives every module cache of the
+package with its key, bound and traffic.
 
 The package's value records (``EllipticParams`` and ``ThetaEvaluator`` here,
 and those of ``lame``, ``curve``, ``bloch`` and ``volterra``) are
@@ -50,11 +44,11 @@ methods when its module is imported, about 1 ms per class, and every CLI
 call is a fresh process.  A record that checks or derives its fields is a
 NamedTuple of its fields plus a subclass whose ``__new__`` does the work;
 its ``_make``, and so ``_replace``, goes through that constructor
-(``_checked_make``).  What an evaluator derives besides its fields (the
-cutoff constant and the eta tables) lives off the tuple, in its
-``__dict__``, outside equality, hash and repr, and a copy or an unpickled
-evaluator is built anew from its parameters.  A record is a tuple:
-iterable, indexable, and equal to any tuple of equal fields.
+(``_checked_make``).  A record holds only its fields (``__slots__ = ()``,
+no instance ``__dict__``): what it derives besides them, such as the
+eta-only tables of ``enumbers``, lives in the module cache of its key.  A
+record is a tuple: iterable, indexable, and equal to any tuple of equal
+fields.
 """
 
 import cmath
@@ -96,12 +90,6 @@ def _checked_make(cls, fields):
     return cls(*fields)
 
 
-def _read_only(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of a record that keeps derived
-    values off the tuple, in its ``__dict__``."""
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
-
-
 class _EllipticParamsFields(NamedTuple):
     tau: complex
     eta: complex
@@ -128,19 +116,6 @@ class EllipticParams(_EllipticParamsFields):
     _make = classmethod(_checked_make)
 
 
-class _EtaTables:
-    """The eta-only tables of one ``EllipticParams``: theta1(k*eta), [k] and
-    [k]!, each a tuple indexed by k.  ``enumbers`` grows a table by storing a
-    longer tuple in its place, never by changing one."""
-
-    __slots__ = ("theta1_multiples", "brackets", "factorials")
-
-    def __init__(self):
-        self.theta1_multiples = ()
-        self.brackets = (0j, 1 + 0j)
-        self.factorials = (1 + 0j, 1 + 0j)
-
-
 class _ThetaEvaluatorFields(NamedTuple):
     params: EllipticParams
     series_cutoff: int
@@ -150,25 +125,15 @@ class _ThetaEvaluatorFields(NamedTuple):
 class ThetaEvaluator(_ThetaEvaluatorFields):
     """Caches a series cutoff guaranteeing tails below tol.
 
-    Evaluators with equal parameters share their eta-only tables, read by
-    ``enumbers``: theta1(k*eta), [k] and [k]!, each indexed by k, in the one
-    holder of ``_eta_tables`` (a bounded module cache keyed by the
-    parameters), taken at construction.  So an evaluator built anew per
-    request reads what earlier requests at the same parameters computed.  A
-    table only grows, by replacement, never by changing a stored entry (see
-    ``enumbers``); a theta1(k*eta) chunk with a non-finite entry is refused
-    with OverflowError and not stored, so every read that needs it raises.
-
     ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
     arguments with large |Im x| the cutoff is extended per call, so
     increasing it by hand never changes a returned value by more than tol.
-    The constant -log(tol/100)/pi of that extension is computed once, here.
 
-    Construction refuses, with ValueError and before any table is built,
-    parameters whose series it cannot sum: a tol of 100 or more (the tail
-    target tol/100 is not below 1), an N above ``SERIES_CUTOFF_MAX`` (Im tau
-    below about 1e-5 at tol 1e-12), and a theta1'(0) that is not a normal
-    double (Im tau above about 900, where it underflows).
+    Construction refuses, with ValueError, parameters whose series it cannot
+    sum: a tol of 100 or more (the tail target tol/100 is not below 1), an N
+    above ``SERIES_CUTOFF_MAX`` (Im tau below about 1e-5 at tol 1e-12), and
+    a theta1'(0) that is not a normal double (Im tau above about 900, where
+    it underflows).
 
     The shift factors of ``theta`` are cached in the module, not here (see
     the module docstring: read-only matrices, thread-safe), keyed by tau,
@@ -179,6 +144,8 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
     per (tau, cutoff) and cached in the module too (``_theta1_prime0``), so
     an evaluator built again for the same tau and tol does not repeat it.
     """
+
+    __slots__ = ()
 
     def __new__(cls, params: EllipticParams):
         tau, tol = params.tau, params.tol
@@ -198,9 +165,7 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
         if not sys.float_info.min <= abs(prime0) <= sys.float_info.max:
             raise ValueError(f"theta1'(0) = {prime0} at tau={tau} is not a normal double: "
                              f"it underflows for Im(tau) above about 900")
-        self = super().__new__(cls, params, cutoff, prime0)
-        self.__dict__.update(_cutoff_c=-target / math.pi, _tables=_eta_tables(params))
-        return self
+        return super().__new__(cls, params, cutoff, prime0)
 
     def _replace(self, **changes):
         """A new evaluator at the replaced ``params``; the other fields derive from it."""
@@ -215,10 +180,8 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
         return cls(next(iter(fields)))
 
     def __reduce__(self):
-        # a copy or unpickled evaluator is built anew, and so shares the tables of its params
+        # a copy or unpickled evaluator is built anew, through the checks of construction
         return type(self), (self.params,)
-
-    __setattr__ = __delattr__ = _read_only
 
     @property
     def zero_threshold(self) -> float:
@@ -240,8 +203,9 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
 
     def cutoff_for(self, im_x: float) -> int:
         """Cutoff so that |q|^(m^2) * exp(2*pi*|Im x|*m) tails stay < tol/100."""
-        im_tau = self.params.tau.imag
-        m_star = (abs(im_x) + math.sqrt(im_x * im_x + im_tau * self._cutoff_c)) / im_tau
+        tau, tol = self.params.tau, self.params.tol
+        c = -(math.log(tol) + math.log(1e-2)) / math.pi
+        m_star = (abs(im_x) + math.sqrt(im_x * im_x + tau.imag * c)) / tau.imag
         return max(self.series_cutoff, math.ceil(m_star) + 2)
 
 
@@ -283,9 +247,6 @@ _SHIFT_TABLES_MAX = 256
 
 # theta1'(0) values kept by _theta1_prime0, least recently used dropped first
 _PRIME0_MAX = 256
-
-# eta-table holders kept by _eta_tables, least recently used dropped first
-_ETA_TABLES_MAX = 64
 
 # the shifts of a plain call
 _NO_SHIFT = np.zeros(1, dtype=complex)
@@ -379,12 +340,6 @@ def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
 def _theta1_prime0(tau: complex, n: int) -> complex:
     """theta1'(0 | tau), the ``_series`` sum with cutoff n."""
     return complex(_series(1, 0.0, tau, n, 1))
-
-
-@functools.lru_cache(maxsize=_ETA_TABLES_MAX)
-def _eta_tables(params: EllipticParams) -> _EtaTables:
-    """The one table holder of ``params``, read by every evaluator built with them."""
-    return _EtaTables()
 
 
 def theta1_prime(x, ev: ThetaEvaluator):

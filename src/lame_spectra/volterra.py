@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumbers import theta1_multiples
+from .enumbers import nonzero_bracket, theta1_multiples
 from .errors import ConvergenceError, LocusError, MarginViolationError, PoleProximityError
 # theta1_prime is not called here, but perfbench/tracing.py rebinds it on this module
 from .theta import ThetaEvaluator, _checked_make, theta, theta1_prime
@@ -77,6 +77,8 @@ GAP_FACTOR = 100.0
 LOCUS_ATTEMPTS = 40
 LOCUS_NEWTON_STEPS = 60
 LOCUS_TARGET = 1e-10
+# the pole displacement of its forward-difference Jacobian
+LOCUS_H = 1e-7
 # it rejects a configuration as rigid (its flow only translates) when the
 # velocity spread max|v - mean v| / max|v| is at most RIGID_TOL
 RIGID_TOL = 1e-6
@@ -292,9 +294,23 @@ def locus_residual(cfg: PoleConfig, ev: ThetaEvaluator) -> LocusReport:
     An on-locus configuration has max norm below tolerance; the degenerate
     boundary configuration trips the margin guard instead of reporting.
     """
-    p1, p2, _ = _pair_thetas(np.array(cfg.xs, dtype=complex), ev)
-    res = p1 / p2 - 1
+    res = _locus_residuals(np.array(cfg.xs, dtype=complex), ev)
     return LocusReport(residuals=res, max_norm=float(np.abs(res).max()) if cfg.M else 0.0)
+
+
+def _locus_residuals(xs: np.ndarray, ev: ThetaEvaluator):
+    """The first residue system's products over the second's, minus 1, of
+    the pole sets ``xs`` of shape (..., M), from one ``_pair_thetas`` call."""
+    p1, p2, _ = _pair_thetas(xs, ev)
+    return p1 / p2 - 1
+
+
+def _locus_jacobian(xs: np.ndarray, f: np.ndarray, ev: ThetaEvaluator):
+    """The forward-difference Jacobian of ``_locus_residuals`` at the pole set
+    ``xs``, whose residuals are ``f``: column c from ``xs`` with pole c moved
+    by LOCUS_H.  The M moved sets are the rows of one batch, each row's
+    residuals bit for bit those of its set alone."""
+    return ((_locus_residuals(xs + LOCUS_H * np.eye(len(xs)), ev) - f) / LOCUS_H).T
 
 
 def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator) -> FlowResult:
@@ -317,7 +333,10 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     the end.
 
     ``t_end``, ``dt`` and their ratio must be finite and ``dt`` nonzero
-    (ValueError).
+    (ValueError).  The velocity scale theta1(2 eta)/theta1'(0) vanishes at a
+    2-torsion or lattice eta, where every pole set would pass as on the
+    locus and stand still: such an eta raises TorsionEtaError, from
+    ``nonzero_bracket(2, ev)``.
     Preconditions: margins hold and the two systems agree within LOCUS_TOL
     at cfg0 (otherwise LocusError with the measured gap).  Checks: every
     stage evaluation raises MarginViolationError under the margin guard;
@@ -336,6 +355,7 @@ def integrate_flow(cfg0: PoleConfig, t_end: float, dt: float, ev: ThetaEvaluator
     span = abs(t_end) / abs(dt)
     if not math.isfinite(span):
         raise ValueError(f"t_end/dt must be finite, got t_end={t_end}, dt={dt}")
+    nonzero_bracket(2, ev)
     xs = np.array(cfg0.xs, dtype=complex)
     v1, v2, margin = _flow_state(xs, ev)
     gap0 = float(np.abs(v1 - v2).max(initial=0.0))
@@ -426,58 +446,41 @@ def find_locus_config(ell: int, ev: ThetaEvaluator, rng):
     (failures are the caller's to report, not to hide).  For M > 1 a
     configuration whose velocities are all equal (spread at most RIGID_TOL,
     such as a 3-torsion sublattice {0, tau/3, 2 tau/3}) only translates, so
-    its attempt counts as failed.
+    its attempt counts as failed.  A step reads its Jacobian from one batched
+    call (``_locus_jacobian``); a margin violation there or at the seed ends
+    the attempt, and one in the line search halves the step.
     """
     base = np.array(degenerate_poles(ell, ev).xs, dtype=complex)
-
-    def recenter(xs):
-        # translations are a null direction of the residuals; pin the centroid
-        return xs - xs.mean()
-
-    def res_vec(xs):
-        rep = locus_residual(PoleConfig(xs=tuple(xs)), ev)
-        return rep.residuals
-
     for _ in range(LOCUS_ATTEMPTS):
         spread = 0.35 + 0.4 * rng.random()
         xs = base + spread * (rng.standard_normal(len(base)) + 1j * rng.standard_normal(len(base)))
         try:
-            f = res_vec(xs)
-        except (MarginViolationError, PoleProximityError):
-            continue
-        ok = True
-        for _ in range(LOCUS_NEWTON_STEPS):
-            if np.abs(f).max() < LOCUS_TARGET:
-                break
-            J = np.zeros((len(f), len(xs)), dtype=complex)
-            h = 1e-7
-            try:
-                for c in range(len(xs)):
-                    dxs = xs.copy()
-                    dxs[c] += h
-                    J[:, c] = (res_vec(dxs) - f) / h
-            except (MarginViolationError, PoleProximityError):
-                ok = False
-                break
-            step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-            lam = 1.0
-            base_norm = np.abs(f).max()
-            for _ in range(10):
-                try:
-                    f_try = res_vec(xs + lam * step)
-                except (MarginViolationError, PoleProximityError):
-                    lam /= 2
-                    continue
-                if np.abs(f_try).max() < base_norm:
-                    xs = recenter(xs + lam * step)
-                    f = f_try
+            f = _locus_residuals(xs, ev)
+            for _ in range(LOCUS_NEWTON_STEPS):
+                if np.abs(f).max() < LOCUS_TARGET:
                     break
-                lam /= 2
-            else:
-                ok = False
-                break
-        if ok and np.abs(f).max() < LOCUS_TARGET:
-            cfg = PoleConfig(xs=tuple(recenter(xs)))
+                step, *_ = np.linalg.lstsq(_locus_jacobian(xs, f, ev), -f, rcond=None)
+                lam = 1.0
+                base_norm = np.abs(f).max()
+                for _ in range(10):
+                    try:
+                        f_try = _locus_residuals(xs + lam * step, ev)
+                    except MarginViolationError:
+                        lam /= 2
+                        continue
+                    if np.abs(f_try).max() < base_norm:
+                        # translations are a null direction of the residuals; pin the centroid
+                        xs = xs + lam * step
+                        xs = xs - xs.mean()
+                        f = f_try
+                        break
+                    lam /= 2
+                else:
+                    break
+        except MarginViolationError:
+            continue
+        if np.abs(f).max() < LOCUS_TARGET:
+            cfg = PoleConfig(xs=tuple(xs - xs.mean()))
             v, _ = pole_rhs(cfg, ev)
             if cfg.M == 1 or np.abs(v - v.mean()).max() > RIGID_TOL * np.abs(v).max():
                 return cfg

@@ -173,6 +173,8 @@ M3 = ("0.16872746398623609+0.99464370409188785i,-0.33737964779659291-1.198188054
 M6 = ("0.12997303007999533+0.30802139649545723i,0.12997303010299488-0.29197860351231497i,"
       "0.06489896120739358-2.1105105642184818i,-0.19487199129467811+0.30248916772363621i,"
       "-0.93510103881219242+2.0894894357889662i,0.80512800871648671-0.29751083227726305i")
+# a pole set that a 2-torsion or lattice eta let through as on the locus, with a frozen trajectory
+TORSION_POLES = "0.21+0.05i,0.5-0.1i,-0.3+0.2i"
 OFF_AXIS = "--tau 0.3+1.4i --eta 0.11+0.05i"
 UNSUMMABLE = ("--tau 1e-20i", "--tau 1e-300i", "--tau 1e-320i", "--tau 1000i", "--tol 1e300")
 
@@ -257,6 +259,13 @@ CELLS = {
                             refused("MarginViolationError: pole differences within")),
     "flow-off-locus": Cell("flow --poles 0.1,0.47+0.21i,-0.29+0.4i --eta 0.17", 4,
                            refused("LocusError: configuration is off-locus")),
+    # theta1(2 eta) = 0 scales every velocity to 0: no pole set may pass as on the locus and stand still
+    "flow-2-torsion": Cell(f"flow --poles {TORSION_POLES} --t-end 0.2 --dt 0.1 --eta 0.5", 2,
+                           refused(r"TorsionEtaError: \[2\] ~ 0 for eta=\(0\.5\+0j\): torsion point of order 2$")),
+    "flow-2-torsion-tau": Cell(f"flow --poles {TORSION_POLES} --t-end 0.2 --dt 0.1 --eta=0.5+0.6i", 2,
+                               refused(r"TorsionEtaError: \[2\] ~ 0 for eta=\(0\.5\+0\.6j\): torsion point of order 2$")),
+    "flow-lattice-eta": Cell(f"flow --poles {TORSION_POLES} --t-end 0.2 --dt 0.1 --eta 1", 2,
+                             refused(r"TorsionEtaError: theta1\(eta\) ~ 0 for eta=\(1\+0j\): eta on the lattice$")),
     # through the pair tables of every Dormand-Prince stage and snapshot batch
     "flow-M3": Cell(f"flow --eta 1/31 --tau 1.2i --poles {M3}", check=on_locus_with_margin),
     # a t_end/dt 200 grid, as JSON and as CSV (TestFlowCommand compares the two)

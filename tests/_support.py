@@ -1,12 +1,15 @@
 """Shared evaluator instance for the default test parameters, the scales
 of the curve sums and of the Bloch relation, counters of residue-matrix
-builds and point SVDs, and empty module caches."""
+builds and point SVDs, a fresh context-bundle cache, and empty module
+caches."""
 
 import functools
-import sys
+import importlib
+import pkgutil
 
 import numpy as np
 
+import lame_spectra
 from lame_spectra import EllipticParams, ThetaEvaluator, curve, lame
 
 PARAMS = EllipticParams(tau=1.2j, eta=0.17, tol=1e-12)
@@ -56,12 +59,30 @@ def record_point_svds(monkeypatch) -> list:
     return vectors
 
 
+def fresh_context_parts(monkeypatch):
+    """A fresh, empty cache of context bundles, of lame's size, put in place
+    of the one lame and curve read; returned."""
+    parts = functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__)
+    for module in (lame, curve):
+        monkeypatch.setattr(module, "_context_parts", parts)
+    return parts
+
+
+def package_caches() -> dict:
+    """"module.name" -> every module-level functools cache of the package,
+    each of its modules imported first."""
+    found = {}
+    for info in pkgutil.iter_modules(lame_spectra.__path__):
+        module = importlib.import_module(f"lame_spectra.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
 def empty_caches():
     """Empty every module-level functools cache of the package, as a new
     process starts: evaluators built from here on start with empty tables,
     and every curve point's SVD is computed again."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lame_spectra."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
-                    obj.cache_clear()
+    for cache in package_caches().values():
+        cache.cache_clear()

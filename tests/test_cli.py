@@ -924,6 +924,28 @@ class TestReportEnvelope:
                                 "--format csv is offered by spectrum and flow only\n")
 
 
+def readme_suites(text: str) -> list:
+    """(suite, bound_source) of each row of the README's ``verify`` suite table, in order."""
+    table = text.split("| suite | a draw compares |")[1].split("\n\n")[0]
+    return re.findall(r"^\| `([\w-]+)` \|.*\| `([^`]+)` \|$", table, re.M)
+
+
+class TestSuiteTable:
+    """The README's ``verify`` suite table names the suites of ``verify.SUITES``,
+    in the order ``--suite all`` runs them, each with its ``bound_source``."""
+
+    SUITES = [(name, source) for name, (_, source) in verify.SUITES.items()]
+
+    def test_rows_are_the_suites(self):
+        assert readme_suites(README.read_text()) == self.SUITES
+
+    def test_a_changed_source_fails(self):
+        text = README.read_text()
+        changed = text.replace("| 1e-10 | `fixed` |", "| 1e-10 | `eta^2 rate` |", 1)
+        assert changed != text
+        assert readme_suites(changed) != self.SUITES
+
+
 # the exit-code table as README.md and the cli docstring state it
 DOCUMENTED_EXIT_CODES = [
     (ValueError, 2),

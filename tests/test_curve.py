@@ -2,7 +2,6 @@
 Bloch-multiplier relation and the identity suites behind it."""
 
 import cmath
-import functools
 import itertools
 import math
 import re
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polymul, polytrim, polyval
 
-from _support import PARAMS_EV, bloch_terms_scale, count_E_free_builds, scaled_curve_sums
+from _support import PARAMS_EV, bloch_terms_scale, count_E_free_builds, fresh_context_parts, scaled_curve_sums
 from lame_spectra import CurvePoint, LameContext, scaled_residual
 from lame_spectra import curve, lame
 from lame_spectra.curve import (
@@ -641,7 +640,7 @@ class TestTableRouteIsBitExact:
     @staticmethod
     def _outputs(ell, tau, eta):
         ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
-        return curve_coeffs(ell, ev_g).C, LameContext(ell=ell, ev=ev_g)._parts.w
+        return curve_coeffs(ell, ev_g).C, lame._context_parts(LameContext(ell=ell, ev=ev_g)).w
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", PIN_ETAS)
@@ -651,8 +650,7 @@ class TestTableRouteIsBitExact:
         monkeypatch.setattr(curve, "ebracket", _sequential_bracket)
         monkeypatch.setattr(lame, "ebinom", _sequential_binom)
         # a fresh bundle cache, so that the weights are built again by the sequential route
-        monkeypatch.setattr(lame, "_context_parts",
-                            functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__))
+        fresh_context_parts(monkeypatch)
         for ell, (C, W) in enumerate(got, start=1):
             want = self._outputs(ell, tau, eta)
             assert np.array_equal(C, want[0]), ell

@@ -200,11 +200,11 @@ class TestOverflowRefused:
         for n in (2, 30, 2):
             with pytest.raises(OverflowError, match=message):
                 theta1_multiples(n, ev)
-            assert ev._tables.theta1_multiples == ()
+            assert enumbers._eta_tables(ev.params).theta1_multiples == ()
         for read in (lambda: ebracket(2, ev), lambda: efactorial(3, ev), lambda: LameContext(ell=1, ev=ev)):
             with pytest.raises(OverflowError, match=message):
                 read()
-        assert ev._tables.brackets == (0j, 1 + 0j)
+        assert enumbers._eta_tables(ev.params).brackets == (0j, 1 + 0j)
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", [1 / 31, 0.17, 0.23 + 0.06j, 0.1 - 0.06j])
@@ -233,7 +233,7 @@ def _one_shot(n, ev):
 
 
 def _tables(ev):
-    tables = ev._tables
+    tables = enumbers._eta_tables(ev.params)
     return tables.theta1_multiples, tables.brackets, tables.factorials
 
 
@@ -243,10 +243,11 @@ class TestSharedTables:
     def test_equal_parameters_share_one_holder(self):
         empty_caches()
         a, b = _fresh(1.2j, 0.17), _fresh(1.2j, 0.17 + 0j)
-        assert a._tables is b._tables
-        assert _fresh(1.2j, 0.18)._tables is not a._tables
+        tables = enumbers._eta_tables
+        assert tables(a.params) is tables(b.params)
+        assert tables(_fresh(1.2j, 0.18).params) is not tables(a.params)
         efactorial(6, a)
-        assert len(b._tables.factorials) == 7
+        assert len(tables(b.params).factorials) == 7
 
     @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j])
     @pytest.mark.parametrize("eta", [1 / 31, 3 / 61, 0.17, 0.23 + 0.04j])

@@ -1,12 +1,9 @@
-"""What the package loads at import, the names it loads on first use, and
-the module caches it keeps."""
+"""What the package loads at import and the names it loads on first use."""
 
 import ast
 import importlib
 import json
 import os
-import pkgutil
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -176,32 +173,3 @@ class TestExports:
         rest = [(node.module, [a.name for a in node.names]) for node in imports
                 if [a.name for a in node.names] != ["*"]]
         assert rest == [(None, ["errors"])]
-
-
-# the caches whose key takes a few fixed values: the only ones that may be unbounded
-FIXED_KEY_CACHES = {"volterra._pair_index", "lame._halton_window", "cli.build_parser"}
-
-
-def module_caches() -> dict:
-    """"module.name" -> maxsize of every module-level functools cache of the package."""
-    found = {}
-    for info in pkgutil.iter_modules(lame_spectra.__path__):
-        module = importlib.import_module(f"lame_spectra.{info.name}")
-        for name, obj in vars(module).items():
-            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
-                found[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    return found
-
-
-class TestCacheTable:
-    """README's "Module caches" table holds every module-level functools cache
-    of the package, and only the fixed-key ones are unbounded."""
-
-    def test_every_cache_is_a_row_and_every_row_a_cache(self):
-        table = set(re.findall(r"^\| `(\w+\.\w+)` \|", (SRC.parent / "README.md").read_text(), re.M))
-        caches = module_caches()
-        assert sorted(caches.keys() - table) == [], "not in the README cache table"
-        assert sorted(table - caches.keys()) == [], "a README row names no cache"
-
-    def test_only_fixed_key_caches_are_unbounded(self):
-        assert sorted(c for c, size in module_caches().items() if size is None and c not in FIXED_KEY_CACHES) == []

@@ -3,7 +3,6 @@ and the commuting operator."""
 
 import cmath
 import functools
-import importlib
 import math
 import os
 import subprocess
@@ -13,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _support import PARAMS_EV, count_E_free_builds, empty_caches, record_point_svds
-from lame_spectra import lame
+from _support import PARAMS_EV, count_E_free_builds, empty_caches, fresh_context_parts, record_point_svds
+from lame_spectra import enumbers, lame
 from lame_spectra import (
     CurvePoint,
     LameContext,
@@ -37,7 +36,6 @@ from lame_spectra.errors import ConsistencyError, PoleProximityError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.util import halton
 
-theta_module = importlib.import_module("lame_spectra.theta")  # the package binds the function
 
 
 # -- reference route: the scalar loops the batched code replaced --------------
@@ -564,17 +562,16 @@ class TestThetaCallCount:
     @pytest.mark.parametrize("ell", [1, 4])
     def test_w_eigenvalue_independent_of_samples(self, calls, monkeypatch, ell):
         ctx, pt, c = _grid_point(ell, 1.2j, 0.17)
-        monkeypatch.setattr(lame, "_context_parts",
-                            functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__))
+        parts = fresh_context_parts(monkeypatch)
         for n in (10, 20):
             monkeypatch.setattr(lame, "W_SAMPLES", n)
             # the sample points are part of the bundle: a fresh one per W_SAMPLES
-            lame._context_parts.cache_clear()
+            parts.cache_clear()
             fresh = LameContext(ell=ell, ev=ctx.ev)
             calls.clear()
             w_eigenvalue(pt, c, fresh)
             assert len(calls) == 1
-            assert len(fresh._parts.samples) == n
+            assert len(parts(fresh).samples) == n
 
     @pytest.mark.parametrize("ell", [1, 4])
     def test_build_Psi_one_call(self, calls, ell):
@@ -622,7 +619,7 @@ class TestThetaCallCount:
 def _direct_build_M(pt, ctx):
     """The residue matrix and its term magnitudes built at (zeta, K, E) in one
     pass, E included: K P - E D + K^-1 B, plus the rows 0-1 correction."""
-    P, D, B, R, n, m_eta = ctx._parts.M
+    P, D, B, R, n, m_eta = lame._context_parts(ctx).M
     tz = theta(1, pt.zeta - m_eta, ctx.ev)
     hops, corr = B / pt.K, R * tz[n] / (pt.K * tz[0])
     M = pt.K * P - pt.E * D + hops
@@ -670,28 +667,27 @@ class TestSharedCaches:
                 for k in range(count)]
 
     def test_eta_tables_are_bounded(self):
-        assert theta_module._eta_tables.cache_info().maxsize == theta_module._ETA_TABLES_MAX
+        assert enumbers._eta_tables.cache_info().maxsize == enumbers._ETA_TABLES_MAX
         empty_caches()
-        self._contexts(theta_module._ETA_TABLES_MAX + 5)
-        info = theta_module._eta_tables.cache_info()
-        assert info.maxsize == info.currsize == theta_module._ETA_TABLES_MAX
+        self._contexts(enumbers._ETA_TABLES_MAX + 5)
+        info = enumbers._eta_tables.cache_info()
+        assert info.maxsize == info.currsize == enumbers._ETA_TABLES_MAX
 
     def test_context_parts_are_bounded_read_only_and_shared(self, monkeypatch):
         assert lame._context_parts.cache_info().maxsize == lame._CONTEXT_PARTS_MAX
-        monkeypatch.setattr(lame, "_context_parts",
-                            functools.lru_cache(lame._CONTEXT_PARTS_MAX)(lame._context_parts.__wrapped__))
+        bundles = fresh_context_parts(monkeypatch)
         contexts = self._contexts(lame._CONTEXT_PARTS_MAX + 5)
         for ctx in contexts:
-            parts = ctx._parts
+            parts = bundles(ctx)
             assert not any(a.flags.writeable for a in (*parts.M, parts.w, parts.samples))
             with pytest.raises(AttributeError):
                 parts.w = None
             assert parts.samples.tolist() == lame._sample_points(ctx, lame.W_SAMPLES).tolist()
-        info = lame._context_parts.cache_info()
+        info = bundles.cache_info()
         assert info.maxsize == info.currsize == lame._CONTEXT_PARTS_MAX
         # a context built again at equal parameters reads the cached bundle
         again = LameContext(ell=1, ev=ThetaEvaluator(contexts[-1].ev.params))
-        assert again._parts is contexts[-1]._parts
+        assert bundles(again) is bundles(contexts[-1])
 
     def test_point_svd_is_bounded_and_read_only(self):
         assert lame._point_svd.cache_info().maxsize == lame._POINTS_MAX

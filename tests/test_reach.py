@@ -1,21 +1,25 @@
 """The reach gate: every function in ``src/lame_spectra`` is run by a
 production path or by one call of a paper object the README names, or it is
-on ``ALLOWED`` with its reason.
+on ``ALLOWED`` with its reason.  And the README's "Module caches" table:
+every module cache of the package with its bound and the traffic that the
+production pass measures.
 
 The production pass serves block 0 of each benchmark workload (calls and
-checks), runs the argv of every cell of the smoke table ``_smoke.CELLS``
-(every subcommand, ``verify --suite all`` at ell 1, 3, 7 and 12, the CSV
-forms and the error exits) and one ``--config`` file run.  The paper pass
-calls each name of the README's "Fifteen exported names" paragraph once.  Both run in a fresh
-interpreter under ``sys.setprofile``, with this file as its script, so that
-no cache warmed by an earlier test hides a function.  The gate reads every
-module-level def and every method of a module-level class; nested defs,
-lambdas and comprehensions are out of scope.
+checks), each on empty module caches, and records every cache's hits and
+misses after it; then it runs the argv of every cell of the smoke table
+``_smoke.CELLS`` (every subcommand, ``verify --suite all`` at ell 1, 3, 7
+and 12, the CSV forms and the error exits) and one ``--config`` file run.
+The paper pass calls each name of the README's "Fifteen exported names"
+paragraph once.  Both run in a fresh interpreter under ``sys.setprofile``,
+with this file as its script, so that no cache warmed by an earlier test
+hides a function.  The gate reads every module-level def and every method
+of a module-level class; nested defs, lambdas and comprehensions are out of
+scope.
 
     python tests/test_reach.py [SRC]
 
 prints the JSON report of the passes over the package under SRC (default:
-this checkout's ``src``).
+this checkout's ``src``), the cache traffic included.
 """
 
 import ast
@@ -39,7 +43,6 @@ _RECORDS = "record protocol: reached only by copy, pickle, _replace or assignmen
 # rebinds are allowed besides, read from tracing.BINDINGS by the probe
 ALLOWED = {
     "theta._checked_make": _RECORDS,
-    "theta._read_only": _RECORDS,
     "theta.ThetaEvaluator._replace": _RECORDS,
     "theta.ThetaEvaluator._make": _RECORDS,
     "theta.ThetaEvaluator.__reduce__": _RECORDS,
@@ -90,7 +93,7 @@ def _paper_inputs():
                                  exp=np.exp, poles=pkg.PoleConfig([0.21 + 0.05j]))
 
 
-def _passes(errors: list):
+def _passes(errors: list, caches: dict):
     import contextlib
     import io
     import tempfile
@@ -101,14 +104,17 @@ def _passes(errors: list):
 
     import lame_spectra
     import workloads
+    from _support import empty_caches, package_caches
     from lame_spectra import cli
 
     for name, workload in workloads.WORKLOADS.items():
+        empty_caches()
         for req in workload.block(np.random.default_rng(401), 0):
             workloads.prepare(req)
             reason = workloads.serve_request(req, time.perf_counter)[1]
             if reason is not None:
                 errors.append(f"{name} {req.label}: {reason}")
+        caches[name] = {q: list(cache.cache_info()[:2]) for q, cache in package_caches().items()}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp, "run.cfg")
         config.write_text("# a comment\n\neta = 1/31\ntau = 1.2i\n")
@@ -127,13 +133,14 @@ def _passes(errors: list):
 def probe(src: Path) -> dict:
     """The (module, first line, name) of every function of the package under
     ``src`` that the passes run, the "module.qualname" of every function
-    perfbench/tracing.py rebinds, and the passes' failures."""
+    perfbench/tracing.py rebinds, the passes' failures, and the [hits,
+    misses] of every module cache after each workload's block 0."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     seen = set()
     sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code))
-    errors = []
+    errors, caches = [], {}
     try:
-        _passes(errors)
+        _passes(errors, caches)
     finally:
         sys.setprofile(None)
     package = str(src / "lame_spectra")
@@ -146,7 +153,7 @@ def probe(src: Path) -> dict:
         for name in names:
             fn = getattr(sys.modules[f"lame_spectra.{module}"], name)
             rebound.add(f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}")
-    return {"reached": reached, "rebound": sorted(rebound), "errors": errors}
+    return {"reached": reached, "rebound": sorted(rebound), "errors": errors, "caches": caches}
 
 
 def run_probe(src: Path) -> dict:
@@ -208,6 +215,55 @@ class TestReachGate:
         names = readme_paper_names()
         assert len(names) == 15
         assert sorted(names) == sorted(PAPER_CALLS)
+
+
+# the caches whose key takes a few fixed values: the only ones that may be unbounded
+FIXED_KEY_CACHES = {"volterra._pair_index", "lame._halton_window", "cli.build_parser"}
+TRAFFIC_COLUMNS = ("analytic", "oracle", "flow")
+
+
+def readme_caches(text: str) -> dict:
+    """"module.name" -> (bound, {workload: [hits, misses]}) of each row of the
+    README's "Module caches" table; an unbounded cache's bound is None."""
+    rows = {}
+    for line in text.splitlines():
+        if re.match(r"\| `\w+\.\w+` \|", line):
+            name, _, _, bound, *traffic = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            rows[name.strip("`")] = (None if bound.startswith("unbounded") else int(bound),
+                                     {w: [int(n) for n in t.split(" / ")] for w, t in zip(TRAFFIC_COLUMNS, traffic)})
+    return rows
+
+
+class TestCacheTable:
+    """README's "Module caches" table holds every module-level functools cache
+    of the package with its bound and the production pass's traffic, and only
+    the fixed-key caches are unbounded."""
+
+    README = (ROOT / "README.md").read_text()
+
+    def test_every_cache_is_a_row_and_every_row_a_cache(self):
+        from _support import package_caches
+
+        table, caches = readme_caches(self.README), package_caches()
+        assert sorted(caches.keys() - table.keys()) == [], "not in the README cache table"
+        assert sorted(table.keys() - caches.keys()) == [], "a README row names no cache"
+
+    def test_bounds_are_the_caches(self):
+        from _support import package_caches
+
+        bounds = {name: bound for name, (bound, _) in readme_caches(self.README).items()}
+        assert bounds == {name: c.cache_parameters()["maxsize"] for name, c in package_caches().items()}
+
+    def test_only_fixed_key_caches_are_unbounded(self):
+        from _support import package_caches
+
+        unbounded = {name for name, c in package_caches().items() if c.cache_parameters()["maxsize"] is None}
+        assert sorted(unbounded - FIXED_KEY_CACHES) == []
+
+    def test_traffic_is_the_production_pass(self, report):
+        table = readme_caches(self.README)
+        for workload in TRAFFIC_COLUMNS:
+            assert {name: t[workload] for name, (_, t) in table.items()} == report["caches"][workload], workload
 
 
 class TestGateCanFail:

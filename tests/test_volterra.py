@@ -506,6 +506,19 @@ class TestLocusSearch:
         centroid = sum(onlocus_cfg.xs) / len(onlocus_cfg.xs)
         assert abs(centroid) < 1e-9
 
+    @pytest.mark.parametrize("M,tau,eta", GRID)
+    def test_batched_jacobian_is_the_column_loop(self, M, tau, eta):
+        # column c from locus_residual at the set with pole c moved, one call per column
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12))
+        xs = np.array(_random_poles(M, ev_g, seed=M).xs)
+        f = locus_residual(PoleConfig(xs), ev_g).residuals
+        want = np.empty((M, M), dtype=complex)
+        for c in range(M):
+            moved = xs.copy()
+            moved[c] += volterra.LOCUS_H
+            want[:, c] = (locus_residual(PoleConfig(moved), ev_g).residuals - f) / volterra.LOCUS_H
+        assert volterra._locus_jacobian(xs, f, ev_g).tobytes() == want.tobytes()
+
     def test_rigid_configuration_rejected(self):
         # without the rigid rule this seed's search ends next to a 3-torsion
         # set such as {0, tau/3, 2 tau/3}, whose flow only translates
@@ -792,32 +805,32 @@ class TestFlowStops:
 
 
 def _planted_margins(monkeypatch, violates):
-    """``volterra.locus_residual`` raising MarginViolationError on the calls
+    """``volterra._locus_residuals`` raising MarginViolationError on the calls
     whose index i (from 0) satisfies ``violates(i)``; returns those indices."""
-    real = volterra.locus_residual
+    real = volterra._locus_residuals
     raised = []
 
-    def residual(cfg, ev):
-        i = residual.calls
-        residual.calls += 1
+    def residuals(xs, ev):
+        i = residuals.calls
+        residuals.calls += 1
         if violates(i):
             raised.append(i)
             raise MarginViolationError("planted margin violation")
-        return real(cfg, ev)
+        return real(xs, ev)
 
-    residual.calls = 0
-    monkeypatch.setattr(volterra, "locus_residual", residual)
+    residuals.calls = 0
+    monkeypatch.setattr(volterra, "_locus_residuals", residuals)
     return raised
 
 
 class TestLocusSearchSkips:
-    """A margin violation at a seed ends its attempt, in a Jacobian column
+    """A margin violation at a seed ends its attempt, in the Jacobian's batch
     ends the attempt too, and in the line search halves the step; when every
-    attempt fails the search returns None.  At ell 2 (M = 3) an attempt reads
-    its seed (call 0), then three Jacobian columns (1-3), then line-search
-    trials (4 on)."""
+    attempt fails the search returns None.  An attempt reads its seed (call
+    0), then the Jacobian's batch of M moved sets (1), then line-search
+    trials (2 on)."""
 
-    @pytest.mark.parametrize("where,call", [("seed", 0), ("jacobian", 1), ("line-search", 4)])
+    @pytest.mark.parametrize("where,call", [("seed", 0), ("jacobian", 1), ("line-search", 2)])
     def test_violation_is_skipped(self, monkeypatch, ev, where, call):
         raised = _planted_margins(monkeypatch, lambda i: i == call)
         cfg = find_locus_config(2, ev, np.random.default_rng(7))
