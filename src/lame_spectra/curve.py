@@ -1,5 +1,6 @@
 """The spectral curve: band-edge systems, Bloch-multiplier relation, and the
-combinatorial coefficient identities behind it.
+combinatorial coefficients behind it (the identities only ``verify`` checks
+are its own).
 
 The curve in (zeta, K, E) is cut out by two sums built from a family of
 polynomials A_j(E) (deg A_j = l - j):
@@ -48,8 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, qnumber, theta1_multiples
-from .errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
+from .enumbers import ebinom, ebracket, efactorial, nonzero_bracket, theta1_multiples
+from .errors import ClusterAmbiguityError, ConvergenceError
 # phi, residual and scaled_residual are not called here, but perfbench/tracing.py rebinds them on this module
 from .lame import (CurvePoint, LameContext, _build_M_with_magnitudes, _context_parts, _point_svd, _row_scaled,
                    _sigma_min, phi, residual, scaled_residual)
@@ -60,15 +61,12 @@ __all__ = [
     "BandEdgeSet",
     "CurveCoeffs",
     "a_polys_recurrence",
-    "a_polys_determinant",
     "curve_equations",
     "band_edges",
     "closed_form_edges",
     "curve_coeffs",
     "bloch_relation",
     "bloch_relation_det",
-    "cauchy_det",
-    "weyl_denominator_check",
     "solve_curve_point",
     "edge_curve_points",
     "random_curve_points",
@@ -108,47 +106,19 @@ def a_polys_recurrence(ell: int, ev: ThetaEvaluator) -> np.ndarray:
         A_{l-s-1} = ([l-s]/[2l-s]) E A_{l-s} + ([s]/[2l-s]) A_{l-s+1}.
 
     The factorial table guards [2] .. [2l] in increasing order first, so a
-    torsion eta is reported with its true order, the smallest vanishing one.
+    torsion eta is reported with its true order, the smallest vanishing one;
+    no divisor [2l-s] needs a guard of its own.
     """
     efactorial(2 * ell, ev)
     A = np.zeros((ell + 1, ell + 1), dtype=complex)
     A[ell, 0] = 1.0
     if ell >= 1:
-        A[ell - 1, 1] = ebracket(ell, ev) / nonzero_bracket(2 * ell, ev)
+        A[ell - 1, 1] = ebracket(ell, ev) / ebracket(2 * ell, ev)
     for s in range(1, ell):
-        den = nonzero_bracket(2 * ell - s, ev)
+        den = ebracket(2 * ell - s, ev)
         A[ell - s - 1, 1:] = A[ell - s, :-1] * (ebracket(ell - s, ev) / den)
         A[ell - s - 1] += A[ell - s + 1] * (ebracket(s, ev) / den)
     return A
-
-
-def a_polys_determinant(ell: int, s: int, E: complex, ev: ThetaEvaluator) -> complex:
-    """A_{l-s}(E) from the s x s tridiagonal determinant route.
-
-    det( E d(i,j) + [-i]/[l+1-i] d(i,j-1) + [2l+2-i]/[l+1-i] d(i,j+1) ),
-    1 <= i,j <= s, times ebinom(l,s)/ebinom(2l,s); the empty determinant
-    (s = 0) is 1.
-    """
-    if not 0 <= s <= ell:
-        raise ValueError(f"need 0 <= s <= ell, got s={s}")
-    d_prev, d_cur = 1 + 0j, 1 + 0j  # D_{-1} sentinel unused, D_0 = 1
-    for k in range(1, s + 1):
-        if k == 1:
-            d_new = E
-        else:
-            sup = -ebracket(k - 1, ev) / nonzero_bracket(ell + 2 - k, ev)
-            sub = ebracket(2 * ell + 2 - k, ev) / nonzero_bracket(ell + 1 - k, ev)
-            d_new = E * d_cur - sup * sub * d_prev
-        d_prev, d_cur = d_cur, d_new
-    pref = ebinom(ell, s, ev) / _binom_nz(2 * ell, s, ev)
-    return pref * d_cur
-
-
-def _binom_nz(n: int, m: int, ev: ThetaEvaluator) -> complex:
-    val = ebinom(n, m, ev)
-    if abs(val) < ev.tol:
-        raise TorsionEtaError(f"ebinom({n},{m}) ~ 0 at eta={ev.eta}")
-    return val
 
 
 def _curve_rows(A: np.ndarray, w: list, ev: ThetaEvaluator):
@@ -469,57 +439,6 @@ def bloch_relation_det(zeta: complex, K: complex, ell: int, ev: ThetaEvaluator) 
     # Phi(-(m+n) eta, zeta) = theta1(zeta - (m+n) eta) / (theta1(-(m+n) eta) theta1(zeta))
     G = pre[:, None] * tz[total] / (-te[total] * tz[0])
     return complex(np.linalg.det(np.diag(K ** (2 * m)) + G))
-
-
-def _cauchy_matrix(xs, zeta: complex, ev: ThetaEvaluator):
-    """A = (theta1(x_i + x_j + zeta) / theta1(x_i + x_j)) of ``cauchy_det``, with
-    theta1(x_i + x_j) and theta1(x_i - x_j), i < j, from one theta table: the
-    sums and the differences at the shifts 0 and zeta.  A sum within tol of a
-    theta1 zero raises PoleProximityError naming its first pair (i, j)."""
-    x = np.asarray(xs, dtype=complex)
-    n = len(x)
-    t = theta(1, np.append(x[:, None] + x, (x[:, None] - x)[np.triu_indices(n, 1)]), ev, shifts=[0, zeta])
-    den = t[:n * n, 0].reshape(n, n)
-    near = np.abs(den) < ev.zero_threshold
-    if near.any():
-        i, j = np.argwhere(near)[0]
-        raise PoleProximityError(f"theta1(x_{i}+x_{j}) ~ 0")
-    return t[:n * n, 1].reshape(n, n) / den, den, t[n * n:, 0]
-
-
-def cauchy_det(xs, zeta: complex, ev: ThetaEvaluator):
-    """Elliptic Cauchy determinant: returns (lhs, rhs) of
-
-        det( theta1(x_i + x_j + zeta) / theta1(x_i + x_j) )
-          = theta1^(n-1)(zeta) theta1(zeta + 2 sum x_i) / prod_i theta1(2 x_i)
-            * prod_{i<j} theta1^2(x_i - x_j) / theta1^2(x_i + x_j).
-    """
-    A, den, diff = _cauchy_matrix(xs, zeta, ev)
-    n = len(A)
-    tz, tsum = theta(1, np.array([zeta, zeta + 2 * sum(xs)]), ev).tolist()
-    pairs = np.prod((diff / den[np.triu_indices(n, 1)]) ** 2)
-    return complex(np.linalg.det(A)), complex(tz ** (n - 1) * tsum / np.prod(np.diag(den)) * pairs)
-
-
-def weyl_denominator_check(ell: int, z: complex, q: complex):
-    """Trigonometric subset-sum identity: returns (lhs, rhs) of
-
-        sum_J z^sum(J) prod_{k in J, k' not in J} (k+k')_q / (|k-k'|)_q
-          = prod_{1 <= j <= k <= l} (1 + z q^(j+k-l-1)).
-
-    Here (j)_q is the symmetric q-number; q should be on (or near) the unit
-    circle away from low-order roots of unity.
-    """
-    qnumbers = [qnumber(j, q) for j in range(2 * ell + 1)]
-    for d in range(1, ell):  # the divisors (|k - k'|)_q
-        if abs(qnumbers[d]) < 1e-12:
-            raise ZeroDivisionError(f"({d})_q ~ 0 for q={q}")
-    lhs = complex(polyval(z, _subset_sums(qnumbers)))
-    rhs = 1 + 0j
-    for j in range(1, ell + 1):
-        for k in range(j, ell + 1):
-            rhs *= 1 + z * q ** (j + k - ell - 1)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

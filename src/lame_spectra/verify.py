@@ -12,6 +12,10 @@ Each suite draws from its own generator, ``default_rng([seed,
 suite's name (not Python's salted ``hash``), so its report is the same alone
 and inside ``--suite all``, and a suite added to the table moves no other
 suite's draws.
+
+The three identities only these suites check live beside them, each built
+once per draw: the elliptic Cauchy determinant, the subset-sum (Weyl)
+identity behind the C_j and the tridiagonal-determinant form of the A_j(E).
 """
 
 from math import comb
@@ -19,7 +23,8 @@ from math import comb
 import numpy as np
 
 from . import curve as curve_mod
-from .enumbers import qnumber
+from .enumbers import ebinom, ebracket, efactorial, qnumber
+from .errors import PoleProximityError, TorsionEtaError
 from .lame import CurvePoint, LameContext, _sigma_min
 from .theta import EllipticParams, ThetaEvaluator, theta
 
@@ -40,6 +45,31 @@ def _theta_monodromy(ell: int, ev: ThetaEvaluator, rng):
     return errors, 1e-10
 
 
+def cauchy_det(xs, zeta: complex, ev: ThetaEvaluator):
+    """Elliptic Cauchy determinant: returns (lhs, rhs, A) of
+
+        det A = theta1^(n-1)(zeta) theta1(zeta + 2 sum x_i) / prod_i theta1(2 x_i)
+                * prod_{i<j} theta1^2(x_i - x_j) / theta1^2(x_i + x_j),
+
+    A = (theta1(x_i + x_j + zeta) / theta1(x_i + x_j)).  theta1(x_i + x_j)
+    and theta1(x_i - x_j), i < j, come from one theta table, the sums and
+    the differences at the shifts 0 and zeta; theta1(zeta) and theta1(zeta +
+    2 sum x_i) from a second call.  A sum within tol of a theta1 zero raises
+    PoleProximityError naming its first pair (i, j)."""
+    x = np.asarray(xs, dtype=complex)
+    n = len(x)
+    t = theta(1, np.append(x[:, None] + x, (x[:, None] - x)[np.triu_indices(n, 1)]), ev, shifts=[0, zeta])
+    den = t[:n * n, 0].reshape(n, n)
+    near = np.abs(den) < ev.zero_threshold
+    if near.any():
+        i, j = np.argwhere(near)[0]
+        raise PoleProximityError(f"theta1(x_{i}+x_{j}) ~ 0")
+    A = t[:n * n, 1].reshape(n, n) / den
+    tz, tsum = theta(1, np.array([zeta, zeta + 2 * sum(xs)]), ev).tolist()
+    pairs = np.prod((t[n * n:, 0] / den[np.triu_indices(n, 1)]) ** 2)
+    return complex(np.linalg.det(A)), complex(tz ** (n - 1) * tsum / np.prod(np.diag(den)) * pairs), A
+
+
 def _cauchy(ell: int, ev: ThetaEvaluator, rng):
     """One draw per i = 1..ell+1 of n = min(i, 10) points, LU's relative error
     being about n eps kappa(A).  Re x lies in (0.05, 0.45) and Im x in one of
@@ -52,11 +82,31 @@ def _cauchy(ell: int, ev: ThetaEvaluator, rng):
         im = np.linspace(-0.45, 0.45, n + 1) * ev.tau.imag
         xs = [complex(rng.uniform(0.05, 0.45), rng.uniform(lo, hi)) for lo, hi in zip(im[:-1], im[1:])]
         zeta = complex(rng.uniform(0.1, 0.7), rng.uniform(0.0, 0.2))
-        lhs, rhs = curve_mod.cauchy_det(xs, zeta, ev)
-        kappa = np.linalg.cond(curve_mod._cauchy_matrix(xs, zeta, ev)[0])
+        lhs, rhs, A = cauchy_det(xs, zeta, ev)
         errors.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
-        bounds.append(10 * n * np.finfo(float).eps * kappa)
+        bounds.append(10 * n * np.finfo(float).eps * np.linalg.cond(A))
     return errors, bounds
+
+
+def weyl_denominator_check(ell: int, z: complex, q: complex):
+    """Trigonometric subset-sum identity: returns (lhs, rhs, C) of
+
+        sum_J z^sum(J) prod_{k in J, k' not in J} (k+k')_q / (|k-k'|)_q
+          = prod_{1 <= j <= k <= l} (1 + z q^(j+k-l-1)),
+
+    C the lhs's subset sums.  Here (j)_q is the symmetric q-number; q should
+    be on (or near) the unit circle away from low-order roots of unity.
+    """
+    qnumbers = [qnumber(j, q) for j in range(2 * ell + 1)]
+    for d in range(1, ell):  # the divisors (|k - k'|)_q
+        if abs(qnumbers[d]) < 1e-12:
+            raise ZeroDivisionError(f"({d})_q ~ 0 for q={q}")
+    C = curve_mod._subset_sums(qnumbers)
+    rhs = 1 + 0j
+    for j in range(1, ell + 1):
+        for k in range(j, ell + 1):
+            rhs *= 1 + z * q ** (j + k - ell - 1)
+    return complex(curve_mod.polyval(z, C)), rhs, C
 
 
 def _schur(ell: int, ev: ThetaEvaluator, rng):
@@ -68,10 +118,35 @@ def _schur(ell: int, ev: ThetaEvaluator, rng):
     for _ in range(5):
         z = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
         q = complex(np.exp(1j * rng.uniform(0.2, 1.2)))
-        lhs, rhs = curve_mod.weyl_denominator_check(ell, z, q)
-        C = curve_mod._subset_sums([qnumber(j, q) for j in range(2 * ell + 1)])
+        lhs, rhs, C = weyl_denominator_check(ell, z, q)
         errors.append(abs(lhs - rhs) / curve_mod.polyval(abs(z), np.abs(C)))
     return errors, 1e-10
+
+
+def a_polys_determinant(ell: int, E: complex, ev: ThetaEvaluator) -> np.ndarray:
+    """A_{l-s}(E), s = 0..l, from the s x s tridiagonal determinants
+
+        D_s = det( E d(i,j) + [-i]/[l+1-i] d(i,j-1) + [2l+2-i]/[l+1-i] d(i,j+1) ),
+
+    1 <= i,j <= s, times ebinom(l,s)/ebinom(2l,s); D_0 = 1.  The matrix of
+    D_s leads that of D_l, so one pass of the three-term recurrence gives
+    every D_s, bit for bit.  The factorial table guards [2] .. [2l] in
+    increasing order first (a torsion eta is named by its true order), so
+    only the binomial divisors need a guard of their own.
+    """
+    efactorial(2 * ell, ev)
+    D = [1 + 0j, E]
+    for s in range(2, ell + 1):
+        sup = -ebracket(s - 1, ev) / ebracket(ell + 2 - s, ev)
+        sub = ebracket(2 * ell + 2 - s, ev) / ebracket(ell + 1 - s, ev)
+        D.append(E * D[-1] - sup * sub * D[-2])
+    values = []
+    for s in range(ell + 1):
+        den = ebinom(2 * ell, s, ev)
+        if abs(den) < ev.tol:
+            raise TorsionEtaError(f"ebinom({2 * ell},{s}) ~ 0 at eta={ev.eta}")
+        values.append(ebinom(ell, s, ev) / den * D[s])
+    return np.array(values)
 
 
 def _apoly(ell: int, ev: ThetaEvaluator, rng):
@@ -79,7 +154,7 @@ def _apoly(ell: int, ev: ThetaEvaluator, rng):
     errors = []
     for _ in range(20):
         E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        dets = [curve_mod.a_polys_determinant(ell, s, E, ev) for s in range(ell + 1)]
+        dets = a_polys_determinant(ell, E, ev)
         recs = [curve_mod.polyval(E, A[ell - s]) for s in range(ell + 1)]
         errors.append(max(abs(d - r) / max(abs(r), 1.0) for d, r in zip(dets, recs)))
     return errors, 1e-10

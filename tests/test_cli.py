@@ -427,29 +427,28 @@ def _plant_monodromy(monkeypatch):
 
 
 def _plant_cauchy(monkeypatch):
-    real = curve.cauchy_det
+    real = verify.cauchy_det
 
     def off(xs, zeta, ev):
-        lhs, rhs = real(xs, zeta, ev)
-        return lhs, rhs * (1 + 1e-2)
+        lhs, rhs, A = real(xs, zeta, ev)
+        return lhs, rhs * (1 + 1e-2), A
 
-    monkeypatch.setattr(curve, "cauchy_det", off)
+    monkeypatch.setattr(verify, "cauchy_det", off)
 
 
 def _plant_schur(monkeypatch):
-    real = curve.weyl_denominator_check
+    real = verify.weyl_denominator_check
 
     def off(ell, z, q):
-        lhs, rhs = real(ell, z, q)
-        return lhs, rhs * (1 + 1e-8)
+        lhs, rhs, C = real(ell, z, q)
+        return lhs, rhs * (1 + 1e-8), C
 
-    monkeypatch.setattr(curve, "weyl_denominator_check", off)
+    monkeypatch.setattr(verify, "weyl_denominator_check", off)
 
 
 def _plant_apoly(monkeypatch):
-    real = curve.a_polys_determinant
-    monkeypatch.setattr(curve, "a_polys_determinant",
-                        lambda ell, s, E, ev: real(ell, s, E, ev) * (1 + 1e-8))
+    real = verify.a_polys_determinant
+    monkeypatch.setattr(verify, "a_polys_determinant", lambda ell, E, ev: real(ell, E, ev) * (1 + 1e-8))
 
 
 def _plant_curve_symmetry(monkeypatch):
@@ -663,6 +662,41 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert "tol" in doc["provenance"]
         assert "series_cutoff" in doc["provenance"]
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap the function ``name`` of the first of ``modules`` in a counter
+    and bind it in each of them; returns the list the calls append to."""
+    calls, real = [], getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOneBuildPerDraw:
+    """A suite builds each draw's data once: a cauchy draw reads its matrix,
+    both sides and kappa(A) from two theta calls, a schur draw its sides and
+    its scale from one subset sum."""
+
+    EV = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.17))
+
+    @pytest.mark.parametrize("ell", [1, 3, 7])
+    def test_cauchy_draw_makes_two_theta_calls(self, monkeypatch, ell):
+        calls = _count_calls(monkeypatch, "theta", (verify, curve))
+        errors, bounds = verify.SUITES["cauchy"][0](ell, self.EV, np.random.default_rng(0))
+        assert len(errors) == len(bounds) == ell + 1
+        assert len(calls) == 2 * (ell + 1)
+
+    @pytest.mark.parametrize("ell", [1, 3, 7])
+    def test_schur_draw_makes_one_subset_sum(self, monkeypatch, ell):
+        calls = _count_calls(monkeypatch, "_subset_sums", (curve,))
+        errors, _ = verify.SUITES["schur"][0](ell, self.EV, np.random.default_rng(0))
+        assert len(calls) == len(errors) == 5
 
 
 class TestFlowCommand:

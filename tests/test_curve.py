@@ -21,12 +21,10 @@ from lame_spectra.curve import (
     NEWTON_TOL,
     BandEdgeSet,
     _subset_sums,
-    a_polys_determinant,
     a_polys_recurrence,
     band_edges,
     bloch_relation,
     bloch_relation_det,
-    cauchy_det,
     closed_form_edges,
     curve_coeffs,
     curve_equations,
@@ -35,12 +33,16 @@ from lame_spectra.curve import (
     half_period,
     random_curve_points,
     solve_curve_point,
-    weyl_denominator_check,
 )
-from lame_spectra.enumbers import ebracket, theta1_multiples
+from lame_spectra.enumbers import ebinom, ebracket, nonzero_bracket, theta1_multiples
 from lame_spectra.errors import ClusterAmbiguityError, ConvergenceError, PoleProximityError, TorsionEtaError
 from lame_spectra.theta import EllipticParams, ThetaEvaluator, theta
 from lame_spectra.util import nearest_lattice_point
+from lame_spectra.verify import a_polys_determinant, cauchy_det, weyl_denominator_check
+
+
+# the (tau, eta) cells of the smoke table's verify runs
+VERIFY_CELLS = [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)]
 
 
 class TestAPolynomials:
@@ -80,18 +82,37 @@ class TestAPolynomials:
             A = a_polys_recurrence(ell, ev)
             for _ in range(20):
                 E = complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
+                dets = a_polys_determinant(ell, E, ev)
+                assert len(dets) == ell + 1
                 for s in range(ell + 1):
-                    det = a_polys_determinant(ell, s, E, ev)
                     rec = polyval(E, A[ell - s])
-                    assert abs(det - rec) <= 1e-10 * max(abs(rec), 1.0)
+                    assert abs(dets[s] - rec) <= 1e-10 * max(abs(rec), 1.0)
+
+    @pytest.mark.parametrize("tau,eta", VERIFY_CELLS)
+    def test_one_pass_is_the_per_s_passes(self, tau, eta):
+        # reference: each D_s by its own pass of the recurrence, stopped at s
+        ev_g = ThetaEvaluator(EllipticParams(tau=tau, eta=eta))
+
+        def per_s(ell, s, E):
+            d_prev, d_cur = 1 + 0j, 1 + 0j
+            for k in range(1, s + 1):
+                if k == 1:
+                    d_new = E
+                else:
+                    sup = -ebracket(k - 1, ev_g) / nonzero_bracket(ell + 2 - k, ev_g)
+                    sub = ebracket(2 * ell + 2 - k, ev_g) / nonzero_bracket(ell + 1 - k, ev_g)
+                    d_new = E * d_cur - sup * sub * d_prev
+                d_prev, d_cur = d_cur, d_new
+            return ebinom(ell, s, ev_g) / ebinom(2 * ell, s, ev_g) * d_cur
+
+        rng = np.random.default_rng(12)
+        for ell in range(1, 13):
+            for _ in range(5):
+                E = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
+                assert a_polys_determinant(ell, E, ev_g).tolist() == [per_s(ell, s, E) for s in range(ell + 1)]
 
     def test_s_zero_is_one(self, ev):
-        assert a_polys_determinant(3, 0, 1.7 + 0.2j, ev) == 1
-
-    @pytest.mark.parametrize("s", [-1, 3])
-    def test_determinant_s_out_of_range(self, ev, s):
-        with pytest.raises(ValueError, match=rf"^need 0 <= s <= ell, got s={s}$"):
-            a_polys_determinant(2, s, 0.5, ev)
+        assert a_polys_determinant(3, 1.7 + 0.2j, ev)[0] == 1
 
     def test_determinant_near_torsion_binomial_refused(self):
         # near eta = 1/4, |[4]| = 1.2e-8 clears the bracket guard at tol 1e-8,
@@ -99,7 +120,14 @@ class TestAPolynomials:
         ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.25 + 6.7e-10, tol=1e-8))
         assert abs(ebracket(4, ev)) > ev.tol
         with pytest.raises(TorsionEtaError, match=r"^ebinom\(4,2\) ~ 0 at eta="):
-            a_polys_determinant(2, 2, 0.5, ev)
+            a_polys_determinant(2, 0.5, ev)
+
+    def test_torsion_named_by_its_true_order(self):
+        # at eta = 1/2, [2] and [4] vanish: the factorial table names [2] first
+        ev = ThetaEvaluator(EllipticParams(tau=1.2j, eta=0.5))
+        for route in (lambda: a_polys_recurrence(5, ev), lambda: a_polys_determinant(5, 0.5, ev)):
+            with pytest.raises(TorsionEtaError, match=r"^\[2\] ~ 0 .*torsion point of order 2$"):
+                route()
 
 
 class TestCurveEquations:
@@ -751,10 +779,6 @@ def _reference_subset_sums(ell, ratio):
     return C
 
 
-# the (tau, eta) cells of the smoke table's verify runs
-VERIFY_CELLS = [(1.2j, 0.17), (0.3 + 1.4j, 0.11 + 0.05j), (1.2j, 1 / 31)]
-
-
 def _ratio(f):
     """f(k+k') / f(|k-k'|), the ratio ``_subset_sums`` forms from f, as a callback."""
     return lambda k, kp: f[k + kp] / f[abs(k - kp)]
@@ -872,8 +896,9 @@ class TestCauchyDeterminant:
     def test_n1_both_sides_equal_kernel(self, ev):
         x = 0.21 + 0.07j
         z = 0.43 + 0.11j
-        lhs, rhs = cauchy_det([x], z, ev)
+        lhs, rhs, A = cauchy_det([x], z, ev)
         want = theta(1, 2 * x + z, ev) / theta(1, 2 * x, ev)
+        assert A.shape == (1, 1) and A[0, 0] == pytest.approx(want, rel=1e-12)
         assert lhs == pytest.approx(want, rel=1e-12)
         assert rhs == pytest.approx(want, rel=1e-12)
 
@@ -886,7 +911,7 @@ class TestCauchyDeterminant:
             return theta(1, u + z, ev) / theta(1, u, ev)
 
         direct = kern(2 * xs[0]) * kern(2 * xs[1]) - kern(xs[0] + xs[1]) ** 2
-        lhs, rhs = cauchy_det(xs, z, ev)
+        lhs, rhs, _ = cauchy_det(xs, z, ev)
         assert lhs == pytest.approx(direct, rel=1e-12)
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
@@ -894,7 +919,7 @@ class TestCauchyDeterminant:
         rng = np.random.default_rng(61)
         xs = [complex(rng.uniform(0.1, 0.45), rng.uniform(-0.1, 0.1)) for _ in range(4)]
         z = complex(rng.uniform(0.2, 0.7), rng.uniform(0, 0.2))
-        lhs, rhs = cauchy_det(xs, z, ev)
+        lhs, rhs, _ = cauchy_det(xs, z, ev)
         assert abs(lhs - rhs) < 1e-9 * abs(rhs)
 
     def test_coincident_pair_names_its_sum(self, ev):
@@ -905,19 +930,20 @@ class TestCauchyDeterminant:
 
 class TestWeylDenominator:
     def test_z_zero(self):
-        lhs, rhs = weyl_denominator_check(3, 0.0, cmath.exp(0.46j))
+        lhs, rhs, _ = weyl_denominator_check(3, 0.0, cmath.exp(0.46j))
         assert lhs == 1
         assert rhs == 1
 
     def test_l1_linear(self):
         z = 0.7 + 0.2j
-        lhs, rhs = weyl_denominator_check(1, z, cmath.exp(0.46j))
+        lhs, rhs, C = weyl_denominator_check(1, z, cmath.exp(0.46j))
+        assert C.tolist() == [1, 1]
         assert lhs == pytest.approx(1 + z, rel=1e-13)
         assert rhs == pytest.approx(1 + z, rel=1e-13)
 
     @pytest.mark.parametrize("ell", range(1, 11))
     def test_subset_sum_equals_product(self, ell):
-        lhs, rhs = weyl_denominator_check(ell, 0.7 + 0.2j, cmath.exp(0.46j))
+        lhs, rhs, _ = weyl_denominator_check(ell, 0.7 + 0.2j, cmath.exp(0.46j))
         assert abs(lhs - rhs) < 1e-10 * abs(rhs)
 
     def test_vanishing_divisor_refused(self):

@@ -62,16 +62,16 @@ VOLTERRA_NAMES = (
 PACKAGE_NAMES = {
     "BandEdgeSet", "BlochCoeffs", "CurveCoeffs", "CurvePoint", "EdgeCandidates",
     "EllipticParams", "LameContext", "RationalEta", "ThetaEvaluator",
-    "a_polys_determinant", "a_polys_recurrence", "apply_L", "apply_Ltilde", "apply_W",
+    "a_polys_recurrence", "apply_L", "apply_Ltilde", "apply_W",
     "band_edges", "band_intervals", "band_sweep", "bloch_relation", "bloch_relation_det",
-    "build_Psi", "build_psi", "cauchy_det", "closed_form_edges",
+    "build_Psi", "build_psi", "closed_form_edges",
     "coefficient_samples", "curve_coeffs", "curve_equations", "ebinom", "ebracket",
     "edge_curve_points", "efactorial", "errors", "gauge_factor", "lame_coefficients",
     "nonzero_bracket", "numeric_band_edges", "numeric_band_edges_from_coefficients",
     "periodic_matrix", "phi", "qnumber", "random_curve_points", "residual",
     "scaled_residual", "solve_bloch_coeffs", "solve_curve_point", "theta",
     "theta1_multiples", "theta1_prime", "theta_halfshift", "w_eigenvalue",
-    "weierstrass_p", "weyl_denominator_check", *VOLTERRA_NAMES,
+    "weierstrass_p", *VOLTERRA_NAMES,
 }
 
 

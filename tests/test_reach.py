@@ -12,8 +12,10 @@ and 12, the CSV forms and the error exits) and one ``--config`` file run.
 The paper pass calls each name of the README's "Fifteen exported names"
 paragraph once.  Both run in a fresh interpreter under ``sys.setprofile``,
 with this file as its script, so that no cache warmed by an earlier test
-hides a function.  The gate reads every module-level def and every method
-of a module-level class; nested defs, lambdas and comprehensions are out of
+hides a function; the report records which pass reached each function, and
+the paragraph must name exactly the exported functions that only the paper
+pass reaches.  The gate reads every module-level def and every method of a
+module-level class; nested defs, lambdas and comprehensions are out of
 scope.
 
     python tests/test_reach.py [SRC]
@@ -93,7 +95,7 @@ def _paper_inputs():
                                  exp=np.exp, poles=pkg.PoleConfig([0.21 + 0.05j]))
 
 
-def _passes(errors: list, caches: dict):
+def _production_pass(errors: list, caches: dict):
     import contextlib
     import io
     import tempfile
@@ -102,7 +104,6 @@ def _passes(errors: list, caches: dict):
 
     import numpy as np
 
-    import lame_spectra
     import workloads
     from _support import empty_caches, package_caches
     from lame_spectra import cli
@@ -125,27 +126,45 @@ def _passes(errors: list, caches: dict):
                     cli.main(argv)
                 except (Exception, SystemExit):
                     errors.append(f"{' '.join(argv)}: {traceback.format_exc()}")
+
+
+def _paper_pass():
+    import lame_spectra
+
     inputs = _paper_inputs()
     for name in readme_paper_names():
         PAPER_CALLS[name](getattr(lame_spectra, name), inputs)
 
 
+def _key(code) -> tuple:
+    """(module, first line, name) of a function's code."""
+    return Path(code.co_filename).stem, code.co_firstlineno, code.co_name
+
+
 def probe(src: Path) -> dict:
-    """The (module, first line, name) of every function of the package under
-    ``src`` that the passes run, the "module.qualname" of every function
-    perfbench/tracing.py rebinds, the passes' failures, and the [hits,
-    misses] of every module cache after each workload's block 0."""
+    """For each pass, production and paper, the (module, first line, name)
+    of every function of the package under ``src`` that it runs; the same
+    key of every exported function by its name; the "module.qualname" of
+    every function perfbench/tracing.py rebinds; the passes' failures; and
+    the [hits, misses] of every module cache after each workload's block 0."""
+    import inspect
+
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    seen = set()
-    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code))
-    errors, caches = [], {}
-    try:
-        _passes(errors, caches)
-    finally:
-        sys.setprofile(None)
+    errors, caches, seen = [], {}, {}
+    for name, run in (("production", lambda: _production_pass(errors, caches)), ("paper", _paper_pass)):
+        codes = seen[name] = set()
+        sys.setprofile(lambda frame, event, arg, add=codes.add: add(frame.f_code))
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
     package = str(src / "lame_spectra")
-    reached = sorted({(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)
-                      for c in seen if os.path.dirname(c.co_filename) == package})
+    reached = {name: sorted({_key(c) for c in codes if os.path.dirname(c.co_filename) == package})
+               for name, codes in seen.items()}
+    import lame_spectra
+
+    exported = {name: _key(fn.__code__) for name in lame_spectra.__all__
+                if inspect.isfunction(fn := getattr(lame_spectra, name))}
     from tracing import BINDINGS
 
     rebound = set()
@@ -153,7 +172,8 @@ def probe(src: Path) -> dict:
         for name in names:
             fn = getattr(sys.modules[f"lame_spectra.{module}"], name)
             rebound.add(f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}")
-    return {"reached": reached, "rebound": sorted(rebound), "errors": errors, "caches": caches}
+    return {"reached": reached, "exported": exported, "rebound": sorted(rebound), "errors": errors,
+            "caches": caches}
 
 
 def run_probe(src: Path) -> dict:
@@ -182,10 +202,23 @@ def checked_functions(src: Path) -> dict:
     return out
 
 
+def reached_by(report: dict, *passes: str) -> set:
+    """The (module, first line, name) keys that any of ``passes`` reached
+    (all of them when none is named)."""
+    return {tuple(key) for name in passes or report["reached"] for key in report["reached"][name]}
+
+
+def paper_only_names(report: dict) -> list:
+    """The exported functions that the paper pass reaches and the production
+    pass does not."""
+    only = reached_by(report, "paper") - reached_by(report, "production")
+    return sorted(name for name, key in report["exported"].items() if tuple(key) in only)
+
+
 def unreached(src: Path, report: dict) -> list:
     """The functions of the package under ``src`` that the report's passes do
     not reach and that neither ``ALLOWED`` nor tracing.BINDINGS excuses."""
-    reached = set(map(tuple, report["reached"]))
+    reached = reached_by(report)
     excused = ALLOWED.keys() | set(report["rebound"])
     return sorted(q for key, q in checked_functions(src).items() if key not in reached and q not in excused)
 
@@ -207,7 +240,7 @@ class TestReachGate:
 
     def test_allowed_functions_exist_and_are_unreached(self, report):
         functions = checked_functions(SRC)
-        reached = {functions.get(tuple(key)) for key in report["reached"]}
+        reached = {functions.get(key) for key in reached_by(report)}
         assert set(ALLOWED) <= set(functions.values())
         assert not set(ALLOWED) & reached
 
@@ -215,6 +248,17 @@ class TestReachGate:
         names = readme_paper_names()
         assert len(names) == 15
         assert sorted(names) == sorted(PAPER_CALLS)
+
+    def test_paper_names_are_the_paper_only_functions(self, report):
+        assert paper_only_names(report) == sorted(readme_paper_names())
+
+    def test_paper_names_check_can_fail(self, report):
+        # a report in which production also reaches bloch_relation
+        reached = dict(report["reached"], production=[*report["reached"]["production"],
+                                                      report["exported"]["bloch_relation"]])
+        changed = paper_only_names(dict(report, reached=reached))
+        assert "bloch_relation" not in changed
+        assert changed != sorted(readme_paper_names())
 
 
 # the caches whose key takes a few fixed values: the only ones that may be unbounded
@@ -283,7 +327,7 @@ class TestGateCanFail:
     def test_gate_passes_once_the_function_is_reached(self, tmp_path):
         src = self._copy(tmp_path, PLANT + "\n\n_planted_route()\n")
         planted = run_probe(src)
-        assert [key for key in planted["reached"] if key[2] == "_planted_route"]
+        assert [key for key in reached_by(planted) if key[2] == "_planted_route"]
         assert unreached(src, planted) == []
 
 
