@@ -139,6 +139,14 @@ def _build_config(args) -> ThetaEvaluator:
     return ThetaEvaluator(EllipticParams(tau=setting("tau", parse_complex), eta=eta, tol=tol))
 
 
+def _finite_complex(text: str, what: str) -> complex:
+    """``parse_complex(text)``, refused with a ValueError naming ``what`` when it is not finite."""
+    z = parse_complex(text)
+    if not np.isfinite(z):
+        raise ValueError(f"{what} must be finite, got {text!r}")
+    return z
+
+
 def _provenance(args, ev: ThetaEvaluator) -> dict:
     frac = args.eta_fraction
     return {
@@ -286,7 +294,7 @@ def cmd_verify(args, ev: ThetaEvaluator):
 def cmd_flow(args, ev: ThetaEvaluator):
     from . import volterra
 
-    cfg = volterra.PoleConfig(xs=tuple(parse_complex(tok) for tok in args.poles.split(",")))
+    cfg = volterra.PoleConfig(xs=tuple(_finite_complex(tok, "each --poles entry") for tok in args.poles.split(",")))
     result = volterra.integrate_flow(cfg, args.t_end, args.dt, ev)
     if args.format == "csv":
         head = ["t"]
@@ -312,17 +320,12 @@ def cmd_flow(args, ev: ThetaEvaluator):
 def cmd_curve_point(args, ev: ThetaEvaluator):
     if (args.fix_zeta is None) == (args.fix_E is None):
         raise ValueError("pass exactly one of --fix-zeta / --fix-E")
+    # every number is read, and a non-finite one refused, before the context reads any theta value
+    z = {dest: _finite_complex(getattr(args, dest), "--" + dest.replace("_", "-"))
+         for dest in ("fix_zeta", "fix_E", "seed_zeta", "seed_K", "seed_E") if getattr(args, dest) is not None}
+    fix = {"zeta": z["fix_zeta"]} if "fix_zeta" in z else {"E": z["fix_E"]}
+    seed = CurvePoint(zeta=z["seed_zeta"], K=z["seed_K"], E=z["seed_E"])
     ctx = LameContext(ell=args.ell, ev=ev)
-    seed = CurvePoint(
-        zeta=parse_complex(args.seed_zeta),
-        K=parse_complex(args.seed_K),
-        E=parse_complex(args.seed_E),
-    )
-    fix = (
-        {"zeta": parse_complex(args.fix_zeta)}
-        if args.fix_zeta is not None
-        else {"E": parse_complex(args.fix_E)}
-    )
     pt = curve_mod.solve_curve_point(fix, seed, ctx)
     r0, r1 = scaled_residual(pt, ctx)
     return 0, {

@@ -27,8 +27,8 @@ always the same multiples of eta, builds one per cutoff it meets, and
 ``volterra.c_from_poles``, which passes its evaluation points as the
 shifts, one per point set and cutoff.  ``_series``, one exp per point and
 term, is left for points the split cannot hold and for theta1'(0), which is
-summed once per (tau, cutoff) and kept in a bounded module cache too
-(``_theta1_prime0``).
+summed once per (tau, tol) and kept, with the series cutoff, in a bounded
+module cache too (``_series_constants``).
 
 An evaluator's parameters are fixed at construction, and evaluators are
 safe to share across threads.  So are both caches: ``functools`` keeps
@@ -41,14 +41,15 @@ The package's value records (``EllipticParams`` and ``ThetaEvaluator`` here,
 and those of ``lame``, ``curve``, ``bloch`` and ``volterra``) are
 NamedTuples, not dataclasses: a frozen dataclass writes and compiles its
 methods when its module is imported, about 1 ms per class, and every CLI
-call is a fresh process.  A record that checks or derives its fields is a
-NamedTuple of its fields plus a subclass whose ``__new__`` does the work;
-its ``_make``, and so ``_replace``, goes through that constructor
-(``_checked_make``).  A record holds only its fields (``__slots__ = ()``,
+call is a fresh process.  A record that checks its fields is a NamedTuple
+of its fields plus a subclass whose ``__new__`` does the checks; its
+``_make``, and so ``_replace``, goes through that constructor
+(``_checked_make``), and so do copy and pickle, by NamedTuple's own
+``__getnewargs__``.  A record holds only its fields (``__slots__ = ()``,
 no instance ``__dict__``): what it derives besides them, such as the
-eta-only tables of ``enumbers``, lives in the module cache of its key.  A
-record is a tuple: iterable, indexable, and equal to any tuple of equal
-fields.
+series constants of an evaluator (``_series_constants``) or the eta-only
+tables of ``enumbers``, lives in the module cache of its key.  A record is
+a tuple: iterable, indexable, and equal to any tuple of equal fields.
 """
 
 import cmath
@@ -118,15 +119,13 @@ class EllipticParams(_EllipticParamsFields):
 
 class _ThetaEvaluatorFields(NamedTuple):
     params: EllipticParams
-    series_cutoff: int
-    theta1_prime0: complex
 
 
 class ThetaEvaluator(_ThetaEvaluatorFields):
-    """Caches a series cutoff guaranteeing tails below tol.
+    """The theta series at ``params``, summed with tails below tol.
 
-    ``series_cutoff`` is the smallest N >= 4 with |q|^(N^2) < tol/100; for
-    arguments with large |Im x| the cutoff is extended per call, so
+    ``series_cutoff`` is one past the smallest N >= 4 with |q|^(N^2) <
+    tol/100; ``cutoff_for`` extends it for arguments with large |Im x|, so
     increasing it by hand never changes a returned value by more than tol.
 
     Construction refuses, with ValueError, parameters whose series it cannot
@@ -135,53 +134,28 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
     a theta1'(0) that is not a normal double (Im tau above about 900, where
     it underflows).
 
-    The shift factors of ``theta`` are cached in the module, not here (see
-    the module docstring: read-only matrices, thread-safe), keyed by tau,
-    so evaluators built anew per request share them.  ``theta1_prime0`` is
-    summed by ``_series``, not through a table: that sum comes out real on
-    the imaginary tau axis, where the table's leaves an imaginary part of
-    ~1e-33, and every Volterra velocity scales by it.  The sum is made once
-    per (tau, cutoff) and cached in the module too (``_theta1_prime0``), so
-    an evaluator built again for the same tau and tol does not repeat it.
+    ``series_cutoff`` and ``theta1_prime0`` are read from the module cache of
+    (tau, tol), ``_series_constants``.  theta1'(0) is summed by ``_series``,
+    not through a table: that sum comes out real on the imaginary tau axis,
+    where the table's leaves an imaginary part of ~1e-33, and every Volterra
+    velocity scales by it.
     """
 
     __slots__ = ()
 
     def __new__(cls, params: EllipticParams):
-        tau, tol = params.tau, params.tol
-        if not tol < 100:
-            raise ValueError(f"tol must be below 100, so that the series tail target tol/100 is below 1, "
-                             f"got tol={tol}")
-        lq = -math.pi * tau.imag  # log|q|
-        target = math.log(tol) + math.log(1e-2)
-        terms = math.sqrt(target / lq)  # the N with |q|^(N^2) = tol/100
-        if not terms <= SERIES_CUTOFF_MAX:
-            raise ValueError(
-                f"the theta series at tau={tau}, tol={tol} needs {terms:.3g} terms, above the ceiling of "
-                f"{SERIES_CUTOFF_MAX}: Im(tau) must be at least {-target / (math.pi * SERIES_CUTOFF_MAX**2):.3g}"
-            )
-        cutoff = max(4, math.ceil(terms)) + 1
-        prime0 = _theta1_prime0(tau, cutoff)
-        if not sys.float_info.min <= abs(prime0) <= sys.float_info.max:
-            raise ValueError(f"theta1'(0) = {prime0} at tau={tau} is not a normal double: "
-                             f"it underflows for Im(tau) above about 900")
-        return super().__new__(cls, params, cutoff, prime0)
+        _series_constants(params.tau, params.tol)
+        return super().__new__(cls, params)
 
-    def _replace(self, **changes):
-        """A new evaluator at the replaced ``params``; the other fields derive from it."""
-        params = changes.pop("params", self.params)
-        if changes:
-            raise ValueError(f"{', '.join(changes)} derive from params and cannot be replaced")
-        return type(self)(params)
+    _make = classmethod(_checked_make)
 
-    @classmethod
-    def _make(cls, fields):
-        """The evaluator of the first field, ``params``."""
-        return cls(next(iter(fields)))
+    @property
+    def series_cutoff(self) -> int:
+        return _series_constants(self.params.tau, self.params.tol)[0]
 
-    def __reduce__(self):
-        # a copy or unpickled evaluator is built anew, through the checks of construction
-        return type(self), (self.params,)
+    @property
+    def theta1_prime0(self) -> complex:
+        return _series_constants(self.params.tau, self.params.tol)[1]
 
     @property
     def zero_threshold(self) -> float:
@@ -202,11 +176,12 @@ class ThetaEvaluator(_ThetaEvaluatorFields):
         return self.params.tol
 
     def cutoff_for(self, im_x: float) -> int:
-        """Cutoff so that |q|^(m^2) * exp(2*pi*|Im x|*m) tails stay < tol/100."""
+        """Cutoff so that |q|^(m^2) * exp(2*pi*|Im x|*m) tails stay < tol/100,
+        never below 5 nor ``series_cutoff``."""
         tau, tol = self.params.tau, self.params.tol
         c = -(math.log(tol) + math.log(1e-2)) / math.pi
         m_star = (abs(im_x) + math.sqrt(im_x * im_x + tau.imag * c)) / tau.imag
-        return max(self.series_cutoff, math.ceil(m_star) + 2)
+        return max(5, math.ceil(m_star) + 2)
 
 
 def _nonzero(t, ev: ThetaEvaluator, what: str, *args):
@@ -245,8 +220,8 @@ _SPLIT_LOG_MAX = 600.0
 # shift-exp matrices kept by _shift_table, least recently used dropped first
 _SHIFT_TABLES_MAX = 256
 
-# theta1'(0) values kept by _theta1_prime0, least recently used dropped first
-_PRIME0_MAX = 256
+# (series cutoff, theta1'(0)) pairs kept by _series_constants, least recently used dropped first
+_SERIES_CONSTANTS_MAX = 256
 
 # the shifts of a plain call
 _NO_SHIFT = np.zeros(1, dtype=complex)
@@ -336,10 +311,27 @@ def _shift_table(a: int, n: int, tau: complex, shift_bytes: bytes, deriv: int):
     return m, shift_exp
 
 
-@functools.lru_cache(maxsize=_PRIME0_MAX)
-def _theta1_prime0(tau: complex, n: int) -> complex:
-    """theta1'(0 | tau), the ``_series`` sum with cutoff n."""
-    return complex(_series(1, 0.0, tau, n, 1))
+@functools.lru_cache(maxsize=_SERIES_CONSTANTS_MAX)
+def _series_constants(tau: complex, tol: float) -> tuple:
+    """(series cutoff, theta1'(0)) of the evaluators at (tau, tol), or the
+    ValueError of their construction (see ``ThetaEvaluator``)."""
+    if not tol < 100:
+        raise ValueError(f"tol must be below 100, so that the series tail target tol/100 is below 1, "
+                         f"got tol={tol}")
+    lq = -math.pi * tau.imag  # log|q|
+    target = math.log(tol) + math.log(1e-2)
+    terms = math.sqrt(target / lq)  # the N with |q|^(N^2) = tol/100
+    if not terms <= SERIES_CUTOFF_MAX:
+        raise ValueError(
+            f"the theta series at tau={tau}, tol={tol} needs {terms:.3g} terms, above the ceiling of "
+            f"{SERIES_CUTOFF_MAX}: Im(tau) must be at least {-target / (math.pi * SERIES_CUTOFF_MAX**2):.3g}"
+        )
+    cutoff = max(4, math.ceil(terms)) + 1
+    prime0 = complex(_series(1, 0.0, tau, cutoff, 1))
+    if not sys.float_info.min <= abs(prime0) <= sys.float_info.max:
+        raise ValueError(f"theta1'(0) = {prime0} at tau={tau} is not a normal double: "
+                         f"it underflows for Im(tau) above about 900")
+    return cutoff, prime0
 
 
 def theta1_prime(x, ev: ThetaEvaluator):

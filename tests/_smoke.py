@@ -209,6 +209,12 @@ CELLS = {
     "curve-point-B1-overflow": Cell("curve-point --ell 8 --eta 1e-6 --tau 1.2i --fix-zeta 0.31+0.07i", 3,
                                     refused(r"OverflowError: B1 = exp\(.+\) is outside the double range$")),
     "curve-point-3-800i": Cell("curve-point --ell 3 --fix-zeta 0.31+0.07i --tau 800i", check=on_the_curve_at_800i),
+    # a non-finite number is refused where it is read, before any theta call
+    **{f"curve-point-{flag[2:]}-{value}": Cell(f"curve-point --ell 1 {held} {flag} {value}", 2,
+                                               refused(f"ValueError: {flag} must be finite, got '{value}'$"))
+       for held, flag, value in (("", "--fix-zeta", "nan"), ("", "--fix-E", "nan"),
+                                 ("--fix-zeta 0.31+0.07i", "--seed-zeta", "nan"),
+                                 ("--fix-zeta 0.31+0.07i", "--seed-K", "nan"), ("--fix-E 2", "--seed-E", "inf"))},
 
     # the C_j overflow from C_7 on, and no report holds a NaN or an inf
     "coeffs-8-non-finite": Cell("coeffs --ell 8 --eta 0.17+0.6i --tau 1.2i", 3,
@@ -254,6 +260,10 @@ CELLS = {
 
     "flow-M1": Cell("flow --poles 0.21+0.05i"),
     "flow-M1-closed-form": Cell("flow --poles 0.21+0.05i --t-end 0.3 --dt 0.1", check=one_pole_closed_form),
+    # every entry is read, and a non-finite one refused, before any theta call
+    **{f"flow-poles-{value}": Cell(f"flow --poles {poles}", 2,
+                                   refused(f"ValueError: each --poles entry must be finite, got '{value}'$"))
+       for poles, value in (("0.1,nan,0.2", "nan"), ("inf", "inf"))},
     # {eta, 0, -eta} sits on the singular set
     "flow-degenerate": Cell("flow --poles 0.17,0,-0.17 --eta 0.17", 4,
                             refused("MarginViolationError: pole differences within")),

@@ -40,14 +40,10 @@ from _smoke import CELLS
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-_RECORDS = "record protocol: reached only by copy, pickle, _replace or assignment (test_records.py)"
 # "module.qualname" -> why no pass reaches it; the names perfbench/tracing.py
 # rebinds are allowed besides, read from tracing.BINDINGS by the probe
 ALLOWED = {
-    "theta._checked_make": _RECORDS,
-    "theta.ThetaEvaluator._replace": _RECORDS,
-    "theta.ThetaEvaluator._make": _RECORDS,
-    "theta.ThetaEvaluator.__reduce__": _RECORDS,
+    "theta._checked_make": "record protocol: reached only by _replace, which no command calls (test_records.py)",
     "__init__.__dir__": "dir(lame_spectra), which no command calls; test_imports.py reads it",
 }
 

@@ -5,6 +5,8 @@ equality, hash and repr over the compare fields, copy and pickle, and a
 
 import copy
 import pickle
+import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from lame_spectra.bloch import EdgeCandidates, RationalEta
 from lame_spectra.curve import BandEdgeSet, CurveCoeffs
 from lame_spectra.errors import TorsionEtaError
 from lame_spectra.lame import BlochCoeffs, CurvePoint, LameContext
-from lame_spectra.theta import EllipticParams, ThetaEvaluator
+from lame_spectra.theta import EllipticParams, ThetaEvaluator, _checked_make
 from lame_spectra.volterra import FlowResult, LocusReport, PoleConfig
 
 
@@ -37,8 +39,9 @@ RECORDS = {
         ({"tol": -1.0}, ValueError, "tol must be positive"),
     ),
     "ThetaEvaluator": (
-        ThetaEvaluator, lambda: {"params": _params()}, ("params", "series_cutoff", "theta1_prime0"),
-        [], None,
+        ThetaEvaluator, lambda: {"params": _params()}, ("params",),
+        [({"params": _params(tau=1e-20j)}, ValueError, "above the ceiling of 1000")],
+        ({"params": _params(tau=1000j)}, ValueError, r"theta1'\(0\) = .* is not a normal double"),
     ),
     "LameContext": (
         LameContext, lambda: {"ell": 2, "ev": _ev()}, ("ell", "ev"),
@@ -166,5 +169,36 @@ def test_record_contract(name):
         other, want = rec._replace(params=_params(tau=0.15j)), _ev(tau=0.15j)
         assert other == want and other.series_cutoff > rec.series_cutoff
         assert other.cutoff_for(0.7) == want.cutoff_for(0.7)
+        # the series constants are no fields: read from the cache of (tau, tol), not replaced or compared
+        with pytest.raises(ValueError, match="Got unexpected field names"):
+            rec._replace(series_cutoff=rec.series_cutoff + 1)
+        assert rec == (rec.params,)
     if name == "PoleConfig":
         assert rec._replace(xs=[1]).xs == (1 + 0j,)
+
+
+# the protocol methods every record takes from NamedTuple; NamedTuple writes
+# _replace, __getnewargs__ and _make into each class it makes, all of one code
+PROTOCOL = ("_replace", "__reduce__", "__reduce_ex__", "__getnewargs__", "__copy__", "__deepcopy__")
+_Plain = NamedTuple("_Plain", [("x", int)])
+
+
+def _code(attr):
+    """The code of a class attribute: a function's, or a classmethod's function's."""
+    return getattr(attr, "__func__", attr).__code__
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_one_record_protocol(name):
+    # copy, pickle and _replace all go through one path, NamedTuple's own, and
+    # a record that checks its fields makes itself anew through its constructor
+    cls = RECORDS[name][0]
+    base = getattr(sys.modules[cls.__module__], f"_{name}Fields", None)
+    for klass in (cls, base) if base is not None else (cls,):
+        for attr in PROTOCOL:
+            own = vars(klass).get(attr)
+            assert own is None or _code(own) is _code(vars(_Plain)[attr]), f"{klass.__name__}.{attr}"
+    if base is not None:
+        assert "__new__" in vars(cls) and cls._make.__func__ is _checked_make
+    else:
+        assert _code(vars(cls)["_make"]) is _code(vars(_Plain)["_make"])

@@ -161,20 +161,31 @@ class TestSeries:
                 v2 = _series(a, x, ev.tau, 2 * n, 0)
                 assert abs(v1 - v2) < ev.tol
 
-    @pytest.mark.parametrize("tau", [1.2j, 0.3 + 1.4j, 0.8j, 40j])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-8])
-    def test_cutoffs_unchanged(self, tau, tol):
-        # the constant of cutoff_for is computed once per evaluator; the
-        # cutoffs must be those of the per-call formula
-        ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=0.17, tol=tol))
-
-        def per_call(im_x):
+    @pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-8, 1e-3, 0.5, 50.0])
+    def test_cutoff_rule(self, tol):
+        # cutoff_for reads no series constant: its max(5, ceil(m*) + 2) is the
+        # rule max(series_cutoff, ceil(m*) + 2) of an evaluator that stored its
+        # cutoff, kept here as the reference, on every Im tau served
+        def reference(ev_t, im_x):
             c = -(math.log(tol) + math.log(1e-2)) / math.pi
-            m_star = (abs(im_x) + math.sqrt(im_x * im_x + tau.imag * c)) / tau.imag
+            m_star = (abs(im_x) + math.sqrt(im_x * im_x + ev_t.tau.imag * c)) / ev_t.tau.imag
             return max(ev_t.series_cutoff, math.ceil(m_star) + 2)
 
-        for im_x in np.concatenate([np.linspace(0, 2, 41), np.linspace(2, 60, 59), -np.linspace(0, 13, 27)]):
-            assert ev_t.cutoff_for(float(im_x)) == per_call(float(im_x))
+        rng = np.random.default_rng(7)
+        taus = [1j * t for t in (*np.geomspace(1.1e-5, 890, 80), 0.8, 1.2, 40)] + [0.3 + 1.4j] + [
+            complex(rng.uniform(-1, 1), t) for t in np.exp(rng.uniform(math.log(1.1e-5), math.log(890), 60))]
+        cells = 0
+        for tau in taus:
+            try:
+                ev_t = ThetaEvaluator(EllipticParams(tau=tau, eta=0.17, tol=tol))
+            except ValueError:  # beyond the term ceiling at this tol
+                continue
+            t = tau.imag
+            draws = rng.choice([-1, 1], 6) * np.exp(rng.uniform(math.log(1e-3 * t), math.log(60 * t), 6))
+            for im_x in (0.0, 1e-300, 0.05, t / 2, t, 2 * t, *draws.tolist()):
+                assert ev_t.cutoff_for(im_x) == reference(ev_t, im_x), (tau, tol, im_x)
+                cells += 1
+        assert cells >= 1500
 
 
 class TestMonodromy:
@@ -481,30 +492,31 @@ class TestShiftTable:
         assert info.misses == info.currsize == 1
 
 
-class TestPrime0Cache:
-    """theta1'(0) is the ``_series`` sum, made once per (tau, cutoff) and
-    kept in a bounded module cache."""
+class TestSeriesConstants:
+    """An evaluator's series cutoff and theta1'(0), the ``_series`` sum, are
+    made once per (tau, tol) and kept in a bounded module cache."""
 
     def test_evaluators_share_the_series_sum(self):
         tau = 0.3 + 1.4j
-        theta_module._theta1_prime0.cache_clear()
+        theta_module._series_constants.cache_clear()
         evs = [ThetaEvaluator(EllipticParams(tau=tau, eta=eta, tol=1e-12)) for eta in (0.17, 0.11 + 0.05j)]
         want = complex(theta_module._series(1, 0.0, tau, evs[0].series_cutoff, 1))
         assert [e.theta1_prime0 for e in evs] == [want, want]
-        info = theta_module._theta1_prime0.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        info = theta_module._series_constants.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
-    def test_a_new_cutoff_gets_its_own_entry(self):
-        theta_module._theta1_prime0.cache_clear()
-        a, b = (ThetaEvaluator(EllipticParams(tau=0.5j, eta=0.17, tol=tol)) for tol in (1e-12, 1e-4))
-        assert a.series_cutoff != b.series_cutoff
-        for e in (a, b):
+    def test_a_new_key_gets_its_own_entry(self):
+        # a new tol is a new key, whether or not its cutoff is new
+        theta_module._series_constants.cache_clear()
+        a, b, c = (ThetaEvaluator(EllipticParams(tau=0.5j, eta=0.17, tol=tol)) for tol in (1e-12, 1e-4, 1.1e-12))
+        assert a.series_cutoff != b.series_cutoff and a.series_cutoff == c.series_cutoff
+        for e in (a, b, c):
             assert e.theta1_prime0 == complex(theta_module._series(1, 0.0, 0.5j, e.series_cutoff, 1))
-        assert theta_module._theta1_prime0.cache_info().currsize == 2
+        assert theta_module._series_constants.cache_info().currsize == 3
 
     def test_bounded(self):
-        theta_module._theta1_prime0.cache_clear()
-        assert theta_module._theta1_prime0.cache_info().maxsize == theta_module._PRIME0_MAX
-        for k in range(theta_module._PRIME0_MAX + 5):
+        theta_module._series_constants.cache_clear()
+        assert theta_module._series_constants.cache_info().maxsize == theta_module._SERIES_CONSTANTS_MAX
+        for k in range(theta_module._SERIES_CONSTANTS_MAX + 5):
             ThetaEvaluator(EllipticParams(tau=complex(k / 1000, 1.2), eta=0.17))
-        assert theta_module._theta1_prime0.cache_info().currsize == theta_module._PRIME0_MAX
+        assert theta_module._series_constants.cache_info().currsize == theta_module._SERIES_CONSTANTS_MAX
